@@ -30,13 +30,21 @@ const KeyVersion = 1
 // profile that fails normalization is keyed in its raw form — deterministic
 // and collision-free, just without the sparse ≡ filled unification —
 // because memoization and the singleflight on top of it must not depend on
-// validity; the run itself reports the real error. An encoding failure is
-// returned rather than panicked; callers fall back to an uncached
-// execution.
+// validity; the run itself reports the real error. An empty System.Coding
+// or System.Scheduler is keyed as the default it selects (CodingIDA,
+// SchedReadFirst), so a named sweep's idaflash.IDA(e) and the server's
+// explicitly spelled system share one key. An encoding failure is returned
+// rather than panicked; callers fall back to an uncached execution.
 func Key(p workload.Profile, sys idaflash.System) (string, error) {
 	np, err := p.Normalize()
 	if err != nil {
 		np = p
+	}
+	if sys.Coding == "" {
+		sys.Coding = idaflash.CodingIDA
+	}
+	if sys.Scheduler == "" {
+		sys.Scheduler = idaflash.SchedReadFirst
 	}
 	b, err := json.Marshal(struct {
 		V int

@@ -90,6 +90,36 @@ func TestKeyDistinguishesConfigurations(t *testing.T) {
 	}
 }
 
+// TestKeyCanonicalizesDefaultSpellings: a system that leaves Coding and
+// Scheduler empty runs exactly the simulation of one that names their
+// defaults, so both share one key. The explicit spelling is the one the
+// server builds for /v1/run, the empty one what a named sweep sends.
+func TestKeyCanonicalizesDefaultSpellings(t *testing.T) {
+	profile, err := workload.ProfileByName("usr_1", 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled := idaflash.IDA(0.2)
+	spelled.Coding = idaflash.CodingIDA
+	spelled.Scheduler = idaflash.SchedReadFirst
+	kEmpty, err := Key(profile, idaflash.IDA(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kSpelled, err := Key(profile, spelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kEmpty != kSpelled {
+		t.Errorf("default spellings key differently:\n%s\n%s", kEmpty, kSpelled)
+	}
+	other := spelled
+	other.Scheduler = idaflash.SchedFIFO
+	if kOther, _ := Key(profile, other); kOther == kEmpty {
+		t.Error("a non-default scheduler shares the default's key")
+	}
+}
+
 // TestKeyToleratesInvalidProfiles: a profile that fails normalization is
 // keyed in its raw form rather than rejected — memoization must not depend
 // on validity (the run itself reports the real error), and the runner's

@@ -71,15 +71,19 @@ func (h *Hooks) write(prog PageProgram) {
 	}
 }
 
+// gc and refresh hand the hook a copy of the job: taking the address of the
+// caller's job would move every job to the heap, hooks installed or not.
 func (h *Hooks) gc(job *GCJob) {
 	if h != nil && h.GC != nil {
-		h.GC(job)
+		j := *job
+		h.GC(&j)
 	}
 }
 
 func (h *Hooks) refresh(job *RefreshJob) {
 	if h != nil && h.Refresh != nil {
-		h.Refresh(job)
+		j := *job
+		h.Refresh(&j)
 	}
 }
 
@@ -221,6 +225,17 @@ type FTL struct {
 	// (to keep a plane writable mid-write or mid-refresh) until the SSD
 	// model drains them via CollectGC and charges their timing.
 	pendingGC []GCJob
+	// gcJobs and refreshJobs back the slices CollectGC and DueRefreshes
+	// return (valid until the next call); kept is refreshIDA's scratch.
+	gcJobs      []GCJob
+	refreshJobs []RefreshJob
+	kept        []keptPage
+	// freeReads and freeMoves hold the op lists of released jobs (see
+	// ReleaseRefreshJob and ReleaseGCJob) for the next jobs to fill, so a
+	// caller that releases every job it charges makes background work
+	// allocation-free in steady state.
+	freeReads [][]ReadOp
+	freeMoves [][]MoveOp
 	// refreshing marks the block currently being refreshed; inline GC
 	// must not reclaim it out from under the refresh flow.
 	refreshing       flash.BlockAddr
@@ -307,8 +322,7 @@ func (f *FTL) Reset(opts Options) error {
 	}
 	f.allocCursor = 0
 	f.cwdp = allocationStripe(f.geom, opts.Allocation)
-	clear(f.pendingGC)
-	f.pendingGC = f.pendingGC[:0]
+	f.dropPendingGC()
 	f.refreshing = flash.BlockAddr{}
 	f.refreshingActive = false
 	f.stats = Stats{}

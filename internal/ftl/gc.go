@@ -42,22 +42,44 @@ type GCJob struct {
 // caller must stop the simulation, since the victim block is part-moved.
 // Jobs completed before the failure are still returned so their timing can
 // be charged.
+//
+// The returned slice is FTL-owned and valid until the next CollectGC call;
+// each job's Moves list stays valid until the job is passed to ReleaseGCJob.
 func (f *FTL) CollectGC(now sim.Time) ([]GCJob, error) {
-	jobs := f.pendingGC
-	f.pendingGC = nil
+	// The inline buffer becomes this call's result; the previous result's
+	// backing array becomes the new inline buffer.
+	clear(f.gcJobs)
+	f.gcJobs, f.pendingGC = f.pendingGC, f.gcJobs[:0]
 	for pl := range f.planes {
 		for len(f.planes[pl].free) < f.opts.GCFreeBlocks {
 			job, ok, err := f.collectPlane(flash.PlaneID(pl), now)
 			if err != nil {
-				return jobs, err
+				return f.gcJobs, err
 			}
 			if !ok {
 				break
 			}
-			jobs = append(jobs, job)
+			f.gcJobs = append(f.gcJobs, job)
 		}
 	}
-	return jobs, nil
+	return f.gcJobs, nil
+}
+
+// ReleaseGCJob hands a charged job's move list back to the FTL for reuse
+// and clears it from the job. The caller must not touch the list afterwards.
+func (f *FTL) ReleaseGCJob(job *GCJob) {
+	putList(&f.freeMoves, job.Moves)
+	job.Moves = nil
+}
+
+// dropPendingGC empties the inline-GC buffer, recycling the move lists of
+// its jobs: they were never handed out, so nothing else holds them.
+func (f *FTL) dropPendingGC() {
+	for i := range f.pendingGC {
+		f.ReleaseGCJob(&f.pendingGC[i])
+	}
+	clear(f.pendingGC)
+	f.pendingGC = f.pendingGC[:0]
 }
 
 // ensureFree keeps a plane writable by collecting inline when its free-block
@@ -118,6 +140,7 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 	}
 	job := GCJob{
 		Victim:       flash.BlockAddr{Plane: pl, Block: victim},
+		Moves:        takeList(&f.freeMoves),
 		VictimWasIDA: vb.ida,
 	}
 	for page := 0; page < f.geom.PagesPerBlock(); page++ {
@@ -132,6 +155,7 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 			// block; running out mid-GC means the device is
 			// undersized. The victim is part-moved, so the run must
 			// stop here.
+			f.ReleaseGCJob(&job)
 			return GCJob{}, false, fmt.Errorf("ftl: allocation failed during GC of p%d/b%d: %w", pl, victim, err)
 		}
 		job.Moves = append(job.Moves, MoveOp{

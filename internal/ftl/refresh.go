@@ -54,11 +54,16 @@ type RefreshJob struct {
 // mid-refresh (or mid-inline-GC) — an undersized device — and poisons the
 // run; jobs completed before the failure are still returned so their timing
 // can be charged.
+//
+// The returned slice is FTL-owned and valid until the next DueRefreshes
+// call; each job's op lists stay valid until the job is passed to
+// ReleaseRefreshJob.
 func (f *FTL) DueRefreshes(now sim.Time) ([]RefreshJob, error) {
 	if f.opts.RefreshPeriod == 0 {
 		return nil, nil
 	}
-	var jobs []RefreshJob
+	clear(f.refreshJobs)
+	f.refreshJobs = f.refreshJobs[:0]
 	for pl := range f.planes {
 		ps := f.planes[pl]
 		// Retire an active block whose oldest data has aged past the
@@ -86,7 +91,7 @@ func (f *FTL) DueRefreshes(now sim.Time) ([]RefreshJob, error) {
 			// eligibility (including age) afterwards; the loop
 			// variable b is stale once GC has run.
 			if err := f.ensureFree(flash.PlaneID(pl), now); err != nil {
-				return jobs, err
+				return f.refreshJobs, err
 			}
 			b = ps.blocks[blk]
 			if b == nil || blk == ps.active || b.retired || b.nextStep == 0 ||
@@ -95,12 +100,12 @@ func (f *FTL) DueRefreshes(now sim.Time) ([]RefreshJob, error) {
 			}
 			job, err := f.refreshBlock(flash.PlaneID(pl), blk, now)
 			if err != nil {
-				return jobs, err
+				return f.refreshJobs, err
 			}
-			jobs = append(jobs, job)
+			f.refreshJobs = append(f.refreshJobs, job)
 		}
 	}
-	return jobs, nil
+	return f.refreshJobs, nil
 }
 
 // CloseActiveBlocks retires every plane's open block so warmup-era data
@@ -133,13 +138,48 @@ func (f *FTL) StaggerBlockAges(now sim.Time) {
 	}
 }
 
+// ReleaseRefreshJob hands a charged job's op lists back to the FTL for
+// reuse and clears them from the job. The caller must not touch the lists
+// afterwards.
+func (f *FTL) ReleaseRefreshJob(job *RefreshJob) {
+	putList(&f.freeReads, job.Reads)
+	putList(&f.freeReads, job.VerifyReads)
+	putList(&f.freeMoves, job.Moves)
+	putList(&f.freeMoves, job.CorruptedMoves)
+	job.Reads, job.Moves, job.VerifyReads, job.CorruptedMoves = nil, nil, nil, nil
+}
+
+// takeList pops an empty op list off a free list, or returns nil (append
+// then allocates) when the free list is empty.
+func takeList[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	ops := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return ops
+}
+
+// putList pushes a released op list, emptied, onto a free list.
+func putList[T any](free *[][]T, ops []T) {
+	if cap(ops) > 0 {
+		*free = append(*free, ops[:0])
+	}
+}
+
 // refreshBlock refreshes one block, choosing the original or IDA-modified
 // flow.
 func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob, error) {
 	b := f.planes[pl].blocks[blk]
 	job := RefreshJob{
-		Target:     flash.BlockAddr{Plane: pl, Block: blk},
-		ValidPages: b.validCount,
+		Target:         flash.BlockAddr{Plane: pl, Block: blk},
+		ValidPages:     b.validCount,
+		Reads:          takeList(&f.freeReads),
+		Moves:          takeList(&f.freeMoves),
+		VerifyReads:    takeList(&f.freeReads),
+		CorruptedMoves: takeList(&f.freeMoves),
 	}
 	// Protect the target from inline GC while its pages are in flight.
 	f.refreshing = job.Target
@@ -163,6 +203,7 @@ func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob,
 		err = f.refreshIDA(pl, blk, now, &job)
 	}
 	if err != nil {
+		f.ReleaseRefreshJob(&job)
 		return RefreshJob{}, err
 	}
 
@@ -203,16 +244,19 @@ func (f *FTL) refreshOriginal(pl flash.PlaneID, blk int, now sim.Time, job *Refr
 	return nil
 }
 
+// keptPage is a page an IDA refresh keeps in place through the voltage
+// adjustment.
+type keptPage struct {
+	page   int
+	senses int // post-adjustment sensing count
+}
+
 // refreshIDA implements Figure 7b: relocate only the non-beneficial pages,
 // voltage-adjust the beneficial wordlines, verify the kept pages, and write
 // back any pages the adjustment corrupted.
 func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJob) error {
 	b := f.planes[pl].blocks[blk]
-	type keptPage struct {
-		page   int
-		senses int // post-adjustment sensing count
-	}
-	var kept []keptPage
+	f.kept = f.kept[:0]
 
 	// Step 3: per-wordline Table I decision. Moves happen first (they
 	// need the pre-adjustment data), then the adjustment.
@@ -265,7 +309,7 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 			}
 			page := f.pageIndex(wl, t)
 			if b.valid[page] {
-				kept = append(kept, keptPage{page: page, senses: plan.KeptSenses[t]})
+				f.kept = append(f.kept, keptPage{page: page, senses: plan.KeptSenses[t]})
 			}
 		}
 	}
@@ -280,7 +324,7 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 
 	// Steps 5-8: verify-read every kept page; corrupted ones are written
 	// back to the new block.
-	for _, kp := range kept {
+	for _, kp := range f.kept {
 		job.VerifyReads = append(job.VerifyReads, ReadOp{
 			Addr:   f.addrOf(f.packPPN(pl, blk, kp.page)),
 			Senses: kp.senses,

@@ -207,10 +207,9 @@ func (f *FTL) Restore(st *State) error {
 		}
 	}
 
-	clear(f.pendingGC)
-	f.pendingGC = f.pendingGC[:0]
+	f.dropPendingGC()
 	for _, job := range st.PendingGC {
-		job.Moves = append([]MoveOp(nil), job.Moves...)
+		job.Moves = append(takeList(&f.freeMoves), job.Moves...)
 		f.pendingGC = append(f.pendingGC, job)
 	}
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"idaflash"
+	"idaflash/internal/experiments"
 	"idaflash/internal/farm"
 )
 
@@ -477,6 +478,67 @@ func TestStatzCounters(t *testing.T) {
 	// least this handler's goroutine.
 	if z.Runtime.HeapAllocBytes == 0 || z.Runtime.Goroutines == 0 {
 		t.Errorf("runtime gauges %+v", z.Runtime)
+	}
+}
+
+// TestFigure8BatchWarmsSingleRuns: a point computed by the figure8 named
+// sweep is a result-store hit for /v1/run. The sweep builds idaflash.IDA(e)
+// with Coding and Scheduler empty, the run endpoint spells both defaults
+// out; the key must treat the two as the one simulation they are.
+func TestFigure8BatchWarmsSingleRuns(t *testing.T) {
+	var runs atomic.Int64
+	s := stubServer(Config{Workers: 2}, traceRun(&runs))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := postBatch(t, ts, `{"sweep":"figure8","stream":"ndjson"}`)
+	evs := readNDJSON(t, resp.Body)
+	resp.Body.Close()
+	if done := evs[len(evs)-1].Done; done == nil || done.State != farm.StateDone || done.Completed != 110 {
+		t.Fatalf("figure8 batch ended with %+v", evs[len(evs)-1])
+	}
+	swept := runs.Load()
+
+	sys, err := buildSystem(SystemSpec{IDA: true, ErrorRate: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, err := idaflash.ProfileByName("usr_1", s.runner.Options().Requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kRun, err := experiments.Key(profile, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kSweep, err := experiments.Key(profile, idaflash.IDA(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kRun != kSweep {
+		t.Fatalf("server-built system keys apart from the sweep's:\n%s\n%s", kRun, kSweep)
+	}
+
+	for _, body := range []string{
+		`{"profile":"usr_1","system":{"ida":true,"error_rate":0.2}}`,
+		`{"profile":"proj_3","system":{}}`,
+	} {
+		rresp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rr RunResponse
+		err = json.NewDecoder(rresp.Body).Decode(&rr)
+		rresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rr.Cached {
+			t.Errorf("/v1/run %s after a figure8 batch: cached=false", body)
+		}
+	}
+	if got := runs.Load(); got != swept {
+		t.Errorf("single runs re-simulated %d swept points", got-swept)
 	}
 }
 

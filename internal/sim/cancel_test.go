@@ -161,3 +161,29 @@ func TestEngineCancelBeforeSparseJump(t *testing.T) {
 		t.Errorf("clock advanced to %v; the sparse jump outran the cancellation", e.Now())
 	}
 }
+
+// TestEngineCancelJumpWaitsForLane: same-instant lane work never counts as a
+// jump, so events queued on the lane when a callback cancels still run at
+// the current instant; the poll before the next clock jump then catches
+// the cancellation before a far-future event runs.
+func TestEngineCancelJumpWaitsForLane(t *testing.T) {
+	e := NewEngine()
+	ctx, cancel := context.WithCancel(context.Background())
+	e.SetContext(ctx)
+	ran := 0
+	e.At(Time(time.Millisecond), func() {}) // resets the poll horizon
+	e.At(Time(3*time.Millisecond)/2, func() {
+		e.After(0, func() { ran++; cancel() })
+		e.After(0, func() { ran++ })
+	})
+	e.At(Time(time.Hour), func() { t.Error("event an hour out ran after cancellation") })
+	if err := e.Run(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run() = %v, want context.Canceled", err)
+	}
+	if ran != 2 {
+		t.Errorf("ran %d lane events, want 2: same-instant work is not a jump", ran)
+	}
+	if e.Now() != Time(3*time.Millisecond)/2 || e.Pending() != 1 {
+		t.Errorf("now=%v pending=%d, want the clock at 1.5ms with the far event queued", e.Now(), e.Pending())
+	}
+}

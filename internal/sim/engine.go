@@ -20,17 +20,22 @@ type Time = time.Duration
 // inline in the event queue, so — unlike a fresh closure — it costs no
 // allocation per event. The simulation hot path (resource completions,
 // pooled page operations) schedules Actions; cold paths keep using func()
-// callbacks.
+// callbacks, which the engine wraps as Actions too.
 type Action interface {
 	Run()
 }
 
-// event is one scheduled callback: either a closure (fn) or a pre-allocated
-// Action (op). Exactly one of the two is set.
+// funcAction adapts a closure to Action. A func value is pointer-shaped, so
+// storing one in an Action interface does not allocate: At, After and
+// Resource.Acquire share the Action dispatch path at no extra cost.
+type funcAction func()
+
+func (f funcAction) Run() { f() }
+
+// event is one scheduled callback: 32 bytes, the Action stored inline.
 type event struct {
 	at  Time
 	seq uint64 // insertion order, for deterministic FIFO tie-breaking
-	fn  func()
 	op  Action
 }
 
@@ -38,13 +43,18 @@ type event struct {
 // concurrent use: the whole simulation runs on one goroutine, which is what
 // makes runs bit-for-bit reproducible.
 //
-// The event queue is an inlined index-based binary min-heap over []event,
-// ordered by (at, seq). Inlining (instead of container/heap) keeps events
-// out of interface{} boxes: pushing and popping moves struct values within
-// one backing array and never allocates beyond the amortized append growth.
+// Events run in (at, seq) order. Future events wait in an inlined
+// index-based binary min-heap over []event; inlining (instead of
+// container/heap) keeps events out of interface{} boxes, so pushing and
+// popping moves struct values within one backing array and never allocates
+// beyond the amortized append growth. Events scheduled for the current
+// instant — zero-hold resource grants, same-instant completions — skip the
+// heap and wait in a FIFO lane instead (see Step for why that preserves the
+// order).
 type Engine struct {
 	now       Time
 	events    []event
+	lane      fifo[event]
 	seq       uint64
 	processed uint64
 
@@ -77,13 +87,14 @@ func NewEngine() *Engine {
 
 // Reset returns the engine to its as-constructed state — clock at zero, no
 // pending events, no context, no sticky stop error — while keeping the event
-// heap's backing array, so a pooled engine starts its next run without
-// reallocating the queue. Pending events are dropped (and zeroed, so their
-// callbacks are not retained); callers reset only between runs, when the
-// queue has drained anyway.
+// heap's and the lane's backing arrays, so a pooled engine starts its next
+// run without reallocating the queue. Pending events are dropped (and
+// zeroed, so their callbacks are not retained); callers reset only between
+// runs, when the queue has drained anyway.
 func (e *Engine) Reset() {
 	clear(e.events)
 	e.events = e.events[:0]
+	e.lane.reset()
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -99,8 +110,20 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of events waiting to run.
+func (e *Engine) Pending() int { return len(e.events) + e.lane.Len() }
+
+// next returns the instant of the next event to run, if any. Lane events
+// are all at the current instant.
+func (e *Engine) next() (Time, bool) {
+	if e.lane.Len() > 0 {
+		return e.now, true
+	}
+	if len(e.events) > 0 {
+		return e.events[0].at, true
+	}
+	return 0, false
+}
 
 // eventLess orders the heap by timestamp, breaking ties by insertion order
 // so equal-time events run FIFO.
@@ -156,53 +179,67 @@ func (e *Engine) pop() event {
 	return root
 }
 
-// schedule validates the timestamp and enqueues the event.
-func (e *Engine) schedule(t Time, fn func(), op Action) {
+// schedule validates the timestamp and enqueues the event: on the lane when
+// it is due now, on the heap otherwise.
+func (e *Engine) schedule(t Time, op Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn, op: op})
+	if t == e.now {
+		e.lane.Push(event{at: t, seq: e.seq, op: op})
+		return
+	}
+	e.push(event{at: t, seq: e.seq, op: op})
 }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past is a programming error and panics: allowing it would silently
 // reorder causality.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, fn, nil)
+	e.schedule(t, funcAction(fn))
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
 func (e *Engine) After(d time.Duration, fn func()) {
-	e.schedule(e.now+d, fn, nil)
+	e.schedule(e.now+d, funcAction(fn))
 }
 
 // AtAction schedules a pre-allocated Action at absolute time t. It is the
-// allocation-free counterpart of At.
+// allocation-free counterpart of At for callbacks that carry state.
 func (e *Engine) AtAction(t Time, a Action) {
-	e.schedule(t, nil, a)
+	e.schedule(t, a)
 }
 
-// AfterAction schedules a pre-allocated Action d after the current time. It
-// is the allocation-free counterpart of After.
+// AfterAction schedules a pre-allocated Action d after the current time.
 func (e *Engine) AfterAction(d time.Duration, a Action) {
-	e.schedule(e.now+d, nil, a)
+	e.schedule(e.now+d, a)
 }
 
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed.
+//
+// The order is exactly (at, seq). An event enters the heap only when it is
+// scheduled strictly in the future, so every heap event due now was
+// scheduled before the clock reached now, and every lane event after: heap
+// events at now carry the lower seqs and run first, then the lane drains in
+// FIFO (= seq) order, and only then does the clock advance to the heap's
+// next instant.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	var ev event
+	switch {
+	case len(e.events) > 0 && e.events[0].at == e.now:
+		ev = e.pop()
+	case e.lane.Len() > 0:
+		ev = e.lane.Pop()
+	case len(e.events) > 0:
+		ev = e.pop()
+		e.now = ev.at
+	default:
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
 	e.processed++
-	if ev.op != nil {
-		ev.op.Run()
-	} else {
-		ev.fn()
-	}
+	ev.op.Run()
 	return true
 }
 
@@ -257,11 +294,15 @@ func (e *Engine) checkCancel() {
 // a background scan a simulated minute away) would otherwise leap minutes
 // past a cancellation in a single step. Returns true when the run must stop.
 func (e *Engine) jumpCancel() bool {
-	if e.ctx == nil || len(e.events) == 0 || e.events[0].at <= e.nextCheckAt {
+	if e.ctx == nil {
+		return false
+	}
+	at, ok := e.next()
+	if !ok || at <= e.nextCheckAt {
 		return false
 	}
 	e.sinceCheck = 0
-	e.nextCheckAt = e.events[0].at + cancelCheckSim
+	e.nextCheckAt = at + cancelCheckSim
 	if err := e.ctx.Err(); err != nil {
 		if e.stopErr == nil {
 			e.stopErr = err
@@ -289,8 +330,8 @@ func (e *Engine) Run() error {
 // early on cancellation or Stop, returning the stopping error (and leaving
 // the clock wherever the last event put it).
 func (e *Engine) RunUntil(t Time) error {
-	for e.stopErr == nil && len(e.events) > 0 && e.events[0].at <= t {
-		if e.jumpCancel() {
+	for e.stopErr == nil {
+		if at, ok := e.next(); !ok || at > t || e.jumpCancel() {
 			break
 		}
 		e.Step()
@@ -317,7 +358,7 @@ func (e *Engine) Pulse(interval time.Duration, fn func(now Time)) {
 	var tick func()
 	tick = func() {
 		fn(e.now)
-		if len(e.events) > 0 {
+		if e.Pending() > 0 {
 			e.After(interval, tick)
 		}
 	}

@@ -1,46 +1,50 @@
 package sim
 
-// waiterQueue is a FIFO ring buffer of waiters. It replaces the earlier
-// head-shifting []Waiter queues: popping moves a head index instead of
-// copying the tail down, zeroes the vacated slot so completed callbacks are
-// not retained, and reuses the backing array, so sustained queueing churns
-// no memory at all once the buffer has grown to the peak depth.
-type waiterQueue struct {
-	buf  []Waiter
+// fifo is a FIFO ring buffer. Popping moves a head index instead of copying
+// the tail down, zeroes the vacated slot so completed callbacks are not
+// retained, and reuses the backing array, so sustained queueing churns no
+// memory at all once the buffer has grown to the peak depth. The backing
+// length is always zero or a power of two, so indexes wrap with a mask.
+type fifo[T any] struct {
+	buf  []T
 	head int
 	size int
 }
 
-// Len returns the number of queued waiters.
-func (q *waiterQueue) Len() int { return q.size }
+// waiterQueue is one scheduler wait queue.
+type waiterQueue = fifo[Waiter]
+
+// Len returns the number of queued elements.
+func (q *fifo[T]) Len() int { return q.size }
 
 // Cap returns the backing array length (tests assert it stays bounded).
-func (q *waiterQueue) Cap() int { return len(q.buf) }
+func (q *fifo[T]) Cap() int { return len(q.buf) }
 
-// Push appends a waiter at the tail, growing the ring when full.
-func (q *waiterQueue) Push(w Waiter) {
+// Push appends an element at the tail, growing the ring when full.
+func (q *fifo[T]) Push(v T) {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = w
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = v
 	q.size++
 }
 
-// Pop removes and returns the head waiter. Popping an empty queue panics
+// Pop removes and returns the head element. Popping an empty queue panics
 // (callers check Len first).
-func (q *waiterQueue) Pop() Waiter {
-	w := q.buf[q.head]
-	q.buf[q.head] = Waiter{}
-	q.head = (q.head + 1) % len(q.buf)
+func (q *fifo[T]) Pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
-	return w
+	return v
 }
 
-// Front returns the head waiter without removing it. Calling Front on an
+// Front returns the head element without removing it. Calling Front on an
 // empty queue panics.
-func (q *waiterQueue) Front() *Waiter {
+func (q *fifo[T]) Front() *T {
 	if q.size == 0 {
-		panic("sim: Front on empty waiterQueue")
+		panic("sim: Front on empty queue")
 	}
 	return &q.buf[q.head]
 }
@@ -48,22 +52,23 @@ func (q *waiterQueue) Front() *Waiter {
 // reset empties the ring for reuse, zeroing the occupied slots so callback
 // references are not retained, while keeping the backing array at its grown
 // capacity.
-func (q *waiterQueue) reset() {
+func (q *fifo[T]) reset() {
+	var zero T
 	for i := 0; i < q.size; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = Waiter{}
+		q.buf[(q.head+i)&(len(q.buf)-1)] = zero
 	}
 	q.head, q.size = 0, 0
 }
 
 // grow doubles the ring, unwrapping the elements into index order.
-func (q *waiterQueue) grow() {
+func (q *fifo[T]) grow() {
 	n := len(q.buf) * 2
 	if n == 0 {
 		n = 8
 	}
-	buf := make([]Waiter, n)
+	buf := make([]T, n)
 	for i := 0; i < q.size; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = buf
 	q.head = 0

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestWaiterQueueFIFO checks ordering across wrap-around: interleaved pushes
@@ -14,21 +15,21 @@ func TestWaiterQueueFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 5000; step++ {
 		if q.Len() == 0 || rng.Intn(2) == 0 {
-			q.Push(Waiter{seq: uint64(next)})
+			q.Push(Waiter{hold: time.Duration(next)})
 			next++
 		} else {
-			if got := q.Front().seq; got != uint64(expect) {
-				t.Fatalf("step %d: Front seq = %d, want %d", step, got, expect)
+			if got := q.Front().hold; got != time.Duration(expect) {
+				t.Fatalf("step %d: Front = %d, want %d", step, got, expect)
 			}
-			if got := q.Pop().seq; got != uint64(expect) {
-				t.Fatalf("step %d: popped seq = %d, want %d", step, got, expect)
+			if got := q.Pop().hold; got != time.Duration(expect) {
+				t.Fatalf("step %d: popped %d, want %d", step, got, expect)
 			}
 			expect++
 		}
 	}
 	for q.Len() > 0 {
-		if got := q.Pop().seq; got != uint64(expect) {
-			t.Fatalf("drain: popped seq = %d, want %d", got, expect)
+		if got := q.Pop().hold; got != time.Duration(expect) {
+			t.Fatalf("drain: popped %d, want %d", got, expect)
 		}
 		expect++
 	}
@@ -64,10 +65,10 @@ func TestWaiterQueueBoundedGrowth(t *testing.T) {
 // in vacated ring slots.
 func TestWaiterQueuePopZeroesSlot(t *testing.T) {
 	var q waiterQueue
-	q.Push(Waiter{then: func() {}})
+	q.Push(Waiter{op: funcAction(func() {})})
 	q.Pop()
 	for i := range q.buf {
-		if q.buf[i].then != nil || q.buf[i].op != nil {
+		if q.buf[i].op != nil {
 			t.Fatalf("slot %d retains a callback after Pop", i)
 		}
 	}

@@ -65,7 +65,6 @@ type Resource struct {
 	engine *Engine
 	busy   bool
 	sched  Scheduler
-	seq    uint64
 	stats  ResourceStats
 	hook   ResourceHook
 	// current is the waiter in service. The resource itself is the
@@ -100,7 +99,6 @@ func (r *Resource) Name() string { return r.name }
 // resource (reset only between runs, after the engine has drained).
 func (r *Resource) Reset() {
 	r.busy = false
-	r.seq = 0
 	r.stats = ResourceStats{}
 	r.hook = nil
 	r.current = Waiter{}
@@ -127,7 +125,11 @@ func (r *Resource) QueueLen() int { return r.sched.Len() }
 // must be non-negative; a zero hold still round-trips through the queue so
 // ordering stays consistent.
 func (r *Resource) Acquire(p Priority, hold time.Duration, then func()) {
-	r.acquire(Waiter{Prio: p, hold: hold, then: then})
+	var op Action
+	if then != nil {
+		op = funcAction(then)
+	}
+	r.acquire(Waiter{Prio: p, hold: hold, op: op})
 }
 
 // AcquireAction is the allocation-free counterpart of Acquire: the
@@ -144,9 +146,7 @@ func (r *Resource) acquire(w Waiter) {
 	if w.hold < 0 {
 		panic(fmt.Sprintf("sim: resource %s acquire with negative hold %v", r.name, w.hold))
 	}
-	r.seq++
 	w.Enqueued = r.engine.Now()
-	w.seq = r.seq
 	if r.busy {
 		r.sched.Push(w)
 		q := r.sched.Len()
@@ -183,7 +183,9 @@ func (r *Resource) serve(w Waiter) {
 func (r *Resource) Run() {
 	w := r.current
 	r.current = Waiter{} // drop callback references before running them
-	w.complete()
+	if w.op != nil {
+		w.op.Run()
+	}
 	r.busy = false
 	r.stats.LastIdleAt = r.engine.Now()
 	r.next()

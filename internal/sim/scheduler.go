@@ -45,24 +45,12 @@ func Policies() []Policy {
 
 // Waiter is one queued acquisition as a Scheduler sees it: the service
 // class, the enqueue instant, and an opaque payload the Resource round-trips
-// (the hold duration and completion callback — a closure or a pre-allocated
-// Action, whichever the acquirer supplied).
+// (the hold duration and the completion Action, nil when there is none).
 type Waiter struct {
 	Prio     Priority
 	Enqueued Time
-	seq      uint64
 	hold     time.Duration
-	then     func()
 	op       Action
-}
-
-// complete invokes the waiter's completion callback, if any.
-func (w *Waiter) complete() {
-	if w.op != nil {
-		w.op.Run()
-	} else if w.then != nil {
-		w.then()
-	}
 }
 
 // Scheduler orders the waiters of one Resource. Implementations are

@@ -28,6 +28,17 @@ func (s *SSD) runGC() {
 	}
 }
 
+// collectUncharged runs GC in the zero-time phases (prefill, aging, warmup),
+// where no timing is charged: the jobs' move lists go straight back to the
+// FTL.
+func (s *SSD) collectUncharged() error {
+	jobs, err := s.f.CollectGC(0)
+	for i := range jobs {
+		s.f.ReleaseGCJob(&jobs[i])
+	}
+	return err
+}
+
 // gcOp charges the timed operations of one GC job: each move is a read
 // (die), two channel transfers (out and back in), and a program (die); the
 // victim erase runs after the moves. Steps chain sequentially, as the
@@ -114,9 +125,10 @@ func (s *SSD) getGCOp() *gcOp {
 	return &gcOp{s: s}
 }
 
-// putGCOp recycles a finished machine, dropping the job reference so the
-// FTL-owned move slices are not retained past the charge.
+// putGCOp recycles a finished machine, handing the job's move list back to
+// the FTL for the next job.
 func (s *SSD) putGCOp(o *gcOp) {
+	s.f.ReleaseGCJob(&o.job)
 	o.job = ftl.GCJob{}
 	o.idx, o.sub = 0, 0
 	s.gcOps = append(s.gcOps, o)
@@ -321,9 +333,10 @@ func (s *SSD) getRefreshOp() *refreshOp {
 	return &refreshOp{s: s}
 }
 
-// putRefreshOp recycles a finished machine, dropping the job reference so
-// the FTL-owned op slices are not retained past the charge.
+// putRefreshOp recycles a finished machine, handing the job's op lists back
+// to the FTL for the next job.
 func (s *SSD) putRefreshOp(o *refreshOp) {
+	s.f.ReleaseRefreshJob(&o.job)
 	o.job = ftl.RefreshJob{}
 	o.phase, o.idx, o.sub, o.adjustLeft = 0, 0, 0, 0
 	s.refreshOps = append(s.refreshOps, o)

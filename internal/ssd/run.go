@@ -215,7 +215,7 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 						return fmt.Errorf("ssd: %s: %w", label, err)
 					}
 				}
-				if _, err := s.f.CollectGC(0); err != nil {
+				if err := s.collectUncharged(); err != nil {
 					return fmt.Errorf("ssd: %s: %w", label, err)
 				}
 			}
@@ -385,12 +385,12 @@ func (s *SSD) prefill(ctx context.Context, tr *workload.Trace) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if _, err := s.f.CollectGC(0); err != nil {
+			if err := s.collectUncharged(); err != nil {
 				return fmt.Errorf("ssd: prefill: %w", err)
 			}
 		}
 	}
-	if _, err := s.f.CollectGC(0); err != nil {
+	if err := s.collectUncharged(); err != nil {
 		return fmt.Errorf("ssd: prefill: %w", err)
 	}
 	return nil

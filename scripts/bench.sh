@@ -57,13 +57,14 @@ awk -v label="$label" '
 echo "wrote $out" >&2
 cat "$out"
 
-# Diff against the committed PR baselines when they exist: a per-benchmark
-# delta table so the snapshot is self-explaining next to the history.
-for baseline in BENCH_PR4.json BENCH_PR7.json; do
-  if [[ -f "$baseline" && "$out" != "$baseline" ]]; then
-    echo >&2
-    echo "delta vs $baseline (ns/op):" >&2
-    python3 - "$baseline" "$out" >&2 <<'PY' || true
+# Diff against the newest committed PR baseline (highest PR number), when
+# one exists: a per-benchmark delta table so the snapshot is
+# self-explaining next to the history.
+baseline="$(git ls-files 'BENCH_PR*.json' 2>/dev/null | grep -vxF "$out" | sort -V | tail -n 1 || true)"
+if [[ -n "$baseline" ]]; then
+  echo >&2
+  echo "delta vs $baseline (ns/op):" >&2
+  python3 - "$baseline" "$out" >&2 <<'PY' || true
 import json, sys
 base = json.load(open(sys.argv[1]))["benchmarks"]
 cur = json.load(open(sys.argv[2]))["benchmarks"]
@@ -76,5 +77,4 @@ for name, c in cur.items():
     delta = (c["ns_per_op"] - b["ns_per_op"]) / b["ns_per_op"] * 100
     print(f"  {name:<{width}}  {b['ns_per_op']:>14.1f} -> {c['ns_per_op']:>14.1f}  {delta:+6.1f}%")
 PY
-  fi
-done
+fi
