@@ -42,22 +42,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"idaflash/internal/server"
 )
 
 type point struct {
 	name string
 	body []byte
-}
-
-// statz mirrors the server's GET /statz payload (the fields idaload reads).
-type statz struct {
-	Server struct {
-		Shed uint64 `json:"shed"`
-	} `json:"server"`
-	Results struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-	} `json:"results"`
 }
 
 // report is the -json output and the source of the text summary.
@@ -314,8 +305,8 @@ func post(client *http.Client, url string, body []byte) (code int, cached bool, 
 	return resp.StatusCode, rr.Cached, nil
 }
 
-func readStatz(client *http.Client, url string) (statz, error) {
-	var z statz
+func readStatz(client *http.Client, url string) (server.Statz, error) {
+	var z server.Statz
 	resp, err := client.Get(url + "/statz")
 	if err != nil {
 		return z, fmt.Errorf("reading /statz: %w", err)

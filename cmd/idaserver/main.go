@@ -14,8 +14,7 @@
 //	POST /v1/batch     whole sweeps; streams per-point progress (SSE/ndjson)
 //	GET  /v1/jobs/{id} poll a batch job, or resume its stream (?watch=sse&from=N)
 //	GET  /v1/profiles  list runnable profile names
-//	GET  /v1/stats     admission/completion counters
-//	GET  /statz        per-endpoint counters, job/runtime/arena gauges, cache stats
+//	GET  /statz        run and per-endpoint counters, job/runtime/arena gauges, cache stats
 //	GET  /healthz      liveness (always 200 while the process serves)
 //	GET  /readyz       readiness (503 once draining)
 //
@@ -67,14 +66,10 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight runs get to finish on shutdown")
 		storeDir     = flag.String("store-dir", "", "persist snapshots, result payloads, and the batch-job journal under this directory")
 		storeSync    = flag.Bool("store-sync", false, "fsync every store blob write so the cache survives power loss (the job journal always syncs)")
-		snapDir      = flag.String("snapshot-dir", "", "deprecated alias for -store-dir")
 		pprofListen  = flag.String("pprof-listen", "", "serve net/http/pprof debug endpoints on this address (e.g. localhost:6060); empty disables them")
 	)
 	flag.Parse()
-	dir, warn := idaflash.ResolveStoreDir(*storeDir, *snapDir)
-	if warn != "" {
-		fmt.Fprintln(os.Stderr, "idaserver:", warn)
-	}
+	dir := *storeDir
 	logger := log.New(os.Stderr, "idaserver: ", log.LstdFlags)
 	var journal *farm.Journal
 	if dir != "" {

@@ -69,7 +69,6 @@ func main() {
 
 		storeDir    = flag.String("store-dir", "", "persist aged device-state snapshots content-addressed in this directory, restoring the aging preamble in O(state) on later runs")
 		storeSync   = flag.Bool("store-sync", false, "fsync every store blob write so the snapshot cache survives power loss")
-		snapDir     = flag.String("snapshot-dir", "", "deprecated alias for -store-dir")
 		noSnapshot  = flag.Bool("no-snapshot", false, "replay the aging preamble from scratch instead of reusing device-state snapshots")
 		noPool      = flag.Bool("no-pool", false, "build a fresh device per run instead of reusing pooled simulation state")
 		traceOut    = flag.String("trace-out", "", "write sampled request spans as Chrome/Perfetto trace-event JSON to this file")
@@ -128,11 +127,7 @@ func main() {
 	sys.Parity = *parity
 	sys.NoSnapshot = *noSnapshot
 	sys.NoPool = *noPool
-	dir, warn := idaflash.ResolveStoreDir(*storeDir, *snapDir)
-	if warn != "" {
-		fmt.Fprintln(os.Stderr, warn)
-	}
-	if dir != "" {
+	if dir := *storeDir; dir != "" {
 		if *noSnapshot {
 			fmt.Fprintln(os.Stderr, "-store-dir and -no-snapshot are mutually exclusive")
 			os.Exit(1)

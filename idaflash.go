@@ -489,7 +489,7 @@ func BuildConfig(p Profile, sys System) (SSDConfig, Profile, error) {
 // (profile, device-shape) combination is captured once and restored in
 // O(state) by every later run sharing it, so a sweep pays for prefill, the
 // aging preamble, and warmup once per profile instead of once per system
-// variant. The in-memory tier is always on (bounded, FIFO-evicted); attach
+// variant. The in-memory tier is always on (bounded, LRU-evicted); attach
 // a persistent on-disk tier with SetStoreDir. Restored runs are
 // byte-identical to replayed ones, and corrupt or version-skewed snapshots
 // fall back to replay silently.
@@ -564,28 +564,6 @@ func StoreDisk() *results.Disk {
 	storeMu.Lock()
 	defer storeMu.Unlock()
 	return storeDisk
-}
-
-// SetSnapshotDir names the store root by its original, snapshot-only role.
-//
-// Deprecated: use SetStoreDir — the directory now also serves result
-// payloads under the shared eviction budget.
-func SetSnapshotDir(dir string) error { return SetStoreDir(dir) }
-
-// ResolveStoreDir arbitrates between the -store-dir flag and its deprecated
-// -snapshot-dir alias for the command-line tools: -store-dir always wins,
-// and exactly one warning is returned whenever the alias was set — naming
-// the precedence when both flags were given, or just the deprecation when
-// only the alias was. An empty warning means the alias was not used.
-func ResolveStoreDir(storeDir, snapshotDir string) (dir, warning string) {
-	switch {
-	case snapshotDir == "":
-		return storeDir, ""
-	case storeDir == "":
-		return snapshotDir, "-snapshot-dir is deprecated; use -store-dir"
-	default:
-		return storeDir, "-snapshot-dir is deprecated and ignored because -store-dir is set"
-	}
 }
 
 // snapshotKeyData is everything the aged pre-measurement device state is a

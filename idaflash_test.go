@@ -459,29 +459,3 @@ func TestRunArrayWorkload(t *testing.T) {
 		t.Error("array workload not deterministic")
 	}
 }
-
-// TestResolveStoreDir pins the -store-dir / -snapshot-dir arbitration both
-// command-line tools share: -store-dir wins deterministically, and the
-// alias always produces exactly one warning.
-func TestResolveStoreDir(t *testing.T) {
-	cases := []struct {
-		name, store, snap string
-		wantDir           string
-		wantWarn          bool
-	}{
-		{"neither", "", "", "", false},
-		{"store only", "/a", "", "/a", false},
-		{"alias only", "", "/b", "/b", true},
-		{"both, store wins", "/a", "/b", "/a", true},
-		{"both equal, still warns", "/a", "/a", "/a", true},
-	}
-	for _, tc := range cases {
-		dir, warn := idaflash.ResolveStoreDir(tc.store, tc.snap)
-		if dir != tc.wantDir {
-			t.Errorf("%s: dir %q, want %q", tc.name, dir, tc.wantDir)
-		}
-		if (warn != "") != tc.wantWarn {
-			t.Errorf("%s: warning %q, want warning=%v", tc.name, warn, tc.wantWarn)
-		}
-	}
-}

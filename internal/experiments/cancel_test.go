@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 
 	"idaflash"
 	"idaflash/internal/workload"
@@ -63,15 +62,14 @@ func TestCancelledRunLeavesNoPartialResult(t *testing.T) {
 // completes and is cached normally.
 func TestWaiterCancelDoesNotDisturbExecutor(t *testing.T) {
 	block := make(chan struct{})
+	started := make(chan struct{})
 	runs := 0
-	r := &Runner{
-		run: func(ctx context.Context, p workload.Profile, sys idaflash.System) (idaflash.Results, error) {
-			runs++
-			<-block
-			return idaflash.Results{Trace: p.Name}, nil
-		},
-		cache: make(map[string]*runEntry),
-		sem:   make(chan struct{}, 2),
+	r := NewRunner(Options{Requests: 10, Parallel: 2})
+	r.run = func(ctx context.Context, p workload.Profile, sys idaflash.System) (idaflash.Results, error) {
+		runs++
+		close(started)
+		<-block
+		return idaflash.Results{Trace: p.Name}, nil
 	}
 	p := workload.Profile{Name: "w", Requests: 10}
 	sys := idaflash.System{Name: "S"}
@@ -81,16 +79,7 @@ func TestWaiterCancelDoesNotDisturbExecutor(t *testing.T) {
 		_, err := r.RunContext(context.Background(), p, sys)
 		execDone <- err
 	}()
-	// Wait until the executor has installed its entry.
-	for {
-		r.mu.Lock()
-		n := len(r.cache)
-		r.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-started // the executor holds the key's claim
 	wctx, wcancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {

@@ -19,7 +19,7 @@ const KeyVersion = 1
 
 // Key builds the canonical, versioned cache key for one (profile, system)
 // simulation point. It is the contract behind every cache layer the point
-// flows through: the in-memory experiments memo, the server's singleflight,
+// flows through: the in-memory experiments memo, the server's result store,
 // and the content-addressed disk store that survives restarts.
 //
 // Canonical means two requests describing the same simulation produce the

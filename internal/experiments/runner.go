@@ -22,14 +22,25 @@ import (
 	"time"
 
 	"idaflash"
+	"idaflash/internal/memo"
 	"idaflash/internal/workload"
 )
+
+// DefaultRequests is the per-trace request budget the harness (and the
+// HTTP service) uses when none is given.
+const DefaultRequests = 40000
+
+// memoLimit bounds the runner's memo. The full suite (every experiment of
+// All at one budget) simulates 378 distinct (profile, system) pairs, so 512
+// keeps a whole regeneration resident while still capping what a
+// long-lived process retains.
+const memoLimit = 512
 
 // Options tunes the experiment harness.
 type Options struct {
 	// Requests is the per-trace request budget. Larger is smoother but
-	// slower; the default (40000) reproduces the paper's shapes in
-	// minutes on a laptop.
+	// slower; the default (DefaultRequests) reproduces the paper's shapes
+	// in minutes on a laptop.
 	Requests int
 	// Parallel caps concurrent simulations; defaults to GOMAXPROCS.
 	Parallel int
@@ -39,7 +50,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Requests == 0 {
-		o.Requests = 40000
+		o.Requests = DefaultRequests
 	}
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
@@ -54,36 +65,18 @@ type Runner struct {
 	// production, replaced by tests counting actual invocations.
 	run func(context.Context, workload.Profile, idaflash.System) (idaflash.Results, error)
 
-	mu    sync.Mutex
-	cache map[string]*runEntry
-	sem   chan struct{}
-}
-
-// runEntry is one key's simulation, completed or in flight. The entry is
-// installed before the simulation starts and done is closed when it
-// finishes, giving Run singleflight semantics: concurrent misses on the
-// same key wait for the first goroutine's result instead of re-simulating.
-//
-// purged marks an entry whose execution was cancelled: its result reflects
-// the executing caller's context, not the key, so the entry is removed from
-// the cache before done closes and waiters retry against a fresh entry.
-// This is what keeps the memo cancellation-safe — a cancelled sweep can
-// never leave a partial result behind for an identical rerun to recall.
-type runEntry struct {
-	done   chan struct{}
-	res    idaflash.Results
-	err    error
-	purged bool
+	memo *memo.Cache[idaflash.Results]
+	sem  chan struct{}
 }
 
 // NewRunner builds a runner.
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
 	return &Runner{
-		opts:  opts,
-		run:   idaflash.RunWorkloadContext,
-		cache: make(map[string]*runEntry),
-		sem:   make(chan struct{}, opts.Parallel),
+		opts: opts,
+		run:  idaflash.RunWorkloadContext,
+		memo: memo.New[idaflash.Results](memoLimit),
+		sem:  make(chan struct{}, opts.Parallel),
 	}
 }
 
@@ -95,14 +88,6 @@ type pair struct {
 	sys     idaflash.System
 }
 
-// key is the canonical, versioned memo key (see Key): distinct
-// configurations can never collide, and equivalent descriptions of one
-// simulation — a sparse profile and its normalized form, wire JSON with
-// reordered fields — share a single entry across every cache layer.
-func key(p workload.Profile, sys idaflash.System) (string, error) {
-	return Key(p, sys)
-}
-
 // Run executes (or recalls) one simulation. Concurrent calls with the same
 // key run the simulation once: the first caller executes it, later callers
 // block on its completion and share the result.
@@ -110,46 +95,22 @@ func (r *Runner) Run(p workload.Profile, sys idaflash.System) (idaflash.Results,
 	return r.RunContext(context.Background(), p, sys)
 }
 
-// RunContext is Run with cooperative cancellation. The singleflight memo
-// stays consistent under cancellation: a run stopped by its caller's
-// context is purged from the cache before its waiters wake, so they (and
-// any later identical request) re-execute instead of inheriting a partial
+// RunContext is Run with cooperative cancellation. Runs are memoized by the
+// canonical Key, so equivalent descriptions of one simulation share an
+// entry. A run that fails or is cancelled is not kept: its waiters (and any
+// later identical request) re-execute instead of inheriting a partial
 // result, and a waiter whose own context ends stops waiting without
 // disturbing the executing run.
 func (r *Runner) RunContext(ctx context.Context, p workload.Profile, sys idaflash.System) (idaflash.Results, error) {
-	k, kerr := key(p, sys)
+	k, kerr := Key(p, sys)
 	if kerr != nil {
 		// Uncacheable is not unrunnable: execute without memoizing.
 		return r.execute(ctx, p, sys)
 	}
-	for {
-		r.mu.Lock()
-		if e, ok := r.cache[k]; ok {
-			r.mu.Unlock()
-			select {
-			case <-e.done:
-				if e.purged {
-					continue // the executor was cancelled; retry fresh
-				}
-				return e.res, e.err
-			case <-ctx.Done():
-				return idaflash.Results{}, ctx.Err()
-			}
-		}
-		e := &runEntry{done: make(chan struct{})}
-		r.cache[k] = e
-		r.mu.Unlock()
-
-		e.res, e.err = r.execute(ctx, p, sys)
-		if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-			r.mu.Lock()
-			delete(r.cache, k)
-			r.mu.Unlock()
-			e.purged = true // published to waiters by close(e.done)
-		}
-		close(e.done)
-		return e.res, e.err
-	}
+	res, _, err := r.memo.Do(ctx, k, func(ctx context.Context) (idaflash.Results, error) {
+		return r.execute(ctx, p, sys)
+	})
+	return res, err
 }
 
 // execute runs one simulation under the concurrency cap, skipping the queue

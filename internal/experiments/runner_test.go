@@ -39,7 +39,7 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 			pb: func() workload.Profile { q := p; q.FootprintMB = 64; return q }()},
 	}
 	mustKey := func(p workload.Profile, s idaflash.System) string {
-		k, err := key(p, s)
+		k, err := Key(p, s)
 		if err != nil {
 			t.Fatalf("key: %v", err)
 		}

@@ -198,9 +198,18 @@ func TestRecoverRunsOnlyMissingPoints(t *testing.T) {
 	var ran int32
 	var ranNames []string
 	runs := make(chan string, 8)
-	m := recoverManager(t, jn, 2, func(_ context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+	// Points are held until the recovered status has been checked: the
+	// recovered job starts running at once, and a point finishing first
+	// would move NextEvent past the journaled count.
+	release := make(chan struct{})
+	m := recoverManager(t, jn, 2, func(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
 		atomic.AddInt32(&ran, 1)
 		runs <- pt.Profile.Name
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
 		return json.RawMessage(`{"fresh":true}`), true, nil
 	})
 	jobs := m.Recover()
@@ -217,6 +226,7 @@ func TestRecoverRunsOnlyMissingPoints(t *testing.T) {
 	if g := m.Gauges(); g.Recovered != 1 {
 		t.Errorf("gauges %+v", g)
 	}
+	close(release)
 
 	// A subscriber resuming from its pre-crash offset sees exactly the
 	// missing points, then Done — contiguous, no gaps, no duplicates.

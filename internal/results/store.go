@@ -3,8 +3,9 @@ package results
 import (
 	"context"
 	"encoding/json"
-	"sync"
 	"sync/atomic"
+
+	"idaflash/internal/memo"
 )
 
 // defaultMemEntries bounds the in-memory tier: result payloads are a few KB
@@ -13,9 +14,9 @@ import (
 const defaultMemEntries = 512
 
 // Store memoizes simulation result payloads by their canonical memo key. It
-// has the same two-tier, singleflighted shape as the snapshot store: a
-// bounded in-memory map with LRU eviction, always on, and an optional
-// content-addressed disk tier (SetBlobs) whose files survive the process.
+// has the same two-tier shape as the snapshot store: a bounded, LRU-evicted
+// memo.Cache in memory, always on, and an optional content-addressed disk
+// tier (SetBlobs) whose files survive the process.
 //
 // GetOrCompute is the only read path: concurrent callers of one missing key
 // run the compute exactly once and share its bytes, a cancelled or failed
@@ -24,37 +25,12 @@ const defaultMemEntries = 512
 // of a Results value — so a cached point is served byte-identical to its
 // cold run, across restarts and across clients.
 type Store struct {
-	mu      sync.Mutex
-	entries map[string]*resEntry
-	order   []string // LRU, front = oldest; only published keys
-	limit   int
-	blobs   blobTier
-	disk    *Disk // health plumbing; nil when blobs is absent or synthetic
+	mem   *memo.Cache[[]byte]
+	blobs atomic.Pointer[Blobs] // nil: memory-only
 
-	hits, misses atomic.Uint64
-}
-
-// blobTier is the persistent layer (satisfied by *Blobs). Declared as an
-// interface so tests can inject failures.
-type blobTier interface {
-	Get(key string) []byte
-	Put(key string, b []byte)
-	Delete(key string)
-}
-
-// resEntry is one key's payload, published or in flight. ready closes
-// exactly once; b is immutable afterwards (nil = abandoned claim).
-type resEntry struct {
-	ready chan struct{}
-	once  sync.Once
-	b     []byte
-}
-
-func (e *resEntry) publish(b []byte) {
-	e.once.Do(func() {
-		e.b = b
-		close(e.ready)
-	})
+	// diskHits counts claims the disk tier served: the memo counts them
+	// as misses, the store's Stats as hits.
+	diskHits atomic.Uint64
 }
 
 // NewStore builds a store holding at most limit payloads in memory (<= 0
@@ -63,39 +39,32 @@ func NewStore(limit int) *Store {
 	if limit <= 0 {
 		limit = defaultMemEntries
 	}
-	return &Store{entries: make(map[string]*resEntry), limit: limit}
+	return &Store{mem: memo.New[[]byte](limit)}
 }
 
 // SetBlobs attaches (or, with nil, detaches) the persistent tier.
-func (s *Store) SetBlobs(b *Blobs) {
-	s.mu.Lock()
-	if b == nil {
-		s.blobs = nil
-		s.disk = nil
-	} else {
-		s.blobs = b
-		s.disk = b.Disk()
-	}
-	s.mu.Unlock()
-}
+func (s *Store) SetBlobs(b *Blobs) { s.blobs.Store(b) }
 
 // Health reports the disk tier's failure state, or nil when the store is
 // memory-only by configuration (no disk attached — nothing to degrade).
 func (s *Store) Health() *DiskHealth {
-	s.mu.Lock()
-	d := s.disk
-	s.mu.Unlock()
-	if d == nil {
+	b := s.blobs.Load()
+	if b == nil {
 		return nil
 	}
-	h := d.Health()
+	h := b.Disk().Health()
 	return &h
 }
 
 // Stats are the store's lifetime counters.
 type Stats struct {
-	Hits   uint64 `json:"hits"`
+	// Hits counts callers served without computing: from memory, from
+	// disk, or by waiting on another caller's compute.
+	Hits uint64 `json:"hits"`
+	// Misses counts computes started.
 	Misses uint64 `json:"misses"`
+	// Evictions counts payloads the memory bound dropped.
+	Evictions uint64 `json:"evictions"`
 	// Entries is the current in-memory population.
 	Entries int `json:"entries"`
 	// Disk is the disk tier's failure state; omitted when memory-only.
@@ -104,113 +73,54 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	n := len(s.entries)
-	s.mu.Unlock()
-	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Entries: n, Disk: s.Health()}
+	disk := s.diskHits.Load() // before the memo's misses, which never trail it
+	m := s.mem.Stats()
+	return Stats{
+		Hits:      m.Hits + disk,
+		Misses:    m.Misses - disk,
+		Evictions: m.Evictions,
+		Entries:   m.Entries,
+		Disk:      s.Health(),
+	}
 }
 
 // GetOrCompute resolves key: from memory, from disk, or by running compute
 // exactly once across all concurrent callers. cached reports whether this
 // caller was served without executing compute (a memory/disk hit, or a wait
-// on another caller's compute). A compute error or cancellation abandons
-// the claim — errors are never cached — and wakes one waiter to retry.
+// on another caller's compute). A compute error, cancellation or panic
+// abandons the claim — errors are never cached — and wakes the waiters to
+// retry.
 func (s *Store) GetOrCompute(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (b []byte, cached bool, err error) {
-	for {
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
-			s.touchLocked(key)
-			s.mu.Unlock()
-			select {
-			case <-e.ready:
-				if e.b == nil {
-					continue // abandoned compute: claim or wait afresh
-				}
-				s.hits.Add(1)
-				return e.b, true, nil
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
+	b, f, err := s.mem.Claim(ctx, key)
+	if f == nil {
+		return b, err == nil, err
+	}
+	defer f.Abandon() // no-op once published; covers errors and panics
+
+	blobs := s.blobs.Load()
+	if blobs != nil {
+		if payload := blobs.Get(key); payload != nil {
+			// Result payloads are canonical JSON and the blob files carry
+			// no checksum, so a torn write shows up here as an invalid
+			// document. Drop it and recompute rather than serve garbage.
+			if json.Valid(payload) {
+				f.Publish(payload)
+				s.diskHits.Add(1)
+				return payload, true, nil
 			}
-		}
-		e := &resEntry{ready: make(chan struct{})}
-		s.entries[key] = e
-		blobs := s.blobs
-		s.mu.Unlock()
-
-		if blobs != nil {
-			if payload := blobs.Get(key); payload != nil {
-				// Result payloads are canonical JSON and the blob files carry
-				// no checksum, so a torn write shows up here as an invalid
-				// document. Drop it and recompute rather than serve garbage.
-				if json.Valid(payload) {
-					s.publishLocked(key, e, payload)
-					s.hits.Add(1)
-					return payload, true, nil
-				}
-				blobs.Delete(key)
-			}
-		}
-		s.misses.Add(1)
-		payload, err := func() ([]byte, error) {
-			// A panic unwinding out of compute must abandon the claim, or
-			// every later caller of this key would wait on it forever.
-			defer func() {
-				if v := recover(); v != nil {
-					s.abandon(key, e)
-					panic(v)
-				}
-			}()
-			return compute(ctx)
-		}()
-		if err != nil || payload == nil {
-			s.abandon(key, e)
-			if err == nil {
-				err = context.Canceled
-			}
-			return nil, false, err
-		}
-		s.publishLocked(key, e, payload)
-		if blobs != nil {
-			blobs.Put(key, payload)
-		}
-		return payload, false, nil
-	}
-}
-
-// publishLocked publishes a payload and applies the memory bound.
-func (s *Store) publishLocked(key string, e *resEntry, b []byte) {
-	e.publish(b)
-	s.mu.Lock()
-	if s.entries[key] == e {
-		s.order = append(s.order, key)
-		for len(s.order) > s.limit {
-			// Evict the least-recently-touched published key. Waiters on
-			// an evicted entry still hold its pointer and resolve.
-			delete(s.entries, s.order[0])
-			s.order = s.order[1:]
+			blobs.Delete(key)
 		}
 	}
-	s.mu.Unlock()
-}
-
-// abandon drops a failed claim so the next caller recomputes, then wakes
-// the waiters to do exactly that.
-func (s *Store) abandon(key string, e *resEntry) {
-	s.mu.Lock()
-	if s.entries[key] == e {
-		delete(s.entries, key)
-	}
-	s.mu.Unlock()
-	e.publish(nil)
-}
-
-// touchLocked moves key to the back of the LRU order. Called with s.mu held.
-func (s *Store) touchLocked(key string) {
-	for i, k := range s.order {
-		if k == key {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = key
-			return
+	payload, err := compute(ctx)
+	if err != nil || payload == nil {
+		if err == nil {
+			err = context.Canceled
 		}
+		return nil, false, err
 	}
+	f.Publish(payload)
+	if blobs != nil {
+		blobs.Put(key, payload)
+	}
+	return payload, false, nil
 }

@@ -13,7 +13,9 @@ import (
 	"idaflash"
 	"idaflash/internal/experiments"
 	"idaflash/internal/farm"
+	"idaflash/internal/memo"
 	"idaflash/internal/results"
+	"idaflash/internal/workload"
 )
 
 // maxBatchPoints bounds one job. The largest named sweep is ~110 points;
@@ -50,8 +52,9 @@ type BatchPoint struct {
 	System  SystemSpec `json:"system"`
 }
 
-// Statz is the GET /statz body: the operational counters idaload and CI
-// assert on, beyond the lifetime run counters of /v1/stats.
+// Statz is the GET /statz body: the service's lifetime run counters and
+// every operational counter idaload and CI assert on — per endpoint, per
+// farm, per cache layer, and the process runtime.
 type Statz struct {
 	Server    Stats              `json:"server"`
 	Endpoints map[string]uint64  `json:"endpoints"`
@@ -59,6 +62,10 @@ type Statz struct {
 	Results   results.Stats      `json:"results"`
 	Runtime   RuntimeGauges      `json:"runtime"`
 	Arena     idaflash.PoolStats `json:"arena"`
+	// Traces and Snapshots are the process-wide trace cache and snapshot
+	// store every run goes through.
+	Traces    memo.Stats `json:"traces"`
+	Snapshots memo.Stats `json:"snapshots"`
 }
 
 // RuntimeGauges are the Go runtime's memory-pressure indicators, sampled at
@@ -90,7 +97,9 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 			PauseTotalNs:   ms.PauseTotalNs,
 			Goroutines:     runtime.NumGoroutine(),
 		},
-		Arena: idaflash.ArenaStats(),
+		Arena:     idaflash.ArenaStats(),
+		Traces:    workload.DefaultTraceCache.Stats(),
+		Snapshots: idaflash.DefaultSnapshots.Stats(),
 	})
 }
 
@@ -98,7 +107,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) batchPoints(req BatchRequest) ([]experiments.Point, error) {
 	budget := req.Requests
 	if budget == 0 {
-		budget = s.runner.Options().Requests
+		budget = s.cfg.Requests
 	}
 	if budget < 0 {
 		return nil, fmt.Errorf("requests %d must be non-negative", req.Requests)

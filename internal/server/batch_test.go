@@ -503,7 +503,7 @@ func TestFigure8BatchWarmsSingleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, err := idaflash.ProfileByName("usr_1", s.runner.Options().Requests)
+	profile, err := idaflash.ProfileByName("usr_1", s.cfg.Requests)
 	if err != nil {
 		t.Fatal(err)
 	}

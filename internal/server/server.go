@@ -47,8 +47,8 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RetryAfter is the hint returned with a 429; defaults to 1s.
 	RetryAfter time.Duration
-	// Requests is the default per-trace request budget (see
-	// experiments.Options.Requests); zero uses that package's default.
+	// Requests is the default per-trace request budget; zero uses
+	// experiments.DefaultRequests.
 	Requests int
 	// Log receives one line per completed request; nil discards.
 	Log *log.Logger
@@ -74,10 +74,13 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
+	if c.Requests == 0 {
+		c.Requests = experiments.DefaultRequests
+	}
 	return c
 }
 
-// Stats are the service's lifetime counters, exposed at /v1/stats.
+// Stats are the service's lifetime counters, the server section of /statz.
 type Stats struct {
 	Accepted  uint64 `json:"accepted"`
 	Shed      uint64 `json:"shed"`
@@ -92,14 +95,15 @@ type Stats struct {
 // Server is the HTTP service state. Build with New, mount Handler on an
 // http.Server, and call BeginDrain/Drain on shutdown.
 type Server struct {
-	cfg    Config
-	runner *experiments.Runner
-	// run executes one simulation; the runner's memoized RunContext in
-	// production, replaced by tests that need controllable latency.
+	cfg Config
+	// run executes one simulation; idaflash.RunWorkloadContext in
+	// production, replaced by tests that need controllable latency. The
+	// worker gate caps how many run at once.
 	run func(context.Context, idaflash.Profile, idaflash.System) (idaflash.Results, error)
-	// results memoizes canonical result payloads by the experiments memo
-	// key; with a persistent blob tier attached (ResultStore().SetBlobs)
-	// identical points are served byte-identical across restarts.
+	// results memoizes canonical result payloads by experiments.Key, the
+	// service's only run memo; with a persistent blob tier attached
+	// (ResultStore().SetBlobs) identical points are served byte-identical
+	// across restarts.
 	results *results.Store
 	// farm owns batch jobs, sharding their points across the same workers
 	// channel the single-run endpoint uses.
@@ -133,7 +137,7 @@ type Server struct {
 // mux does not expose the matched pattern on the request, so each handler
 // bumps its own counter.
 type endpointCounters struct {
-	run, batch, jobs, profiles, stats, statz, healthz, readyz atomic.Uint64
+	run, batch, jobs, profiles, statz, healthz, readyz atomic.Uint64
 }
 
 func (e *endpointCounters) snapshot() map[string]uint64 {
@@ -142,7 +146,6 @@ func (e *endpointCounters) snapshot() map[string]uint64 {
 		"batch":    e.batch.Load(),
 		"jobs":     e.jobs.Load(),
 		"profiles": e.profiles.Load(),
-		"stats":    e.stats.Load(),
 		"statz":    e.statz.Load(),
 		"healthz":  e.healthz.Load(),
 		"readyz":   e.readyz.Load(),
@@ -157,26 +160,21 @@ func counted(c *atomic.Uint64, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// New builds a server around a fresh experiments runner.
+// New builds a server with a fresh result store.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	runner := experiments.NewRunner(experiments.Options{
-		Requests: cfg.Requests,
-		Parallel: cfg.Workers,
-	})
 	s := &Server{
 		cfg:     cfg,
-		runner:  runner,
-		run:     runner.RunContext,
+		run:     idaflash.RunWorkloadContext,
 		tokens:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workers: make(chan struct{}, cfg.Workers),
 		drainCh: make(chan struct{}),
+		results: results.NewStore(0),
 	}
 	s.runsCtx, s.cancelRuns = context.WithCancel(context.Background())
-	s.results = results.NewStore(0)
 	s.farm = farm.New(farm.Config{
 		Slots:    s.workers,
-		Run:      s.runPoint,
+		Run:      s.runStored,
 		Parent:   s.runsCtx,
 		Classify: classifyRunError,
 		Journal:  cfg.Journal,
@@ -223,24 +221,20 @@ func classifyRunError(err error) string {
 // runStored executes one point through the result store: the canonical memo
 // key addresses both the in-memory cache and the disk blob tier, concurrent
 // identical points singleflight, and a hit returns the stored payload
-// byte-identical to its cold computation.
-func (s *Server) runStored(ctx context.Context, p idaflash.Profile, sys idaflash.System) (json.RawMessage, bool, error) {
-	key, err := experiments.Key(p, sys)
+// byte-identical to its cold computation. It is also the farm's per-point
+// run function.
+func (s *Server) runStored(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+	key, err := experiments.Key(pt.Profile, pt.System)
 	if err != nil {
 		return nil, false, err
 	}
 	return s.results.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
-		res, err := s.run(ctx, p, sys)
+		res, err := s.run(ctx, pt.Profile, pt.System)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(res)
 	})
-}
-
-// runPoint adapts runStored to the farm's per-point contract.
-func (s *Server) runPoint(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
-	return s.runStored(ctx, pt.Profile, pt.System)
 }
 
 // Handler returns the service mux wrapped in the panic-recovery middleware.
@@ -250,7 +244,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batch", counted(&s.endpoints.batch, s.handleBatch))
 	mux.HandleFunc("GET /v1/jobs/{id}", counted(&s.endpoints.jobs, s.handleJob))
 	mux.HandleFunc("GET /v1/profiles", counted(&s.endpoints.profiles, s.handleProfiles))
-	mux.HandleFunc("GET /v1/stats", counted(&s.endpoints.stats, s.handleStats))
 	mux.HandleFunc("GET /statz", counted(&s.endpoints.statz, s.handleStatz))
 	mux.HandleFunc("GET /healthz", counted(&s.endpoints.healthz, s.handleHealthz))
 	mux.HandleFunc("GET /readyz", counted(&s.endpoints.readyz, s.handleReadyz))
@@ -408,12 +401,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
 func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
-	budget := s.runner.Options().Requests
+	budget := s.cfg.Requests
 	var names []string
 	for _, p := range workload.PaperProfiles(budget) {
 		names = append(names, p.Name)
@@ -434,7 +423,7 @@ func (s *Server) parse(r *http.Request) (idaflash.Profile, idaflash.System, time
 	}
 	budget := req.Requests
 	if budget == 0 {
-		budget = s.runner.Options().Requests
+		budget = s.cfg.Requests
 	}
 	if budget < 0 {
 		return idaflash.Profile{}, idaflash.System{}, 0, fmt.Errorf("requests %d must be non-negative", budget)
@@ -561,7 +550,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				panic(v)
 			}
 		}()
-		return s.runStored(ctx, profile, sys)
+		return s.runStored(ctx, experiments.Point{Profile: profile, System: sys})
 	}()
 
 	if err != nil {

@@ -453,16 +453,16 @@ func TestProfilesAndStatsEndpoints(t *testing.T) {
 	if len(profiles.Profiles) < 11 {
 		t.Errorf("only %d profiles listed", len(profiles.Profiles))
 	}
-	resp2, err := ts.Client().Get(ts.URL + "/v1/stats")
+	resp2, err := ts.Client().Get(ts.URL + "/statz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
+	var z Statz
+	if err := json.NewDecoder(resp2.Body).Decode(&z); err != nil {
 		t.Fatal(err)
 	}
-	if st.Accepted != 0 || st.Draining {
+	if st := z.Server; st.Accepted != 0 || st.Draining {
 		t.Errorf("fresh stats = %+v", st)
 	}
 }

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 )
@@ -24,8 +23,7 @@ func (b *memBlobs) Delete(key string) {
 }
 
 // TestStoreBlobTierRoundTrip: a published state lands in the blob tier and
-// a second store over the same blobs restores it — the shared-disk-root
-// equivalent of the SetDir round-trip.
+// a second store over the same blobs restores it.
 func TestStoreBlobTierRoundTrip(t *testing.T) {
 	blobs := newMemBlobs()
 	want := randState(rand.New(rand.NewSource(7)))
@@ -60,29 +58,5 @@ func TestStoreBlobTierCorruptFailsSoft(t *testing.T) {
 	}
 	if len(blobs.deleted) != 1 || blobs.deleted[0] != "k" {
 		t.Errorf("corrupt blob not deleted: %v", blobs.deleted)
-	}
-}
-
-// TestStoreBlobTierSupersedesDir: with both tiers configured, the blob tier
-// wins — states are neither written to nor read from the legacy directory.
-func TestStoreBlobTierSupersedesDir(t *testing.T) {
-	dir := t.TempDir()
-	blobs := newMemBlobs()
-	s := NewStore(0)
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	s.SetBlobs(blobs)
-	mustMiss(t, s, "k")(randState(rand.New(rand.NewSource(9))))
-	if len(blobs.m) != 1 {
-		t.Fatalf("blob tier holds %d blobs, want 1", len(blobs.m))
-	}
-	if _, err := os.Stat(s.fileFor(dir, "k")); err == nil {
-		t.Error("state was also written to the superseded directory")
-	}
-	// Drop routes to the blob tier as well.
-	s.Drop("k")
-	if len(blobs.m) != 0 {
-		t.Errorf("Drop left %d blobs behind", len(blobs.m))
 	}
 }

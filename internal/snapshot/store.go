@@ -2,12 +2,9 @@ package snapshot
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"idaflash/internal/memo"
 )
 
 // defaultStoreLimit bounds the in-memory tier. A captured state is a few
@@ -18,37 +15,33 @@ const defaultStoreLimit = 64
 
 // Store caches aged device states by an opaque caller-built key (the
 // facade's normalized-profile + device-shape key). It has two tiers: a
-// bounded in-memory map with FIFO eviction, always on, and an optional
-// persistent tier whose blobs survive the process — either a store-owned
-// directory (SetDir) or, preferred, the process-wide shared blob root
-// (SetBlobs) that snapshots and result payloads split one eviction budget
-// over — CI caches that directory across workflow runs.
+// bounded, LRU-evicted memo.Cache in memory, always on, and an optional
+// persistent blob tier (SetBlobs) — the process-wide shared blob root that
+// snapshots and result payloads split one eviction budget over, which CI
+// caches across workflow runs.
 //
 // Get implements singleflight claims: the first caller of a missing key
 // receives a publish callback and computes the state (by running the aging
 // phases); concurrent callers of the same key block until it publishes.
 // Publishing nil abandons the claim (the compute failed or was cancelled)
-// and wakes one waiter to claim it afresh. Every failure mode — corrupt
-// file, version skew, cancelled compute — degrades to a miss, never an
+// and wakes the waiters to claim it afresh. Every failure mode — corrupt
+// blob, version skew, cancelled compute — degrades to a miss, never an
 // error for the run.
 type Store struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	order   []string
-	limit   int
-	dir     string
-	blobs   Blobs
+	mem *memo.Cache[*DeviceState]
 
-	// Logf, when set, receives fail-soft diagnostics (corrupt files,
+	mu    sync.Mutex
+	blobs Blobs
+
+	// Logf, when set, receives fail-soft diagnostics (corrupt blobs,
 	// rejected restores). The default discards them.
 	Logf func(format string, args ...any)
 }
 
-// Blobs is a content-addressed persistent blob tier. When attached with
-// SetBlobs it supersedes the store-owned directory (SetDir): the facade
-// wires the shared results.Disk root here so snapshot blobs and result
-// payloads live under one directory with one eviction budget. Declared
-// structurally so this package needs no import of the disk implementation.
+// Blobs is a content-addressed persistent blob tier. The facade wires the
+// shared results.Disk root here so snapshot blobs and result payloads live
+// under one directory with one eviction budget. Declared structurally so
+// this package needs no import of the disk implementation.
 type Blobs interface {
 	// Get returns the blob stored under key, or nil on any miss.
 	Get(key string) []byte
@@ -58,62 +51,31 @@ type Blobs interface {
 	Delete(key string)
 }
 
-// entry is one key's memoized state. ready closes exactly once, after which
-// st is immutable: non-nil for a published state, nil for an abandoned one.
-type entry struct {
-	ready chan struct{}
-	once  sync.Once
-	st    *DeviceState
-}
-
 // NewStore builds a store holding at most limit states in memory (<= 0 uses
 // the default of 64).
 func NewStore(limit int) *Store {
 	if limit <= 0 {
 		limit = defaultStoreLimit
 	}
-	return &Store{entries: make(map[string]*entry), limit: limit}
+	return &Store{mem: memo.New[*DeviceState](limit)}
 }
 
-// SetDir attaches (or, with an empty dir, detaches) the on-disk tier,
-// creating the directory if needed. Files are content-addressed by the
-// SHA-256 of the key, so one directory serves any mix of profiles and
-// codec versions without collisions.
-func (s *Store) SetDir(dir string) error {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	s.mu.Lock()
-	s.dir = dir
-	s.mu.Unlock()
-	return nil
-}
-
-// SetBlobs attaches (or, with nil, detaches) a shared persistent blob tier.
-// A non-nil tier takes precedence over a SetDir directory, so a process
-// that wires the shared content-addressed root gets one disk layout — and
-// one eviction budget — for snapshots and result payloads alike.
+// SetBlobs attaches (or, with nil, detaches) the persistent blob tier.
 func (s *Store) SetBlobs(b Blobs) {
 	s.mu.Lock()
 	s.blobs = b
 	s.mu.Unlock()
 }
 
-// Dir returns the on-disk tier's directory ("" when detached).
-func (s *Store) Dir() string {
+func (s *Store) tier() Blobs {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dir
+	return s.blobs
 }
 
-// Len returns the number of in-memory entries (tests and diagnostics).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+// Stats reports the memory tier's traffic counters (the service's /statz).
+// A state restored from the blob tier counts as a miss there.
+func (s *Store) Stats() memo.Stats { return s.mem.Stats() }
 
 // logf dispatches to Logf when set.
 func (s *Store) logf(format string, args ...any) {
@@ -122,151 +84,67 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
-// Get resolves a key. On a hit (memory or disk) it returns the state and a
-// nil publish. On a miss it claims the key and returns a nil state plus a
-// publish callback the caller MUST invoke exactly once: with the computed
-// state to fill the cache, or with nil to abandon the claim (use
-// `defer publish(nil)` semantics around error paths — publish is idempotent
-// against a second call only via its internal once, so call it once).
-// Concurrent Gets of a claimed key wait for the publish, honoring ctx.
+// Get resolves a key. On a hit (memory or blob tier) it returns the state
+// and a nil publish. On a miss it claims the key and returns a nil state
+// plus a publish callback the caller MUST invoke: with the computed state
+// to fill the cache, or with nil to abandon the claim. Only the first call
+// counts. Concurrent Gets of a claimed key wait for the publish, honoring
+// ctx.
 func (s *Store) Get(ctx context.Context, key string) (st *DeviceState, publish func(*DeviceState), err error) {
-	for {
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-e.ready:
-				if e.st != nil {
-					return e.st, nil, nil
-				}
-				// Abandoned compute: loop to claim or wait afresh.
-				continue
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-		}
-		e := &entry{ready: make(chan struct{})}
-		s.entries[key] = e
-		s.order = append(s.order, key)
-		for len(s.order) > s.limit {
-			// FIFO eviction. Waiters on an evicted in-flight entry still
-			// hold its pointer and resolve when it publishes.
-			delete(s.entries, s.order[0])
-			s.order = s.order[1:]
-		}
-		dir, blobs := s.dir, s.blobs
-		s.mu.Unlock()
-
-		if cached := s.loadDisk(dir, blobs, key); cached != nil {
-			e.publish(cached)
-			return cached, nil, nil
-		}
-		return nil, func(st *DeviceState) {
-			if st != nil {
-				e.publish(st)
-				s.saveDisk(key, st)
-				return
-			}
-			// Abandon: drop the claim so the next caller recomputes, then
-			// wake the waiters to do exactly that.
-			s.mu.Lock()
-			if s.entries[key] == e {
-				delete(s.entries, key)
-				for i, k := range s.order {
-					if k == key {
-						s.order = append(s.order[:i], s.order[i+1:]...)
-						break
-					}
-				}
-			}
-			s.mu.Unlock()
-			e.publish(nil)
-		}, nil
+	st, f, err := s.mem.Claim(ctx, key)
+	if f == nil {
+		return st, nil, err
 	}
+	if st := s.load(key); st != nil {
+		f.Publish(st)
+		return st, nil, nil
+	}
+	return nil, func(st *DeviceState) {
+		if st == nil {
+			f.Abandon()
+			return
+		}
+		f.Publish(st)
+		s.save(key, st)
+	}, nil
 }
 
-// Drop forgets a key's in-memory entry (a restore rejected its state). The
-// on-disk file, if any, is removed too so the next process does not reload
-// the same bad state.
+// Drop forgets a key (a restore rejected its state), in memory and in the
+// blob tier, so the next process does not reload the same bad state.
 func (s *Store) Drop(key string) {
-	s.mu.Lock()
-	if _, ok := s.entries[key]; ok {
-		delete(s.entries, key)
-		for i, k := range s.order {
-			if k == key {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
-	dir, blobs := s.dir, s.blobs
-	s.mu.Unlock()
-	if blobs != nil {
+	s.mem.Forget(key)
+	if blobs := s.tier(); blobs != nil {
 		blobs.Delete(key)
-	} else if dir != "" {
-		_ = os.Remove(s.fileFor(dir, key))
 	}
 }
 
-// publish resolves the entry exactly once.
-func (e *entry) publish(st *DeviceState) {
-	e.once.Do(func() {
-		e.st = st
-		close(e.ready)
-	})
-}
-
-// fileFor content-addresses a key inside dir.
-func (s *Store) fileFor(dir, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(dir, hex.EncodeToString(sum[:])+".snap")
-}
-
-// loadDisk reads and decodes a key's persisted state — from the shared blob
-// tier when attached, the store-owned directory otherwise — failing soft:
-// any problem (missing file, truncation, bad checksum, version skew) is a
-// miss, and a structurally bad blob is deleted so it cannot cost a decode
-// on every run.
-func (s *Store) loadDisk(dir string, blobs Blobs, key string) *DeviceState {
-	if blobs != nil {
-		b := blobs.Get(key)
-		if b == nil {
-			return nil
-		}
-		st, err := Decode(b)
-		if err != nil {
-			s.logf("snapshot: discarding blob for %q: %v", key, err)
-			blobs.Delete(key)
-			return nil
-		}
-		return st
-	}
-	if dir == "" {
+// load reads and decodes a key's persisted state, failing soft: any problem
+// (missing blob, truncation, bad checksum, version skew) is a miss, and a
+// structurally bad blob is deleted so it cannot cost a decode on every run.
+func (s *Store) load(key string) *DeviceState {
+	blobs := s.tier()
+	if blobs == nil {
 		return nil
 	}
-	path := s.fileFor(dir, key)
-	b, err := os.ReadFile(path)
-	if err != nil {
+	b := blobs.Get(key)
+	if b == nil {
 		return nil
 	}
 	st, err := Decode(b)
 	if err != nil {
-		s.logf("snapshot: discarding %s: %v", path, err)
-		_ = os.Remove(path)
+		s.logf("snapshot: discarding blob for %q: %v", key, err)
+		blobs.Delete(key)
 		return nil
 	}
 	return st
 }
 
-// saveDisk encodes and persists a state atomically (the blob tier and the
-// legacy directory path both write temp file + rename), so a crashed or
-// concurrent writer can never leave a torn file for loadDisk to trip over.
-// Errors are logged and swallowed: persistence is an optimization.
-func (s *Store) saveDisk(key string, st *DeviceState) {
-	s.mu.Lock()
-	dir, blobs := s.dir, s.blobs
-	s.mu.Unlock()
-	if dir == "" && blobs == nil {
+// save encodes and persists a state; the blob tier writes atomically, so a
+// crashed or concurrent writer never leaves a torn blob for load to trip
+// over. Errors are logged and swallowed: persistence is an optimization.
+func (s *Store) save(key string, st *DeviceState) {
+	blobs := s.tier()
+	if blobs == nil {
 		return
 	}
 	b, err := Encode(st)
@@ -274,25 +152,5 @@ func (s *Store) saveDisk(key string, st *DeviceState) {
 		s.logf("snapshot: encoding %q: %v", key, err)
 		return
 	}
-	if blobs != nil {
-		blobs.Put(key, b)
-		return
-	}
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		s.logf("snapshot: %v", err)
-		return
-	}
-	if _, err := tmp.Write(b); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), s.fileFor(dir, key))
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		s.logf("snapshot: writing %q: %v", key, err)
-		_ = os.Remove(tmp.Name())
-	}
+	blobs.Put(key, b)
 }

@@ -3,13 +3,24 @@ package snapshot
 import (
 	"context"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"idaflash/internal/results"
 )
+
+// diskBlobs opens a results.Disk over dir and returns its snapshot sub-tier:
+// the production wiring of idaflash.SetStoreDir.
+func diskBlobs(t *testing.T, dir string) Blobs {
+	t.Helper()
+	d, err := results.OpenDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Sub(".snap")
+}
 
 func mustMiss(t *testing.T, s *Store, key string) func(*DeviceState) {
 	t.Helper()
@@ -45,27 +56,32 @@ func TestStoreMemoryTier(t *testing.T) {
 	if got := mustHit(t, s, "k"); got != want {
 		t.Fatal("memory tier returned a different pointer than published")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if s.Stats().Entries != 1 {
+		t.Fatalf("Len = %d, want 1", s.Stats().Entries)
 	}
 	s.Drop("k")
-	if s.Len() != 0 {
-		t.Fatalf("Len after Drop = %d, want 0", s.Len())
+	if s.Stats().Entries != 0 {
+		t.Fatalf("Len after Drop = %d, want 0", s.Stats().Entries)
 	}
 	mustMiss(t, s, "k")(nil) // abandon the fresh claim
 }
 
-func TestStoreFIFOEviction(t *testing.T) {
+func TestStoreLRUEviction(t *testing.T) {
 	s := NewStore(2)
 	mustMiss(t, s, "a")(randState(rand.New(rand.NewSource(1))))
 	mustMiss(t, s, "b")(randState(rand.New(rand.NewSource(2))))
+	mustHit(t, s, "a") // touch: "b" is now the least recently used
 	mustMiss(t, s, "c")(randState(rand.New(rand.NewSource(3))))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want limit 2", s.Len())
+	if s.Stats().Entries != 2 {
+		t.Fatalf("Len = %d, want limit 2", s.Stats().Entries)
 	}
-	// "a" is evicted; a new Get claims it afresh.
-	mustMiss(t, s, "a")(nil)
+	// "b" is evicted; a new Get claims it afresh.
+	mustMiss(t, s, "b")(nil)
+	mustHit(t, s, "a")
 	mustHit(t, s, "c")
+	if st := s.Stats(); st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.Evictions)
+	}
 }
 
 func TestStoreDiskRoundTrip(t *testing.T) {
@@ -73,68 +89,55 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 	want := randState(rand.New(rand.NewSource(2)))
 
 	s1 := NewStore(0)
-	if err := s1.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s1.SetBlobs(diskBlobs(t, dir))
 	mustMiss(t, s1, "k")(want)
 
 	// A fresh store (fresh process) over the same directory hits via disk.
 	s2 := NewStore(0)
-	if err := s2.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	blobs := diskBlobs(t, dir)
+	s2.SetBlobs(blobs)
 	got := mustHit(t, s2, "k")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("disk round trip altered the state")
 	}
-	// And the state is now memory-resident: deleting the file does not
+	// And the state is now memory-resident: deleting the blob does not
 	// un-cache it.
-	if err := os.Remove(s2.fileFor(dir, "k")); err != nil {
-		t.Fatal(err)
-	}
+	blobs.Delete("k")
 	mustHit(t, s2, "k")
 }
 
 func TestStoreCorruptDiskFileFailsSoft(t *testing.T) {
-	dir := t.TempDir()
+	blobs := diskBlobs(t, t.TempDir())
 	s := NewStore(0)
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s.SetBlobs(blobs)
 	var logged int
 	s.Logf = func(string, ...any) { logged++ }
 
-	path := s.fileFor(dir, "k")
-	if err := os.WriteFile(path, []byte("IDASNAP\x00garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	publish := mustMiss(t, s, "k") // corrupt file is a miss, not an error
+	blobs.Put("k", []byte("IDASNAP\x00garbage"))
+	publish := mustMiss(t, s, "k") // corrupt blob is a miss, not an error
 	if logged == 0 {
-		t.Error("corrupt file was not logged")
+		t.Error("corrupt blob was not logged")
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupt file was not deleted")
+	if blobs.Get("k") != nil {
+		t.Error("corrupt blob was not deleted")
 	}
 	publish(randState(rand.New(rand.NewSource(3))))
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("published state was not persisted: %v", err)
+	if blobs.Get("k") == nil {
+		t.Error("published state was not persisted")
 	}
 }
 
 func TestStoreDropRemovesDiskFile(t *testing.T) {
-	dir := t.TempDir()
+	blobs := diskBlobs(t, t.TempDir())
 	s := NewStore(0)
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s.SetBlobs(blobs)
 	mustMiss(t, s, "k")(randState(rand.New(rand.NewSource(4))))
-	path := s.fileFor(dir, "k")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("state not persisted: %v", err)
+	if blobs.Get("k") == nil {
+		t.Fatal("state not persisted")
 	}
 	s.Drop("k")
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("Drop left the disk file behind")
+	if blobs.Get("k") != nil {
+		t.Error("Drop left the blob behind")
 	}
 	mustMiss(t, s, "k")(nil)
 }
@@ -221,20 +224,12 @@ func TestStoreGetHonorsContext(t *testing.T) {
 }
 
 func TestStoreDetachedDirIsMemoryOnly(t *testing.T) {
-	dir := t.TempDir()
+	blobs := diskBlobs(t, t.TempDir())
 	s := NewStore(0)
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDir(""); err != nil {
-		t.Fatal(err)
-	}
+	s.SetBlobs(blobs)
+	s.SetBlobs(nil)
 	mustMiss(t, s, "k")(randState(rand.New(rand.NewSource(6))))
-	entries, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("detached store still wrote %d files", len(entries))
+	if blobs.Get("k") != nil {
+		t.Fatal("detached store still wrote a blob")
 	}
 }

@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
-	"sync"
+
+	"idaflash/internal/memo"
 )
 
 // TraceCache memoizes generated traces and aging preambles per normalized
@@ -14,25 +15,17 @@ import (
 // pointers: the simulator replays them through a cursor and never mutates
 // them, and callers must do the same.
 //
-// Generation is deduplicated: two goroutines asking for the same profile
-// concurrently generate it once (the second waits). The cache is safe for
-// concurrent use and bounds itself to a fixed number of profiles with FIFO
-// eviction, so long-lived processes sweeping many profiles do not pin every
-// trace forever.
+// Generation is singleflighted and bounded by a memo.Cache: concurrent
+// requests for one profile generate it once, and long-lived processes
+// sweeping many profiles keep only the most recently used ones. A failed
+// generation is not kept.
 type TraceCache struct {
-	mu      sync.Mutex
-	entries map[string]*traceEntry
-	order   []string // insertion order, for bounded FIFO eviction
-	limit   int
+	mem *memo.Cache[tracePair]
 }
 
-// traceEntry is one profile's memoized generation; once provides the
-// single-flight semantics.
-type traceEntry struct {
-	once     sync.Once
-	trace    *Trace
-	preamble *Trace
-	err      error
+// tracePair is one profile's memoized generation.
+type tracePair struct {
+	trace, preamble *Trace
 }
 
 // defaultTraceCacheLimit bounds the default cache: the paper's sweeps use
@@ -45,24 +38,11 @@ func NewTraceCache(limit int) *TraceCache {
 	if limit <= 0 {
 		limit = defaultTraceCacheLimit
 	}
-	return &TraceCache{entries: make(map[string]*traceEntry), limit: limit}
+	return &TraceCache{mem: memo.New[tracePair](limit)}
 }
 
 // DefaultTraceCache is the process-wide cache the idaflash run helpers use.
 var DefaultTraceCache = NewTraceCache(0)
-
-// profileKey encodes the normalized profile losslessly. Profile is plain
-// data (scalars and a name) and encoding/json emits struct fields in
-// declaration order, so the key is deterministic. An encoding failure is
-// reported rather than panicked: the caller falls back to an uncached
-// generation, trading the memoization for survival.
-func profileKey(p Profile) (string, error) {
-	b, err := json.Marshal(p)
-	if err != nil {
-		return "", fmt.Errorf("workload: encoding trace cache key: %w", err)
-	}
-	return string(b), nil
-}
 
 // Traces returns the profile's trace and aging preamble, generating them on
 // the first request and recalling them afterwards. The returned traces are
@@ -72,45 +52,30 @@ func (c *TraceCache) Traces(p Profile) (trace, preamble *Trace, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	k, err := profileKey(np)
+	generate := func(context.Context) (tracePair, error) {
+		tr, err := np.Generate()
+		if err != nil {
+			return tracePair{}, err
+		}
+		pre, err := np.AgingPreamble()
+		return tracePair{tr, pre}, err
+	}
+	// The key is the normalized profile's JSON: Profile is plain data and
+	// encoding/json emits fields in declaration order, so it is lossless and
+	// deterministic.
+	var tp tracePair
+	if k, kerr := json.Marshal(np); kerr == nil {
+		tp, _, err = c.mem.Do(context.Background(), string(k), generate)
+	} else {
+		// Uncacheable (a non-finite float) is not unrunnable: generate
+		// without memoizing.
+		tp, err = generate(context.Background())
+	}
 	if err != nil {
-		// Uncacheable is not unrunnable: generate without memoizing.
-		tr, gerr := np.Generate()
-		if gerr != nil {
-			return nil, nil, gerr
-		}
-		pre, gerr := np.AgingPreamble()
-		if gerr != nil {
-			return nil, nil, gerr
-		}
-		return tr, pre, nil
+		return nil, nil, err
 	}
-	c.mu.Lock()
-	e := c.entries[k]
-	if e == nil {
-		e = &traceEntry{}
-		c.entries[k] = e
-		c.order = append(c.order, k)
-		for len(c.order) > c.limit {
-			// FIFO eviction; goroutines already holding the evicted
-			// entry still complete against their pointer.
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.trace, e.err = np.Generate()
-		if e.err == nil {
-			e.preamble, e.err = np.AgingPreamble()
-		}
-	})
-	return e.trace, e.preamble, e.err
+	return tp.trace, tp.preamble, nil
 }
 
-// Len returns the number of cached profiles (tests and diagnostics).
-func (c *TraceCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+// Stats reports the cache's traffic counters (the service's /statz).
+func (c *TraceCache) Stats() memo.Stats { return c.mem.Stats() }

@@ -46,8 +46,8 @@ func TestTraceCacheSharesOneGeneration(t *testing.T) {
 				i+1, r.trace, r.preamble, first.trace, first.preamble, r.err)
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("cache holds %d entries, want 1", c.Stats().Entries)
 	}
 
 	// The key is the normalized profile: a request-count default applied by
@@ -75,12 +75,12 @@ func TestTraceCacheDistinguishesProfiles(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct profiles share one cached trace")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("cache holds %d entries, want 2", c.Stats().Entries)
 	}
 }
 
-// TestTraceCacheEvicts checks the FIFO bound: the cache never holds more
+// TestTraceCacheEvicts checks the LRU bound: the cache never holds more
 // than its limit, and evicted profiles regenerate (to a fresh pointer) on
 // the next request.
 func TestTraceCacheEvicts(t *testing.T) {
@@ -95,8 +95,8 @@ func TestTraceCacheEvicts(t *testing.T) {
 		if _, _, err := c.Traces(p); err != nil {
 			t.Fatal(err)
 		}
-		if c.Len() > 2 {
-			t.Fatalf("cache exceeded its limit: %d entries", c.Len())
+		if c.Stats().Entries > 2 {
+			t.Fatalf("cache exceeded its limit: %d entries", c.Stats().Entries)
 		}
 	}
 	again, _, err := c.Traces(cacheProfile("p0"))

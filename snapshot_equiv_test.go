@@ -70,7 +70,7 @@ func TestSnapshotRunsMatchReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if store.Len() != 0 {
+			if store.Stats().Entries != 0 {
 				t.Fatal("NoSnapshot run populated the snapshot store")
 			}
 
@@ -78,7 +78,7 @@ func TestSnapshotRunsMatchReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if store.Len() == 0 {
+			if store.Stats().Entries == 0 {
 				t.Fatal("cold run did not capture a snapshot")
 			}
 			warm, err := idaflash.RunWorkload(tc.profile, tc.sys)
@@ -119,8 +119,8 @@ func TestSnapshotArrayRunsMatchReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != sys.Devices {
-		t.Fatalf("cold array run captured %d snapshots, want one per device (%d)", store.Len(), sys.Devices)
+	if store.Stats().Entries != sys.Devices {
+		t.Fatalf("cold array run captured %d snapshots, want one per device (%d)", store.Stats().Entries, sys.Devices)
 	}
 	warm, err := idaflash.RunArrayWorkload(p, sys)
 	if err != nil {
