@@ -26,7 +26,9 @@
 // restarted server resumes unfinished jobs under their original IDs,
 // re-running only the points whose results are not already stored.
 // -store-sync additionally fsyncs every blob write (the journal always
-// syncs), trading write latency for power-loss durability.
+// syncs), trading write latency for power-loss durability. The server holds
+// an exclusive lock on <store-dir>/LOCK while it runs; a second server on
+// the same directory exits non-zero at startup.
 //
 // On SIGTERM or interrupt the server stops accepting work (/readyz flips to
 // 503, queued runs are rejected), gives in-flight runs the drain timeout to
@@ -52,6 +54,7 @@ import (
 
 	"idaflash"
 	"idaflash/internal/farm"
+	"idaflash/internal/results"
 	"idaflash/internal/server"
 )
 
@@ -73,6 +76,13 @@ func main() {
 	logger := log.New(os.Stderr, "idaserver: ", log.LstdFlags)
 	var journal *farm.Journal
 	if dir != "" {
+		// One server per store directory. The lock is held until exit.
+		release, err := results.LockDir(dir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "idaserver:", err)
+			os.Exit(1)
+		}
+		defer release()
 		if err := idaflash.SetStoreDirSync(dir, *storeSync); err != nil {
 			fmt.Fprintln(os.Stderr, "idaserver:", err)
 			os.Exit(1)

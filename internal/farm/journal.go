@@ -2,10 +2,8 @@ package farm
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,22 +13,18 @@ import (
 	"time"
 
 	"idaflash/internal/experiments"
+	"idaflash/internal/frame"
 	"idaflash/internal/results"
 )
 
 // The job journal is the farm's write-ahead log: one file per job under
 // <store-dir>/jobs, recording the job's spec, every point completion, and
-// the terminal state, in the order the event log emitted them. It follows
-// the same codec discipline as internal/snapshot — magic, version,
-// length-prefixed records, CRC64-ECMA — so a torn tail or a flipped bit is
-// detected, truncated away, and recovery resumes from the last good record
-// instead of panicking or trusting garbage.
-//
-// File layout:
-//
-//	header  = magic "IDAJRNL\x00" | version u32 LE
-//	record  = kind u8 | len u32 LE | payload | crc u64 LE
-//	crc     = CRC64-ECMA over kind byte + payload
+// the terminal state, in the order the event log emitted them. It is a
+// record stream in the store directory's one framing (internal/frame):
+// magic "IDAJRNL\x00", version, then kind/length/payload/CRC64 records, so
+// a torn tail or a flipped bit is detected, truncated away, and recovery
+// resumes from the last good record instead of panicking or trusting
+// garbage.
 //
 // Record kinds: spec (JSON JobSpec, always first), point (JSON PointResult,
 // one per completion, in event-log order), state (raw terminal state
@@ -44,20 +38,13 @@ import (
 // journal is discarded (fail soft to a fresh job), never misread.
 const JournalVersion = 1
 
-var journalMagic = [8]byte{'I', 'D', 'A', 'J', 'R', 'N', 'L', 0}
+var journalFormat = frame.Format{Magic: [8]byte{'I', 'D', 'A', 'J', 'R', 'N', 'L', 0}, Version: JournalVersion}
 
 const (
 	recSpec  byte = 1
 	recPoint byte = 2
 	recState byte = 3
 )
-
-// maxRecordLen bounds a single record payload; anything larger is corrupt
-// length bytes, not data (the biggest real payloads are point results, a
-// few KB of canonical JSON).
-const maxRecordLen = 64 << 20
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // JobSpec is the journal's replayable description of a submitted job.
 type JobSpec struct {
@@ -87,9 +74,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	return &Journal{dir: dir}, nil
 }
 
-// Dir returns the journal directory.
-func (jn *Journal) Dir() string { return jn.dir }
-
 func (jn *Journal) logf(format string, args ...any) {
 	if jn != nil && jn.Logf != nil {
 		jn.Logf(format, args...)
@@ -112,13 +96,7 @@ func (jn *Journal) Create(id string, spec JobSpec) (*JobLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: creating journal: %w", err)
 	}
-	var hdr [12]byte
-	copy(hdr[:8], journalMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], JournalVersion)
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		_, err = f.Write(encodeRecord(recSpec, payload))
-	}
+	_, err = f.Write(frame.AppendRecord(journalFormat.AppendHeader(nil), recSpec, payload))
 	if err == nil {
 		err = f.Sync()
 	}
@@ -162,7 +140,7 @@ func (l *JobLog) append(kind byte, payload []byte) {
 	if l.broken || l.f == nil {
 		return
 	}
-	_, err := l.f.Write(encodeRecord(kind, payload))
+	_, err := l.f.Write(frame.AppendRecord(nil, kind, payload))
 	if err == nil {
 		err = l.f.Sync()
 	}
@@ -199,17 +177,6 @@ func (l *JobLog) Close() {
 	}
 }
 
-func encodeRecord(kind byte, payload []byte) []byte {
-	buf := make([]byte, 0, 1+4+len(payload)+8)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	h := crc64.New(crcTable)
-	_, _ = h.Write([]byte{kind})
-	_, _ = h.Write(payload)
-	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
-}
-
 // journalContent is a parsed journal prefix: everything up to the first
 // malformed byte.
 type journalContent struct {
@@ -224,29 +191,16 @@ type journalContent struct {
 // one, keeping everything before it. It never panics on arbitrary bytes.
 func parseJournal(b []byte) journalContent {
 	var c journalContent
-	if len(b) < 12 || [8]byte(b[:8]) != journalMagic ||
-		binary.LittleEndian.Uint32(b[8:12]) != JournalVersion {
+	rest, err := journalFormat.CheckHeader(b)
+	if err != nil {
 		return c
 	}
-	off := int64(12)
-	c.valid = off
+	c.valid = int64(len(b) - len(rest))
 	seen := make(map[int]bool)
 	for {
-		rest := b[off:]
-		if len(rest) < 5 {
-			return c // torn or clean EOF
-		}
-		kind := rest[0]
-		n := int64(binary.LittleEndian.Uint32(rest[1:5]))
-		if n > maxRecordLen || int64(len(rest)) < 5+n+8 {
-			return c // corrupt length or torn tail
-		}
-		payload := rest[5 : 5+n]
-		h := crc64.New(crcTable)
-		_, _ = h.Write([]byte{kind})
-		_, _ = h.Write(payload)
-		if binary.LittleEndian.Uint64(rest[5+n:5+n+8]) != h.Sum64() {
-			return c // flipped bits
+		kind, payload, next, err := frame.NextRecord(rest)
+		if err != nil {
+			return c // clean EOF, torn tail, or flipped bits
 		}
 		switch {
 		case kind == recSpec && !c.specOK && len(c.points) == 0:
@@ -270,8 +224,8 @@ func parseJournal(b []byte) journalContent {
 		default:
 			return c // spec repeated, record after terminal, unknown kind...
 		}
-		off += 5 + n + 8
-		c.valid = off
+		rest = next
+		c.valid = int64(len(b) - len(rest))
 	}
 }
 
@@ -314,12 +268,10 @@ func (jn *Journal) Scan() (recovered []RecoveredJob, maxID uint64) {
 		if !c.specOK || c.terminal != "" {
 			// Finished, or too corrupt to trust: either way there is nothing
 			// to resume. Fail soft to no job.
-			if c.specOK {
-				jn.Remove(id)
-			} else {
+			if !c.specOK {
 				jn.logf("farm: journal %s unrecoverable, removing", name)
-				jn.Remove(id)
 			}
+			jn.Remove(id)
 			continue
 		}
 		if int64(len(b)) > c.valid {

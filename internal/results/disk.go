@@ -1,10 +1,12 @@
 // Package results is the farm's durable memory: a content-addressed,
 // LRU-bounded blob root on disk (Disk) shared by simulation result payloads
-// (".json") and aged device-state snapshots (".snap"), plus a singleflighted
-// result cache (Store) layered over it. Both tiers are keyed by the
-// canonical experiments memo key — versioned JSON of the (Profile, System)
-// pair hashed with SHA-256 — so identical simulation points are served from
-// cache across process restarts and across clients, byte for byte.
+// (".json") and aged device-state snapshots (".snap"), and the one
+// two-tier cache (Cache) that layers a singleflighted memory tier over a
+// blob kind. Its two instances are the result store (Store, keyed by the
+// canonical experiments memo key, so identical simulation points are served
+// across restarts and clients, byte for byte) and the snapshot store. Every
+// blob is a checksummed internal/frame file, so a corrupted one is a miss,
+// never a served value.
 package results
 
 import (
@@ -259,23 +261,6 @@ func OpenDiskOptions(dir string, opts DiskOptions) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the root directory.
-func (d *Disk) Dir() string { return d.dir }
-
-// Bytes returns the accounted size of all owned blobs.
-func (d *Disk) Bytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.bytes
-}
-
-// Len returns the number of owned blobs.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.files)
-}
-
 // Sub returns a view of the Disk that stores blobs of one kind (an
 // extension like ".json" or ".snap"). Views share the Disk's budget and
 // eviction order; they only partition the namespace.
@@ -315,30 +300,16 @@ func (d *Disk) scan() {
 	if err != nil {
 		return
 	}
-	type aged struct {
-		info blobInfo
-		mod  int64
-	}
-	var found []aged
+	var found []os.FileInfo
 	for _, e := range entries {
-		if e.IsDir() || !blobName.MatchString(e.Name()) {
-			continue
+		if fi, err := e.Info(); err == nil && !e.IsDir() && blobName.MatchString(e.Name()) {
+			found = append(found, fi)
 		}
-		fi, err := e.Info()
-		if err != nil {
-			continue
-		}
-		found = append(found, aged{blobInfo{e.Name(), fi.Size()}, fi.ModTime().UnixNano()})
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].mod < found[j].mod })
-	d.mu.Lock()
-	for _, f := range found {
-		info := f.info
-		d.files[info.name] = d.lru.PushFront(&info)
-		d.bytes += info.size
+	sort.Slice(found, func(i, j int) bool { return found[i].ModTime().Before(found[j].ModTime()) })
+	for _, fi := range found {
+		d.touch(fi.Name(), fi.Size())
 	}
-	d.evictLocked()
-	d.mu.Unlock()
 }
 
 // nameFor content-addresses a key.
@@ -448,8 +419,11 @@ func (d *Disk) writeRetry(name string, b []byte) error {
 			return err
 		}
 		if errors.Is(err, syscall.ENOSPC) {
-			// Free the payload's worth plus slack; the oldest blobs go.
-			d.evictBytes(int64(len(b)) + 1<<20)
+			// The filesystem, not the budget, set the bound: free the
+			// payload's worth plus slack; the oldest blobs go.
+			d.mu.Lock()
+			d.evictLocked(d.bytes-int64(len(b))-1<<20, 0, "for ENOSPC")
+			d.mu.Unlock()
 		}
 		d.retriesN.Add(1)
 		d.opts.Sleep(d.backoff(attempt))
@@ -476,15 +450,7 @@ func (d *Disk) get(name string) []byte {
 		return nil
 	}
 	d.ioOK()
-	d.mu.Lock()
-	if el, ok := d.files[name]; ok {
-		d.lru.MoveToFront(el)
-	} else {
-		d.files[name] = d.lru.PushFront(&blobInfo{name, int64(len(b))})
-		d.bytes += int64(len(b))
-		d.evictLocked()
-	}
-	d.mu.Unlock()
+	d.touch(name, int64(len(b)))
 	return b
 }
 
@@ -501,18 +467,24 @@ func (d *Disk) put(name string, b []byte) {
 		return
 	}
 	d.ioOK()
+	d.touch(name, int64(len(b)))
+}
+
+// touch accounts a blob of size bytes as the most recently used, adopting
+// it if unknown, then evicts over-budget blobs, oldest first.
+func (d *Disk) touch(name string, size int64) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if el, ok := d.files[name]; ok {
 		info := el.Value.(*blobInfo)
-		d.bytes += int64(len(b)) - info.size
-		info.size = int64(len(b))
+		d.bytes += size - info.size
+		info.size = size
 		d.lru.MoveToFront(el)
 	} else {
-		d.files[name] = d.lru.PushFront(&blobInfo{name, int64(len(b))})
-		d.bytes += int64(len(b))
+		d.files[name] = d.lru.PushFront(&blobInfo{name, size})
+		d.bytes += size
 	}
-	d.evictLocked()
-	d.mu.Unlock()
+	d.evictLocked(d.budget, 1, "over budget")
 }
 
 // delete removes a blob (a corrupt payload a reader rejected).
@@ -527,48 +499,29 @@ func (d *Disk) delete(name string) {
 func (d *Disk) forget(name string) {
 	d.mu.Lock()
 	if el, ok := d.files[name]; ok {
-		d.bytes -= el.Value.(*blobInfo).size
-		d.lru.Remove(el)
-		delete(d.files, name)
+		d.dropLocked(el)
 	}
 	d.mu.Unlock()
 }
 
-// evictLocked removes least-recently-used blobs until the budget holds.
-// Called with d.mu held.
-func (d *Disk) evictLocked() {
-	for d.bytes > d.budget && d.lru.Len() > 1 {
-		el := d.lru.Back()
-		info := el.Value.(*blobInfo)
-		d.lru.Remove(el)
-		delete(d.files, info.name)
-		d.bytes -= info.size
+func (d *Disk) dropLocked(el *list.Element) *blobInfo {
+	info := d.lru.Remove(el).(*blobInfo)
+	delete(d.files, info.name)
+	d.bytes -= info.size
+	return info
+}
+
+// evictLocked deletes least-recently-used blobs until at most limit bytes
+// remain, keeping at least keep blobs. Called with d.mu held.
+func (d *Disk) evictLocked(limit int64, keep int, why string) {
+	for d.bytes > limit && d.lru.Len() > keep {
+		info := d.dropLocked(d.lru.Back())
 		_ = d.fs.Remove(filepath.Join(d.dir, info.name))
-		d.logf("results: evicted %s (%d bytes) over budget", info.name, info.size)
+		d.logf("results: evicted %s (%d bytes) %s", info.name, info.size, why)
 	}
 }
 
-// evictBytes frees at least n bytes of the least-recently-used blobs (an
-// ENOSPC response: the filesystem, not the budget, set the bound).
-func (d *Disk) evictBytes(n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	freed := int64(0)
-	for freed < n && d.lru.Len() > 0 {
-		el := d.lru.Back()
-		info := el.Value.(*blobInfo)
-		d.lru.Remove(el)
-		delete(d.files, info.name)
-		d.bytes -= info.size
-		freed += info.size
-		_ = d.fs.Remove(filepath.Join(d.dir, info.name))
-		d.logf("results: evicted %s (%d bytes) for ENOSPC", info.name, info.size)
-	}
-}
-
-// Blobs is one kind's view of a Disk (see Disk.Sub). It satisfies the
-// snapshot store's blob-tier interface structurally, so the snapshot
-// package never imports this one.
+// Blobs is one kind's view of a Disk (see Disk.Sub): a Cache's blob tier.
 type Blobs struct {
 	d   *Disk
 	ext string
@@ -582,6 +535,3 @@ func (v *Blobs) Put(key string, b []byte) { v.d.put(nameFor(key, v.ext), b) }
 
 // Delete removes key's blob (callers drop payloads they failed to decode).
 func (v *Blobs) Delete(key string) { v.d.delete(nameFor(key, v.ext)) }
-
-// Disk returns the underlying blob root (health plumbing for the server).
-func (v *Blobs) Disk() *Disk { return v.d }

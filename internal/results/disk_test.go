@@ -30,8 +30,8 @@ func TestDiskRoundTrip(t *testing.T) {
 	if got := snap.Get("k"); !bytes.Equal(got, []byte("snapbytes")) {
 		t.Fatalf("snap Get = %q", got)
 	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d, want 2", d.Len())
+	if len(d.files) != 2 {
+		t.Errorf("Len = %d, want 2", len(d.files))
 	}
 }
 
@@ -52,8 +52,8 @@ func TestDiskSurvivesReopen(t *testing.T) {
 	if got := d2.Sub(".json").Get("k"); !bytes.Equal(got, []byte("payload")) {
 		t.Fatalf("reopened Get = %q", got)
 	}
-	if d2.Bytes() != int64(len("payload")) {
-		t.Errorf("reopened accounting = %d bytes", d2.Bytes())
+	if d2.bytes != int64(len("payload")) {
+		t.Errorf("reopened accounting = %d bytes", d2.bytes)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestDiskSharedBudgetEvictsOldestAcrossKinds(t *testing.T) {
 	if d.Sub(".json").Get("new") == nil {
 		t.Errorf("just-written new was evicted")
 	}
-	if d.Bytes() > 64 && d.Len() > 1 {
-		t.Errorf("over budget after eviction: %d bytes, %d blobs", d.Bytes(), d.Len())
+	if d.bytes > 64 && len(d.files) > 1 {
+		t.Errorf("over budget after eviction: %d bytes, %d blobs", d.bytes, len(d.files))
 	}
 }
 
@@ -128,8 +128,8 @@ func TestDiskIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Bytes() != 0 || d.Len() != 0 {
-		t.Errorf("foreign file counted: %d bytes, %d blobs", d.Bytes(), d.Len())
+	if d.bytes != 0 || len(d.files) != 0 {
+		t.Errorf("foreign file counted: %d bytes, %d blobs", d.bytes, len(d.files))
 	}
 	d.Sub(".json").Put("k", bytes.Repeat([]byte("k"), 30))
 	if _, err := os.Stat(filepath.Join(dir, "README.txt")); err != nil {
@@ -148,7 +148,7 @@ func TestDiskDelete(t *testing.T) {
 	if v.Get("k") != nil {
 		t.Error("blob survived Delete")
 	}
-	if d.Bytes() != 0 {
-		t.Errorf("accounting after delete = %d", d.Bytes())
+	if d.bytes != 0 {
+		t.Errorf("accounting after delete = %d", d.bytes)
 	}
 }

@@ -2,17 +2,15 @@
 // It wraps a real (or in-memory) filesystem and makes selected operations
 // fail the way disks actually fail — EIO, ENOSPC, torn writes that persist
 // a prefix while reporting success, short reads that drop the tail — under
-// rules keyed by operation ordinal, stride, count, or seeded probability.
+// rules keyed by operation ordinal or count.
 //
-// Everything is deterministic: the probability rules draw from a rand.Rand
-// seeded at construction, and the per-operation counters advance in program
-// order, so a failing test reproduces from its seed alone. The package is
-// used by the fault tests of both internal/results and internal/snapshot.
+// Everything is deterministic: the per-operation counters advance in
+// program order, so a failing test reproduces exactly. The package is used
+// by the fault tests of both internal/results and internal/snapshot.
 package errfs
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"syscall"
@@ -84,25 +82,19 @@ func (m Mode) String() string {
 }
 
 type rule struct {
-	op    Op
-	mode  Mode
-	at    int     // fire when the op ordinal equals at (1-based); 0 = off
-	every int     // fire when ordinal % every == 0; 0 = off
-	left  int     // fire on the next `left` matching ops; decremented
-	prob  float64 // fire with this probability; 0 = off
+	op   Op
+	mode Mode
+	at   int // fire when the op ordinal equals at (1-based); 0 = off
+	left int // fire on the next `left` matching ops; decremented
 }
 
-func (r *rule) fires(ordinal int, rng *rand.Rand) bool {
+func (r *rule) fires(ordinal int) bool {
 	switch {
 	case r.at > 0:
 		return ordinal == r.at
-	case r.every > 0:
-		return ordinal%r.every == 0
 	case r.left > 0:
 		r.left--
 		return true
-	case r.prob > 0:
-		return rng.Float64() < r.prob
 	}
 	return false
 }
@@ -114,18 +106,17 @@ type FS struct {
 	inner results.FS
 
 	mu    sync.Mutex
-	rng   *rand.Rand
 	count [numOps]int
 	rules []*rule
 }
 
-// New wraps inner with a fault injector whose probability rules draw from
-// the given seed. With no rules installed it is a transparent passthrough.
-func New(inner results.FS, seed int64) *FS {
+// New wraps inner (nil: the real filesystem) with a fault injector. With no
+// rules installed it is a transparent passthrough.
+func New(inner results.FS) *FS {
 	if inner == nil {
 		inner = results.OSFS{}
 	}
-	return &FS{inner: inner, rng: rand.New(rand.NewSource(seed))}
+	return &FS{inner: inner}
 }
 
 // FailAt makes the at-th (1-based) operation of kind op fail with mode.
@@ -133,20 +124,9 @@ func (f *FS) FailAt(op Op, at int, mode Mode) *FS {
 	return f.add(&rule{op: op, mode: mode, at: at})
 }
 
-// FailEvery makes every n-th operation of kind op fail with mode.
-func (f *FS) FailEvery(op Op, n int, mode Mode) *FS {
-	return f.add(&rule{op: op, mode: mode, every: n})
-}
-
 // FailNext makes the next n operations of kind op fail with mode.
 func (f *FS) FailNext(op Op, n int, mode Mode) *FS {
 	return f.add(&rule{op: op, mode: mode, left: n})
-}
-
-// FailProb makes each operation of kind op fail with mode at probability p,
-// drawn from the constructor seed.
-func (f *FS) FailProb(op Op, p float64, mode Mode) *FS {
-	return f.add(&rule{op: op, mode: mode, prob: p})
 }
 
 func (f *FS) add(r *rule) *FS {
@@ -156,7 +136,7 @@ func (f *FS) add(r *rule) *FS {
 	return f
 }
 
-// Reset clears all rules and operation counters (the RNG keeps its stream).
+// Reset clears all rules and operation counters.
 func (f *FS) Reset() {
 	f.mu.Lock()
 	f.rules = nil
@@ -178,7 +158,7 @@ func (f *FS) decide(op Op) (Mode, bool) {
 	f.count[op]++
 	ordinal := f.count[op]
 	for _, r := range f.rules {
-		if r.op == op && r.fires(ordinal, f.rng) {
+		if r.op == op && r.fires(ordinal) {
 			return r.mode, true
 		}
 	}

@@ -4,7 +4,11 @@
 package results_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +44,7 @@ func faultDisk(t *testing.T, fs *errfs.FS, tweak func(*results.DiskOptions)) (*r
 // memory-only mode at the threshold; after the reprobe interval one
 // operation probes again and a healthy answer lifts the degradation.
 func TestDiskEIODegradesAndReprobes(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	d, now := faultDisk(t, fs, nil)
 	blobs := d.Sub(".json")
 
@@ -84,7 +88,7 @@ func TestDiskEIODegradesAndReprobes(t *testing.T) {
 // TestDiskRetriesTransientWrite: a single EIO on the first attempt is
 // absorbed by the bounded retry loop — the blob lands, nothing degrades.
 func TestDiskRetriesTransientWrite(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	fs.FailAt(errfs.OpWrite, 1, errfs.EIO)
 	d, _ := faultDisk(t, fs, nil)
 	blobs := d.Sub(".json")
@@ -101,7 +105,7 @@ func TestDiskRetriesTransientWrite(t *testing.T) {
 // TestDiskENOSPCEvictsAndRetries: a full filesystem evicts the oldest blobs
 // to make room before retrying the write.
 func TestDiskENOSPCEvictsAndRetries(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	d, _ := faultDisk(t, fs, nil)
 	blobs := d.Sub(".json")
 	blobs.Put("old1", []byte(`{"v":"old1"}`))
@@ -123,7 +127,7 @@ func TestDiskENOSPCEvictsAndRetries(t *testing.T) {
 // TestDiskMissIsNotAFault: reading absent keys is healthy traffic — it must
 // clear the failure streak, not extend it.
 func TestDiskMissIsNotAFault(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	d, _ := faultDisk(t, fs, nil)
 	blobs := d.Sub(".json")
 	fs.FailAt(errfs.OpRead, 1, errfs.EIO)
@@ -138,11 +142,11 @@ func TestDiskMissIsNotAFault(t *testing.T) {
 	}
 }
 
-// TestStoreTornWriteRecomputes: a torn result blob (half a JSON document,
-// reported as a successful write) is rejected on read, deleted, and the
-// point recomputes — a run never sees garbage.
+// TestStoreTornWriteRecomputes: a torn result blob (half a file, reported
+// as a successful write) is rejected on read, deleted, and the point
+// recomputes — a run never sees garbage.
 func TestStoreTornWriteRecomputes(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	dir := t.TempDir()
 	d, err := results.OpenDiskOptions(dir, results.DiskOptions{FS: fs})
 	if err != nil {
@@ -188,24 +192,27 @@ func TestStoreTornWriteRecomputes(t *testing.T) {
 	}
 }
 
-// TestStoreShortReadRecomputes: a short read that clips the payload is
-// likewise rejected by JSON validation instead of being served.
+// TestStoreShortReadRecomputes: a short read that clips the blob is
+// likewise rejected by the frame checks instead of being served.
 func TestStoreShortReadRecomputes(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	blobs := d.Sub(".json")
 	payload := []byte(`{"value":12345678}`)
-	blobs.Put("k", payload)
+	compute := func(context.Context) ([]byte, error) { return payload, nil }
+	s0 := results.NewStore(0)
+	s0.SetBlobs(blobs)
+	if _, _, err := s0.GetOrCompute(context.Background(), "k", compute); err != nil {
+		t.Fatal(err)
+	}
 
-	fs.FailAt(errfs.OpRead, 1, errfs.Short)
+	fs.FailNext(errfs.OpRead, 1, errfs.Short)
 	s := results.NewStore(0)
 	s.SetBlobs(blobs)
-	b, cached, err := s.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
-		return payload, nil
-	})
+	b, cached, err := s.GetOrCompute(context.Background(), "k", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +224,83 @@ func TestStoreShortReadRecomputes(t *testing.T) {
 	}
 }
 
+// TestStoreBitFlipInDigitRecomputes: a flipped bit that leaves the payload
+// valid JSON (…12345678} → …12345679}) fails the blob's checksum, so the
+// point recomputes instead of serving a wrong result.
+func TestStoreBitFlipInDigitRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	d, err := results.OpenDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"value":12345678}`)
+	s1 := results.NewStore(0)
+	s1.SetBlobs(d.Sub(".json"))
+	if _, _, err := s1.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
+		return payload, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("blob files %v, %v", files, err)
+	}
+	blob, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Replace(blob, []byte("12345678}"), []byte("12345679}"), 1)
+	if bytes.Equal(flipped, blob) {
+		t.Fatal("payload digits not found in the blob")
+	}
+	if err := os.WriteFile(files[0], flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := results.NewStore(0)
+	s2.SetBlobs(d.Sub(".json"))
+	computed := false
+	b, cached, err := s2.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
+		computed = true
+		return payload, nil
+	})
+	if err != nil || cached || !computed {
+		t.Fatalf("flipped blob served: %q cached=%v computed=%v err=%v", b, cached, computed, err)
+	}
+	if !bytes.Equal(b, payload) {
+		t.Fatalf("payload %q", b)
+	}
+}
+
+// TestStoreBareJSONBlobIsAMiss: a result blob written before blobs were
+// framed — bare JSON under the result extension — is read as a miss and
+// deleted, even when the recompute then fails.
+func TestStoreBareJSONBlobIsAMiss(t *testing.T) {
+	d, err := results.OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := d.Sub(".json")
+	blobs.Put("k", []byte(`{"value":12345678}`))
+	s := results.NewStore(0)
+	s.SetBlobs(blobs)
+	boom := errors.New("compute failed")
+	b, cached, err := s.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
+		return nil, boom
+	})
+	if !errors.Is(err, boom) || cached {
+		t.Fatalf("bare JSON blob served as a hit: %q cached=%v err=%v", b, cached, err)
+	}
+	if blobs.Get("k") != nil {
+		t.Error("bare JSON blob not deleted")
+	}
+}
+
 // TestStoreDegradedServesUncached: with the disk memory-only, GetOrCompute
 // still answers — uncached across store instances — and Stats surfaces the
 // degradation for /statz.
 func TestStoreDegradedServesUncached(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	fs.FailNext(errfs.OpRead, 1000, errfs.EIO)
 	fs.FailNext(errfs.OpWrite, 1000, errfs.EIO)
 	d, _ := faultDisk(t, fs, nil)

@@ -64,8 +64,8 @@ type Statz struct {
 	Arena     idaflash.PoolStats `json:"arena"`
 	// Traces and Snapshots are the process-wide trace cache and snapshot
 	// store every run goes through.
-	Traces    memo.Stats `json:"traces"`
-	Snapshots memo.Stats `json:"snapshots"`
+	Traces    memo.Stats    `json:"traces"`
+	Snapshots results.Stats `json:"snapshots"`
 }
 
 // RuntimeGauges are the Go runtime's memory-pressure indicators, sampled at

@@ -161,7 +161,7 @@ func TestServerRecoveredJobCountsForDrain(t *testing.T) {
 // store memory-only; /readyz stays 200 (the server still serves) but
 // carries the degraded detail, and /statz exposes the counters.
 func TestReadyzReportsDegradedStore(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	fs.FailNext(errfs.OpRead, 1000, errfs.EIO)
 	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{
 		FS:            fs,

@@ -4,51 +4,44 @@
 // pre-measurement phases of ssd.Run produce — the FTL's L2P table, block
 // populations, free lists, wear counters, wordline ages, GC/refresh
 // bookkeeping, the accumulated stats, and the positions of the random
-// streams — behind a versioned, checksummed binary codec and a
-// content-addressed Store with an in-memory tier and an optional on-disk
-// tier. Corruption, truncation, and version skew all fail soft: a bad
-// snapshot is a cache miss, never a failed run.
+// streams — behind a deterministic binary codec framed by internal/frame
+// (magic, version, length, CRC64), and a Store that is the store
+// directory's two-tier cache (internal/results.Cache): a bounded memory
+// tier plus an optional content-addressed blob tier. Corruption,
+// truncation, and version skew all fail soft: a bad snapshot is a cache
+// miss, never a failed run.
 package snapshot
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"math"
 	"sort"
 
 	"idaflash/internal/coding"
 	"idaflash/internal/flash"
+	"idaflash/internal/frame"
 	"idaflash/internal/ftl"
 	"idaflash/internal/sim"
 )
 
-// CodecVersion is the on-disk format version. Bump it whenever the payload
-// layout or the meaning of any captured field changes; the Store treats a
-// version mismatch as a miss, and callers fold the version into their cache
-// keys so stale fixture directories invalidate themselves.
-const CodecVersion = 1
+// CodecVersion is the on-disk format version. Bump it whenever the framing,
+// the payload layout or the meaning of any captured field changes; the
+// Store treats a version mismatch as a miss, and callers fold the version
+// into their cache keys so stale fixture directories invalidate themselves.
+const CodecVersion = 2
 
-// magic brands snapshot files so arbitrary bytes are rejected before any
-// length field is trusted.
-var magic = [8]byte{'I', 'D', 'A', 'S', 'N', 'A', 'P', 0}
+// format frames snapshot files: the "IDASNAP\0" magic rejects arbitrary
+// bytes before any length field is trusted, and the record checksum covers
+// the whole payload.
+var format = frame.Format{Magic: [8]byte{'I', 'D', 'A', 'S', 'N', 'A', 'P', 0}, Version: CodecVersion}
 
-// Typed decode failures. All of them mean "treat as a cache miss"; the
-// distinctions exist for logs and tests.
-var (
-	// ErrNotSnapshot means the bytes do not start with the snapshot magic.
-	ErrNotSnapshot = errors.New("snapshot: not a snapshot file")
-	// ErrVersion means the file was written by a different codec version.
-	ErrVersion = errors.New("snapshot: codec version mismatch")
-	// ErrChecksum means the payload failed its integrity checksum.
-	ErrChecksum = errors.New("snapshot: checksum mismatch")
-	// ErrCorrupt means the payload was structurally invalid (truncated,
-	// impossible lengths) despite passing or not reaching the checksum.
-	ErrCorrupt = errors.New("snapshot: corrupt payload")
-)
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// ErrCorrupt means a payload that passed its checksum was structurally
+// invalid (impossible lengths, trailing bytes). Framing failures — bad
+// magic, version skew, checksum, truncation — are the frame package's typed
+// errors. All of them mean "treat as a cache miss".
+var ErrCorrupt = errors.New("snapshot: corrupt payload")
 
 // DeviceState is one device's aged pre-measurement state: the FTL state at
 // the snapshot boundary plus the fault injector's random-stream position
@@ -58,9 +51,9 @@ type DeviceState struct {
 	InjectorDraws uint64
 }
 
-// Encode serializes the state: magic, version, payload length, payload,
-// CRC64-ECMA of the payload. The encoding is deterministic (sparse maps are
-// written in sorted key order), so identical states produce identical bytes.
+// Encode serializes the state as a single-record frame file. The encoding
+// is deterministic (sparse maps are written in sorted key order), so
+// identical states produce identical bytes.
 func Encode(st *DeviceState) ([]byte, error) {
 	if st == nil || st.FTL == nil {
 		return nil, fmt.Errorf("snapshot: encode of nil state")
@@ -68,44 +61,20 @@ func Encode(st *DeviceState) ([]byte, error) {
 	var e encoder
 	e.ftlState(st.FTL)
 	e.u64(st.InjectorDraws)
-
-	out := make([]byte, 0, len(magic)+4+8+len(e.buf)+8)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, CodecVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(e.buf)))
-	out = append(out, e.buf...)
-	out = binary.LittleEndian.AppendUint64(out, crc64.Checksum(e.buf, crcTable))
-	return out, nil
+	if uint64(len(e.buf)) > frame.MaxPayload {
+		return nil, fmt.Errorf("snapshot: %d-byte state exceeds the frame limit", len(e.buf))
+	}
+	return format.Seal(e.buf), nil
 }
 
 // Decode parses bytes produced by Encode. It never panics on arbitrary
-// input: every length is validated against the remaining payload before any
-// allocation, and the checksum is verified before the payload is parsed.
+// input: the frame is checked (magic, version, length, checksum) before the
+// payload is parsed, and every length inside it is validated against the
+// remaining payload before any allocation.
 func Decode(b []byte) (*DeviceState, error) {
-	if len(b) < len(magic)+4+8+8 {
-		if len(b) < len(magic) || string(b[:len(magic)]) != string(magic[:]) {
-			return nil, ErrNotSnapshot
-		}
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	if string(b[:len(magic)]) != string(magic[:]) {
-		return nil, ErrNotSnapshot
-	}
-	off := len(magic)
-	version := binary.LittleEndian.Uint32(b[off:])
-	off += 4
-	if version != CodecVersion {
-		return nil, fmt.Errorf("%w: file has v%d, codec is v%d", ErrVersion, version, CodecVersion)
-	}
-	plen := binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	if plen != uint64(len(b)-off-8) {
-		return nil, fmt.Errorf("%w: payload length %d does not match file size", ErrCorrupt, plen)
-	}
-	payload := b[off : off+int(plen)]
-	sum := binary.LittleEndian.Uint64(b[off+int(plen):])
-	if crc64.Checksum(payload, crcTable) != sum {
-		return nil, ErrChecksum
+	payload, err := format.Open(b)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	d := decoder{b: payload}
 	st := &DeviceState{FTL: d.ftlState()}

@@ -9,6 +9,7 @@ import (
 
 	"idaflash/internal/coding"
 	"idaflash/internal/flash"
+	"idaflash/internal/frame"
 	"idaflash/internal/ftl"
 	"idaflash/internal/sim"
 )
@@ -191,28 +192,28 @@ func TestDecodeErrorKinds(t *testing.T) {
 
 	notSnap := append([]byte(nil), full...)
 	notSnap[0] = 'X'
-	if _, err := Decode(notSnap); !errors.Is(err, ErrNotSnapshot) {
-		t.Errorf("bad magic: got %v, want ErrNotSnapshot", err)
+	if _, err := Decode(notSnap); !errors.Is(err, frame.ErrMagic) {
+		t.Errorf("bad magic: got %v, want frame.ErrMagic", err)
 	}
-	if _, err := Decode([]byte("short")); !errors.Is(err, ErrNotSnapshot) {
-		t.Errorf("junk: got %v, want ErrNotSnapshot", err)
+	if _, err := Decode([]byte("short")); !errors.Is(err, frame.ErrMagic) {
+		t.Errorf("junk: got %v, want frame.ErrMagic", err)
 	}
 
 	wrongVer := append([]byte(nil), full...)
-	wrongVer[len(magic)] = CodecVersion + 1
-	if _, err := Decode(wrongVer); !errors.Is(err, ErrVersion) {
-		t.Errorf("version bump: got %v, want ErrVersion", err)
+	wrongVer[len(format.Magic)] = CodecVersion + 1
+	if _, err := Decode(wrongVer); !errors.Is(err, frame.ErrVersion) {
+		t.Errorf("version bump: got %v, want frame.ErrVersion", err)
 	}
 
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, err := Decode(flipped); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrCorrupt) {
-		t.Errorf("payload flip: got %v, want ErrChecksum or ErrCorrupt", err)
+	if _, err := Decode(flipped); !errors.Is(err, frame.ErrChecksum) && !errors.Is(err, ErrCorrupt) {
+		t.Errorf("payload flip: got %v, want frame.ErrChecksum or ErrCorrupt", err)
 	}
 
 	truncated := full[:len(full)-3]
-	if _, err := Decode(truncated); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncation: got %v, want ErrCorrupt", err)
+	if _, err := Decode(truncated); !errors.Is(err, frame.ErrTruncated) {
+		t.Errorf("truncation: got %v, want frame.ErrTruncated", err)
 	}
 }
 
@@ -228,7 +229,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(b[:len(b)/2])
 	}
 	f.Add([]byte{})
-	f.Add(magic[:])
+	f.Add(format.Magic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // faultBlobs builds a snapshot blob tier over an errfs-wrapped results.Disk,
 // the exact production wiring (idaflash.SetStoreDir) with a lying disk
 // underneath.
-func faultBlobs(t *testing.T, fs *errfs.FS) Blobs {
+func faultBlobs(t *testing.T, fs *errfs.FS) *results.Blobs {
 	t.Helper()
 	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{
 		FS:    fs,
@@ -30,7 +30,7 @@ func faultBlobs(t *testing.T, fs *errfs.FS) Blobs {
 // reported OK) fails the codec's length/CRC checks and degrades to a miss —
 // the aging preamble replays, the run never errors.
 func TestSnapshotTornWriteIsAMiss(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	want := randState(rand.New(rand.NewSource(3)))
 
 	fs.FailAt(errfs.OpWrite, 1, errfs.Torn)
@@ -62,7 +62,7 @@ func TestSnapshotTornWriteIsAMiss(t *testing.T) {
 // from a corrupt file — so the cost is one replayed preamble, never a bad
 // restore.
 func TestSnapshotShortReadIsAMiss(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	want := randState(rand.New(rand.NewSource(4)))
 	blobs := faultBlobs(t, fs)
 	s1 := NewStore(0)
@@ -85,7 +85,7 @@ func TestSnapshotShortReadIsAMiss(t *testing.T) {
 // TestSnapshotEIOIsAMiss: injected EIO on the blob tier degrades to a miss
 // and never surfaces as an error from Store.Get.
 func TestSnapshotEIOIsAMiss(t *testing.T) {
-	fs := errfs.New(nil, 1)
+	fs := errfs.New(nil)
 	want := randState(rand.New(rand.NewSource(5)))
 	blobs := faultBlobs(t, fs)
 	s1 := NewStore(0)
@@ -95,12 +95,12 @@ func TestSnapshotEIOIsAMiss(t *testing.T) {
 	fs.FailNext(errfs.OpRead, 100, errfs.EIO)
 	s2 := NewStore(0)
 	s2.SetBlobs(blobs)
-	st, publish, err := s2.Get(context.Background(), "k")
+	st, claim, err := s2.Get(context.Background(), "k")
 	if err != nil {
 		t.Fatalf("EIO surfaced as an error: %v", err)
 	}
 	if st != nil {
 		t.Fatal("EIO read produced a state")
 	}
-	publish(nil)
+	claim.Abandon()
 }

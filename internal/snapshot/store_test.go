@@ -13,7 +13,7 @@ import (
 
 // diskBlobs opens a results.Disk over dir and returns its snapshot sub-tier:
 // the production wiring of idaflash.SetStoreDir.
-func diskBlobs(t *testing.T, dir string) Blobs {
+func diskBlobs(t *testing.T, dir string) *results.Blobs {
 	t.Helper()
 	d, err := results.OpenDisk(dir, 0)
 	if err != nil {
@@ -22,19 +22,27 @@ func diskBlobs(t *testing.T, dir string) Blobs {
 	return d.Sub(".snap")
 }
 
+// mustMiss asserts a miss and returns its claim as a publish callback:
+// a state publishes, nil abandons.
 func mustMiss(t *testing.T, s *Store, key string) func(*DeviceState) {
 	t.Helper()
-	st, publish, err := s.Get(context.Background(), key)
+	st, claim, err := s.Get(context.Background(), key)
 	if err != nil {
 		t.Fatalf("Get(%q): %v", key, err)
 	}
 	if st != nil {
 		t.Fatalf("Get(%q) hit, want miss", key)
 	}
-	if publish == nil {
+	if claim == nil {
 		t.Fatalf("Get(%q) miss returned no claim", key)
 	}
-	return publish
+	return func(st *DeviceState) {
+		if st == nil {
+			claim.Abandon()
+			return
+		}
+		claim.Publish(st)
+	}
 }
 
 func mustHit(t *testing.T, s *Store, key string) *DeviceState {
@@ -178,7 +186,7 @@ func TestStoreAbandonedClaimWakesWaiter(t *testing.T) {
 	s := NewStore(0)
 	publish := mustMiss(t, s, "k")
 
-	claimed := make(chan func(*DeviceState), 1)
+	claimed := make(chan *Claim, 1)
 	go func() {
 		_, pub, err := s.Get(context.Background(), "k")
 		if err != nil {
@@ -194,7 +202,7 @@ func TestStoreAbandonedClaimWakesWaiter(t *testing.T) {
 		if pub == nil {
 			t.Fatal("waiter got a hit from an abandoned claim")
 		}
-		pub(nil)
+		pub.Abandon()
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter never woke after the claim was abandoned")
 	}

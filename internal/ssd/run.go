@@ -162,10 +162,10 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 	// claim on any early exit (error, cancel, contained panic) so waiters
 	// wake up and compute for themselves.
 	warmup := int(float64(len(tr.Requests)) * opts.WarmupFraction)
-	var publish func(*snapshot.DeviceState)
+	var claim *snapshot.Claim
 	restored := false
 	if opts.Snapshots != nil && opts.SnapshotKey != "" {
-		st, claim, gerr := opts.Snapshots.Get(ctx, opts.SnapshotKey)
+		st, c, gerr := opts.Snapshots.Get(ctx, opts.SnapshotKey)
 		if gerr != nil {
 			return Results{}, gerr
 		}
@@ -180,13 +180,9 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 					opts.Snapshots.Logf("snapshot: restore rejected, replaying: %v", rerr)
 				}
 			}
-		case claim != nil:
-			publish = claim
-			defer func() {
-				if publish != nil {
-					publish(nil)
-				}
-			}()
+		case c != nil:
+			claim = c
+			defer claim.Abandon() // no-op once published
 		}
 	}
 
@@ -230,12 +226,11 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 			return Results{}, err
 		}
 		s.f.CloseActiveBlocks()
-		if publish != nil {
+		if claim != nil {
 			// The boundary: everything below (stagger, stats reset, the
 			// timed phase) runs identically on restored devices, so this
 			// state is what every sibling run needs.
-			publish(s.captureAged())
-			publish = nil
+			claim.Publish(s.captureAged())
 		}
 	}
 	s.f.StaggerBlockAges(0)
