@@ -1,8 +1,11 @@
 package idaflash_test
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"idaflash"
 	"idaflash/internal/runpool"
@@ -21,8 +24,8 @@ func withFreshArena(t testing.TB) *runpool.Arena {
 }
 
 // arenaCases is the pool of (profile, system) points the reuse tests
-// interleave: different workloads, codings, schedulers, IDA settings, and a
-// fault scenario. Points sharing a device geometry share pooled devices, so
+// interleave: different workloads, codings, all three schedulers, IDA
+// settings, a fault scenario, and telemetry. Points sharing a device geometry share pooled devices, so
 // a checkout routinely reuses a device that last ran a *different*
 // configuration — the state-bleed scenario pooling must survive.
 func arenaCases(t testing.TB) []struct {
@@ -64,7 +67,51 @@ func arenaCases(t testing.TB) []struct {
 		{"faults", profile("usr_1"), alter(idaflash.IDA(0.2), func(s *idaflash.System) {
 			s.Faults = wearout
 		})},
+		{"age-aware", profile("hm_1"), alter(idaflash.IDA(0.2), func(s *idaflash.System) {
+			s.Scheduler = idaflash.SchedAgeAware
+		})},
+		// Coarse sampling keeps the exports small; every request's span
+		// would write tens of MB per run.
+		{"telemetry", profile("hm_1"), alter(idaflash.IDA(0.2), func(s *idaflash.System) {
+			s.Telemetry = &idaflash.TelemetryConfig{SampleEvery: 64, MetricsInterval: 10 * time.Second}
+		})},
 	}
+}
+
+// outcome is what the reuse gates compare between a pooled and a fresh
+// run: the scalar results and, with telemetry on, the exported trace and
+// time-series bytes, which Scalars drops.
+type outcome struct {
+	scalars idaflash.Results
+	exports string
+}
+
+func outcomeOf(t testing.TB, res idaflash.Results) outcome {
+	t.Helper()
+	o := outcome{scalars: res.Scalars()}
+	if res.Telemetry != nil {
+		var b bytes.Buffer
+		if err := res.Telemetry.WriteTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Telemetry.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		o.exports = b.String()
+	}
+	return o
+}
+
+// diverged describes how a pooled outcome differs from the fresh one, or
+// returns "" when they match.
+func (o outcome) diverged(fresh outcome) string {
+	switch {
+	case o.scalars != fresh.scalars:
+		return fmt.Sprintf("pooled run diverged from fresh device:\nfresh  %+v\npooled %+v", fresh.scalars, o.scalars)
+	case o.exports != fresh.exports:
+		return fmt.Sprintf("pooled telemetry exports (%d bytes) differ from fresh device's (%d bytes)", len(o.exports), len(fresh.exports))
+	}
+	return ""
 }
 
 // TestArenaReuseInterleaved is the state-bleed gate for device pooling: it
@@ -77,7 +124,7 @@ func TestArenaReuseInterleaved(t *testing.T) {
 	arena := withFreshArena(t)
 
 	// Fresh-device references, outside the arena.
-	want := make([]idaflash.Results, len(cases))
+	want := make([]outcome, len(cases))
 	for i, tc := range cases {
 		sys := tc.sys
 		sys.NoPool = true
@@ -85,7 +132,7 @@ func TestArenaReuseInterleaved(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (fresh): %v", tc.name, err)
 		}
-		want[i] = res.Scalars()
+		want[i] = outcomeOf(t, res)
 	}
 	if got := arena.Stats(); got.Hits != 0 || got.Returns != 0 {
 		t.Fatalf("NoPool runs touched the arena: %+v", got)
@@ -100,9 +147,8 @@ func TestArenaReuseInterleaved(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d %s (pooled): %v", round, tc.name, err)
 			}
-			if res.Scalars() != want[i] {
-				t.Errorf("round %d %s: pooled run diverged from fresh device:\nfresh  %+v\npooled %+v",
-					round, tc.name, want[i], res.Scalars())
+			if d := outcomeOf(t, res).diverged(want[i]); d != "" {
+				t.Errorf("round %d %s: %s", round, tc.name, d)
 			}
 		}
 	}
@@ -164,6 +210,8 @@ func FuzzArenaReuse(f *testing.F) {
 	f.Add([]byte{5, 5})
 	f.Add([]byte{3, 1, 3, 1})
 	f.Add([]byte{2, 4, 0, 5, 1, 3})
+	f.Add([]byte{6, 4, 6, 7, 1, 7})
+	f.Add([]byte{7, 7})
 
 	cases := arenaCases(f)
 	// One shared reference table and one long-lived arena across fuzz
@@ -172,7 +220,7 @@ func FuzzArenaReuse(f *testing.F) {
 	old := idaflash.DefaultArena
 	idaflash.DefaultArena = runpool.New(0)
 	f.Cleanup(func() { idaflash.DefaultArena = old })
-	want := make([]idaflash.Results, len(cases))
+	want := make([]outcome, len(cases))
 	for i, tc := range cases {
 		sys := tc.sys
 		sys.NoPool = true
@@ -180,7 +228,7 @@ func FuzzArenaReuse(f *testing.F) {
 		if err != nil {
 			f.Fatalf("%s (fresh): %v", tc.name, err)
 		}
-		want[i] = res.Scalars()
+		want[i] = outcomeOf(f, res)
 	}
 
 	f.Fuzz(func(t *testing.T, seq []byte) {
@@ -194,9 +242,8 @@ func FuzzArenaReuse(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d %s: %v", step, tc.name, err)
 			}
-			if res.Scalars() != want[i] {
-				t.Fatalf("step %d %s: pooled run diverged from fresh device:\nfresh  %+v\npooled %+v",
-					step, tc.name, want[i], res.Scalars())
+			if d := outcomeOf(t, res).diverged(want[i]); d != "" {
+				t.Fatalf("step %d %s: %s", step, tc.name, d)
 			}
 		}
 	})

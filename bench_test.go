@@ -100,6 +100,27 @@ func BenchmarkSingleRunIDA(b *testing.B) {
 	}
 }
 
+// BenchmarkNewDevice measures cold device construction: one fresh ssd.New
+// for the hm_1 IDA-E20 config, the path every arena miss takes. It sizes
+// the dense L2P, the plane tables, the engine and the die and channel
+// resources, so its allocs/op is the cost pooling saves per reused device.
+func BenchmarkNewDevice(b *testing.B) {
+	p, err := idaflash.ProfileByName("hm_1", benchRequests)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, _, err := idaflash.BuildConfig(p, idaflash.IDA(0.2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := idaflash.NewSSD(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCodingMerge measures the IDA merge lookup for every TLC validity
 // mask. Schemes precompute all 2^bits merges at construction, so the
 // hot-path cost is a table index — CI gates this at zero allocations.

@@ -504,6 +504,15 @@ var DefaultSnapshots = snapshot.NewStore(0)
 // run can never leak mid-run state into a later one.
 var DefaultArena = runpool.New(0)
 
+// arena is the device arena the system's runs check devices out of:
+// DefaultArena, or nil — fresh devices, never pooled — under NoPool.
+func (sys System) arena() *runpool.Arena {
+	if sys.NoPool {
+		return nil
+	}
+	return DefaultArena
+}
+
 // PoolStats is the device arena's traffic counters (see runpool.Stats).
 type PoolStats = runpool.Stats
 
@@ -644,8 +653,8 @@ func RunWorkloadContext(ctx context.Context, p Profile, sys System) (Results, er
 	// Results share no memory with the device, so a cleanly finished
 	// device goes back to the arena for the sweep's next point. Failed or
 	// cancelled runs drop the device: its engine may hold undrained events.
-	if err == nil && !sys.NoPool {
-		DefaultArena.Put(dev)
+	if err == nil {
+		sys.arena().Put(dev)
 	}
 	return r, err
 }
@@ -692,13 +701,9 @@ func RunArrayWorkloadContext(ctx context.Context, p Profile, sys System) (ArrayR
 	if err != nil {
 		return ArrayResults{}, err
 	}
-	ac := array.Config{
-		Devices: devices, StripeKB: sys.StripeKB, Parity: sys.Parity, Device: cfg,
-	}
-	if !sys.NoPool {
-		ac.Pool = DefaultArena
-	}
-	arr, err := array.New(ac)
+	arr, err := array.New(array.Config{
+		Devices: devices, StripeKB: sys.StripeKB, Parity: sys.Parity, Device: cfg, Pool: sys.arena(),
+	})
 	if err != nil {
 		return ArrayResults{}, err
 	}
@@ -731,12 +736,7 @@ func runWorkload(ctx context.Context, p Profile, sys System) (Results, *SSD, err
 	if err != nil {
 		return Results{}, nil, err
 	}
-	var dev *SSD
-	if sys.NoPool {
-		dev, err = ssd.New(cfg)
-	} else {
-		dev, err = DefaultArena.Get(cfg)
-	}
+	dev, err := sys.arena().Get(cfg)
 	if err != nil {
 		return Results{}, nil, err
 	}

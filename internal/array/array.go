@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"idaflash/internal/runpool"
 	"idaflash/internal/ssd"
 	"idaflash/internal/stats"
 	"idaflash/internal/telemetry"
@@ -47,19 +48,11 @@ type Config struct {
 	// Device is the per-device configuration template. Each device gets
 	// a decorrelated Seed (and FTL seed) derived from it.
 	Device ssd.Config
-	// Pool, when non-nil, supplies the member devices (runpool.Arena
-	// satisfies it): New checks devices out instead of building them, and
-	// Release parks them again after a clean run. Nil builds fresh
-	// devices, as before.
-	Pool DevicePool
-}
-
-// DevicePool is the device-reuse seam: a geometry-keyed pool of idle
-// simulation devices. Get returns a device configured per the config
-// (reset in place or freshly built); Put parks a cleanly finished device.
-type DevicePool interface {
-	Get(cfg ssd.Config) (*ssd.SSD, error)
-	Put(dev *ssd.SSD)
+	// Pool is the device arena the members are checked out of: New gets
+	// each member from it (an idle device of the geometry reset in place,
+	// or a fresh one), and Release puts them back after a clean run. A nil
+	// arena builds fresh devices and Release drops them.
+	Pool *runpool.Arena
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -110,13 +103,7 @@ func New(cfg Config) (*Array, error) {
 			tc.Device = i
 			dc.Telemetry = &tc
 		}
-		var dev *ssd.SSD
-		var err error
-		if cfg.Pool != nil {
-			dev, err = cfg.Pool.Get(dc)
-		} else {
-			dev, err = ssd.New(dc)
-		}
+		dev, err := cfg.Pool.Get(dc)
 		if err != nil {
 			return nil, fmt.Errorf("array: device %d: %w", i, err)
 		}
@@ -128,16 +115,11 @@ func New(cfg Config) (*Array, error) {
 // Release parks the member devices back in the configured pool. Call it
 // only after a cleanly completed run (the merged results share no memory
 // with the devices), and use neither the array nor its devices afterwards.
-// Without a pool, or on a second call, it is a no-op.
+// A second call is a no-op.
 func (a *Array) Release() {
-	if a.cfg.Pool == nil {
-		return
-	}
 	for i, dev := range a.devs {
-		if dev != nil {
-			a.cfg.Pool.Put(dev)
-			a.devs[i] = nil
-		}
+		a.cfg.Pool.Put(dev)
+		a.devs[i] = nil
 	}
 }
 
@@ -441,13 +423,6 @@ func Merge(name string, per []ssd.Results) ssd.Results {
 		c.Wear.MeanErase /= float64(totalBlocks)
 	}
 	c.Wear.Spread = c.Wear.MaxErase - c.Wear.MinErase
-	c.PowerProxy = c.FTL.ProgramPower
-	if hw := c.FTL.HostWrites; hw > 0 {
-		total := hw + c.FTL.GCMoves + c.FTL.RefreshMoves + c.FTL.IDACorruptedWrites
-		c.WriteAmplification = float64(total) / float64(hw)
-		if programs := total + c.FTL.ProgramFailures; programs > 0 {
-			c.MeanProgramPower = c.PowerProxy / float64(programs)
-		}
-	}
+	c.DeriveFTLMetrics()
 	return c
 }

@@ -250,45 +250,35 @@ type FTL struct {
 	stats Stats
 }
 
-// New builds an FTL over an erased device.
+// New builds an FTL over an erased device. It allocates only what the
+// geometry fixes — the dense L2P and the plane tables — and leaves every
+// other field to Reset, the one initializer.
 func New(opts Options) (*FTL, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
+	g := opts.Geometry
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	g := opts.Geometry
-	src := sim.NewCountedSource(opts.Seed ^ rngSeedMask)
-	f := &FTL{
-		opts:   opts,
-		geom:   g,
-		cells:  flash.NewCellModel(opts.Code),
-		order:  flash.NewProgramOrder(g.WordlinesPerBlock, g.BitsPerCell, opts.Order),
-		rng:    rand.New(src),
-		rngSrc: src,
-		l2p:    newL2P(g.TotalPages()),
-	}
-	f.planes = make([]*plane, g.Planes())
+	f := &FTL{geom: g, l2p: newL2P(g.TotalPages()), planes: make([]*plane, g.Planes())}
 	for i := range f.planes {
-		p := &plane{active: -1, blocks: make([]*block, g.BlocksPerPlane)}
-		p.free = make([]int, 0, g.BlocksPerPlane)
-		// Push free blocks in reverse so allocation starts at block 0.
-		for b := g.BlocksPerPlane - 1; b >= 0; b-- {
-			p.free = append(p.free, b)
-		}
-		f.planes[i] = p
+		f.planes[i] = &plane{blocks: make([]*block, g.BlocksPerPlane), free: make([]int, 0, g.BlocksPerPlane)}
 	}
-	f.cwdp = allocationStripe(g, opts.Allocation)
+	if err := f.Reset(opts); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
-// Reset returns the FTL to the erased-device state New would produce for
-// opts, reusing the existing storage: the dense L2P is refilled in place,
-// block-status-table entries are harvested into a pool that blockAt (and
-// Restore) draws from, and the free lists and pending-GC buffer keep their
-// backing arrays. The geometry must match the one the FTL was built with —
-// every table is sized for it — so a pooled FTL is keyed by geometry; any
-// other option may change freely. A reset FTL is indistinguishable from a
-// freshly built one, including its rng stream position.
+// Reset returns the FTL to the erased-device state for opts, reusing the
+// existing storage: the dense L2P is refilled in place, block-status-table
+// entries are harvested into a pool that blockAt (and Restore) draws from,
+// and the free lists and job buffers keep their backing arrays. The
+// geometry must match the one the FTL was built with — every table is
+// sized for it — so a pooled FTL is keyed by geometry; any other option may
+// change freely. A reset FTL is indistinguishable from a freshly built one,
+// including its rng stream position.
+//
+// Reset validates opts before it changes anything: on error the FTL is
+// untouched and stays usable.
 func (f *FTL) Reset(opts Options) error {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -297,35 +287,41 @@ func (f *FTL) Reset(opts Options) error {
 	if opts.Geometry != f.geom {
 		return fmt.Errorf("ftl: reset geometry %+v does not match device %+v", opts.Geometry, f.geom)
 	}
-	src := sim.NewCountedSource(opts.Seed ^ rngSeedMask)
-	sameOrder := opts.Order == f.opts.Order
-	f.opts = opts
-	f.cells = flash.NewCellModel(opts.Code)
-	if !sameOrder {
-		f.order = flash.NewProgramOrder(f.geom.WordlinesPerBlock, f.geom.BitsPerCell, opts.Order)
+
+	// Validation passed; everything below is infallible.
+	order := f.order
+	if order == nil || opts.Order != f.opts.Order {
+		order = flash.NewProgramOrder(f.geom.WordlinesPerBlock, f.geom.BitsPerCell, opts.Order)
 	}
-	f.rng = rand.New(src)
-	f.rngSrc = src
-	f.l2p.reset()
+	pool := f.blockPool
 	for _, p := range f.planes {
 		for i, b := range p.blocks {
 			if b != nil {
-				f.blockPool = append(f.blockPool, b)
+				pool = append(pool, b)
 				p.blocks[i] = nil
 			}
 		}
+		// Push free blocks in reverse so allocation starts at block 0.
 		p.free = p.free[:0]
 		for b := f.geom.BlocksPerPlane - 1; b >= 0; b-- {
 			p.free = append(p.free, b)
 		}
 		p.active = -1
 	}
-	f.allocCursor = 0
-	f.cwdp = allocationStripe(f.geom, opts.Allocation)
+	f.l2p.reset()
 	f.dropPendingGC()
-	f.refreshing = flash.BlockAddr{}
-	f.refreshingActive = false
-	f.stats = Stats{}
+	src := sim.NewCountedSource(opts.Seed ^ rngSeedMask)
+	// The keep-list: the pooled storage above the blank line survives, the
+	// per-run state below it is rebuilt, and every field left off starts
+	// from its zero value, exactly as in a new FTL.
+	*f = FTL{
+		geom: f.geom, l2p: f.l2p, planes: f.planes, order: order, blockPool: pool,
+		pendingGC: f.pendingGC, gcJobs: f.gcJobs, refreshJobs: f.refreshJobs, kept: f.kept,
+		freeReads: f.freeReads, freeMoves: f.freeMoves,
+
+		opts: opts, cells: flash.NewCellModel(opts.Code), rng: rand.New(src), rngSrc: src,
+		cwdp: allocationStripe(f.geom, opts.Allocation),
+	}
 	return nil
 }
 

@@ -19,14 +19,12 @@ type l2pTable struct {
 const maxDenseL2PEntries = 1 << 24
 
 // newL2P sizes the table for a device with the given page capacity. A
-// non-positive or over-cap capacity yields a pure sparse table.
+// non-positive or over-cap capacity yields a pure sparse table. The dense
+// side is allocated but not filled: reset empties the table before use.
 func newL2P(capacity int64) *l2pTable {
 	t := &l2pTable{}
 	if capacity > 0 && capacity <= maxDenseL2PEntries {
 		t.dense = make([]ppn, capacity)
-		for i := range t.dense {
-			t.dense[i] = noPPN
-		}
 	}
 	return t
 }

@@ -13,6 +13,7 @@ import (
 // the map, and the count tracks both sides.
 func TestL2PTableBasics(t *testing.T) {
 	tab := newL2P(8)
+	tab.reset()
 	if _, ok := tab.get(3); ok {
 		t.Fatal("empty table reports LPN 3 mapped")
 	}

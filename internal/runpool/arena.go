@@ -8,10 +8,15 @@
 // Devices are pooled by geometry — the one configuration axis Reset cannot
 // change, because every table is sized for it — and any other config field
 // (seed, coding, scheduler, faults, telemetry) may differ freely between
-// the run that returned a device and the run that reuses it. A reset device
-// is observably identical to a freshly built one, so pooled and unpooled
-// runs produce the same bytes; the facade's interleaved-reuse tests and the
-// CI determinism gates hold the pool to that contract.
+// the run that returned a device and the run that reuses it. ssd.New is a
+// sized shell plus the same Reset, so a reset device is a freshly built
+// one: pooled and unpooled runs produce the same bytes, and the facade's
+// interleaved-reuse tests and the CI determinism gates hold the pool to
+// that contract. Reset validates before it commits, so a config it rejects
+// fails the Get and the idle device stays parked, untouched.
+//
+// The one checkout path is Get/Put on an *Arena. A nil *Arena is the
+// unpooled path: Get builds a fresh device and Put drops it.
 //
 // Ownership rule: a device is either checked out (owned exclusively by one
 // run) or idle in the pool — never both. Callers must only Put a device
@@ -39,8 +44,8 @@ const DefaultIdlePerGeometry = 16
 type Stats struct {
 	// Hits is the number of Gets served by resetting an idle device.
 	Hits uint64 `json:"hits"`
-	// Misses is the number of Gets that built a fresh device (no idle
-	// device of the geometry, or a failed in-place reset).
+	// Misses is the number of Gets that built a fresh device because no
+	// idle device of the geometry was parked.
 	Misses uint64 `json:"misses"`
 	// Returns is the number of devices parked by Put.
 	Returns uint64 `json:"returns"`
@@ -73,42 +78,49 @@ func New(perGeom int) *Arena {
 // geometry reset in place when one is parked, a freshly built one
 // otherwise. The caller owns the device exclusively until it either Puts it
 // back (clean run) or drops it (failed run, or kept alive for follow-up
-// runs like RunWithFollowup).
+// runs like RunWithFollowup). A config the device rejects returns the error
+// and leaves the arena as it was: ssd.Reset validates before it commits, so
+// the idle device goes back untouched. A nil arena builds fresh devices.
 func (a *Arena) Get(cfg ssd.Config) (*ssd.SSD, error) {
-	for {
-		dev := a.take(cfg.Geometry)
-		if dev == nil {
-			a.count(func(s *Stats) { s.Misses++ })
-			return ssd.New(cfg)
-		}
-		if err := dev.Reset(cfg); err != nil {
-			// A failed reset leaves the device partially reinitialized;
-			// discard it and try the next candidate. Config errors fail
-			// again in ssd.New and surface there with the same message.
-			continue
-		}
-		a.count(func(s *Stats) { s.Hits++ })
-		return dev, nil
+	if a == nil {
+		return ssd.New(cfg)
 	}
+	dev := a.take(cfg.Geometry)
+	if dev == nil {
+		dev, err := ssd.New(cfg)
+		if err == nil {
+			a.mu.Lock()
+			a.stats.Misses++
+			a.mu.Unlock()
+		}
+		return dev, err
+	}
+	err := dev.Reset(cfg)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err != nil {
+		a.park(dev)
+		return nil, err
+	}
+	a.stats.Hits++
+	return dev, nil
 }
 
 // Put parks a device for reuse. Only devices whose run completed cleanly
-// may be returned; the arena trusts the caller on that. A nil device is a
-// no-op; devices over the per-geometry idle bound are dropped.
+// may be returned; the arena trusts the caller on that. A nil device, or a
+// nil arena, is a no-op; devices over the per-geometry idle bound are
+// dropped.
 func (a *Arena) Put(dev *ssd.SSD) {
-	if dev == nil {
+	if a == nil || dev == nil {
 		return
 	}
-	g := dev.Config().Geometry
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.idle[g]) >= a.perGeom {
+	if a.park(dev) {
+		a.stats.Returns++
+	} else {
 		a.stats.Dropped++
-		return
 	}
-	a.idle[g] = append(a.idle[g], dev)
-	a.stats.Returns++
-	a.stats.Idle++
 }
 
 // Stats returns a snapshot of the arena's counters.
@@ -127,6 +139,18 @@ func (a *Arena) Drain() {
 	a.stats.Idle = 0
 }
 
+// park appends a device to its geometry's idle list, reporting false when
+// the list is already at the idle bound. The caller holds a.mu.
+func (a *Arena) park(dev *ssd.SSD) bool {
+	g := dev.Config().Geometry
+	if len(a.idle[g]) >= a.perGeom {
+		return false
+	}
+	a.idle[g] = append(a.idle[g], dev)
+	a.stats.Idle++
+	return true
+}
+
 // take pops an idle device of the geometry, or nil.
 func (a *Arena) take(g flash.Geometry) *ssd.SSD {
 	a.mu.Lock()
@@ -140,11 +164,4 @@ func (a *Arena) take(g flash.Geometry) *ssd.SSD {
 	a.idle[g] = devs[:len(devs)-1]
 	a.stats.Idle--
 	return dev
-}
-
-// count applies a counter update under the lock.
-func (a *Arena) count(f func(*Stats)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	f(&a.stats)
 }

@@ -391,6 +391,20 @@ func (s *SSD) prefill(ctx context.Context, tr *workload.Trace) error {
 	return nil
 }
 
+// DeriveFTLMetrics fills the metrics computed from r.FTL — PowerProxy,
+// WriteAmplification and MeanProgramPower — so a device's results and an
+// array's merged results derive them by the same rule.
+func (r *Results) DeriveFTLMetrics() {
+	r.PowerProxy = r.FTL.ProgramPower
+	if hw := r.FTL.HostWrites; hw > 0 {
+		total := hw + r.FTL.GCMoves + r.FTL.RefreshMoves + r.FTL.IDACorruptedWrites
+		r.WriteAmplification = float64(total) / float64(hw)
+		if programs := total + r.FTL.ProgramFailures; programs > 0 {
+			r.MeanProgramPower = r.PowerProxy / float64(programs)
+		}
+	}
+}
+
 // results snapshots the run's measurements.
 func (s *SSD) results(name string) Results {
 	s.sampleUsage()
@@ -422,14 +436,7 @@ func (s *SSD) results(name string) Results {
 	}
 	r.Coding = s.f.CellModel().Code().Name()
 	r.Wear = s.f.WearStats()
-	r.PowerProxy = r.FTL.ProgramPower
-	if hw := r.FTL.HostWrites; hw > 0 {
-		total := hw + r.FTL.GCMoves + r.FTL.RefreshMoves + r.FTL.IDACorruptedWrites
-		r.WriteAmplification = float64(total) / float64(hw)
-		if programs := total + r.FTL.ProgramFailures; programs > 0 {
-			r.MeanProgramPower = r.PowerProxy / float64(programs)
-		}
-	}
+	r.DeriveFTLMetrics()
 	for _, d := range s.dies {
 		r.MeanDieUtilization += d.Utilization()
 	}

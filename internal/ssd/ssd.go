@@ -9,6 +9,7 @@ package ssd
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"idaflash/internal/ecc"
@@ -183,64 +184,22 @@ type SSD struct {
 	lastRefreshBusy     time.Duration
 }
 
-// New builds an SSD from the config.
+// New builds an SSD from the config. It allocates only what the geometry
+// fixes — the engine and the die and channel slots — and leaves every other
+// field, the FTL included, to Reset, the one initializer.
 func New(cfg Config) (*SSD, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	g := cfg.Geometry
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	s := &SSD{
-		cfg:      cfg,
+		cfg:      Config{Geometry: g},
 		engine:   sim.NewEngine(),
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x53534421)),
-		pageSize: cfg.Geometry.PageSizeBytes,
-		adm:      admission{maxDepth: cfg.MaxQueueDepth},
+		dies:     make([]*sim.Resource, g.Dies()),
+		channels: make([]*sim.Resource, g.Channels),
 	}
-	// The telemetry recorder hangs off the FTL's operation hooks, so it
-	// must exist before the FTL; hookFTL leaves cfg.FTL.Hooks nil when
-	// telemetry is disabled.
-	if cfg.Telemetry != nil {
-		s.tel = telemetry.New(*cfg.Telemetry)
-		s.dieWatch = &resourceWatch{}
-		s.chanWatch = &resourceWatch{}
-		cfg.FTL.Hooks = s.ftlHooks()
-	}
-	// The injector's media-failure draws feed the FTL through its
-	// FaultModel seam. Only a non-nil injector is installed: a typed nil
-	// in the interface would defeat the FTL's nil check.
-	if cfg.Faults != nil {
-		s.inj = faults.NewInjector(cfg.Faults, cfg.Seed, cfg.FaultDevice)
-		cfg.FTL.Faults = s.inj
-	}
-	f, err := ftl.New(cfg.FTL)
-	if err != nil {
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
-	}
-	s.f = f
-	// Every resource gets its own scheduler instance: schedulers hold the
-	// queue state.
-	sched := cfg.schedulerConfig()
-	s.dies = make([]*sim.Resource, cfg.Geometry.Dies())
-	for i := range s.dies {
-		inst, err := sched.New()
-		if err != nil {
-			return nil, err // unreachable: withDefaults validated the config
-		}
-		s.dies[i] = sim.NewResourceScheduled(s.engine, fmt.Sprintf("die%d", i), inst)
-		if s.dieWatch != nil {
-			s.dies[i].SetHook(s.dieWatch)
-		}
-	}
-	s.channels = make([]*sim.Resource, cfg.Geometry.Channels)
-	for i := range s.channels {
-		inst, err := sched.New()
-		if err != nil {
-			return nil, err
-		}
-		s.channels[i] = sim.NewResourceScheduled(s.engine, fmt.Sprintf("ch%d", i), inst)
-		if s.chanWatch != nil {
-			s.channels[i].SetHook(s.chanWatch)
-		}
 	}
 	return s, nil
 }
@@ -255,8 +214,9 @@ func New(cfg Config) (*SSD, error) {
 // reset device is observably identical to a fresh one: same rng streams,
 // same resource state, same zeroed accounting.
 //
-// Reset must not be called while a run is in progress. On error the device
-// is partially reinitialized and must be discarded, not reused.
+// Reset must not be called while a run is in progress. It validates cfg
+// before it changes anything: on error the device is untouched and stays
+// usable.
 func (s *SSD) Reset(cfg Config) error {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -265,90 +225,83 @@ func (s *SSD) Reset(cfg Config) error {
 	if cfg.Geometry != s.cfg.Geometry {
 		return fmt.Errorf("ssd: reset geometry %+v does not match device %+v", cfg.Geometry, s.cfg.Geometry)
 	}
-	sameSched := s.cfg.Scheduler == cfg.Scheduler && s.cfg.SchedulerMaxWait == cfg.SchedulerMaxWait
-
-	s.engine.Reset()
-	s.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x53534421))
-	clear(s.adm.queue)
-	s.adm = admission{maxDepth: cfg.MaxQueueDepth, queue: s.adm.queue[:0]}
-
-	// The telemetry recorder is rebuilt per run (never pooled): exported
-	// spans and series outlive the run, so they must not alias reused
-	// storage. Same for the injector — it is cheap and seed-derived.
-	s.tel, s.dieWatch, s.chanWatch = nil, nil, nil
+	// The telemetry recorder and the fault injector are rebuilt per run,
+	// never pooled: exported spans and series outlive the run, and the
+	// injector is cheap and seed-derived. Both feed the FTL — its operation
+	// hooks and its FaultModel seam — so they exist before it is built or
+	// reset. Only a non-nil injector is installed: a typed nil in the
+	// interface would defeat the FTL's nil check.
+	var tel *telemetry.Recorder
+	var dieWatch, chanWatch *resourceWatch
 	if cfg.Telemetry != nil {
-		s.tel = telemetry.New(*cfg.Telemetry)
-		s.dieWatch = &resourceWatch{}
-		s.chanWatch = &resourceWatch{}
+		tel, dieWatch, chanWatch = telemetry.New(*cfg.Telemetry), &resourceWatch{}, &resourceWatch{}
 		cfg.FTL.Hooks = s.ftlHooks()
 	}
-	s.inj = nil
+	var inj *faults.Injector
 	if cfg.Faults != nil {
-		s.inj = faults.NewInjector(cfg.Faults, cfg.Seed, cfg.FaultDevice)
-		cfg.FTL.Faults = s.inj
+		inj = faults.NewInjector(cfg.Faults, cfg.Seed, cfg.FaultDevice)
+		cfg.FTL.Faults = inj
 	}
-	if err := s.f.Reset(cfg.FTL); err != nil {
+	// The FTL validates before it commits too, so its rejection also
+	// leaves the device untouched.
+	f := s.f
+	if f == nil {
+		f, err = ftl.New(cfg.FTL)
+	} else {
+		err = f.Reset(cfg.FTL)
+	}
+	if err != nil {
 		return err
 	}
-	s.cfg = cfg
-	s.pageSize = cfg.Geometry.PageSizeBytes
 
-	// Resources reset in place when the scheduling discipline is unchanged;
-	// a different discipline rebuilds the per-resource scheduler instances
-	// exactly as New would.
-	sched := cfg.schedulerConfig()
-	for i := range s.dies {
-		if sameSched {
-			s.dies[i].Reset()
-		} else {
-			inst, err := sched.New()
-			if err != nil {
-				return err
-			}
-			s.dies[i] = sim.NewResourceScheduled(s.engine, fmt.Sprintf("die%d", i), inst)
-		}
-		if s.dieWatch != nil {
-			s.dies[i].SetHook(s.dieWatch)
-		}
-	}
-	for i := range s.channels {
-		if sameSched {
-			s.channels[i].Reset()
-		} else {
-			inst, err := sched.New()
-			if err != nil {
-				return err
-			}
-			s.channels[i] = sim.NewResourceScheduled(s.engine, fmt.Sprintf("ch%d", i), inst)
-		}
-		if s.chanWatch != nil {
-			s.channels[i].SetHook(s.chanWatch)
-		}
-	}
-
-	s.faultStats = FaultStats{}
-	s.failedReads = nil
-	s.lastHostDone = 0
-	s.busyStart = 0
-	s.busySpan = 0
-	s.phaseStart = 0
+	// Validation passed; everything below is infallible.
+	rebuild := s.f == nil || cfg.schedulerConfig() != s.cfg.schedulerConfig()
+	s.engine.Reset()
+	clear(s.adm.queue)
 	s.readResp.Reset()
 	s.writeResp.Reset()
-	s.readBytes, s.writeBytes = 0, 0
-	s.readReqs, s.writeReqs = 0, 0
-	s.unmapped = 0
-	s.gcBusy, s.refreshBusy = 0, 0
-	s.peakInUse, s.peakIDA = 0, 0
-	s.scanning = false
 	if s.scan != nil {
 		s.scan.moreWork = nil
 	}
-	s.dispatchStats = DispatchStats{}
-	s.flashStats = FlashStats{}
-	s.lastDieBusy, s.lastChanBusy = 0, 0
-	s.lastPerChanBusy = nil
-	s.lastGCBusy, s.lastRefreshBusy = 0, 0
+	// The keep-list: the pooled storage above the blank line survives, the
+	// per-run objects below it are installed, and every field left off
+	// starts from its zero value, exactly as in a new device.
+	*s = SSD{
+		engine: s.engine, dies: s.dies, channels: s.channels, readResp: s.readResp, writeResp: s.writeResp,
+		readOps: s.readOps, writeOps: s.writeOps, requests: s.requests,
+		gcOps: s.gcOps, refreshOps: s.refreshOps, scan: s.scan,
+		adm: admission{maxDepth: cfg.MaxQueueDepth, queue: s.adm.queue[:0]},
+
+		cfg: cfg, f: f, pageSize: cfg.Geometry.PageSizeBytes,
+		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x53534421)),
+		inj: inj, tel: tel, dieWatch: dieWatch, chanWatch: chanWatch,
+	}
+	s.resetResources(s.dies, "die", dieWatch, rebuild)
+	s.resetResources(s.channels, "ch", chanWatch, rebuild)
 	return nil
+}
+
+// resetResources is the one loop over a group of resources (the dies, or
+// the channels): each is rebuilt when rebuild is set — first use, or a
+// changed scheduling discipline, since every resource holds its own
+// scheduler's queue state — and reset in place otherwise; then the
+// telemetry watch, if any, is attached.
+func (s *SSD) resetResources(rs []*sim.Resource, name string, watch *resourceWatch, rebuild bool) {
+	for i, r := range rs {
+		if rebuild {
+			inst, err := s.cfg.schedulerConfig().New()
+			if err != nil {
+				panic(err) // unreachable: withDefaults validated the policy
+			}
+			r = sim.NewResourceScheduled(s.engine, name+strconv.Itoa(i), inst)
+			rs[i] = r
+		} else {
+			r.Reset()
+		}
+		if watch != nil {
+			r.SetHook(watch)
+		}
+	}
 }
 
 // fail aborts the in-progress run: the engine's loop stops after the event

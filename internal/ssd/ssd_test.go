@@ -238,6 +238,48 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestResetRejectsBeforeCommit: a config Reset rejects — at the device
+// level, at the FTL level, or for another geometry — leaves the device as
+// its last run left it, and a valid Reset afterwards still reproduces a
+// fresh device's run.
+func TestResetRejectsBeforeCommit(t *testing.T) {
+	tr := testTrace(t, "reset", 1000, 0.85)
+	cfg := testConfig(true, 0.2)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Run(tr, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, mapped, ftlStats := s.engine.Now(), s.FTL().MappedPages(), s.FTL().Stats()
+
+	badQueue, badFTL, badGeom := cfg, cfg, cfg
+	badQueue.MaxQueueDepth = -1
+	badFTL.FTL.ErrorRate = 2
+	badGeom.Geometry.BlocksPerPlane++
+	for name, bad := range map[string]Config{"queue": badQueue, "ftl": badFTL, "geometry": badGeom} {
+		if err := s.Reset(bad); err == nil {
+			t.Fatalf("%s: Reset accepted an invalid config", name)
+		}
+		if s.engine.Now() != now || s.FTL().MappedPages() != mapped || s.FTL().Stats() != ftlStats {
+			t.Fatalf("%s: rejected Reset changed the device", name)
+		}
+	}
+
+	if err := s.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Run(tr, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Scalars() != want.Scalars() {
+		t.Errorf("run after rejected Resets diverged from a fresh device:\nfresh %+v\nreset %+v", want.Scalars(), got.Scalars())
+	}
+}
+
 func TestRunGuards(t *testing.T) {
 	s, _ := New(testConfig(false, 0))
 	tr := testTrace(t, "guard", 500, 0.9)
