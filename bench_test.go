@@ -70,9 +70,11 @@ func BenchmarkFigure6(b *testing.B) { benchExperiment(b, experiments.Figure6) }
 // BenchmarkBlockUsage regenerates the Section III-C block accounting.
 func BenchmarkBlockUsage(b *testing.B) { benchExperiment(b, experiments.BlockUsage) }
 
-// BenchmarkSingleRun measures one full baseline simulation (prefill,
-// aging, timed replay; trace generation is cached across iterations by
-// workload.DefaultTraceCache, as it is across the runs of a sweep).
+// BenchmarkSingleRun measures one baseline run, warm and pooled: after
+// iteration 1 it is a snapshot restore into an arena device plus the timed
+// replay. Prefill and aging run only in iteration 1, so the per-op figure
+// does not time them; trace generation is cached across iterations by
+// workload.DefaultTraceCache, as it is across the runs of a sweep.
 func BenchmarkSingleRun(b *testing.B) {
 	p, err := idaflash.ProfileByName("hm_1", benchRequests)
 	if err != nil {
@@ -86,7 +88,9 @@ func BenchmarkSingleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleRunIDA measures one full IDA-E20 simulation.
+// BenchmarkSingleRunIDA measures one IDA-E20 run, warm and pooled: after
+// iteration 1 it is a snapshot restore into an arena device plus the timed
+// replay, as for BenchmarkSingleRun.
 func BenchmarkSingleRunIDA(b *testing.B) {
 	p, err := idaflash.ProfileByName("hm_1", benchRequests)
 	if err != nil {
@@ -168,28 +172,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Generate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSnapshotRestore measures a fully warm single run: the aged
-// device state is restored from the in-memory snapshot store instead of
-// replaying prefill, the aging preamble, and warmup. The gap to
-// BenchmarkSingleRunIDA is the preamble cost the snapshot path eliminates.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	p, err := idaflash.ProfileByName("hm_1", benchRequests)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the store (and the trace cache) before the timer.
-	if _, err := idaflash.RunWorkload(p, idaflash.IDA(0.2)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idaflash.RunWorkload(p, idaflash.IDA(0.2)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,51 +42,6 @@ type FaultModel interface {
 	EraseFails(addr flash.BlockAddr, eraseCount int) bool
 }
 
-// Hooks receives notifications of FTL-level operations as they are
-// decided, before their timing is charged. The telemetry layer hangs its
-// activity counters here; every field is optional and a nil *Hooks (the
-// default) costs one branch per operation and no allocations. Hooks must
-// not mutate FTL state.
-type Hooks struct {
-	// Read fires for every resolved host page read.
-	Read func(info ReadInfo)
-	// Write fires for every host page program.
-	Write func(prog PageProgram)
-	// GC fires once per completed garbage-collection job.
-	GC func(job *GCJob)
-	// Refresh fires once per completed refresh job.
-	Refresh func(job *RefreshJob)
-}
-
-// read dispatches the Read hook, tolerating nil receivers and fields.
-func (h *Hooks) read(info ReadInfo) {
-	if h != nil && h.Read != nil {
-		h.Read(info)
-	}
-}
-
-func (h *Hooks) write(prog PageProgram) {
-	if h != nil && h.Write != nil {
-		h.Write(prog)
-	}
-}
-
-// gc and refresh hand the hook a copy of the job: taking the address of the
-// caller's job would move every job to the heap, hooks installed or not.
-func (h *Hooks) gc(job *GCJob) {
-	if h != nil && h.GC != nil {
-		j := *job
-		h.GC(&j)
-	}
-}
-
-func (h *Hooks) refresh(job *RefreshJob) {
-	if h != nil && h.Refresh != nil {
-		j := *job
-		h.Refresh(&j)
-	}
-}
-
 // Options configures an FTL instance.
 type Options struct {
 	// Geometry is the physical device shape. Required.
@@ -132,8 +87,6 @@ type Options struct {
 	GCFreeBlocks int
 	// Seed drives the FTL's randomness (corruption draws, stagger).
 	Seed int64
-	// Hooks observes FTL operations (telemetry); nil disables.
-	Hooks *Hooks
 	// Faults injects media failures (program/erase); nil disables. The
 	// SSD model supplies the per-device injector from its fault scenario.
 	Faults FaultModel
@@ -148,6 +101,12 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Code.Bits() != o.Geometry.BitsPerCell {
 		return o, fmt.Errorf("ftl: scheme has %d bits but geometry says %d", o.Code.Bits(), o.Geometry.BitsPerCell)
+	}
+	// Stats.ReadsBySenses has one bucket per sensing count, so every read
+	// lands in a bucket and Σ n·ReadsBySenses[n] is the senses total. A
+	// merged wordline never needs more sensings than the code's slowest page.
+	if n := len(Stats{}.ReadsBySenses); o.Code.MaxSenses() >= n {
+		return o, fmt.Errorf("ftl: code %q needs up to %d sensings per read; Stats counts at most %d", o.Code.Name(), o.Code.MaxSenses(), n-1)
 	}
 	if o.ErrorRate < 0 || o.ErrorRate > 1 {
 		return o, fmt.Errorf("ftl: ErrorRate %v out of [0,1]", o.ErrorRate)

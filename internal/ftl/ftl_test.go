@@ -268,6 +268,24 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("case %d should fail", i)
 		}
 	}
+
+	// A code whose slowest page needs more sensings than Stats.ReadsBySenses
+	// has buckets is rejected: 5-bit ida needs 16, 4-bit ida needs 8.
+	dense := func(bits int) Options {
+		g := good
+		g.BitsPerCell = bits
+		code, err := coding.New("ida", bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Options{Geometry: g, Code: code}
+	}
+	if _, err := New(dense(5)); err == nil {
+		t.Error("5-bit ida should be rejected: its reads overflow ReadsBySenses")
+	}
+	if _, err := New(dense(4)); err != nil {
+		t.Errorf("4-bit ida: %v", err)
+	}
 }
 
 func TestMappedAndUsage(t *testing.T) {
@@ -368,55 +386,6 @@ func TestAllocationOrders(t *testing.T) {
 			t.Errorf("allocation %q accepted", bad)
 		}
 	}
-}
-
-// TestHooksObserveOperations drives writes, reads, GC, and refresh with
-// hooks installed and checks the callbacks agree with the stats counters.
-func TestHooksObserveOperations(t *testing.T) {
-	var reads, writes, gcJobs, gcMoves, refreshes int
-	hooks := &Hooks{
-		Read:    func(info ReadInfo) { reads++ },
-		Write:   func(prog PageProgram) { writes++ },
-		GC:      func(job *GCJob) { gcJobs++; gcMoves += len(job.Moves) },
-		Refresh: func(job *RefreshJob) { refreshes++ },
-	}
-	f := mustFTL(t, Options{
-		Geometry:      tinyGeom(),
-		RefreshPeriod: time.Minute,
-		Hooks:         hooks,
-	})
-	// Overwrite a small working set until GC has to run.
-	for i := 0; i < 200; i++ {
-		if _, err := f.Write(LPN(i%20), sim.Time(i)); err != nil {
-			t.Fatal(err)
-		}
-		mustCollectGC(t, f, sim.Time(i))
-	}
-	for i := 0; i < 20; i++ {
-		if _, ok := f.Read(LPN(i)); !ok {
-			t.Fatalf("LPN %d unmapped", i)
-		}
-	}
-	f.CloseActiveBlocks()
-	mustDueRefreshes(t, f, sim.Time(2*time.Minute))
-
-	s := f.Stats()
-	if uint64(writes) != s.HostWrites {
-		t.Errorf("write hooks = %d, stats = %d", writes, s.HostWrites)
-	}
-	if uint64(reads) != s.HostReads {
-		t.Errorf("read hooks = %d, stats = %d", reads, s.HostReads)
-	}
-	if uint64(gcJobs) != s.GCJobs || uint64(gcMoves) != s.GCMoves {
-		t.Errorf("gc hooks = %d jobs/%d moves, stats = %d/%d", gcJobs, gcMoves, s.GCJobs, s.GCMoves)
-	}
-	if gcJobs == 0 {
-		t.Error("workload never triggered GC; test is vacuous")
-	}
-	if uint64(refreshes) != s.Refreshes || refreshes == 0 {
-		t.Errorf("refresh hooks = %d, stats = %d", refreshes, s.Refreshes)
-	}
-	checkInvariants(t, f)
 }
 
 // TestUsageCountsIDAValidPages checks the merge-state page census.

@@ -172,6 +172,5 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 	if job.VictimWasIDA {
 		f.stats.GCIDAVictims++
 	}
-	f.opts.Hooks.gc(&job)
 	return job, true, nil
 }

@@ -74,13 +74,10 @@ func (f *FTL) Read(lpn LPN) (ReadInfo, bool) {
 	}
 	f.stats.HostReads++
 	f.stats.ReadsByClass[info.Class]++
-	if info.Senses < len(f.stats.ReadsBySenses) {
-		f.stats.ReadsBySenses[info.Senses]++
-	}
+	f.stats.ReadsBySenses[info.Senses]++
 	if info.IDA {
 		f.stats.ReadsFromIDA++
 	}
-	f.opts.Hooks.read(info)
 	return info, true
 }
 

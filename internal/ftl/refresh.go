@@ -217,7 +217,6 @@ func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob,
 		f.stats.IDACorruptedWrites += uint64(len(job.CorruptedMoves))
 		f.stats.IDAKeptPages += uint64(job.KeptPages)
 	}
-	f.opts.Hooks.refresh(&job)
 	return job, nil
 }
 

@@ -53,9 +53,7 @@ func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
 	b.rmap[page] = lpn
 	b.validCount++
 	f.stats.HostWrites++
-	prog := PageProgram{Addr: f.addrOf(p), LPN: lpn, FailedPrograms: failed}
-	f.opts.Hooks.write(prog)
-	return prog, nil
+	return PageProgram{Addr: f.addrOf(p), LPN: lpn, FailedPrograms: failed}, nil
 }
 
 // claimPage allocates the next page of the plane and runs the program past

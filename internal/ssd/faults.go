@@ -96,7 +96,6 @@ func (s *SSD) issueRead(lpn ftl.LPN, info ftl.ReadInfo, req *request, attempt in
 			return
 		}
 		s.faultStats.ReadRetries++
-		s.tel.CountFaultRetry()
 		s.engine.After(pol.BackoffAt(attempt), func() {
 			s.issueRead(lpn, info, req, attempt+1)
 		})
@@ -158,7 +157,6 @@ func (s *SSD) checkWriteOutage(prog ftl.PageProgram, req *request, attempt int) 
 		return true
 	}
 	s.faultStats.WriteRetries++
-	s.tel.CountFaultRetry()
 	s.engine.After(pol.BackoffAt(attempt), func() {
 		s.issueProgram(prog, req, attempt+1)
 	})

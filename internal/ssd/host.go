@@ -65,7 +65,7 @@ func (s *SSD) pageDone(req *request) {
 	}
 	now := s.engine.Now()
 	lat := now - req.arrived
-	s.tel.FinishRequest(req.sp, now, req.read)
+	s.tel.FinishRequest(req.sp, now)
 	if req.failed {
 		if req.read {
 			s.faultStats.FailedReadRequests++

@@ -177,11 +177,8 @@ type SSD struct {
 	// Telemetry (nil when disabled; see telemetry.go).
 	tel                 *telemetry.Recorder
 	dieWatch, chanWatch *resourceWatch
-	lastDieBusy         time.Duration
-	lastChanBusy        time.Duration
+	lastTotals          sampleTotals
 	lastPerChanBusy     []time.Duration
-	lastGCBusy          time.Duration
-	lastRefreshBusy     time.Duration
 }
 
 // New builds an SSD from the config. It allocates only what the geometry
@@ -227,15 +224,14 @@ func (s *SSD) Reset(cfg Config) error {
 	}
 	// The telemetry recorder and the fault injector are rebuilt per run,
 	// never pooled: exported spans and series outlive the run, and the
-	// injector is cheap and seed-derived. Both feed the FTL — its operation
-	// hooks and its FaultModel seam — so they exist before it is built or
-	// reset. Only a non-nil injector is installed: a typed nil in the
-	// interface would defeat the FTL's nil check.
+	// injector is cheap and seed-derived. The injector feeds the FTL's
+	// FaultModel seam, so it exists before the FTL is built or reset. Only
+	// a non-nil injector is installed: a typed nil in the interface would
+	// defeat the FTL's nil check.
 	var tel *telemetry.Recorder
 	var dieWatch, chanWatch *resourceWatch
 	if cfg.Telemetry != nil {
 		tel, dieWatch, chanWatch = telemetry.New(*cfg.Telemetry), &resourceWatch{}, &resourceWatch{}
-		cfg.FTL.Hooks = s.ftlHooks()
 	}
 	var inj *faults.Injector
 	if cfg.Faults != nil {

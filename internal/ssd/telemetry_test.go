@@ -57,7 +57,7 @@ func TestTelemetryRecordsSpansAndSamples(t *testing.T) {
 	}
 	iv := e.SampleInterval
 	start := e.Samples[0].At
-	var reads, writes uint64
+	var reads, writes, readPages, senses, gcMoves uint64
 	for i := range e.Samples {
 		sm := &e.Samples[i]
 		if want := start + time.Duration(i)*iv; sm.At != want {
@@ -79,6 +79,9 @@ func TestTelemetryRecordsSpansAndSamples(t *testing.T) {
 		}
 		reads += sm.ReadsDone
 		writes += sm.WritesDone
+		readPages += sm.ReadPages
+		senses += sm.Senses
+		gcMoves += sm.GCMoves
 	}
 	// Completions between the last sample and the end of the run are not
 	// sampled, so the time series can only undercount.
@@ -88,6 +91,19 @@ func TestTelemetryRecordsSpansAndSamples(t *testing.T) {
 	}
 	if reads == 0 {
 		t.Fatal("time series saw no read completions")
+	}
+	// The activity columns are deltas of the FTL's own counters, so they
+	// too can only undercount the run's totals.
+	var runSenses uint64
+	for n, c := range res.FTL.ReadsBySenses {
+		runSenses += uint64(n) * c
+	}
+	if readPages > res.FTL.HostReads || senses > runSenses || gcMoves > res.FTL.GCMoves {
+		t.Fatalf("time series counted %d read pages, %d senses, %d GC moves; run had %d, %d, %d",
+			readPages, senses, gcMoves, res.FTL.HostReads, runSenses, res.FTL.GCMoves)
+	}
+	if readPages == 0 || senses < readPages {
+		t.Fatalf("time series saw %d read pages costing %d senses", readPages, senses)
 	}
 }
 
@@ -167,6 +183,14 @@ func TestTelemetrySpanSampling(t *testing.T) {
 	want := (measured + 3) / 4
 	if got := uint64(len(res.Telemetry.Spans)); got != want {
 		t.Fatalf("sampled %d spans of %d requests with SampleEvery=4, want %d", got, measured, want)
+	}
+	// The time series counts every completion, sampled or not.
+	var done uint64
+	for _, sm := range res.Telemetry.Samples {
+		done += sm.ReadsDone + sm.WritesDone
+	}
+	if done <= want {
+		t.Fatalf("time series counted %d completions, no more than the %d sampled spans", done, want)
 	}
 }
 

@@ -21,12 +21,11 @@ func disabledRequest(r *Recorder) {
 	sp := r.StartRequest(0, true, 8192)
 	sp.Admit(10)
 	for p := 0; p < 2; p++ {
-		r.CountRead(4, false)
 		sp.AddPhase(StageQueue, 10, 20)
 		sp.AddPhase(StageFlash, 20, 120)
 		sp.AddPhase(StageECC, 120, 140)
 	}
-	r.FinishRequest(sp, 140, true)
+	r.FinishRequest(sp, 140)
 }
 
 func TestDisabledHooksAllocateNothing(t *testing.T) {

@@ -136,8 +136,10 @@ type Config struct {
 // DefaultSpanCapacity is the span ring size when Config.SpanCapacity is 0.
 const DefaultSpanCapacity = 1 << 14
 
-// Recorder accumulates spans and samples for one device. All methods are
-// nil-safe: a nil *Recorder disables recording at the cost of one branch
+// Recorder accumulates spans and samples for one device. It counts no
+// device activity itself: the device builds each Sample, its Activity
+// included, from its own running totals and hands it to Record. All methods
+// are nil-safe: a nil *Recorder disables recording at the cost of one branch
 // per hook, with no allocations (see bench_test.go).
 type Recorder struct {
 	cfg      Config
@@ -149,7 +151,6 @@ type Recorder struct {
 	dropped uint64
 
 	samples []Sample
-	acc     Activity // activity accumulated since the last sample
 }
 
 // New builds a Recorder. The zero Config records every request's span and
@@ -203,18 +204,9 @@ func (r *Recorder) StartRequest(arrived time.Duration, read bool, bytes int) *Sp
 }
 
 // FinishRequest stamps the span's completion and commits it to the ring
-// buffer. It also counts the completion into the current activity interval
-// for every request, sampled or not. Nil-safe on both receiver and span.
-func (r *Recorder) FinishRequest(sp *Span, now time.Duration, read bool) {
-	if r == nil {
-		return
-	}
-	if read {
-		r.acc.ReadsDone++
-	} else {
-		r.acc.WritesDone++
-	}
-	if sp == nil {
+// buffer. Nil-safe on both receiver and span.
+func (r *Recorder) FinishRequest(sp *Span, now time.Duration) {
+	if r == nil || sp == nil {
 		return
 	}
 	sp.Completed = now
@@ -229,68 +221,6 @@ func (r *Recorder) FinishRequest(sp *Span, now time.Duration, read bool) {
 	}
 	r.filled = true
 	r.dropped++
-}
-
-// CountRead accounts one FTL host page read into the current interval.
-func (r *Recorder) CountRead(senses int, ida bool) {
-	if r == nil {
-		return
-	}
-	r.acc.ReadPages++
-	r.acc.Senses += uint64(senses)
-	if ida {
-		r.acc.IDAReadPages++
-	}
-}
-
-// CountWrite accounts one FTL host page program into the current interval.
-func (r *Recorder) CountWrite() {
-	if r == nil {
-		return
-	}
-	r.acc.WritePages++
-}
-
-// CountGC accounts one garbage-collection job into the current interval.
-func (r *Recorder) CountGC(moves int) {
-	if r == nil {
-		return
-	}
-	r.acc.GCJobs++
-	r.acc.GCMoves += uint64(moves)
-}
-
-// CountRefresh accounts one refresh job into the current interval.
-func (r *Recorder) CountRefresh(moves, adjustedWLs int, ida bool) {
-	if r == nil {
-		return
-	}
-	r.acc.Refreshes++
-	r.acc.RefreshMoves += uint64(moves)
-	r.acc.AdjustedWLs += uint64(adjustedWLs)
-	if ida {
-		r.acc.IDARefreshes++
-	}
-}
-
-// CountFaultRetry accounts one host-path fault retry (a flash command
-// re-issued after an injected outage or timeout) into the current interval.
-func (r *Recorder) CountFaultRetry() {
-	if r == nil {
-		return
-	}
-	r.acc.FaultRetries++
-}
-
-// TakeActivity returns the activity accumulated since the previous call
-// and resets the accumulator; the device's sampler calls it once per tick.
-func (r *Recorder) TakeActivity() Activity {
-	if r == nil {
-		return Activity{}
-	}
-	a := r.acc
-	r.acc = Activity{}
-	return a
 }
 
 // Record appends one time-series sample. The caller supplies everything

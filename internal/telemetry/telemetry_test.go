@@ -21,7 +21,7 @@ func record(t *testing.T, cfg Config, n int) *Recorder {
 		sp.AddPhase(StageQueue, at+ms(1), at+ms(2))
 		sp.AddPhase(StageFlash, at+ms(2), at+ms(3))
 		sp.AddPhase(StageECC, at+ms(3), at+ms(4))
-		r.FinishRequest(sp, at+ms(4), i%2 == 0)
+		r.FinishRequest(sp, at+ms(4))
 	}
 	return r
 }
@@ -62,17 +62,13 @@ func TestSamplingEveryNth(t *testing.T) {
 		if sp != nil {
 			kept++
 		}
-		r.FinishRequest(sp, ms(int64(i)+1), true)
+		r.FinishRequest(sp, ms(int64(i)+1))
 	}
 	if kept != 4 { // arrivals 1, 4, 7, 10
 		t.Fatalf("sampled %d spans of 10 with SampleEvery=3, want 4", kept)
 	}
 	if got := r.Export().Spans; len(got) != 4 {
 		t.Fatalf("exported %d spans, want 4", len(got))
-	}
-	// Completions count even for unsampled requests.
-	if a := r.TakeActivity(); a.ReadsDone != 10 {
-		t.Fatalf("ReadsDone = %d, want 10", a.ReadsDone)
 	}
 }
 
@@ -150,11 +146,6 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestCSVSchemaAndDeterminism(t *testing.T) {
 	build := func() *Export {
 		r := New(Config{MetricsInterval: ms(10)})
-		r.CountRead(4, false)
-		r.CountRead(2, true)
-		r.CountWrite()
-		r.CountGC(7)
-		r.CountRefresh(3, 2, true)
 		r.Record(Sample{
 			At: ms(10), HostInFlight: 3, HostQueued: 1,
 			DiesBusy: 2, ChannelsBusy: 1, DieQueued: 4, ChanQueued: 2,
@@ -162,9 +153,13 @@ func TestCSVSchemaAndDeterminism(t *testing.T) {
 			DieBusy: ms(5), ChanBusy: ms(3),
 			PerChannelBusy: []time.Duration{ms(1), ms(2)},
 			FreeBlocks:     8, InUseBlocks: 4, IDABlocks: 1, IDAValidPages: 96,
-			Activity: r.TakeActivity(),
+			Activity: Activity{
+				ReadPages: 2, Senses: 6, IDAReadPages: 1, WritePages: 1,
+				GCJobs: 1, GCMoves: 7,
+				Refreshes: 1, RefreshMoves: 3, AdjustedWLs: 2, IDARefreshes: 1,
+			},
 		})
-		r.Record(Sample{At: ms(20), PerChannelBusy: []time.Duration{0, ms(4)}, Activity: r.TakeActivity()})
+		r.Record(Sample{At: ms(20), PerChannelBusy: []time.Duration{0, ms(4)}})
 		return r.Export()
 	}
 	var a, b bytes.Buffer
@@ -212,10 +207,10 @@ func TestCSVSchemaAndDeterminism(t *testing.T) {
 			t.Errorf("column %s = %s, want %s", col, row1[i], want)
 		}
 	}
-	// The second TakeActivity must have been reset by the first.
+	// Each row carries only its own sample's activity.
 	row2 := strings.Split(lines[2], ",")
 	if row2[idx["read_pages"]] != "0" {
-		t.Errorf("activity not reset between intervals: read_pages = %s", row2[idx["read_pages"]])
+		t.Errorf("second row read_pages = %s, want 0", row2[idx["read_pages"]])
 	}
 }
 
@@ -224,7 +219,7 @@ func TestMergeExportsOrdersStreams(t *testing.T) {
 		r := New(Config{Device: dev, MetricsInterval: ms(10)})
 		for i := int64(0); i < 3; i++ {
 			sp := r.StartRequest(ms(base+10*i), true, 1024)
-			r.FinishRequest(sp, ms(base+10*i+5), true)
+			r.FinishRequest(sp, ms(base+10*i+5))
 			r.Record(Sample{At: ms(10 * (i + 1))})
 		}
 		return r.Export()
@@ -267,15 +262,8 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 	sp.Admit(ms(1))
 	sp.AddPhase(StageFlash, 0, ms(1))
-	r.FinishRequest(sp, ms(2), true)
-	r.CountRead(4, true)
-	r.CountWrite()
-	r.CountGC(3)
-	r.CountRefresh(1, 1, false)
+	r.FinishRequest(sp, ms(2))
 	r.Record(Sample{})
-	if a := r.TakeActivity(); a != (Activity{}) {
-		t.Fatalf("nil recorder accumulated activity %+v", a)
-	}
 	if r.Interval() != 0 || r.Device() != 0 {
 		t.Fatal("nil recorder reported non-zero config")
 	}

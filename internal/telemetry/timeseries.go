@@ -11,7 +11,10 @@ import (
 
 // Activity counts the device operations that happened within one sampling
 // interval. All fields are per-interval deltas, not cumulative totals, so
-// plotting a column directly shows activity over time.
+// plotting a column directly shows activity over time. The device's sampler
+// computes them as differences of the running totals it already reports
+// (the FTL counters, the fault retry counters and the completed request
+// counts), so the columns sum to the run's totals over the sampled span.
 type Activity struct {
 	// ReadsDone and WritesDone count host requests completed.
 	ReadsDone  uint64

@@ -20,7 +20,7 @@ label="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo local)}"
 count="${2:-5}"
 out="BENCH_${label}.json"
 
-benches='BenchmarkEngine$|BenchmarkSingleRun$|BenchmarkSingleRunIDA$|BenchmarkCodingMerge$|BenchmarkCodingPlan$|BenchmarkTraceGeneration$|BenchmarkSnapshotRestore$|BenchmarkFigure8Snapshotted$|BenchmarkFarmThroughput$'
+benches='BenchmarkEngine$|BenchmarkSingleRun$|BenchmarkSingleRunIDA$|BenchmarkCodingMerge$|BenchmarkCodingPlan$|BenchmarkTraceGeneration$|BenchmarkFigure8Snapshotted$|BenchmarkFarmThroughput$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
