@@ -40,8 +40,6 @@ import (
 	"time"
 
 	"idaflash"
-	"idaflash/internal/array"
-	"idaflash/internal/ssd"
 	"idaflash/internal/workload"
 )
 
@@ -172,30 +170,27 @@ func main() {
 		}()
 	}
 
-	var res idaflash.Results
-	var per []idaflash.Results
-	var deg *idaflash.DegradedStats
+	var ar idaflash.ArrayResults
 	if *tracePath != "" {
-		res, per, deg, err = runTrace(*tracePath, sys)
+		ar, err = runTrace(*tracePath, sys)
 	} else {
 		var p idaflash.Profile
-		p, err = idaflash.ProfileByName(*name, *requests)
-		if err == nil {
-			if sys.Devices > 1 {
-				var ar idaflash.ArrayResults
-				ar, err = idaflash.RunArrayWorkload(p, sys)
-				res, per = ar.Combined, ar.PerDevice
-				if ar.Parity {
-					deg = &ar.Degraded
-				}
-			} else {
-				res, err = idaflash.RunWorkload(p, sys)
-			}
+		if p, err = idaflash.ProfileByName(*name, *requests); err == nil {
+			ar, err = idaflash.RunArrayWorkload(p, sys)
 		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	res := ar.Combined
+	var per []idaflash.Results
+	if *perDevice && ar.Devices > 1 {
+		per = ar.PerDevice
+	}
+	var deg *idaflash.DegradedStats
+	if ar.Parity {
+		deg = &ar.Degraded
 	}
 	if res.Telemetry != nil {
 		if *traceOut != "" {
@@ -221,94 +216,39 @@ func main() {
 			idaflash.Results
 			Degraded  *idaflash.DegradedStats `json:",omitempty"`
 			PerDevice []idaflash.Results      `json:",omitempty"`
-		}{sys.Name, string(policy), max(1, sys.Devices), res, deg, nil}
-		if *perDevice {
-			out.PerDevice = per
-		}
+		}{sys.Name, string(policy), ar.Devices, res, deg, per}
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	report(sys, policy, res)
+	report(sys, policy, ar, res)
 	if deg != nil {
 		fmt.Printf("degraded reads:       %d rebuilt, %d lost (%d rebuild requests)\n",
 			deg.DegradedExtents, deg.LostExtents, deg.ReconRequests)
 	}
-	if *perDevice {
-		for d, r := range per {
-			fmt.Printf("\n--- device %d ---\n", d)
-			report(sys, policy, r)
-		}
+	for d, r := range per {
+		fmt.Printf("\n--- device %d ---\n", d)
+		report(sys, policy, ar, r)
 	}
 }
 
 // runTrace replays an MSR CSV file on a device (or array) sized for it.
-func runTrace(path string, sys idaflash.System) (idaflash.Results, []idaflash.Results, *idaflash.DegradedStats, error) {
+func runTrace(path string, sys idaflash.System) (idaflash.ArrayResults, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return idaflash.Results{}, nil, nil, err
+		return idaflash.ArrayResults{}, err
 	}
 	defer f.Close()
 	tr, err := workload.ParseMSR(path, f)
 	if err != nil {
-		return idaflash.Results{}, nil, nil, err
+		return idaflash.ArrayResults{}, err
 	}
-	stats := tr.Stats()
-	// Build the device around the trace footprint; BuildConfig handles
-	// timing, refresh period, and the ECC regime.
-	p := idaflash.Profile{
-		Name:        "trace",
-		ReadRatio:   stats.ReadRatio,
-		MeanReadKB:  stats.MeanReadKB,
-		FootprintMB: stats.FootprintMB + 1,
-		Requests:    stats.Requests,
-		Duration:    stats.Span + time.Second,
-	}
-	if p.MeanReadKB == 0 {
-		p.MeanReadKB = 8
-	}
-	if sys.Devices > 1 {
-		// Size each member for its stripe share of the footprint (its
-		// data share plus rotated parity comes to 1/(devices-1) with
-		// parity enabled).
-		shares := sys.Devices
-		if sys.Parity {
-			shares = sys.Devices - 1
-		}
-		pdev := p
-		pdev.FootprintMB = p.FootprintMB/float64(shares) + 1
-		cfg, _, err := idaflash.BuildConfig(pdev, sys)
-		if err != nil {
-			return idaflash.Results{}, nil, nil, err
-		}
-		arr, err := array.New(array.Config{
-			Devices: sys.Devices, StripeKB: sys.StripeKB, Parity: sys.Parity, Device: cfg,
-		})
-		if err != nil {
-			return idaflash.Results{}, nil, nil, err
-		}
-		res, err := arr.Run(tr, ssd.RunOptions{})
-		var deg *idaflash.DegradedStats
-		if res.Parity {
-			deg = &res.Degraded
-		}
-		return res.Combined, res.PerDevice, deg, err
-	}
-	cfg, _, err := idaflash.BuildConfig(p, sys)
-	if err != nil {
-		return idaflash.Results{}, nil, nil, err
-	}
-	dev, err := idaflash.NewSSD(cfg)
-	if err != nil {
-		return idaflash.Results{}, nil, nil, err
-	}
-	res, err := dev.Run(tr, ssd.RunOptions{})
-	return res, nil, nil, err
+	return idaflash.RunTrace(tr, sys)
 }
 
-func report(sys idaflash.System, policy idaflash.SchedulerPolicy, r idaflash.Results) {
+func report(sys idaflash.System, policy idaflash.SchedulerPolicy, ar idaflash.ArrayResults, r idaflash.Results) {
 	fmt.Printf("system:               %s\n", sys.Name)
 	fmt.Printf("coding:               %s\n", r.Coding)
 	fmt.Printf("scheduler:            %s\n", policy)
@@ -319,12 +259,8 @@ func report(sys idaflash.System, policy idaflash.SchedulerPolicy, r idaflash.Res
 		}
 		fmt.Printf("fault scenario:       %s\n", label)
 	}
-	if sys.Devices > 1 {
-		stripe := sys.StripeKB
-		if stripe == 0 {
-			stripe = array.DefaultStripeKB
-		}
-		fmt.Printf("array:                %d devices, %d KiB stripe\n", sys.Devices, stripe)
+	if ar.Devices > 1 {
+		fmt.Printf("array:                %d devices, %d KiB stripe\n", ar.Devices, ar.StripeKB)
 	}
 	fmt.Printf("trace:                %s\n", r.Trace)
 	fmt.Printf("read requests:        %d\n", r.ReadRequests)

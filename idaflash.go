@@ -93,7 +93,7 @@ type (
 	LifetimePhase = ecc.LifetimePhase
 	// Results carries everything one simulation run measures.
 	Results = ssd.Results
-	// RunOptions controls warmup and prefill.
+	// RunOptions carries a run's aging preamble and snapshot store.
 	RunOptions = ssd.RunOptions
 	// SchedulerPolicy names a die/channel scheduling discipline.
 	SchedulerPolicy = sim.Policy
@@ -314,7 +314,8 @@ type System struct {
 	SchedulerMaxWait time.Duration
 	// Devices stripes the workload RAID-0-style across this many
 	// independent devices, each sized for its share of the footprint.
-	// 0 or 1 means a single device.
+	// 0 or 1 means a single device: a one-member array holding the whole
+	// footprint.
 	Devices int
 	// StripeKB is the array stripe unit in KiB; zero uses the array
 	// default (64). Only meaningful with Devices > 1.
@@ -499,7 +500,7 @@ var DefaultSnapshots = snapshot.NewStore(0)
 // geometry: a sweep worker's next point resets the previous point's device
 // in place (engine heap, dense L2P, block tables, histograms, op pools all
 // reused) instead of reallocating them. Checkout and return are automatic
-// in RunWorkload/RunArrayWorkload; System.NoPool opts a run out. Devices
+// in every run entry point; System.NoPool opts a run out. Devices
 // are only parked after cleanly completed runs, so a failed or cancelled
 // run can never leak mid-run state into a later one.
 var DefaultArena = runpool.New(0)
@@ -596,14 +597,12 @@ type snapshotKeyData struct {
 	FTLSeed         int64
 	Seed            int64
 	Faults          *FaultScenario
-	Warmup          float64
-	SkipPrefill     bool
 }
 
 // snapshotKey builds the cache key for one device's aged state. It fails
 // soft like the trace-cache key: an unencodable scenario yields "" and the
 // run simply replays uncached.
-func snapshotKey(p Profile, cfg SSDConfig, opts RunOptions) string {
+func snapshotKey(p Profile, cfg SSDConfig) string {
 	b, err := json.Marshal(snapshotKeyData{
 		Codec:           snapshot.CodecVersion,
 		Profile:         p,
@@ -617,8 +616,6 @@ func snapshotKey(p Profile, cfg SSDConfig, opts RunOptions) string {
 		FTLSeed:         cfg.FTL.Seed,
 		Seed:            cfg.Seed,
 		Faults:          cfg.Faults,
-		Warmup:          opts.WarmupFraction,
-		SkipPrefill:     opts.SkipPrefill,
 	})
 	if err != nil {
 		return ""
@@ -626,10 +623,10 @@ func snapshotKey(p Profile, cfg SSDConfig, opts RunOptions) string {
 	return string(b)
 }
 
-// RunWorkload generates the profile's trace and runs it on a device — or,
-// when sys.Devices > 1, a striped array of devices — built for the system
-// description, returning the measurements. Two calls with identical
-// arguments produce identical results.
+// RunWorkload generates the profile's trace and runs it on the device set
+// built for the system description — one device, or a striped array of
+// sys.Devices — returning the (merged) measurements. Two calls with
+// identical arguments produce identical results.
 func RunWorkload(p Profile, sys System) (Results, error) {
 	return RunWorkloadContext(context.Background(), p, sys)
 }
@@ -645,24 +642,15 @@ func RunWorkload(p Profile, sys System) (Results, error) {
 // invariant violation in the simulation surfaces as a *sim.InvariantError
 // (see IsInvariantError).
 func RunWorkloadContext(ctx context.Context, p Profile, sys System) (Results, error) {
-	if sys.Devices > 1 || sys.Parity {
-		res, err := RunArrayWorkloadContext(ctx, p, sys)
-		return res.Combined, err
-	}
-	r, dev, err := runWorkload(ctx, p, sys)
-	// Results share no memory with the device, so a cleanly finished
-	// device goes back to the arena for the sweep's next point. Failed or
-	// cancelled runs drop the device: its engine may hold undrained events.
-	if err == nil {
-		sys.arena().Put(dev)
-	}
-	return r, err
+	res, err := RunArrayWorkloadContext(ctx, p, sys)
+	return res.Combined, err
 }
 
 // RunArrayWorkload runs the profile on a striped array of sys.Devices
 // devices, each sized for its share of the workload footprint, and returns
 // both the merged and the per-device measurements. sys.Devices of 0 or 1
-// runs a one-device array.
+// runs a one-member array: one device holding the whole footprint, whose
+// Combined results are its own.
 func RunArrayWorkload(p Profile, sys System) (ArrayResults, error) {
 	return RunArrayWorkloadContext(context.Background(), p, sys)
 }
@@ -672,82 +660,97 @@ func RunArrayWorkload(p Profile, sys System) (ArrayResults, error) {
 // member's failure cancels its siblings instead of letting them run on. The
 // merged partial stats accompany any error.
 func RunArrayWorkloadContext(ctx context.Context, p Profile, sys System) (ArrayResults, error) {
-	devices := sys.Devices
-	if devices < 1 {
-		devices = 1
-	}
-	np, err := p.Normalize()
-	if err != nil {
-		return ArrayResults{}, err
-	}
-	// Each member device holds ~1/devices of the striped footprint — or,
-	// with parity, 1/(devices-1) of it, since the rotated parity units
-	// bring every member's share up to a data stripe's worth. Size the
-	// geometry for that share (plus a stripe of rounding slack).
-	pdev := np
-	shares := devices
-	if sys.Parity {
-		if devices < 3 {
-			return ArrayResults{}, &ConfigError{Field: "Parity", Reason: fmt.Sprintf("needs Devices >= 3, have %d", devices)}
-		}
-		shares = devices - 1
-	}
-	pdev.FootprintMB = np.FootprintMB/float64(shares) + 1
-	cfg, _, err := BuildConfig(pdev, sys)
-	if err != nil {
-		return ArrayResults{}, err
-	}
-	tr, pre, err := workload.DefaultTraceCache.Traces(np)
-	if err != nil {
-		return ArrayResults{}, err
-	}
-	arr, err := array.New(array.Config{
-		Devices: devices, StripeKB: sys.StripeKB, Parity: sys.Parity, Device: cfg, Pool: sys.arena(),
-	})
-	if err != nil {
-		return ArrayResults{}, err
-	}
-	opts := RunOptions{Preamble: pre}
-	if !sys.NoSnapshot {
-		// The base key covers the full profile (the trace every member's
-		// split derives from) and the member template config; the array
-		// layer suffixes each member's index and the stripe topology.
-		if key := snapshotKey(np, cfg, opts); key != "" {
-			opts.Snapshots, opts.SnapshotKey = DefaultSnapshots, key
-		}
-	}
-	res, err := arr.RunContext(ctx, tr, opts)
+	res, arr, err := runArray(ctx, p, nil, sys)
+	// Results share no memory with the devices, so a cleanly finished
+	// array goes back to the arena for the sweep's next point. Failed or
+	// cancelled runs drop their devices: their engines may hold undrained
+	// events.
 	if err == nil {
 		arr.Release()
 	}
 	return res, err
 }
 
-func runWorkload(ctx context.Context, p Profile, sys System) (Results, *SSD, error) {
-	cfg, p, err := BuildConfig(p, sys)
-	if err != nil {
-		return Results{}, nil, err
+// RunTrace replays a host trace — typically a parsed MSR Cambridge CSV (see
+// workload.ParseMSR) — on the device set built for the system description,
+// sized from the trace's own footprint, span and read mix.
+func RunTrace(tr *Trace, sys System) (ArrayResults, error) {
+	st := tr.Stats()
+	p := Profile{
+		Name:        "trace",
+		ReadRatio:   st.ReadRatio,
+		MeanReadKB:  st.MeanReadKB,
+		FootprintMB: st.FootprintMB + 1,
+		Requests:    st.Requests,
+		Duration:    st.Span + time.Second,
 	}
-	// The trace depends only on the (normalized) profile, never on the
-	// system, so one cached generation backs every system evaluated on
-	// this profile. The simulator replays the shared trace through a
-	// cursor without mutating it.
-	tr, pre, err := workload.DefaultTraceCache.Traces(p)
-	if err != nil {
-		return Results{}, nil, err
+	if p.MeanReadKB == 0 {
+		p.MeanReadKB = 8 // a write-only trace; any positive size builds the device
 	}
-	dev, err := sys.arena().Get(cfg)
-	if err != nil {
-		return Results{}, nil, err
+	res, arr, err := runArray(context.Background(), p, tr, sys)
+	if err == nil {
+		arr.Release()
 	}
-	opts := RunOptions{Preamble: pre}
-	if !sys.NoSnapshot {
-		if key := snapshotKey(p, cfg, opts); key != "" {
-			opts.Snapshots, opts.SnapshotKey = DefaultSnapshots, key
+	return res, err
+}
+
+// runArray is the one run path: it sizes sys's device set for the profile,
+// checks the members out of the system's arena, and replays a trace on them.
+// A nil tr replays the profile's cached synthetic trace after its aging
+// preamble, restoring the aged state from DefaultSnapshots unless
+// sys.NoSnapshot; a given trace is replayed as is and never snapshotted,
+// since the profile does not identify its contents. The array is returned
+// still checked out; the caller releases it after a clean run.
+func runArray(ctx context.Context, p Profile, tr *Trace, sys System) (ArrayResults, *Array, error) {
+	devices := max(sys.Devices, 1)
+	np, err := p.Normalize()
+	if err != nil {
+		return ArrayResults{}, nil, err
+	}
+	if sys.Parity && devices < 3 {
+		return ArrayResults{}, nil, &ConfigError{Field: "Parity", Reason: fmt.Sprintf("needs Devices >= 3, have %d", devices)}
+	}
+	// A lone device holds the whole footprint. An array member holds
+	// ~1/devices of it — or, with parity, 1/(devices-1), since the rotated
+	// parity units bring every member's share up to a data stripe's worth —
+	// so size its geometry for that share plus a stripe of rounding slack.
+	pdev := np
+	if devices > 1 {
+		shares := devices
+		if sys.Parity {
+			shares--
+		}
+		pdev.FootprintMB = np.FootprintMB/float64(shares) + 1
+	}
+	cfg, _, err := BuildConfig(pdev, sys)
+	if err != nil {
+		return ArrayResults{}, nil, err
+	}
+	var opts RunOptions
+	if tr == nil {
+		// The trace depends only on the normalized profile, never on the
+		// system, so one cached generation backs every system evaluated on
+		// it; the simulator replays it through a cursor without mutating it.
+		if tr, opts.Preamble, err = workload.DefaultTraceCache.Traces(np); err != nil {
+			return ArrayResults{}, nil, err
+		}
+		if !sys.NoSnapshot {
+			// The base key covers the full profile and the member
+			// template config; a multi-device array suffixes each
+			// member's index and the stripe topology.
+			if key := snapshotKey(np, cfg); key != "" {
+				opts.Snapshots, opts.SnapshotKey = DefaultSnapshots, key
+			}
 		}
 	}
-	res, err := dev.RunContext(ctx, tr, opts)
-	return res, dev, err
+	arr, err := array.New(array.Config{
+		Devices: devices, StripeKB: sys.StripeKB, Parity: sys.Parity, Device: cfg, Pool: sys.arena(),
+	})
+	if err != nil {
+		return ArrayResults{}, nil, err
+	}
+	res, err := arr.RunContext(ctx, tr, opts)
+	return res, arr, err
 }
 
 // IsInvariantError reports whether err is (or wraps) a contained simulation
@@ -765,9 +768,17 @@ func IsInvariantError(err error) bool {
 // sharing the first one's address space, returning both phases'
 // measurements. It reproduces the paper's Section III-C analysis: after a
 // read-intensive phase that leaves IDA blocks behind, how much extra
-// garbage collection does a write-intensive phase pay to reclaim them?
+// garbage collection does a write-intensive phase pay to reclaim them? The
+// analysis is of one device, so sys.Devices > 1 and sys.Parity are rejected
+// with a *ConfigError.
 func RunWithFollowup(p Profile, sys System, followup Profile) (Results, Results, error) {
-	first, dev, err := runWorkload(context.Background(), p, sys)
+	if sys.Devices > 1 {
+		return Results{}, Results{}, &ConfigError{Field: "Devices", Reason: fmt.Sprintf("follow-up runs use one device, not %d", sys.Devices)}
+	}
+	if sys.Parity {
+		return Results{}, Results{}, &ConfigError{Field: "Parity", Reason: "follow-up runs use one device"}
+	}
+	first, arr, err := runArray(context.Background(), p, nil, sys)
 	if err != nil {
 		return Results{}, Results{}, err
 	}
@@ -785,9 +796,9 @@ func RunWithFollowup(p Profile, sys System, followup Profile) (Results, Results,
 	if err != nil {
 		return Results{}, Results{}, err
 	}
-	second, err := dev.RunMore(tr)
+	second, err := arr.Device(0).RunMore(tr)
 	if err != nil {
 		return Results{}, Results{}, err
 	}
-	return first, second, nil
+	return first.Combined, second, nil
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"idaflash/internal/runpool"
 	"idaflash/internal/ssd"
@@ -136,15 +135,14 @@ func (a *Array) Device(i int) *ssd.SSD { return a.devs[i] }
 // request maps to at most one sub-request per device: the stripes a device
 // owns within one host extent are consecutive in that device's address
 // space, so the per-device extent is contiguous. Sub-requests inherit the
-// host arrival time.
+// host arrival time. One device gets the input trace itself.
 func Split(tr *workload.Trace, devices int, unitBytes int64) []*workload.Trace {
+	if devices == 1 {
+		return []*workload.Trace{tr}
+	}
 	out := make([]*workload.Trace, devices)
 	for d := range out {
 		out[d] = &workload.Trace{Name: fmt.Sprintf("%s@dev%d", tr.Name, d)}
-	}
-	if devices == 1 {
-		out[0].Requests = tr.Requests
-		return out
 	}
 	n := int64(devices)
 	for _, r := range tr.Requests {
@@ -228,54 +226,62 @@ func (a *Array) RunContext(ctx context.Context, tr *workload.Trace, opts ssd.Run
 	if opts.Preamble != nil {
 		pres = split(opts.Preamble, a.cfg.Devices, a.unit)
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// Siblings cancel one another through a derived context. A lone member
+	// has none, and keeps ctx itself: a derived context is cancellable, and
+	// the engine polls a cancellable context on every step.
+	runCtx, cancel := ctx, context.CancelFunc(func() {})
+	if a.cfg.Devices > 1 {
+		runCtx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	per := make([]ssd.Results, len(a.devs))
 	errs := make([]error, len(a.devs))
-	var wg sync.WaitGroup
-	for d := range a.devs {
+	run := func(d int) {
 		if len(subs[d].Requests) == 0 {
 			per[d] = ssd.Results{Trace: subs[d].Name}
-			continue
+			return
 		}
+		o := opts
+		if pres != nil {
+			o.Preamble = pres[d]
+		}
+		if o.SnapshotKey != "" && a.cfg.Devices > 1 {
+			// Each member ages differently: it replays its own split
+			// of the trace with its own decorrelated seeds, so the
+			// aged state is per (member, topology), not per profile.
+			// A lone member replays the whole trace with the template
+			// seeds, so it shares the plain device's state.
+			o.SnapshotKey = fmt.Sprintf("%s|array:dev=%d/%d,stripe=%d,parity=%t",
+				opts.SnapshotKey, d, a.cfg.Devices, a.cfg.StripeKB, a.cfg.Parity)
+		}
+		res, err := a.devs[d].RunContext(runCtx, subs[d], o)
+		per[d] = res // partial stats survive a failed member
+		if err != nil {
+			errs[d] = fmt.Errorf("array: device %d: %w", d, err)
+			cancel()
+		}
+	}
+	var wg sync.WaitGroup
+	for d := 1; d < len(a.devs); d++ {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			o := opts
-			if pres != nil {
-				o.Preamble = pres[d]
-			}
-			if o.SnapshotKey != "" {
-				// Each member ages differently: it replays its own split
-				// of the trace with its own decorrelated seeds, so the
-				// aged state is per (member, topology), not per profile.
-				o.SnapshotKey = fmt.Sprintf("%s|array:dev=%d/%d,stripe=%d,parity=%t",
-					opts.SnapshotKey, d, a.cfg.Devices, a.cfg.StripeKB, a.cfg.Parity)
-			}
-			res, err := a.devs[d].RunContext(runCtx, subs[d], o)
-			per[d] = res // partial stats survive a failed member
-			if err != nil {
-				errs[d] = fmt.Errorf("array: device %d: %w", d, err)
-				cancel()
-			}
+			run(d)
 		}(d)
 	}
+	// The calling goroutine runs the first member itself, so a one-member
+	// array runs its device exactly where a plain device run would.
+	run(0)
 	wg.Wait()
-	if err := joinRunErrors(ctx, errs); err != nil {
-		return Results{
-			Combined:  Merge(tr.Name, per),
-			PerDevice: per,
-			Devices:   a.cfg.Devices,
-			StripeKB:  a.cfg.StripeKB,
-			Parity:    a.cfg.Parity,
-		}, err
-	}
 	res := Results{
 		Combined:  Merge(tr.Name, per),
 		PerDevice: per,
 		Devices:   a.cfg.Devices,
 		StripeKB:  a.cfg.StripeKB,
 		Parity:    a.cfg.Parity,
+	}
+	if err := joinRunErrors(ctx, errs); err != nil {
+		return res, err
 	}
 	// Degraded-mode recovery: with parity enabled, reads the fault
 	// scenario failed outright are rebuilt from the peers' shares of the
@@ -330,17 +336,17 @@ func joinRunErrors(ctx context.Context, errs []error) error {
 
 // Merge combines per-device results into one array-level ssd.Results (see
 // Results.Combined for the metric semantics). Counters and busy times sum;
-// response-time statistics come from the merged per-device histograms
-// (with a count-weighted fallback for results built without histograms);
+// response-time statistics come from the merged per-device histograms;
 // spans take the slowest device; throughput is total bytes moved per second
 // of the longest device busy span. Per-device telemetry exports merge into
-// one multi-stream export.
+// one multi-stream export. One member's results are returned unchanged.
 func Merge(name string, per []ssd.Results) ssd.Results {
+	if len(per) == 1 {
+		return per[0]
+	}
 	c := ssd.Results{Trace: name}
 	readHist, writeHist := &stats.LatencyHist{}, &stats.LatencyHist{}
 	tels := make([]*telemetry.Export, 0, len(per))
-	var readW, writeW float64   // weighted response-time accumulators, ns
-	var worstP99 time.Duration  // fallback when histograms are absent
 	var bytesMB, readMB float64 // total host MB moved, from per-device rates
 	var utilDevs int
 	var totalBlocks int
@@ -362,11 +368,6 @@ func Merge(name string, per []ssd.Results) ssd.Results {
 		readHist.Merge(r.ReadHist)
 		writeHist.Merge(r.WriteHist)
 		tels = append(tels, r.Telemetry)
-		readW += float64(r.MeanReadResponse) * float64(r.ReadRequests)
-		writeW += float64(r.MeanWriteResponse) * float64(r.WriteRequests)
-		if r.P99ReadResponse > worstP99 {
-			worstP99 = r.P99ReadResponse
-		}
 		if r.Makespan > c.Makespan {
 			c.Makespan = r.Makespan
 		}
@@ -391,24 +392,16 @@ func Merge(name string, per []ssd.Results) ssd.Results {
 			utilDevs++
 		}
 	}
-	// True pooled statistics when the devices carried their histograms;
-	// the pre-histogram approximations (count-weighted mean, worst-device
-	// P99) otherwise.
+	// Every member result carries its histograms (untouched members report
+	// zero requests), so the pooled statistics are exact.
 	if readHist.N() > 0 {
 		c.MeanReadResponse = readHist.Mean()
 		c.P99ReadResponse = readHist.Quantile(0.99)
 		c.ReadHist = readHist
-	} else {
-		c.P99ReadResponse = worstP99
-		if c.ReadRequests > 0 {
-			c.MeanReadResponse = time.Duration(readW / float64(c.ReadRequests))
-		}
 	}
 	if writeHist.N() > 0 {
 		c.MeanWriteResponse = writeHist.Mean()
 		c.WriteHist = writeHist
-	} else if c.WriteRequests > 0 {
-		c.MeanWriteResponse = time.Duration(writeW / float64(c.WriteRequests))
 	}
 	c.Telemetry = telemetry.MergeExports(tels...)
 	if utilDevs > 0 {

@@ -142,8 +142,29 @@ func TestSplitRoundTripsBytes(t *testing.T) {
 func TestSingleDevicePassThrough(t *testing.T) {
 	tr := parallelTrace("pass", 400)
 	subs := Split(tr, 1, 64<<10)
-	if len(subs) != 1 || len(subs[0].Requests) != len(tr.Requests) {
+	if len(subs) != 1 || subs[0] != tr {
 		t.Fatal("single-device split must pass the trace through")
+	}
+	// A one-member array is the plain device: same run, same results.
+	dev, err := ssd.New(deviceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dev.Run(tr, ssd.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := New(Config{Devices: 1, Device: deviceConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := arr.Run(tr, ssd.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Combined.Scalars() != want.Scalars() || got.Combined.Trace != tr.Name {
+		t.Errorf("one-member array diverged from the plain device:\narray  %+v\ndevice %+v",
+			got.Combined.Scalars(), want.Scalars())
 	}
 }
 
@@ -246,14 +267,6 @@ func TestMergePoolsPercentiles(t *testing.T) {
 	}
 	if m.ReadHist == nil || m.ReadHist.N() != 110 {
 		t.Errorf("merged histogram missing or wrong population: %+v", m.ReadHist)
-	}
-	// Hand-built results without histograms still merge via the fallback.
-	f := Merge("fallback", []ssd.Results{
-		{ReadRequests: 1, MeanReadResponse: time.Millisecond, P99ReadResponse: time.Millisecond},
-		{ReadRequests: 1, MeanReadResponse: 3 * time.Millisecond, P99ReadResponse: 5 * time.Millisecond},
-	})
-	if f.MeanReadResponse != 2*time.Millisecond || f.P99ReadResponse != 5*time.Millisecond {
-		t.Errorf("histogram-free fallback broke: mean %v p99 %v", f.MeanReadResponse, f.P99ReadResponse)
 	}
 }
 

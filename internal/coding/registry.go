@@ -24,10 +24,9 @@ const (
 // DefaultCode is the code used when none is requested.
 const DefaultCode = CodeIDA
 
-// Constructor builds a code for a given bits-per-cell geometry.
-type Constructor func(bits int) (Code, error)
-
-var registry = map[string]Constructor{
+// registry maps each built-in code name to its constructor for a given
+// bits-per-cell geometry.
+var registry = map[string]func(bits int) (Code, error){
 	CodeIDA: func(bits int) (Code, error) { return NewGray(bits), nil },
 	CodeRandIO: func(bits int) (Code, error) {
 		if bits > 4 {
@@ -38,20 +37,8 @@ var registry = map[string]Constructor{
 	CodeILWC: func(bits int) (Code, error) { return NewILWC(bits), nil },
 }
 
-// Register adds a named code constructor. It panics on a duplicate name so
-// collisions surface at init time rather than silently shadowing a code.
-func Register(name string, ctor Constructor) {
-	if name == "" || ctor == nil {
-		panic("coding: Register with empty name or nil constructor")
-	}
-	if _, ok := registry[name]; ok {
-		panic(fmt.Sprintf("coding: code %q registered twice", name))
-	}
-	registry[name] = ctor
-}
-
 // New builds the named code for the given bits-per-cell. The name must be
-// registered and the bits must be in the code's supported range.
+// a built-in code and the bits must be in the code's supported range.
 func New(name string, bits int) (Code, error) {
 	ctor, ok := registry[name]
 	if !ok {

@@ -321,9 +321,6 @@ type SystemSpec struct {
 	Devices   int    `json:"devices,omitempty"`
 	StripeKB  int    `json:"stripe_kb,omitempty"`
 	Parity    bool   `json:"parity,omitempty"`
-	// NoSnapshot forces the run to replay its aging preamble instead of
-	// restoring it from the process-wide snapshot store.
-	NoSnapshot bool `json:"no_snapshot,omitempty"`
 }
 
 // RunResponse is the POST /v1/run success body.
@@ -463,7 +460,6 @@ func buildSystem(spec SystemSpec) (idaflash.System, error) {
 	sys.Devices = spec.Devices
 	sys.StripeKB = spec.StripeKB
 	sys.Parity = spec.Parity
-	sys.NoSnapshot = spec.NoSnapshot
 	return sys, nil
 }
 

@@ -13,16 +13,13 @@ import (
 	"idaflash/internal/workload"
 )
 
+// warmupFraction is the fraction of the trace replayed in zero simulated
+// time before measurement starts, so the device reaches a realistic
+// valid/invalid mix.
+const warmupFraction = 0.3
+
 // RunOptions controls trace execution.
 type RunOptions struct {
-	// WarmupFraction is the fraction of the trace replayed in zero
-	// simulated time before measurement starts, so the device reaches a
-	// realistic valid/invalid mix. Defaults to 0.3.
-	WarmupFraction float64
-	// SkipPrefill leaves the device empty instead of pre-writing the
-	// trace's whole footprint (reads of unwritten pages then count as
-	// unmapped).
-	SkipPrefill bool
 	// Preamble, when non-nil, is an aging write stream (see
 	// workload.Profile.AgingPreamble) replayed in zero simulated time
 	// after the prefill and before the warmup.
@@ -37,7 +34,7 @@ type RunOptions struct {
 	Snapshots *snapshot.Store
 	// SnapshotKey identifies the aged state; the caller must fold in
 	// everything the pre-measurement state depends on (profile, geometry,
-	// seeds, fault scenario, warmup knobs — see the facade's key builder).
+	// seeds, fault scenario — see the facade's key builder).
 	SnapshotKey string
 }
 
@@ -147,12 +144,6 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 	if s.engine.Processed() != 0 || s.readReqs != 0 || s.f.Stats().HostWrites != 0 {
 		return Results{}, fmt.Errorf("ssd: Run called on a used device")
 	}
-	if opts.WarmupFraction == 0 {
-		opts.WarmupFraction = 0.3
-	}
-	if opts.WarmupFraction < 0 || opts.WarmupFraction >= 1 {
-		return Results{}, fmt.Errorf("ssd: WarmupFraction %v out of [0,1)", opts.WarmupFraction)
-	}
 	s.engine.SetContext(ctx)
 	defer s.contain(tr.Name, &res, &err)
 
@@ -161,7 +152,7 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 	// this run publishes at the boundary; the deferred guard abandons the
 	// claim on any early exit (error, cancel, contained panic) so waiters
 	// wake up and compute for themselves.
-	warmup := int(float64(len(tr.Requests)) * opts.WarmupFraction)
+	warmup := int(float64(len(tr.Requests)) * warmupFraction)
 	var claim *snapshot.Claim
 	restored := false
 	if opts.Snapshots != nil && opts.SnapshotKey != "" {
@@ -188,10 +179,8 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 
 	if !restored {
 		// Phase 0: prefill the footprint so every read hits mapped data.
-		if !opts.SkipPrefill {
-			if err := s.prefill(ctx, tr); err != nil {
-				return Results{}, err
-			}
+		if err := s.prefill(ctx, tr); err != nil {
+			return Results{}, err
 		}
 
 		// Phase 1: instant aging preamble and warmup replay. The untimed

@@ -283,9 +283,6 @@ func TestResetRejectsBeforeCommit(t *testing.T) {
 func TestRunGuards(t *testing.T) {
 	s, _ := New(testConfig(false, 0))
 	tr := testTrace(t, "guard", 500, 0.9)
-	if _, err := s.Run(tr, RunOptions{WarmupFraction: 1.5}); err == nil {
-		t.Error("bad warmup fraction accepted")
-	}
 	if _, err := s.Run(tr, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +294,7 @@ func TestRunGuards(t *testing.T) {
 	huge := &workload.Trace{Name: "huge", Requests: []workload.Request{
 		{At: 0, Offset: tiny.cfg.Geometry.CapacityBytes() * 2, Size: 8192, Read: true},
 	}}
-	if _, err := tiny.Run(huge, RunOptions{WarmupFraction: 0.001}); err == nil {
+	if _, err := tiny.Run(huge, RunOptions{}); err == nil {
 		t.Error("oversized trace accepted")
 	}
 }
