@@ -113,16 +113,6 @@ func TestEngineStopFromCallback(t *testing.T) {
 	}
 }
 
-func TestRunUntilObservesStop(t *testing.T) {
-	e := NewEngine()
-	boom := errors.New("boom")
-	e.At(1, func() { e.Stop(boom) })
-	e.At(2, func() { t.Error("event after Stop ran") })
-	if err := e.RunUntil(10); !errors.Is(err, boom) {
-		t.Fatalf("RunUntil = %v, want boom", err)
-	}
-}
-
 func TestCapturePanicWrapsAndPassesThrough(t *testing.T) {
 	e := NewEngine()
 	e.At(42*time.Microsecond, func() {})

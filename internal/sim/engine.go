@@ -243,8 +243,8 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// SetContext installs a context the run loops poll cooperatively: once it is
-// cancelled, Run/RunUntil stop (leaving remaining events queued) and return
+// SetContext installs a context the run loop polls cooperatively: once it is
+// cancelled, Run stops (leaving remaining events queued) and returns
 // its error. A nil context — or one that can never be cancelled, like
 // context.Background() — disables polling entirely, keeping the hot loop at
 // a single nil check per event.
@@ -258,8 +258,8 @@ func (e *Engine) SetContext(ctx context.Context) {
 	e.nextCheckAt = e.now + cancelCheckSim
 }
 
-// Stop aborts the current run loop after the event in flight: Run/RunUntil
-// return err, and further calls keep returning it. Callbacks use it to turn
+// Stop aborts the current run loop after the event in flight: Run returns
+// err, and further calls keep returning it. Callbacks use it to turn
 // a mid-simulation failure (e.g. an FTL allocation error during background
 // GC) into a failed run instead of a panic. A nil err is ignored, as is any
 // Stop after the first.
@@ -323,27 +323,6 @@ func (e *Engine) Run() error {
 		e.checkCancel()
 	}
 	return e.stopErr
-}
-
-// RunUntil executes events with timestamps at or before t, then advances the
-// clock to exactly t. Events scheduled later stay queued. Like Run it stops
-// early on cancellation or Stop, returning the stopping error (and leaving
-// the clock wherever the last event put it).
-func (e *Engine) RunUntil(t Time) error {
-	for e.stopErr == nil {
-		if at, ok := e.next(); !ok || at > t || e.jumpCancel() {
-			break
-		}
-		e.Step()
-		e.checkCancel()
-	}
-	if e.stopErr != nil {
-		return e.stopErr
-	}
-	if t > e.now {
-		e.now = t
-	}
-	return nil
 }
 
 // Pulse schedules fn at fixed intervals starting one interval from now,

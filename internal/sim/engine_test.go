@@ -71,30 +71,6 @@ func TestEnginePanicsOnPastEvent(t *testing.T) {
 	e.At(5*time.Microsecond, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := make(map[int]bool)
-	e.At(10*time.Microsecond, func() { fired[10] = true })
-	e.At(20*time.Microsecond, func() { fired[20] = true })
-	e.At(30*time.Microsecond, func() { fired[30] = true })
-	e.RunUntil(20 * time.Microsecond)
-	if !fired[10] || !fired[20] || fired[30] {
-		t.Errorf("fired = %v", fired)
-	}
-	if e.Now() != 20*time.Microsecond {
-		t.Errorf("clock = %v, want 20us", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
-	}
-	// RunUntil with an empty horizon still advances the clock.
-	e.Run()
-	e.RunUntil(100 * time.Microsecond)
-	if e.Now() != 100*time.Microsecond {
-		t.Errorf("clock = %v, want 100us", e.Now())
-	}
-}
-
 func TestStepOnEmptyQueue(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {

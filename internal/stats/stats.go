@@ -1,114 +1,12 @@
-// Package stats provides the small statistics primitives the simulator
-// uses to aggregate latencies and counters: a numerically-stable running
-// mean/variance and a log-bucketed duration histogram for percentiles.
+// Package stats provides the small statistics primitive the simulator uses
+// to aggregate latencies: a log-bucketed duration histogram for means and
+// percentiles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
-
-// Running accumulates a stream of float64 samples with Welford's algorithm,
-// giving mean and variance without storing the samples.
-type Running struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one sample.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// AddDuration records a duration sample in seconds.
-func (r *Running) AddDuration(d time.Duration) { r.Add(d.Seconds()) }
-
-// N returns the sample count.
-func (r *Running) N() uint64 { return r.n }
-
-// Mean returns the sample mean (0 with no samples).
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.mean
-}
-
-// MeanDuration returns the mean interpreted as seconds.
-func (r *Running) MeanDuration() time.Duration {
-	return time.Duration(r.Mean() * float64(time.Second))
-}
-
-// Var returns the population variance (0 with fewer than two samples).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Stddev returns the population standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest sample (0 with no samples).
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.max
-}
-
-// Merge folds another accumulator into this one (parallel Welford merge).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.mean += d * float64(o.n) / float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n = n
-}
-
-// String summarizes the accumulator.
-func (r *Running) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g sd=%.3g min=%.6g max=%.6g", r.n, r.Mean(), r.Stddev(), r.Min(), r.Max())
-}
 
 // LatencyHist is a log-bucketed histogram of durations, 1 us floor, ~5%
 // bucket width, suitable for storage latencies from microseconds to minutes.

@@ -1,94 +1,9 @@
 package stats
 
 import (
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestRunningBasics(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Var() != 0 || r.Min() != 0 || r.Max() != 0 {
-		t.Error("empty accumulator should be all zero")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Errorf("n = %d", r.N())
-	}
-	if got := r.Mean(); got != 5 {
-		t.Errorf("mean = %v, want 5", got)
-	}
-	if got := r.Stddev(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", got)
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("min/max = %v/%v", r.Min(), r.Max())
-	}
-	if r.String() == "" {
-		t.Error("String() empty")
-	}
-}
-
-func TestRunningDuration(t *testing.T) {
-	var r Running
-	r.AddDuration(100 * time.Microsecond)
-	r.AddDuration(300 * time.Microsecond)
-	got := r.MeanDuration()
-	if diff := got - 200*time.Microsecond; diff < -10*time.Nanosecond || diff > 10*time.Nanosecond {
-		t.Errorf("mean duration = %v, want ~200us", got)
-	}
-}
-
-func TestRunningMergeEqualsSequential(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(7))}
-	prop := func(a, b []float64) bool {
-		var all, left, right Running
-		// Skip pathological magnitudes; latencies live well below 1e12.
-		for _, x := range append(append([]float64(nil), a...), b...) {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				return true
-			}
-		}
-		for _, x := range a {
-			all.Add(x)
-			left.Add(x)
-		}
-		for _, x := range b {
-			all.Add(x)
-			right.Add(x)
-		}
-		left.Merge(right)
-		if left.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Mean()))
-		return math.Abs(left.Mean()-all.Mean()) < 1e-9*scale &&
-			left.Min() == all.Min() && left.Max() == all.Max()
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(5)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Error("merge with empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 5 {
-		t.Error("merge into empty did not copy")
-	}
-}
 
 func TestLatencyHist(t *testing.T) {
 	var h LatencyHist
