@@ -104,6 +104,34 @@ func BenchmarkSingleRunIDA(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleRunIDACold measures one IDA-E20 run cold: a fresh device
+// (NoPool) replays the full aging preamble (NoSnapshot) before the timed
+// replay. Only trace generation stays out of the timing: the trace cache is
+// primed before the timer starts, as a sweep's first run of a profile would
+// find it.
+func BenchmarkSingleRunIDACold(b *testing.B) {
+	p, err := idaflash.ProfileByName("hm_1", benchRequests)
+	if err != nil {
+		b.Fatal(err)
+	}
+	np, err := p.Normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := workload.DefaultTraceCache.Traces(np); err != nil {
+		b.Fatal(err)
+	}
+	sys := idaflash.IDA(0.2)
+	sys.NoSnapshot, sys.NoPool = true, true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := idaflash.RunWorkload(p, sys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewDevice measures cold device construction: one fresh ssd.New
 // for the hm_1 IDA-E20 config, the path every arena miss takes. It sizes
 // the dense L2P, the plane tables, the engine and the die and channel

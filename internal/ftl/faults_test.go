@@ -139,3 +139,92 @@ func TestEraseFailureRetires(t *testing.T) {
 	}
 	checkInvariants(t, f)
 }
+
+// TestRelocationsCarryProgramFailures: every relocation (GC copies,
+// original and IDA refresh moves, corrupted write-backs) reports the
+// program attempts that failed before it stuck, so the device model
+// charges their wasted pulses. The failures on the jobs' move lists must
+// add up to the FTL's own count.
+func TestRelocationsCarryProgramFailures(t *testing.T) {
+	seq := func(from, to LPN) []LPN {
+		var lpns []LPN
+		for i := from; i < to; i++ {
+			lpns = append(lpns, i)
+		}
+		return lpns
+	}
+	ablation := refreshOpts(true, 0)
+	ablation.IDAOnlyInvalid = true
+	cases := []struct {
+		name      string
+		opts      Options
+		writes    []LPN // host writes shaping the blocks
+		gc        bool  // collect garbage instead of refreshing
+		corrupted bool  // the failures land on a corrupted write-back
+	}{
+		// Block 0 keeps 3 valid pages and is the GC victim.
+		{name: "gc", opts: refreshOpts(false, 0), writes: append(seq(0, 24), seq(0, 9)...), gc: true},
+		{name: "original refresh", opts: refreshOpts(false, 0), writes: seq(0, 12)},
+		// Fully valid wordlines (case 1) move their LSB page.
+		{name: "ida refresh", opts: refreshOpts(true, 0), writes: seq(0, 12)},
+		// The ablation relocates case-1 wordlines whole.
+		{name: "ida ablation", opts: ablation, writes: seq(0, 12)},
+		// Case-2 wordlines move nothing; at E=100% every kept page is
+		// written back.
+		{name: "corrupted write-back", opts: refreshOpts(true, 1), writes: append(seq(0, 12), 0, 3, 6, 9), corrupted: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fm := &scriptedFaults{}
+			c.opts.Faults = fm
+			f := mustFTL(t, c.opts)
+			for _, lpn := range c.writes {
+				if _, err := f.Write(lpn, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := f.Stats().ProgramFailures
+			fm.failNextPrograms = 2
+			var gcJobs []GCJob
+			var refJobs []RefreshJob
+			if c.gc {
+				f.opts.GCFreeBlocks = tinyGeom().BlocksPerPlane
+				gcJobs = mustCollectGC(t, f, 0)
+			} else {
+				refJobs = mustDueRefreshes(t, f, 11*hour)
+				// Drain any inline GC the relocations triggered.
+				gcJobs = mustCollectGC(t, f, 11*hour)
+			}
+			if len(gcJobs)+len(refJobs) == 0 {
+				t.Fatal("no jobs")
+			}
+			failed := func(ms []MoveOp) (n uint64) {
+				for _, m := range ms {
+					n += uint64(m.FailedPrograms)
+				}
+				return n
+			}
+			var moved, corrupted uint64
+			for _, j := range gcJobs {
+				moved += failed(j.Moves)
+			}
+			for _, j := range refJobs {
+				moved += failed(j.Moves)
+				corrupted += failed(j.CorruptedMoves)
+			}
+			delta := f.Stats().ProgramFailures - before
+			if delta != 2 {
+				t.Fatalf("%d program failures drawn, want 2", delta)
+			}
+			wantMoved, wantCorrupted := delta, uint64(0)
+			if c.corrupted {
+				wantMoved, wantCorrupted = 0, delta
+			}
+			if moved != wantMoved || corrupted != wantCorrupted {
+				t.Errorf("moves carry %d failed programs and corrupted write-backs %d; want %d and %d",
+					moved, corrupted, wantMoved, wantCorrupted)
+			}
+			checkInvariants(t, f)
+		})
+	}
+}

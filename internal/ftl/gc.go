@@ -147,10 +147,8 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 		if !vb.valid[page] {
 			continue
 		}
-		src := f.packPPN(pl, victim, page)
-		senses := f.sensesAt(vb, page)
-		prog, err := f.relocate(src, now)
-		if err != nil {
+		var err error
+		if job.Moves, err = f.appendMove(job.Moves, pl, victim, page, false, now); err != nil {
 			// The plane is below watermark but still has its active
 			// block; running out mid-GC means the device is
 			// undersized. The victim is part-moved, so the run must
@@ -158,13 +156,6 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 			f.ReleaseGCJob(&job)
 			return GCJob{}, false, fmt.Errorf("ftl: allocation failed during GC of p%d/b%d: %w", pl, victim, err)
 		}
-		job.Moves = append(job.Moves, MoveOp{
-			From:           f.addrOf(src),
-			FromSenses:     senses,
-			To:             prog.Addr,
-			LPN:            prog.LPN,
-			FailedPrograms: prog.FailedPrograms,
-		})
 	}
 	f.eraseBlock(pl, victim)
 	f.stats.GCJobs++

@@ -228,13 +228,10 @@ func (f *FTL) refreshOriginal(pl flash.PlaneID, blk int, now sim.Time, job *Refr
 		if !b.valid[page] {
 			continue
 		}
-		src := f.packPPN(pl, blk, page)
-		senses := f.sensesAt(b, page)
-		prog, err := f.relocateGlobal(src, now)
-		if err != nil {
+		var err error
+		if job.Moves, err = f.appendMove(job.Moves, pl, blk, page, true, now); err != nil {
 			return fmt.Errorf("ftl: allocation failed during refresh of p%d/b%d: %w", pl, blk, err)
 		}
-		job.Moves = append(job.Moves, MoveOp{From: f.addrOf(src), FromSenses: senses, To: prog.Addr, LPN: prog.LPN})
 	}
 	// Reset the age so an empty block lingering before GC reclaim does
 	// not re-trigger refresh scans.
@@ -256,6 +253,7 @@ type keptPage struct {
 func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJob) error {
 	b := f.planes[pl].blocks[blk]
 	f.kept = f.kept[:0]
+	var err error
 
 	// Step 3: per-wordline Table I decision. Moves happen first (they
 	// need the pre-adjustment data), then the adjustment.
@@ -269,27 +267,17 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 			// relocated like the original refresh instead of being
 			// converted.
 			for t := coding.PageType(0); int(t) < f.geom.BitsPerCell; t++ {
-				page := f.pageIndex(wl, t)
-				src := f.packPPN(pl, blk, page)
-				senses := f.sensesAt(b, page)
-				prog, err := f.relocateGlobal(src, now)
-				if err != nil {
+				if job.Moves, err = f.appendMove(job.Moves, pl, blk, f.pageIndex(wl, t), true, now); err != nil {
 					return fmt.Errorf("ftl: allocation failed during IDA refresh of p%d/b%d: %w", pl, blk, err)
 				}
-				job.Moves = append(job.Moves, MoveOp{From: f.addrOf(src), FromSenses: senses, To: prog.Addr, LPN: prog.LPN})
 			}
 			continue
 		}
 		plan := f.cells.PlanWordline(mask)
 		for _, t := range plan.Move {
-			page := f.pageIndex(wl, t)
-			src := f.packPPN(pl, blk, page)
-			senses := f.sensesAt(b, page)
-			prog, err := f.relocateGlobal(src, now)
-			if err != nil {
+			if job.Moves, err = f.appendMove(job.Moves, pl, blk, f.pageIndex(wl, t), true, now); err != nil {
 				return fmt.Errorf("ftl: allocation failed during IDA refresh of p%d/b%d: %w", pl, blk, err)
 			}
-			job.Moves = append(job.Moves, MoveOp{From: f.addrOf(src), FromSenses: senses, To: prog.Addr, LPN: prog.LPN})
 		}
 		if !plan.Apply {
 			continue
@@ -329,12 +317,9 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 			Senses: kp.senses,
 		})
 		if f.opts.ErrorRate > 0 && f.rng.Float64() < f.opts.ErrorRate {
-			src := f.packPPN(pl, blk, kp.page)
-			prog, err := f.relocateGlobal(src, now)
-			if err != nil {
+			if job.CorruptedMoves, err = f.appendMove(job.CorruptedMoves, pl, blk, kp.page, true, now); err != nil {
 				return fmt.Errorf("ftl: allocation failed during IDA write-back of p%d/b%d: %w", pl, blk, err)
 			}
-			job.CorruptedMoves = append(job.CorruptedMoves, MoveOp{From: f.addrOf(src), FromSenses: kp.senses, To: prog.Addr, LPN: prog.LPN})
 		} else {
 			job.KeptPages++
 		}

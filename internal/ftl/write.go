@@ -269,6 +269,29 @@ func (f *FTL) relocateGlobal(p ppn, now sim.Time) (PageProgram, error) {
 	return PageProgram{}, err
 }
 
+// appendMove relocates the valid page at (pl, blk, page) and appends its
+// move record to ops: within the page's plane for GC, along the global write
+// stripe for refresh (global). The source is sensed under its wordline's
+// current coding. Every MoveOp is built here, so each carries the program
+// attempts that failed before the copy stuck. On error ops comes back
+// unchanged.
+func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global bool, now sim.Time) ([]MoveOp, error) {
+	src := f.packPPN(pl, blk, page)
+	senses := f.sensesAt(f.planes[pl].blocks[blk], page)
+	var prog PageProgram
+	var err error
+	if global {
+		prog, err = f.relocateGlobal(src, now)
+	} else {
+		prog, err = f.relocate(src, now)
+	}
+	if err != nil {
+		return ops, err
+	}
+	m := MoveOp{From: f.addrOf(src), FromSenses: senses, To: prog.Addr, LPN: prog.LPN, FailedPrograms: prog.FailedPrograms}
+	return append(ops, m), nil
+}
+
 // relocateTo implements relocation into a specific plane. The destination
 // is allocated before the source is invalidated, so a failed allocation
 // leaves the source mapping intact.

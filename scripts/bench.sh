@@ -5,11 +5,13 @@
 #
 #   label   snapshot name; output goes to BENCH_<label>.json (default: HEAD
 #           short hash)
-#   count   -count passed to `go test` (default: 5)
+#   count   -count passed to `go test` (default: 10)
 #
-# The snapshot records per-benchmark mean ns/op, B/op, and allocs/op so a PR
-# can commit a BENCH_<pr>.json marker and reviewers can diff hot-path cost
-# without rerunning anything. CI's benchmark job still does the
+# The snapshot records per-benchmark mean ns/op with its sample standard
+# deviation, B/op, and allocs/op so a PR can commit a BENCH_<pr>.json marker
+# and reviewers can diff hot-path cost without rerunning anything; a single
+# run swings by about 10% between repeats, so read a delta against the
+# stddev. CI's benchmark job still does the
 # authoritative benchstat comparison against the merge base; this file is
 # the human-readable record.
 set -euo pipefail
@@ -17,10 +19,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 label="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo local)}"
-count="${2:-5}"
+count="${2:-10}"
 out="BENCH_${label}.json"
 
-benches='BenchmarkEngine$|BenchmarkSingleRun$|BenchmarkSingleRunIDA$|BenchmarkCodingMerge$|BenchmarkCodingPlan$|BenchmarkTraceGeneration$|BenchmarkFigure8Snapshotted$|BenchmarkFarmThroughput$'
+benches='BenchmarkEngine$|BenchmarkSingleRun$|BenchmarkSingleRunIDA$|BenchmarkSingleRunIDACold$|BenchmarkCodingMerge$|BenchmarkCodingPlan$|BenchmarkTraceGeneration$|BenchmarkFigure8Snapshotted$|BenchmarkFarmThroughput$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
@@ -36,7 +38,7 @@ awk -v label="$label" '
     name = $1
     sub(/-[0-9]+$/, "", name)
     for (i = 3; i < NF; i++) {
-      if ($(i + 1) == "ns/op") ns[name] += $i
+      if ($(i + 1) == "ns/op") { ns[name] += $i; ns2[name] += $i * $i }
       else if ($(i + 1) == "B/op") b[name] += $i
       else if ($(i + 1) == "allocs/op") allocs[name] += $i
     }
@@ -47,8 +49,16 @@ awk -v label="$label" '
     printf "{\n  \"label\": \"%s\",\n  \"goos\": \"%s\",\n  \"benchmarks\": {\n", label, ENVIRON["GOOS"] != "" ? ENVIRON["GOOS"] : "local"
     for (i = 1; i <= n; i++) {
       name = order[i]
-      printf "    \"%s\": {\"ns_per_op\": %.1f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.1f}%s\n", \
-        name, ns[name] / cnt[name], b[name] / cnt[name], allocs[name] / cnt[name], i < n ? "," : ""
+      c = cnt[name]
+      mean = ns[name] / c
+      # Sample standard deviation of ns/op over the -count repeats.
+      sd = 0
+      if (c > 1) {
+        v = (ns2[name] - c * mean * mean) / (c - 1)
+        sd = v > 0 ? sqrt(v) : 0
+      }
+      printf "    \"%s\": {\"ns_per_op\": %.1f, \"ns_per_op_stddev\": %.1f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.1f}%s\n", \
+        name, mean, sd, b[name] / c, allocs[name] / c, i < n ? "," : ""
     }
     printf "  }\n}\n"
   }
@@ -75,6 +85,8 @@ for name, c in cur.items():
         print(f"  {name:<{width}}  {c['ns_per_op']:>14.1f}  (new)")
         continue
     delta = (c["ns_per_op"] - b["ns_per_op"]) / b["ns_per_op"] * 100
-    print(f"  {name:<{width}}  {b['ns_per_op']:>14.1f} -> {c['ns_per_op']:>14.1f}  {delta:+6.1f}%")
+    # Older baselines carry no stddev; show the current run's spread.
+    sd = c.get("ns_per_op_stddev", 0) / c["ns_per_op"] * 100
+    print(f"  {name:<{width}}  {b['ns_per_op']:>14.1f} -> {c['ns_per_op']:>14.1f}  {delta:+6.1f}% (sd {sd:.1f}%)")
 PY
 fi
