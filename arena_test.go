@@ -70,6 +70,11 @@ func arenaCases(t testing.TB) []struct {
 		{"age-aware", profile("hm_1"), alter(idaflash.IDA(0.2), func(s *idaflash.System) {
 			s.Scheduler = idaflash.SchedAgeAware
 		})},
+		// A Figure 9 point: a pooled device reset across a timing change
+		// must rebuild its read-latency table.
+		{"fig9-delta30", profile("hm_1"), alter(idaflash.IDA(0.2), func(s *idaflash.System) {
+			s.DeltaTR = 30 * time.Microsecond
+		})},
 		// Coarse sampling keeps the exports small; every request's span
 		// would write tens of MB per run.
 		{"telemetry", profile("hm_1"), alter(idaflash.IDA(0.2), func(s *idaflash.System) {

@@ -132,6 +132,43 @@ func BenchmarkSingleRunIDACold(b *testing.B) {
 	}
 }
 
+// BenchmarkRunModes times one IDA-E20 run per profile in the four
+// combinations of the two acceleration layers: "pooled" is the default
+// (snapshot restore into an arena device), "warm" restores into a fresh
+// device (NoPool), "no-snapshot" replays the aging preamble on an arena
+// device (NoSnapshot), and "cold" does neither. Each mode runs once before
+// the timer, so the trace cache, the snapshot store and the arena are as a
+// sweep's later runs find them. EXPERIMENTS.md's "Snapshot restore" and
+// "Run arenas" tables come from it.
+func BenchmarkRunModes(b *testing.B) {
+	modes := []struct {
+		name               string
+		noSnapshot, noPool bool
+	}{{"pooled", false, false}, {"warm", false, true}, {"no-snapshot", true, false}, {"cold", true, true}}
+	for _, profile := range []string{"hm_1", "src1_0", "usr_1"} {
+		p, err := idaflash.ProfileByName(profile, benchRequests)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range modes {
+			sys := idaflash.IDA(0.2)
+			sys.NoSnapshot, sys.NoPool = m.noSnapshot, m.noPool
+			b.Run(profile+"/"+m.name, func(b *testing.B) {
+				if _, err := idaflash.RunWorkload(p, sys); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := idaflash.RunWorkload(p, sys); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkNewDevice measures cold device construction: one fresh ssd.New
 // for the hm_1 IDA-E20 config, the path every arena miss takes. It sizes
 // the dense L2P, the plane tables, the engine and the die and channel

@@ -377,7 +377,11 @@ func (f *FTL) unpackPPN(p ppn) (flash.PlaneID, int, int) {
 
 // addrOf converts a packed PPN into a flash address.
 func (f *FTL) addrOf(p ppn) flash.PageAddr {
-	pl, blk, page := f.unpackPPN(p)
+	return pageAddr(f.unpackPPN(p))
+}
+
+// pageAddr builds the flash address of page of block blk in plane pl.
+func pageAddr(pl flash.PlaneID, blk, page int) flash.PageAddr {
 	return flash.PageAddr{BlockAddr: flash.BlockAddr{Plane: pl, Block: blk}, Page: page}
 }
 

@@ -65,7 +65,7 @@ func (f *FTL) Read(lpn LPN) (ReadInfo, bool) {
 	b := f.planes[pl].blocks[blk]
 	wl, t := f.pageCoords(page)
 	info := ReadInfo{
-		Addr:   f.addrOf(p),
+		Addr:   pageAddr(pl, blk, page),
 		LPN:    lpn,
 		Type:   t,
 		Senses: f.sensesAt(b, page),

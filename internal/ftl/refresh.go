@@ -189,7 +189,7 @@ func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob,
 	for page := 0; page < f.geom.PagesPerBlock(); page++ {
 		if b.valid[page] {
 			job.Reads = append(job.Reads, ReadOp{
-				Addr:   f.addrOf(f.packPPN(pl, blk, page)),
+				Addr:   pageAddr(pl, blk, page),
 				Senses: f.sensesAt(b, page),
 			})
 		}
@@ -313,7 +313,7 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 	// back to the new block.
 	for _, kp := range f.kept {
 		job.VerifyReads = append(job.VerifyReads, ReadOp{
-			Addr:   f.addrOf(f.packPPN(pl, blk, kp.page)),
+			Addr:   pageAddr(pl, blk, kp.page),
 			Senses: kp.senses,
 		})
 		if f.opts.ErrorRate > 0 && f.rng.Float64() < f.opts.ErrorRate {

@@ -23,7 +23,7 @@ type PageProgram struct {
 // space (no free block and nothing reclaimable), which indicates a mis-sized
 // experiment rather than a runtime condition to retry.
 func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
-	var p ppn
+	var a flash.PageAddr
 	var failed int
 	var err error
 	// CWDP striping with space-aware fallback: a transiently full plane
@@ -34,7 +34,7 @@ func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
 			return PageProgram{}, gcErr
 		}
 		var n int
-		p, n, err = f.claimPage(now, pl)
+		a, n, err = f.claimPage(now, pl)
 		failed += n
 		if err == nil {
 			break
@@ -44,16 +44,20 @@ func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
 		return PageProgram{}, err
 	}
 	if old, ok := f.l2p.get(lpn); ok {
-		f.invalidate(old)
+		f.invalidate(f.addrOf(old))
 	}
-	f.l2p.set(lpn, p)
-	pl, blk, page := f.unpackPPN(p)
-	b := f.planes[pl].blocks[blk]
-	b.valid[page] = true
-	b.rmap[page] = lpn
-	b.validCount++
+	f.mapPage(lpn, a)
 	f.stats.HostWrites++
-	return PageProgram{Addr: f.addrOf(p), LPN: lpn, FailedPrograms: failed}, nil
+	return PageProgram{Addr: a, LPN: lpn, FailedPrograms: failed}, nil
+}
+
+// mapPage points the LPN at the freshly programmed page a.
+func (f *FTL) mapPage(lpn LPN, a flash.PageAddr) {
+	f.l2p.set(lpn, f.packPPN(a.Plane, a.Block, a.Page))
+	b := f.planes[a.Plane].blocks[a.Block]
+	b.valid[a.Page] = true
+	b.rmap[a.Page] = lpn
+	b.validCount++
 }
 
 // claimPage allocates the next page of the plane and runs the program past
@@ -64,28 +68,27 @@ func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
 // page being programmed, not its neighbours — so its valid pages drain
 // through the normal GC/refresh paths. The failed-attempt count is returned
 // so the device model can charge the wasted program pulses.
-func (f *FTL) claimPage(now sim.Time, pl flash.PlaneID) (ppn, int, error) {
+func (f *FTL) claimPage(now sim.Time, pl flash.PlaneID) (flash.PageAddr, int, error) {
 	failed := 0
 	for {
-		p, err := f.allocate(now, pl)
+		a, err := f.allocate(now, pl)
 		if err != nil {
-			return 0, failed, err
+			return a, failed, err
 		}
 		if f.opts.Faults == nil {
 			f.chargeProgram(1 + failed)
-			return p, failed, nil
+			return a, failed, nil
 		}
 		ps := f.planes[pl]
-		_, blk, _ := f.unpackPPN(p)
-		b := ps.blocks[blk]
-		if !f.opts.Faults.ProgramFails(f.addrOf(p), b.eraseCount) {
+		b := ps.blocks[a.Block]
+		if !f.opts.Faults.ProgramFails(a, b.eraseCount) {
 			f.chargeProgram(1 + failed)
-			return p, failed, nil
+			return a, failed, nil
 		}
 		failed++
 		f.stats.ProgramFailures++
 		b.bad = true
-		if ps.active == blk {
+		if ps.active == a.Block {
 			f.closeActive(pl)
 		}
 	}
@@ -94,7 +97,7 @@ func (f *FTL) claimPage(now sim.Time, pl flash.PlaneID) (ppn, int, error) {
 // Trim invalidates the LPN without writing a replacement.
 func (f *FTL) Trim(lpn LPN) {
 	if old, ok := f.l2p.get(lpn); ok {
-		f.invalidate(old)
+		f.invalidate(f.addrOf(old))
 		f.l2p.remove(lpn)
 	}
 }
@@ -111,7 +114,7 @@ func (f *FTL) nextAllocPlane() flash.PlaneID {
 // block when needed. An active block that has been open longer than
 // MaxOpenBlockAge is force-closed first, so its pages age toward refresh
 // even when the plane fills slowly.
-func (f *FTL) allocate(now sim.Time, pl flash.PlaneID) (ppn, error) {
+func (f *FTL) allocate(now sim.Time, pl flash.PlaneID) (flash.PageAddr, error) {
 	ps := f.planes[pl]
 	// Only retire an aged active block when the plane has spare blocks:
 	// closing a partial block strands its unwritten pages, which a plane
@@ -123,18 +126,17 @@ func (f *FTL) allocate(now sim.Time, pl flash.PlaneID) (ppn, error) {
 	}
 	if ps.active < 0 {
 		if err := f.openBlock(now, pl); err != nil {
-			return 0, err
+			return flash.PageAddr{}, err
 		}
 	}
 	b := ps.blocks[ps.active]
 	ref := f.order.At(b.nextStep)
-	page := f.pageIndex(ref.WL, ref.Type)
-	p := f.packPPN(pl, ps.active, page)
+	a := pageAddr(pl, ps.active, f.pageIndex(ref.WL, ref.Type))
 	b.nextStep++
 	if b.nextStep == f.order.Len() {
 		f.closeActive(pl)
 	}
-	return p, nil
+	return a, nil
 }
 
 // closeActive retires the plane's active block. The retention clock starts
@@ -164,12 +166,12 @@ func (f *FTL) openBlock(now sim.Time, pl flash.PlaneID) error {
 	return nil
 }
 
-// invalidate clears a physical page's valid bit.
-func (f *FTL) invalidate(p ppn) {
-	pl, blk, page := f.unpackPPN(p)
-	b := f.planes[pl].blocks[blk]
+// invalidate clears the valid bit of the page at a.
+func (f *FTL) invalidate(a flash.PageAddr) {
+	b := f.planes[a.Plane].blocks[a.Block]
+	page := a.Page
 	if b == nil || !b.valid[page] {
-		panic(fmt.Sprintf("ftl: invalidating already-invalid page %v", f.addrOf(p)))
+		panic(fmt.Sprintf("ftl: invalidating already-invalid page %v", a))
 	}
 	b.valid[page] = false
 	b.validCount--
@@ -239,21 +241,13 @@ func (f *FTL) chargeProgram(attempts int) {
 	f.stats.ProgrammedCells += float64(attempts) * f.cells.PageProgrammedCells()
 }
 
-// relocate moves a valid physical page to a freshly-allocated page in the
-// same plane (garbage collection relocates plane-locally, copyback-style),
-// returning the destination program operation.
-func (f *FTL) relocate(p ppn, now sim.Time) (PageProgram, error) {
-	pl, _, _ := f.unpackPPN(p)
-	return f.relocateTo(p, now, pl)
-}
-
-// relocateGlobal moves a valid physical page to the next page of the global
+// relocateGlobal moves the valid page at src to the next page of the global
 // CWDP write stripe, like a host write. The data refresh relocates this way:
 // its pages round-trip through the controller for ECC correction anyway, so
 // they re-enter the normal allocation stream and interleave with ongoing
 // host writes rather than clustering into one plane's block. A transiently
 // full plane is skipped in favour of the next one with space.
-func (f *FTL) relocateGlobal(p ppn, now sim.Time) (PageProgram, error) {
+func (f *FTL) relocateGlobal(src flash.PageAddr, now sim.Time) (PageProgram, error) {
 	var err error
 	for try := 0; try < len(f.cwdp); try++ {
 		pl := f.nextAllocPlane()
@@ -261,7 +255,7 @@ func (f *FTL) relocateGlobal(p ppn, now sim.Time) (PageProgram, error) {
 			return PageProgram{}, gcErr
 		}
 		var prog PageProgram
-		prog, err = f.relocateTo(p, now, pl)
+		prog, err = f.relocateTo(src, now, pl)
 		if err == nil {
 			return prog, nil
 		}
@@ -270,47 +264,40 @@ func (f *FTL) relocateGlobal(p ppn, now sim.Time) (PageProgram, error) {
 }
 
 // appendMove relocates the valid page at (pl, blk, page) and appends its
-// move record to ops: within the page's plane for GC, along the global write
-// stripe for refresh (global). The source is sensed under its wordline's
-// current coding. Every MoveOp is built here, so each carries the program
-// attempts that failed before the copy stuck. On error ops comes back
-// unchanged.
+// move record to ops: within the page's plane for GC (copyback-style), along
+// the global write stripe for refresh (global). The source is sensed under
+// its wordline's current coding. Every MoveOp is built here, so each carries
+// the program attempts that failed before the copy stuck. On error ops
+// comes back unchanged.
 func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global bool, now sim.Time) ([]MoveOp, error) {
-	src := f.packPPN(pl, blk, page)
+	src := pageAddr(pl, blk, page)
 	senses := f.sensesAt(f.planes[pl].blocks[blk], page)
 	var prog PageProgram
 	var err error
 	if global {
 		prog, err = f.relocateGlobal(src, now)
 	} else {
-		prog, err = f.relocate(src, now)
+		prog, err = f.relocateTo(src, now, pl)
 	}
 	if err != nil {
 		return ops, err
 	}
-	m := MoveOp{From: f.addrOf(src), FromSenses: senses, To: prog.Addr, LPN: prog.LPN, FailedPrograms: prog.FailedPrograms}
+	m := MoveOp{From: src, FromSenses: senses, To: prog.Addr, LPN: prog.LPN, FailedPrograms: prog.FailedPrograms}
 	return append(ops, m), nil
 }
 
-// relocateTo implements relocation into a specific plane. The destination
-// is allocated before the source is invalidated, so a failed allocation
-// leaves the source mapping intact.
-func (f *FTL) relocateTo(p ppn, now sim.Time, target flash.PlaneID) (PageProgram, error) {
-	pl, blk, page := f.unpackPPN(p)
-	b := f.planes[pl].blocks[blk]
-	lpn := b.rmap[page]
+// relocateTo moves the valid page at src into the target plane. The
+// destination is allocated before the source is invalidated, so a failed
+// allocation leaves the source mapping intact.
+func (f *FTL) relocateTo(src flash.PageAddr, now sim.Time, target flash.PlaneID) (PageProgram, error) {
+	lpn := f.planes[src.Plane].blocks[src.Block].rmap[src.Page]
 	dst, failed, err := f.claimPage(now, target)
 	if err != nil {
 		return PageProgram{}, err
 	}
-	f.invalidate(p)
-	f.l2p.set(lpn, dst)
-	dpl, dblk, dpage := f.unpackPPN(dst)
-	db := f.planes[dpl].blocks[dblk]
-	db.valid[dpage] = true
-	db.rmap[dpage] = lpn
-	db.validCount++
-	return PageProgram{Addr: f.addrOf(dst), LPN: lpn, FailedPrograms: failed}, nil
+	f.invalidate(src)
+	f.mapPage(lpn, dst)
+	return PageProgram{Addr: dst, LPN: lpn, FailedPrograms: failed}, nil
 }
 
 // sensesAt returns the sensing count needed to read the given physical page

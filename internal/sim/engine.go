@@ -134,48 +134,53 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts an event and restores the heap by sifting it up.
+// push inserts an event, sifting a hole up from the new leaf until ev can
+// be written into it.
 func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
+	e.events = append(e.events, event{})
 	h := e.events
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(&h[i], &h[parent]) {
+		if !eventLess(&ev, &h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ev
 }
 
-// pop removes and returns the earliest event, zeroing the vacated slot so
-// the backing array does not retain callback references.
+// pop removes and returns the earliest event: the last leaf is taken out,
+// zeroing its slot so the backing array does not retain callbacks, and a
+// hole sifts down from the root until the leaf can be written into it.
 func (e *Engine) pop() event {
 	h := e.events
 	root := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = event{}
 	h = h[:n]
 	e.events = h
-	// Sift the relocated element down.
+	if n == 0 {
+		return root
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := l
-		if r := l + 1; r < n && eventLess(&h[r], &h[l]) {
+		if r := child + 1; r < n && eventLess(&h[r], &h[child]) {
 			child = r
 		}
-		if !eventLess(&h[child], &h[i]) {
+		if !eventLess(&h[child], &last) {
 			break
 		}
-		h[i], h[child] = h[child], h[i]
+		h[i] = h[child]
 		i = child
 	}
+	h[i] = last
 	return root
 }
 
@@ -315,7 +320,13 @@ func (e *Engine) jumpCancel() bool {
 // Run executes events until the queue is empty, the installed context is
 // cancelled, or a callback calls Stop. It returns nil on a full drain and
 // the stopping error otherwise.
+// Without a context installed before Run, the loop is Step alone.
 func (e *Engine) Run() error {
+	if e.ctx == nil {
+		for e.stopErr == nil && e.Step() {
+		}
+		return e.stopErr
+	}
 	for e.stopErr == nil {
 		if e.jumpCancel() || !e.Step() {
 			break

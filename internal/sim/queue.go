@@ -11,8 +11,8 @@ type fifo[T any] struct {
 	size int
 }
 
-// waiterQueue is one scheduler wait queue.
-type waiterQueue = fifo[Waiter]
+// waiterQueue is one ring of a resource's wait queues.
+type waiterQueue = fifo[waiter]
 
 // Len returns the number of queued elements.
 func (q *fifo[T]) Len() int { return q.size }

@@ -15,7 +15,7 @@ func TestWaiterQueueFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 5000; step++ {
 		if q.Len() == 0 || rng.Intn(2) == 0 {
-			q.Push(Waiter{hold: time.Duration(next)})
+			q.Push(waiter{hold: time.Duration(next)})
 			next++
 		} else {
 			if got := q.Front().hold; got != time.Duration(expect) {
@@ -46,11 +46,11 @@ func TestWaiterQueueBoundedGrowth(t *testing.T) {
 	var q waiterQueue
 	const depth = 5
 	for i := 0; i < depth; i++ {
-		q.Push(Waiter{})
+		q.Push(waiter{})
 	}
 	capAfterPeak := q.Cap()
 	for i := 0; i < 100000; i++ {
-		q.Push(Waiter{})
+		q.Push(waiter{})
 		q.Pop()
 	}
 	if q.Cap() != capAfterPeak {
@@ -65,7 +65,7 @@ func TestWaiterQueueBoundedGrowth(t *testing.T) {
 // in vacated ring slots.
 func TestWaiterQueuePopZeroesSlot(t *testing.T) {
 	var q waiterQueue
-	q.Push(Waiter{op: funcAction(func() {})})
+	q.Push(waiter{op: funcAction(func() {})})
 	q.Pop()
 	for i := range q.buf {
 		if q.buf[i].op != nil {

@@ -58,55 +58,47 @@ type ResourceHook interface {
 // Resource is a single non-preemptive server: a die (one flash command at a
 // time) or a channel (one transfer at a time). Acquisitions specify how long
 // the server is held; when the hold expires, the completion callback runs
-// and the scheduler picks the next waiter. Which waiter that is depends on
-// the scheduling policy — read-first by default, see Scheduler.
+// and the next waiter is served. Which waiter that is depends on the
+// scheduling policy — read-first by default, see SchedulerConfig.
 type Resource struct {
 	name   string
 	engine *Engine
 	busy   bool
-	sched  Scheduler
+	queue  waitQueues
 	stats  ResourceStats
 	hook   ResourceHook
 	// current is the waiter in service. The resource itself is the
 	// engine Action for its completion (Run), so serving a waiter
 	// schedules no closure: the single-server discipline guarantees at
 	// most one hold is in flight per resource at a time.
-	current Waiter
+	current waiter
 }
 
-// NewResource creates a resource bound to the engine with the default
-// read-first scheduler.
+// NewResource creates a resource bound to the engine under the default
+// read-first policy; Reset switches it to another.
 func NewResource(e *Engine, name string) *Resource {
-	return NewResourceScheduled(e, name, nil)
-}
-
-// NewResourceScheduled creates a resource served by the given scheduler.
-// The scheduler must be exclusive to this resource (it holds the queue
-// state); nil gets a fresh read-first scheduler.
-func NewResourceScheduled(e *Engine, name string, sched Scheduler) *Resource {
-	if sched == nil {
-		sched = &readFirstScheduler{}
-	}
-	return &Resource{name: name, engine: e, sched: sched}
+	return &Resource{name: name, engine: e, queue: waitQueues{policy: PolicyReadFirst}}
 }
 
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Reset returns the resource to its as-constructed state for reuse: idle,
-// empty queues, zeroed statistics. The scheduler keeps its grown ring
-// capacity. The engine must not hold a pending completion event for this
-// resource (reset only between runs, after the engine has drained).
-func (r *Resource) Reset() {
+// Reset returns the resource to an idle state for reuse under the
+// scheduling policy cfg: empty queues, zeroed statistics, no hook. The
+// queues keep their grown ring capacity. cfg must be valid (see
+// SchedulerConfig.Validate); an unknown policy panics. The engine must not
+// hold a pending completion event for this resource (reset only between
+// runs, after the engine has drained).
+func (r *Resource) Reset(cfg SchedulerConfig) {
 	r.busy = false
 	r.stats = ResourceStats{}
 	r.hook = nil
-	r.current = Waiter{}
-	r.sched.Reset()
+	r.current = waiter{}
+	r.queue.reset(cfg)
 }
 
 // Policy names the scheduling discipline serving this resource.
-func (r *Resource) Policy() Policy { return r.sched.Policy() }
+func (r *Resource) Policy() Policy { return r.queue.policy }
 
 // Stats returns a snapshot of the accumulated statistics.
 func (r *Resource) Stats() ResourceStats { return r.stats }
@@ -118,7 +110,7 @@ func (r *Resource) SetHook(h ResourceHook) { r.hook = h }
 func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of waiters across all priority classes.
-func (r *Resource) QueueLen() int { return r.sched.Len() }
+func (r *Resource) QueueLen() int { return r.queue.n }
 
 // Acquire requests the server for hold duration at priority p. When service
 // completes, then (which may be nil) runs at the completion instant. Holds
@@ -129,32 +121,32 @@ func (r *Resource) Acquire(p Priority, hold time.Duration, then func()) {
 	if then != nil {
 		op = funcAction(then)
 	}
-	r.acquire(Waiter{Prio: p, hold: hold, op: op})
+	r.acquire(waiter{prio: p, hold: hold, op: op})
 }
 
 // AcquireAction is the allocation-free counterpart of Acquire: the
 // completion callback is a pre-allocated Action (typically a pooled
 // operation struct), so neither queueing nor service allocates.
 func (r *Resource) AcquireAction(p Priority, hold time.Duration, a Action) {
-	r.acquire(Waiter{Prio: p, hold: hold, op: a})
+	r.acquire(waiter{prio: p, hold: hold, op: a})
 }
 
-func (r *Resource) acquire(w Waiter) {
-	if w.Prio < 0 || w.Prio >= numPriorities {
-		panic(fmt.Sprintf("sim: resource %s acquire with priority %d", r.name, w.Prio))
+func (r *Resource) acquire(w waiter) {
+	if w.prio < 0 || w.prio >= numPriorities {
+		panic(fmt.Sprintf("sim: resource %s acquire with priority %d", r.name, w.prio))
 	}
 	if w.hold < 0 {
 		panic(fmt.Sprintf("sim: resource %s acquire with negative hold %v", r.name, w.hold))
 	}
-	w.Enqueued = r.engine.Now()
+	w.enqueued = r.engine.Now()
 	if r.busy {
-		r.sched.Push(w)
-		q := r.sched.Len()
+		r.queue.push(w)
+		q := r.queue.n
 		if q > r.stats.MaxQueue {
 			r.stats.MaxQueue = q
 		}
 		if r.hook != nil {
-			r.hook.ResourceEnqueued(r, w.Prio, q)
+			r.hook.ResourceEnqueued(r, w.prio, q)
 		}
 		return
 	}
@@ -162,14 +154,14 @@ func (r *Resource) acquire(w Waiter) {
 }
 
 // serve starts service of w immediately.
-func (r *Resource) serve(w Waiter) {
+func (r *Resource) serve(w waiter) {
 	r.busy = true
-	r.stats.Grants[w.Prio]++
-	wait := r.engine.Now() - w.Enqueued
-	r.stats.WaitTime[w.Prio] += wait
+	r.stats.Grants[w.prio]++
+	wait := r.engine.Now() - w.enqueued
+	r.stats.WaitTime[w.prio] += wait
 	r.stats.BusyTime += w.hold
 	if r.hook != nil {
-		r.hook.ResourceGranted(r, w.Prio, wait, w.hold)
+		r.hook.ResourceGranted(r, w.prio, wait, w.hold)
 	}
 	r.current = w
 	r.engine.AfterAction(w.hold, r)
@@ -182,7 +174,7 @@ func (r *Resource) serve(w Waiter) {
 // cutting the line.
 func (r *Resource) Run() {
 	w := r.current
-	r.current = Waiter{} // drop callback references before running them
+	r.current = waiter{} // drop callback references before running them
 	if w.op != nil {
 		w.op.Run()
 	}
@@ -191,9 +183,9 @@ func (r *Resource) Run() {
 	r.next()
 }
 
-// next asks the scheduler for the waiter to dispatch, if any.
+// next serves the waiter the policy picks, if any.
 func (r *Resource) next() {
-	if w, ok := r.sched.Pop(r.engine.Now()); ok {
+	if w, ok := r.queue.pop(r.engine.now); ok {
 		r.serve(w)
 	}
 }

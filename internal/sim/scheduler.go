@@ -43,33 +43,13 @@ func Policies() []Policy {
 	return []Policy{PolicyReadFirst, PolicyFIFO, PolicyAgeAware}
 }
 
-// Waiter is one queued acquisition as a Scheduler sees it: the service
-// class, the enqueue instant, and an opaque payload the Resource round-trips
-// (the hold duration and the completion Action, nil when there is none).
-type Waiter struct {
-	Prio     Priority
-	Enqueued Time
+// waiter is one queued acquisition: the service class, the enqueue instant,
+// the hold duration and the completion Action (nil when there is none).
+type waiter struct {
+	prio     Priority
+	enqueued Time
 	hold     time.Duration
 	op       Action
-}
-
-// Scheduler orders the waiters of one Resource. Implementations are
-// per-resource and single-goroutine, like the engine itself; they must be
-// deterministic (no map iteration, no wall-clock reads) so simulations stay
-// bit-for-bit reproducible.
-type Scheduler interface {
-	// Push enqueues a waiter that could not be served immediately.
-	Push(w Waiter)
-	// Pop removes and returns the waiter to serve next at instant now.
-	// ok is false when no waiter is queued.
-	Pop(now Time) (w Waiter, ok bool)
-	// Len returns the number of queued waiters.
-	Len() int
-	// Policy names the discipline, for diagnostics.
-	Policy() Policy
-	// Reset empties the queues for reuse, keeping their backing storage so
-	// a pooled resource starts its next run without reallocating rings.
-	Reset()
 }
 
 // SchedulerConfig selects and parameterizes a policy.
@@ -98,137 +78,77 @@ func (c SchedulerConfig) Validate() error {
 	return nil
 }
 
-// New builds a fresh scheduler instance. Each Resource needs its own
-// instance, since schedulers hold the queue state. An unknown policy is a
-// config error, returned rather than panicked so a service embedding the
-// simulator can reject a bad request instead of dying; device constructors
-// (ssd.New) validate the config up-front and surface this before any
-// resource is built.
-func (c SchedulerConfig) New() (Scheduler, error) {
-	p, err := ParsePolicy(string(c.Policy))
+// waitQueues is the wait queue of one resource under its policy: one FIFO
+// ring per service class, except under FIFO, where every waiter shares
+// ring 0 in arrival order. It is deterministic (no map iteration, no
+// wall-clock reads), so simulations stay bit-for-bit reproducible.
+type waitQueues struct {
+	policy  Policy
+	maxWait time.Duration // age-aware starvation bound
+	q       [numPriorities]waiterQueue
+	n       int
+}
+
+// reset empties the rings for reuse under cfg, keeping their backing
+// storage so a pooled resource starts its next run without reallocating.
+// cfg must be valid (callers validate it up front); an unknown policy is a
+// programming error and panics.
+func (s *waitQueues) reset(cfg SchedulerConfig) {
+	p, err := ParsePolicy(string(cfg.Policy))
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	switch p {
-	case PolicyFIFO:
-		return &fifoScheduler{}, nil
-	case PolicyAgeAware:
-		maxWait := c.MaxWait
-		if maxWait == 0 {
-			maxWait = DefaultAgeAwareMaxWait
+	s.policy, s.maxWait = p, cfg.MaxWait
+	if p == PolicyAgeAware && s.maxWait == 0 {
+		s.maxWait = DefaultAgeAwareMaxWait
+	}
+	for i := range s.q {
+		s.q[i].reset()
+	}
+	s.n = 0
+}
+
+// push enqueues a waiter that could not be served immediately.
+func (s *waitQueues) push(w waiter) {
+	i := w.prio
+	if s.policy == PolicyFIFO {
+		i = 0
+	}
+	s.q[i].Push(w)
+	s.n++
+}
+
+// pop removes and returns the waiter to serve next at instant now; ok is
+// false when none is queued. Read-first serves the highest non-empty class.
+// Age-aware first serves an over-age head of a lower class (host write or
+// background): the oldest such head wins, ties going to the higher class.
+func (s *waitQueues) pop(now Time) (w waiter, ok bool) {
+	if s.n == 0 {
+		return waiter{}, false
+	}
+	s.n--
+	if s.policy == PolicyAgeAware {
+		aged := Priority(-1)
+		for p := PrioHostWrite; p < numPriorities; p++ {
+			if s.q[p].Len() == 0 {
+				continue
+			}
+			head := s.q[p].Front()
+			if now-head.enqueued < s.maxWait {
+				continue
+			}
+			if aged < 0 || head.enqueued < s.q[aged].Front().enqueued {
+				aged = p
+			}
 		}
-		return &ageAwareScheduler{maxWait: maxWait}, nil
-	default:
-		return &readFirstScheduler{}, nil
-	}
-}
-
-// readFirstScheduler keeps one FIFO queue per priority class and always
-// serves the highest non-empty class, reproducing the original hard-wired
-// discipline bit for bit.
-type readFirstScheduler struct {
-	queues [numPriorities]waiterQueue
-}
-
-func (s *readFirstScheduler) Policy() Policy { return PolicyReadFirst }
-
-func (s *readFirstScheduler) Push(w Waiter) {
-	s.queues[w.Prio].Push(w)
-}
-
-func (s *readFirstScheduler) Pop(Time) (Waiter, bool) {
-	for p := Priority(0); p < numPriorities; p++ {
-		if s.queues[p].Len() > 0 {
-			return s.queues[p].Pop(), true
-		}
-	}
-	return Waiter{}, false
-}
-
-func (s *readFirstScheduler) Len() int {
-	n := 0
-	for i := range s.queues {
-		n += s.queues[i].Len()
-	}
-	return n
-}
-
-func (s *readFirstScheduler) Reset() {
-	for i := range s.queues {
-		s.queues[i].reset()
-	}
-}
-
-// fifoScheduler serves strictly in arrival order.
-type fifoScheduler struct {
-	queue waiterQueue
-}
-
-func (s *fifoScheduler) Policy() Policy { return PolicyFIFO }
-func (s *fifoScheduler) Push(w Waiter)  { s.queue.Push(w) }
-func (s *fifoScheduler) Len() int       { return s.queue.Len() }
-func (s *fifoScheduler) Reset()         { s.queue.reset() }
-
-func (s *fifoScheduler) Pop(Time) (Waiter, bool) {
-	if s.queue.Len() == 0 {
-		return Waiter{}, false
-	}
-	return s.queue.Pop(), true
-}
-
-// ageAwareScheduler is read-first with a starvation bound: when the oldest
-// waiter of a lower class (host write or background) has been queued longer
-// than maxWait, that waiter is served before any read. Among over-age
-// waiters the oldest wins, ties going to the higher class, which keeps the
-// pick deterministic.
-type ageAwareScheduler struct {
-	queues  [numPriorities]waiterQueue
-	maxWait time.Duration
-}
-
-func (s *ageAwareScheduler) Policy() Policy { return PolicyAgeAware }
-
-func (s *ageAwareScheduler) Push(w Waiter) {
-	s.queues[w.Prio].Push(w)
-}
-
-func (s *ageAwareScheduler) Pop(now Time) (Waiter, bool) {
-	// Heads of each class queue are the oldest of their class; an aged
-	// head preempts the read-first order.
-	aged := Priority(-1)
-	for p := PrioHostWrite; p < numPriorities; p++ {
-		if s.queues[p].Len() == 0 {
-			continue
-		}
-		head := s.queues[p].Front()
-		if now-head.Enqueued < s.maxWait {
-			continue
-		}
-		if aged < 0 || head.Enqueued < s.queues[aged].Front().Enqueued {
-			aged = p
+		if aged >= 0 {
+			return s.q[aged].Pop(), true
 		}
 	}
-	if aged >= 0 {
-		return s.queues[aged].Pop(), true
+	// FIFO keeps every waiter in ring 0, so this serves its head.
+	p := 0
+	for s.q[p].Len() == 0 {
+		p++
 	}
-	for p := Priority(0); p < numPriorities; p++ {
-		if s.queues[p].Len() > 0 {
-			return s.queues[p].Pop(), true
-		}
-	}
-	return Waiter{}, false
-}
-
-func (s *ageAwareScheduler) Len() int {
-	n := 0
-	for i := range s.queues {
-		n += s.queues[i].Len()
-	}
-	return n
-}
-
-func (s *ageAwareScheduler) Reset() {
-	for i := range s.queues {
-		s.queues[i].reset()
-	}
+	return s.q[p].Pop(), true
 }

@@ -20,29 +20,36 @@ func TestParsePolicy(t *testing.T) {
 	if err := (SchedulerConfig{Policy: "bogus"}).Validate(); err == nil {
 		t.Error("bogus policy accepted")
 	}
-	if _, err := (SchedulerConfig{Policy: "bogus"}).New(); err == nil {
-		t.Error("New built a scheduler for a bogus policy")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset accepted a bogus policy")
+			}
+		}()
+		NewResource(NewEngine(), "srv").Reset(SchedulerConfig{Policy: "bogus"})
+	}()
 }
 
-// mustNew builds a scheduler from the config, failing the test on a config
-// error (the production path surfaces it from ssd.New instead).
-func mustNew(t *testing.T, cfg SchedulerConfig) Scheduler {
-	t.Helper()
-	s, err := cfg.New()
-	if err != nil {
-		t.Fatalf("SchedulerConfig%+v.New(): %v", cfg, err)
-	}
-	return s
+// newScheduled builds a resource on e and resets it to serve under cfg,
+// the way the device model switches a pooled resource's policy.
+func newScheduled(e *Engine, cfg SchedulerConfig) *Resource {
+	r := NewResource(e, "srv")
+	r.Reset(cfg)
+	return r
 }
 
-// order runs one resource under the scheduler and returns the order in which
+// order runs one resource under the policy and returns the order in which
 // queued acquisitions were served. The resource is first occupied by a
 // long-running hold so every later Acquire queues.
-func order(t *testing.T, sched Scheduler, submit func(r *Resource, record func(id string) func())) []string {
+func order(t *testing.T, cfg SchedulerConfig, submit func(r *Resource, record func(id string) func())) []string {
 	t.Helper()
-	e := NewEngine()
-	r := NewResourceScheduled(e, "srv", sched)
+	return orderOn(t, newScheduled(NewEngine(), cfg), submit)
+}
+
+// orderOn is order on a given (idle, drained) resource.
+func orderOn(t *testing.T, r *Resource, submit func(r *Resource, record func(id string) func())) []string {
+	t.Helper()
+	e := r.engine
 	var got []string
 	record := func(id string) func() {
 		return func() { got = append(got, id) }
@@ -56,7 +63,7 @@ func order(t *testing.T, sched Scheduler, submit func(r *Resource, record func(i
 }
 
 func TestReadFirstOrdersClasses(t *testing.T) {
-	got := order(t, mustNew(t, SchedulerConfig{}), func(r *Resource, rec func(string) func()) {
+	got := order(t, SchedulerConfig{}, func(r *Resource, rec func(string) func()) {
 		r.Acquire(PrioBackground, time.Microsecond, rec("bg"))
 		r.Acquire(PrioHostWrite, time.Microsecond, rec("w1"))
 		r.Acquire(PrioHostRead, time.Microsecond, rec("r1"))
@@ -72,7 +79,7 @@ func TestReadFirstOrdersClasses(t *testing.T) {
 }
 
 func TestFIFOKeepsArrivalOrder(t *testing.T) {
-	got := order(t, mustNew(t, SchedulerConfig{Policy: PolicyFIFO}), func(r *Resource, rec func(string) func()) {
+	got := order(t, SchedulerConfig{Policy: PolicyFIFO}, func(r *Resource, rec func(string) func()) {
 		r.Acquire(PrioBackground, time.Microsecond, rec("bg"))
 		r.Acquire(PrioHostWrite, time.Microsecond, rec("w1"))
 		r.Acquire(PrioHostRead, time.Microsecond, rec("r1"))
@@ -90,8 +97,7 @@ func TestAgeAwarePromotesStarvedWrite(t *testing.T) {
 	// The server is held for 1 ms; a write queues at t=0, reads keep
 	// arriving. With MaxWait 500 us the write is over age when the first
 	// hold expires, so it is served before the queued reads.
-	sched := mustNew(t, SchedulerConfig{Policy: PolicyAgeAware, MaxWait: 500 * time.Microsecond})
-	got := order(t, sched, func(r *Resource, rec func(string) func()) {
+	got := order(t, SchedulerConfig{Policy: PolicyAgeAware, MaxWait: 500 * time.Microsecond}, func(r *Resource, rec func(string) func()) {
 		r.Acquire(PrioHostWrite, time.Microsecond, rec("w1"))
 		r.Acquire(PrioHostRead, time.Microsecond, rec("r1"))
 		r.Acquire(PrioHostRead, time.Microsecond, rec("r2"))
@@ -107,8 +113,7 @@ func TestAgeAwarePromotesStarvedWrite(t *testing.T) {
 func TestAgeAwareFreshWritesStillYieldToReads(t *testing.T) {
 	// With a large MaxWait nothing is over age, so the discipline matches
 	// read-first exactly.
-	sched := mustNew(t, SchedulerConfig{Policy: PolicyAgeAware, MaxWait: time.Hour})
-	got := order(t, sched, func(r *Resource, rec func(string) func()) {
+	got := order(t, SchedulerConfig{Policy: PolicyAgeAware, MaxWait: time.Hour}, func(r *Resource, rec func(string) func()) {
 		r.Acquire(PrioHostWrite, time.Microsecond, rec("w1"))
 		r.Acquire(PrioHostRead, time.Microsecond, rec("r1"))
 		r.Acquire(PrioBackground, time.Microsecond, rec("bg"))
@@ -127,8 +132,7 @@ func TestAgeAwareOldestAgedWinsAcrossClasses(t *testing.T) {
 	// go to the higher class. Holds are long enough that both are over
 	// age at the first dispatch.
 	e := NewEngine()
-	sched := mustNew(t, SchedulerConfig{Policy: PolicyAgeAware, MaxWait: time.Microsecond})
-	r := NewResourceScheduled(e, "srv", sched)
+	r := newScheduled(e, SchedulerConfig{Policy: PolicyAgeAware, MaxWait: time.Microsecond})
 	var got []string
 	rec := func(id string) func() { return func() { got = append(got, id) } }
 	e.At(0, func() {
@@ -150,20 +154,29 @@ func TestAgeAwareOldestAgedWinsAcrossClasses(t *testing.T) {
 
 func TestSchedulerLenAndPolicyNames(t *testing.T) {
 	for _, cfg := range []SchedulerConfig{{}, {Policy: PolicyFIFO}, {Policy: PolicyAgeAware}} {
-		s := mustNew(t, cfg)
-		if s.Len() != 0 {
-			t.Errorf("%s: fresh Len = %d", s.Policy(), s.Len())
+		e := NewEngine()
+		r := newScheduled(e, cfg)
+		want := cfg.Policy
+		if want == "" {
+			want = PolicyReadFirst
 		}
-		s.Push(Waiter{Prio: PrioHostRead})
-		s.Push(Waiter{Prio: PrioHostWrite})
-		if s.Len() != 2 {
-			t.Errorf("%s: Len = %d, want 2", s.Policy(), s.Len())
+		if r.Policy() != want {
+			t.Errorf("Policy = %s, want %s", r.Policy(), want)
 		}
-		if _, ok := s.Pop(0); !ok {
-			t.Errorf("%s: Pop failed", s.Policy())
+		if r.QueueLen() != 0 {
+			t.Errorf("%s: fresh Len = %d", r.Policy(), r.QueueLen())
 		}
-		if s.Len() != 1 {
-			t.Errorf("%s: Len after pop = %d, want 1", s.Policy(), s.Len())
+		r.Acquire(PrioBackground, time.Microsecond, nil) // occupy
+		r.Acquire(PrioHostRead, time.Microsecond, nil)
+		r.Acquire(PrioHostWrite, time.Microsecond, nil)
+		if r.QueueLen() != 2 {
+			t.Errorf("%s: Len = %d, want 2", r.Policy(), r.QueueLen())
+		}
+		if !e.Step() {
+			t.Fatalf("%s: no completion to step", r.Policy())
+		}
+		if r.QueueLen() != 1 {
+			t.Errorf("%s: Len after pop = %d, want 1", r.Policy(), r.QueueLen())
 		}
 	}
 	found := map[Policy]bool{}
@@ -172,5 +185,42 @@ func TestSchedulerLenAndPolicyNames(t *testing.T) {
 	}
 	if !found[PolicyReadFirst] || !found[PolicyFIFO] || !found[PolicyAgeAware] {
 		t.Errorf("Policies() = %v incomplete", Policies())
+	}
+}
+
+// TestResetSwitchesPolicy: one resource reset read-first -> fifo ->
+// age-aware -> read-first serves, under each policy, the same order as a
+// fresh resource built for it. Resetting in place is how a pooled device
+// changes its scheduling discipline.
+func TestResetSwitchesPolicy(t *testing.T) {
+	submit := func(r *Resource, rec func(string) func()) {
+		r.Acquire(PrioBackground, time.Microsecond, rec("bg"))
+		r.Acquire(PrioHostWrite, time.Microsecond, rec("w1"))
+		r.Acquire(PrioHostRead, time.Microsecond, rec("r1"))
+		r.Acquire(PrioHostWrite, time.Microsecond, rec("w2"))
+		r.Acquire(PrioHostRead, time.Microsecond, rec("r2"))
+	}
+	pooled := NewResource(NewEngine(), "srv")
+	for _, cfg := range []SchedulerConfig{
+		{},
+		{Policy: PolicyFIFO},
+		{Policy: PolicyAgeAware, MaxWait: 500 * time.Microsecond},
+		{Policy: PolicyReadFirst},
+	} {
+		pooled.engine.Reset()
+		pooled.Reset(cfg)
+		got := orderOn(t, pooled, submit)
+		want := order(t, cfg, submit)
+		if len(got) != len(want) || len(got) != 5 {
+			t.Fatalf("%+v: served %v, fresh resource %v", cfg, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: reset resource served %v, fresh resource %v", cfg, got, want)
+			}
+		}
+		if pooled.Policy() != newScheduled(NewEngine(), cfg).Policy() {
+			t.Errorf("%+v: reset resource reports policy %s", cfg, pooled.Policy())
+		}
 	}
 }

@@ -148,7 +148,7 @@ func (o *bgOp) load() bool {
 		if o.idx > 0 {
 			return false
 		}
-		o.push(s.dies[s.cfg.Geometry.DieOf(o.gc.Victim.Plane)], t.Erase)
+		o.push(s.planes[o.gc.Victim.Plane].die, t.Erase)
 	case bgReads, bgVerify:
 		ops := o.ref.Reads
 		if o.phases[o.phase] == bgVerify {
@@ -177,7 +177,7 @@ func (o *bgOp) load() bool {
 			// reads can slip in between adjustments.
 			*o.busy += time.Duration(o.ref.AdjustedWLs) * t.VoltAdjust
 		}
-		o.chain[0] = bgAcq{s.dies[s.cfg.Geometry.DieOf(o.ref.Target.Plane)], t.VoltAdjust}
+		o.chain[0] = bgAcq{s.planes[o.ref.Target.Plane].die, t.VoltAdjust}
 		o.n = 1
 	}
 	return true
@@ -188,7 +188,7 @@ func (o *bgOp) load() bool {
 func (o *bgOp) read(a flash.PageAddr, senses int) {
 	s := o.s
 	o.push(s.dieOf(a), 0)
-	o.push(s.channelOf(a), s.cfg.Timing.ReadLatency(senses)+s.cfg.Timing.Transfer)
+	o.push(s.channelOf(a), s.readHold(senses))
 }
 
 // write appends a move's destination write to the chain: the transfer in,

@@ -33,6 +33,7 @@ func TestBackgroundCharging(t *testing.T) {
 		refresh *ftl.RefreshJob
 		dies    [4]use
 		chans   [2]use
+		panics  bool // the job's charge panics before any acquisition
 	}{
 		{
 			// Per move: die grant and channel hold at the source, then
@@ -108,6 +109,16 @@ func TestBackgroundCharging(t *testing.T) {
 			name:    "empty refresh",
 			refresh: &ftl.RefreshJob{Target: flash.BlockAddr{Plane: 2, Block: 3}},
 		},
+		{
+			// A read needs at least one sensing: the read-hold table
+			// panics on zero just as flash.ReadLatency does.
+			name: "refresh read with zero sensings",
+			refresh: &ftl.RefreshJob{
+				Target: flash.BlockAddr{Plane: 1, Block: 2},
+				Reads:  []ftl.ReadOp{{Addr: page(1, 2, 0), Senses: 0}},
+			},
+			panics: true,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -115,10 +126,20 @@ func TestBackgroundCharging(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if c.panics {
+				defer func() {
+					if recover() == nil {
+						t.Error("charging did not panic")
+					}
+				}()
+			}
 			if c.gc != nil {
 				s.chargeGC(*c.gc)
 			} else {
 				s.chargeRefresh(*c.refresh)
+			}
+			if c.panics {
+				return
 			}
 			if err := s.engine.Run(); err != nil {
 				t.Fatal(err)

@@ -12,8 +12,8 @@ import (
 
 // Flash command issue stage: dispatched page operations become timed
 // acquisitions of the die and channel resources. Which queued command a
-// busy die or channel serves next is the scheduler's decision
-// (sim.Scheduler); this stage only issues and chains the commands.
+// busy die or channel serves next is its scheduling policy's decision
+// (sim.SchedulerConfig); this stage only issues and chains the commands.
 //
 // Steady-state page flow runs on pooled operation structs (readOp/writeOp)
 // that implement sim.Action: one struct carries a page operation through its
@@ -86,7 +86,7 @@ func (s *SSD) readPage(lpn ftl.LPN, req *request) {
 		s.unmapped++
 		s.dispatchStats.UnmappedPages++
 		now := s.engine.Now()
-		flash := s.cfg.Timing.ReadLatency(1) + s.cfg.Timing.Transfer
+		flash := s.readHold(1)
 		req.sp.AddPhase(telemetry.StageFlash, now, now+flash)
 		req.sp.AddPhase(telemetry.StageECC, now+flash, now+flash+s.cfg.ECC.DecodeLatency)
 		op := s.getReadOp()
@@ -149,7 +149,7 @@ const idaRetryFailScale = 0.25
 func (op *readOp) round() {
 	s := op.s
 	if op.first {
-		op.hold = s.cfg.Timing.ReadLatency(op.info.Senses) + s.cfg.Timing.Transfer + op.extra
+		op.hold = s.readHold(op.info.Senses) + op.extra
 	} else {
 		op.hold = s.cfg.Timing.ExtraSenseLatency(op.info.Senses) + s.cfg.Timing.Transfer/2
 		s.flashStats.RetryRounds++

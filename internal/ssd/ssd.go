@@ -124,6 +124,12 @@ type SSD struct {
 
 	dies     []*sim.Resource
 	channels []*sim.Resource
+	planes   []planeRes // by PlaneID, built once: the geometry is fixed
+
+	// readHolds[n-1] is readHold(n) for every sensing count the FTL
+	// allows, rebuilt from the timing at every Reset with the same
+	// expression, so each value is bit-identical.
+	readHolds [len(ftl.Stats{}.ReadsBySenses) - 1]time.Duration
 
 	pageSize int
 
@@ -250,7 +256,6 @@ func (s *SSD) Reset(cfg Config) error {
 	}
 
 	// Validation passed; everything below is infallible.
-	rebuild := s.f == nil || cfg.schedulerConfig() != s.cfg.schedulerConfig()
 	s.engine.Reset()
 	clear(s.adm.queue)
 	s.readResp.Reset()
@@ -262,7 +267,7 @@ func (s *SSD) Reset(cfg Config) error {
 	// per-run objects below it are installed, and every field left off
 	// starts from its zero value, exactly as in a new device.
 	*s = SSD{
-		engine: s.engine, dies: s.dies, channels: s.channels, readResp: s.readResp, writeResp: s.writeResp,
+		engine: s.engine, dies: s.dies, channels: s.channels, planes: s.planes, readResp: s.readResp, writeResp: s.writeResp,
 		readOps: s.readOps, writeOps: s.writeOps, requests: s.requests,
 		bgOps: s.bgOps, scan: s.scan,
 		adm: admission{maxDepth: cfg.MaxQueueDepth, queue: s.adm.queue[:0]},
@@ -271,28 +276,31 @@ func (s *SSD) Reset(cfg Config) error {
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x53534421)),
 		inj: inj, tel: tel, dieWatch: dieWatch, chanWatch: chanWatch,
 	}
-	s.resetResources(s.dies, "die", dieWatch, rebuild)
-	s.resetResources(s.channels, "ch", chanWatch, rebuild)
+	s.resetResources(s.dies, "die", dieWatch)
+	s.resetResources(s.channels, "ch", chanWatch)
+	if s.planes == nil {
+		g := cfg.Geometry
+		s.planes = make([]planeRes, g.Planes())
+		for pl := range s.planes {
+			s.planes[pl] = planeRes{s.dies[g.DieOf(flash.PlaneID(pl))], s.channels[g.ChannelOf(flash.PlaneID(pl))]}
+		}
+	}
+	for i := range s.readHolds {
+		s.readHolds[i] = cfg.Timing.ReadLatency(i+1) + cfg.Timing.Transfer
+	}
 	return nil
 }
 
 // resetResources is the one loop over a group of resources (the dies, or
-// the channels): each is rebuilt when rebuild is set — first use, or a
-// changed scheduling discipline, since every resource holds its own
-// scheduler's queue state — and reset in place otherwise; then the
-// telemetry watch, if any, is attached.
-func (s *SSD) resetResources(rs []*sim.Resource, name string, watch *resourceWatch, rebuild bool) {
+// the channels): each is built on first use and reset in place under the
+// run's scheduling policy; then the telemetry watch, if any, is attached.
+func (s *SSD) resetResources(rs []*sim.Resource, name string, watch *resourceWatch) {
 	for i, r := range rs {
-		if rebuild {
-			inst, err := s.cfg.schedulerConfig().New()
-			if err != nil {
-				panic(err) // unreachable: withDefaults validated the policy
-			}
-			r = sim.NewResourceScheduled(s.engine, name+strconv.Itoa(i), inst)
+		if r == nil {
+			r = sim.NewResource(s.engine, name+strconv.Itoa(i))
 			rs[i] = r
-		} else {
-			r.Reset()
 		}
+		r.Reset(s.cfg.schedulerConfig())
 		if watch != nil {
 			r.SetHook(watch)
 		}
@@ -316,12 +324,16 @@ func (s *SSD) FTL() *ftl.FTL { return s.f }
 // Config returns the configuration after defaulting.
 func (s *SSD) Config() Config { return s.cfg }
 
+// planeRes is the die and the channel serving one plane.
+type planeRes struct{ die, channel *sim.Resource }
+
 // dieOf returns the die resource serving a flash address.
-func (s *SSD) dieOf(a flash.PageAddr) *sim.Resource {
-	return s.dies[s.cfg.Geometry.DieOf(a.Plane)]
-}
+func (s *SSD) dieOf(a flash.PageAddr) *sim.Resource { return s.planes[a.Plane].die }
 
 // channelOf returns the channel resource serving a flash address.
-func (s *SSD) channelOf(a flash.PageAddr) *sim.Resource {
-	return s.channels[s.cfg.Geometry.ChannelOf(a.Plane)]
-}
+func (s *SSD) channelOf(a flash.PageAddr) *sim.Resource { return s.planes[a.Plane].channel }
+
+// readHold returns the channel hold of a first-round page read with n
+// sensings, tR(n) plus the transfer out. Like flash.ReadLatency it panics
+// for n < 1, as it does for a count past the FTL's sensing bound.
+func (s *SSD) readHold(n int) time.Duration { return s.readHolds[n-1] }

@@ -5,6 +5,8 @@ package stats
 
 import (
 	"math"
+	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -22,7 +24,10 @@ const (
 	histMax    = 1024
 )
 
-func histBucket(d time.Duration) int {
+// logBucket is the bucket formula: the whole number of histGrowth steps from
+// histFloor up to d, clamped to the last bucket. histBucket computes the same
+// function from a table.
+func logBucket(d time.Duration) int {
 	if d <= histFloor {
 		return 0
 	}
@@ -31,6 +36,71 @@ func histBucket(d time.Duration) int {
 		return histMax - 1
 	}
 	return b
+}
+
+// bucketTable holds logBucket's exact thresholds. thr[b] is the smallest
+// duration logBucket puts in bucket b or above, MaxUint64 for buckets no
+// duration reaches. start[k] is the bucket of the smallest duration whose
+// bit length n and the three bits below its top bit form the key
+// k = n<<3 | bits. A key spans a factor of at most 1.125 and a bucket 1.05,
+// so a lookup steps at most three thresholds past start.
+type bucketTable struct {
+	thr   [histMax + 1]uint64
+	start [64 << 3]uint16
+}
+
+// buckets is built on the first lookup past the floor, not at package
+// init, so a process that records no latency never pays for it.
+var (
+	bucketsOnce sync.Once
+	buckets     bucketTable
+)
+
+// histBucket returns logBucket(d) by table lookup: no logarithm per call.
+func histBucket(d time.Duration) int {
+	if d <= histFloor {
+		return 0
+	}
+	bucketsOnce.Do(buildBuckets)
+	u := uint64(d)
+	n := bits.Len64(u)
+	b := int(buckets.start[n<<3|int(u>>(n-4)&7)])
+	for u >= buckets.thr[b+1] {
+		b++
+	}
+	return b
+}
+
+// buildBuckets binary-searches each threshold over the formula itself, so
+// the table agrees with logBucket wherever the formula is monotone (the
+// exactness tests check that it is), then keys the start buckets.
+func buildBuckets() {
+	t, top := &buckets, logBucket(math.MaxInt64)
+	lo := uint64(histFloor) // logBucket(lo) < b
+	for b := 1; b <= histMax; b++ {
+		if b > top {
+			t.thr[b] = math.MaxUint64
+			continue
+		}
+		hi := uint64(math.MaxInt64)
+		for lo+1 < hi {
+			if mid := lo + (hi-lo)/2; logBucket(time.Duration(mid)) >= b {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		t.thr[b] = hi
+	}
+	b := 0
+	for k := 4 << 3; k < len(t.start); k++ {
+		n := k >> 3
+		least := uint64(1)<<(n-1) | uint64(k&7)<<(n-4)
+		for least >= t.thr[b+1] {
+			b++
+		}
+		t.start[k] = uint16(b)
+	}
 }
 
 func histValue(b int) time.Duration {
