@@ -1,6 +1,6 @@
 // Package runpool pools fully-constructed simulation devices between runs,
 // so a farm worker sweeping thousands of points over a handful of device
-// shapes rebuilds nothing: the engine's event heap, the FTL's dense L2P and
+// shapes rebuilds nothing: the engine's event array, the FTL's dense L2P and
 // block tables, the scheduler ring buffers, the latency-histogram buckets,
 // and the op/request free lists all survive from run to run through
 // ssd.Reset, which reinitializes them in place.

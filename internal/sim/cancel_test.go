@@ -152,9 +152,9 @@ func TestEngineCancelBeforeSparseJump(t *testing.T) {
 	}
 }
 
-// TestEngineCancelJumpWaitsForLane: same-instant lane work never counts as a
-// jump, so events queued on the lane when a callback cancels still run at
-// the current instant; the poll before the next clock jump then catches
+// TestEngineCancelJumpWaitsForLane: work due at the current instant never
+// counts as a jump, so events scheduled for now when a callback cancels
+// still run at the current instant; the poll before the next clock jump then catches
 // the cancellation before a far-future event runs.
 func TestEngineCancelJumpWaitsForLane(t *testing.T) {
 	e := NewEngine()
@@ -171,7 +171,7 @@ func TestEngineCancelJumpWaitsForLane(t *testing.T) {
 		t.Fatalf("Run() = %v, want context.Canceled", err)
 	}
 	if ran != 2 {
-		t.Errorf("ran %d lane events, want 2: same-instant work is not a jump", ran)
+		t.Errorf("ran %d same-instant events, want 2: same-instant work is not a jump", ran)
 	}
 	if e.Now() != Time(3*time.Millisecond)/2 || e.Pending() != 1 {
 		t.Errorf("now=%v pending=%d, want the clock at 1.5ms with the far event queued", e.Now(), e.Pending())

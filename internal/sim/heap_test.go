@@ -91,8 +91,8 @@ func (a *actionFunc) Run() { a.f() }
 // runScript drives a scheduler through a deterministic randomized workload:
 // root events at random times (with deliberate time collisions to stress the
 // FIFO tie-break), callbacks that schedule further events from within the
-// run, a third of them zero-delay children that land on the engine's
-// same-instant lane. useActions routes labels through the engine's three
+// run, a third of them zero-delay children that queue behind the events
+// already due now. useActions routes labels through the engine's three
 // scheduling calls in turn (AtAction, AfterAction, At) when the scheduler
 // is the real Engine.
 func runScript(c simClock, seed int64, useActions bool) []traceEntry {
@@ -123,8 +123,8 @@ func runScript(c simClock, seed int64, useActions bool) []traceEntry {
 			for i, n := 0, rng.Intn(4); i < n; i++ {
 				// Quantized delays, zero a third of the time, force
 				// equal-time events: same-instant children queue behind
-				// heap events already due now, exercising the (at, seq)
-				// tie-break across the heap and the lane.
+				// events already due now, exercising the (at, seq)
+				// tie-break among them.
 				d := time.Duration(rng.Intn(3)) * 10 * time.Microsecond
 				child := spawn(depth + 1)
 				schedule(d, child, nextLabel-1)
@@ -249,8 +249,8 @@ func TestPulseRearmsOnLaneWork(t *testing.T) {
 }
 
 // TestHeapPopZeroesSlot guards the no-retention property: after events run,
-// neither the heap's nor the lane's backing array may keep callback
-// references alive.
+// the event array's backing storage may keep no callback references alive,
+// neither after future events drain nor after events due now drain.
 func TestHeapPopZeroesSlot(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 16; i++ {
@@ -266,10 +266,11 @@ func TestHeapPopZeroesSlot(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		e.After(0, func() {})
 	}
+	grown = e.events[:cap(e.events)]
 	e.Run()
-	for i := range e.lane.buf {
-		if e.lane.buf[i].op != nil {
-			t.Fatalf("lane slot %d retains a callback after drain", i)
+	for i := range grown {
+		if grown[i].op != nil {
+			t.Fatalf("slot %d retains a callback after events due now drained", i)
 		}
 	}
 }

@@ -1,27 +1,25 @@
 package sim
 
-// fifo is a FIFO ring buffer. Popping moves a head index instead of copying
-// the tail down, zeroes the vacated slot so completed callbacks are not
-// retained, and reuses the backing array, so sustained queueing churns no
-// memory at all once the buffer has grown to the peak depth. The backing
-// length is always zero or a power of two, so indexes wrap with a mask.
-type fifo[T any] struct {
-	buf  []T
+// waiterQueue is one FIFO ring of a resource's wait queues. Popping moves a
+// head index instead of copying the tail down, zeroes the vacated slot so
+// completed callbacks are not retained, and reuses the backing array, so
+// sustained queueing churns no memory at all once the ring has grown to the
+// peak depth. The backing length is always zero or a power of two, so
+// indexes wrap with a mask.
+type waiterQueue struct {
+	buf  []waiter
 	head int
 	size int
 }
 
-// waiterQueue is one ring of a resource's wait queues.
-type waiterQueue = fifo[waiter]
-
 // Len returns the number of queued elements.
-func (q *fifo[T]) Len() int { return q.size }
+func (q *waiterQueue) Len() int { return q.size }
 
 // Cap returns the backing array length (tests assert it stays bounded).
-func (q *fifo[T]) Cap() int { return len(q.buf) }
+func (q *waiterQueue) Cap() int { return len(q.buf) }
 
 // Push appends an element at the tail, growing the ring when full.
-func (q *fifo[T]) Push(v T) {
+func (q *waiterQueue) Push(v waiter) {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
@@ -31,10 +29,9 @@ func (q *fifo[T]) Push(v T) {
 
 // Pop removes and returns the head element. Popping an empty queue panics
 // (callers check Len first).
-func (q *fifo[T]) Pop() T {
+func (q *waiterQueue) Pop() waiter {
 	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
+	q.buf[q.head] = waiter{}
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	return v
@@ -42,31 +39,28 @@ func (q *fifo[T]) Pop() T {
 
 // Front returns the head element without removing it. Calling Front on an
 // empty queue panics.
-func (q *fifo[T]) Front() *T {
+func (q *waiterQueue) Front() *waiter {
 	if q.size == 0 {
 		panic("sim: Front on empty queue")
 	}
 	return &q.buf[q.head]
 }
 
-// reset empties the ring for reuse, zeroing the occupied slots so callback
+// reset empties the ring for reuse, zeroing its slots so callback
 // references are not retained, while keeping the backing array at its grown
 // capacity.
-func (q *fifo[T]) reset() {
-	var zero T
-	for i := 0; i < q.size; i++ {
-		q.buf[(q.head+i)&(len(q.buf)-1)] = zero
-	}
+func (q *waiterQueue) reset() {
+	clear(q.buf)
 	q.head, q.size = 0, 0
 }
 
 // grow doubles the ring, unwrapping the elements into index order.
-func (q *fifo[T]) grow() {
+func (q *waiterQueue) grow() {
 	n := len(q.buf) * 2
 	if n == 0 {
 		n = 8
 	}
-	buf := make([]T, n)
+	buf := make([]waiter, n)
 	for i := 0; i < q.size; i++ {
 		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}

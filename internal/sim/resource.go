@@ -33,13 +33,11 @@ func (p Priority) String() string {
 	}
 }
 
-// ResourceStats aggregates the utilization of a resource.
+// ResourceStats aggregates the utilization of a resource. Queueing delays
+// and depths are observed through ResourceHook.
 type ResourceStats struct {
-	BusyTime   time.Duration // total time the server was held
-	Grants     [numPriorities]uint64
-	WaitTime   [numPriorities]time.Duration // queueing delay before service
-	MaxQueue   int
-	LastIdleAt Time
+	BusyTime time.Duration // total time the server was held
+	Grants   [numPriorities]uint64
 }
 
 // ResourceHook observes waiter lifecycle events on a resource; telemetry
@@ -67,11 +65,12 @@ type Resource struct {
 	queue  waitQueues
 	stats  ResourceStats
 	hook   ResourceHook
-	// current is the waiter in service. The resource itself is the
-	// engine Action for its completion (Run), so serving a waiter
-	// schedules no closure: the single-server discipline guarantees at
-	// most one hold is in flight per resource at a time.
-	current waiter
+	// cur is the completion callback of the hold in service (nil when
+	// there is none). The resource itself is the engine Action for the
+	// hold's end (Run), so a grant schedules no closure: the
+	// single-server discipline guarantees at most one hold is in flight
+	// per resource at a time.
+	cur Action
 }
 
 // NewResource creates a resource bound to the engine under the default
@@ -93,7 +92,7 @@ func (r *Resource) Reset(cfg SchedulerConfig) {
 	r.busy = false
 	r.stats = ResourceStats{}
 	r.hook = nil
-	r.current = waiter{}
+	r.cur = nil
 	r.queue.reset(cfg)
 }
 
@@ -121,73 +120,69 @@ func (r *Resource) Acquire(p Priority, hold time.Duration, then func()) {
 	if then != nil {
 		op = funcAction(then)
 	}
-	r.acquire(waiter{prio: p, hold: hold, op: op})
+	r.acquire(p, hold, op)
 }
 
 // AcquireAction is the allocation-free counterpart of Acquire: the
 // completion callback is a pre-allocated Action (typically a pooled
 // operation struct), so neither queueing nor service allocates.
 func (r *Resource) AcquireAction(p Priority, hold time.Duration, a Action) {
-	r.acquire(waiter{prio: p, hold: hold, op: a})
+	r.acquire(p, hold, a)
 }
 
-func (r *Resource) acquire(w waiter) {
-	if w.prio < 0 || w.prio >= numPriorities {
-		panic(fmt.Sprintf("sim: resource %s acquire with priority %d", r.name, w.prio))
+// acquire grants an idle server at once; only a request that has to queue
+// is built into a waiter.
+func (r *Resource) acquire(p Priority, hold time.Duration, op Action) {
+	if p < 0 || p >= numPriorities {
+		panic(fmt.Sprintf("sim: resource %s acquire with priority %d", r.name, p))
 	}
-	if w.hold < 0 {
-		panic(fmt.Sprintf("sim: resource %s acquire with negative hold %v", r.name, w.hold))
+	if hold < 0 {
+		panic(fmt.Sprintf("sim: resource %s acquire with negative hold %v", r.name, hold))
 	}
-	w.enqueued = r.engine.Now()
 	if r.busy {
-		r.queue.push(w)
-		q := r.queue.n
-		if q > r.stats.MaxQueue {
-			r.stats.MaxQueue = q
-		}
+		r.queue.push(waiter{prio: p, enqueued: r.engine.now, hold: hold, op: op})
 		if r.hook != nil {
-			r.hook.ResourceEnqueued(r, w.prio, q)
+			r.hook.ResourceEnqueued(r, p, r.queue.n)
 		}
 		return
 	}
-	r.serve(w)
+	r.serve(p, 0, hold, op)
 }
 
-// serve starts service of w immediately.
-func (r *Resource) serve(w waiter) {
+// serve starts a hold of the server at priority p after a queueing delay
+// of wait.
+func (r *Resource) serve(p Priority, wait, hold time.Duration, op Action) {
 	r.busy = true
-	r.stats.Grants[w.prio]++
-	wait := r.engine.Now() - w.enqueued
-	r.stats.WaitTime[w.prio] += wait
-	r.stats.BusyTime += w.hold
+	r.stats.Grants[p]++
+	r.stats.BusyTime += hold
 	if r.hook != nil {
-		r.hook.ResourceGranted(r, w.prio, wait, w.hold)
+		r.hook.ResourceGranted(r, p, wait, hold)
 	}
-	r.current = w
-	r.engine.AfterAction(w.hold, r)
+	r.cur = op
+	r.engine.AfterAction(hold, r)
 }
 
-// Run completes the hold of the waiter in service; the engine invokes it at
-// the completion instant. The completion callback runs while the server is
+// Run completes the hold in service; the engine invokes it at the
+// completion instant. The completion callback runs while the server is
 // still marked busy, so a callback that immediately re-acquires (e.g. a
 // chained refresh step) queues behind already-waiting work rather than
 // cutting the line.
 func (r *Resource) Run() {
-	w := r.current
-	r.current = waiter{} // drop callback references before running them
-	if w.op != nil {
-		w.op.Run()
+	op := r.cur
+	r.cur = nil // drop the callback reference before running it
+	if op != nil {
+		op.Run()
 	}
 	r.busy = false
-	r.stats.LastIdleAt = r.engine.Now()
-	r.next()
+	if r.queue.n > 0 {
+		r.next()
+	}
 }
 
-// next serves the waiter the policy picks, if any.
+// next serves the waiter the policy picks; the queue must be non-empty.
 func (r *Resource) next() {
-	if w, ok := r.queue.pop(r.engine.now); ok {
-		r.serve(w)
-	}
+	w := r.queue.pop(r.engine.now)
+	r.serve(w.prio, r.engine.now-w.enqueued, w.hold, w.op)
 }
 
 // Utilization returns the fraction of simulated time (up to now) the server

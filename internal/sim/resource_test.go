@@ -104,9 +104,6 @@ func TestResourceStats(t *testing.T) {
 	if st.Grants[PrioHostRead] != 1 || st.Grants[PrioHostWrite] != 1 {
 		t.Errorf("grants = %v", st.Grants)
 	}
-	if st.WaitTime[PrioHostWrite] != 100*time.Microsecond {
-		t.Errorf("write wait = %v, want 100us", st.WaitTime[PrioHostWrite])
-	}
 	if got := r.Utilization(); got != 1.0 {
 		t.Errorf("utilization = %v, want 1.0", got)
 	}
@@ -177,9 +174,6 @@ func TestResourceQueueLenAndBusy(t *testing.T) {
 	e.Run()
 	if r.Busy() || r.QueueLen() != 0 {
 		t.Error("resource should be idle and drained")
-	}
-	if r.Stats().MaxQueue != 2 {
-		t.Errorf("max queue = %d, want 2", r.Stats().MaxQueue)
 	}
 }
 

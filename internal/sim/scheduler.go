@@ -118,14 +118,11 @@ func (s *waitQueues) push(w waiter) {
 	s.n++
 }
 
-// pop removes and returns the waiter to serve next at instant now; ok is
-// false when none is queued. Read-first serves the highest non-empty class.
+// pop removes and returns the waiter to serve next at instant now; the
+// queues must not be empty. Read-first serves the highest non-empty class.
 // Age-aware first serves an over-age head of a lower class (host write or
 // background): the oldest such head wins, ties going to the higher class.
-func (s *waitQueues) pop(now Time) (w waiter, ok bool) {
-	if s.n == 0 {
-		return waiter{}, false
-	}
+func (s *waitQueues) pop(now Time) waiter {
 	s.n--
 	if s.policy == PolicyAgeAware {
 		aged := Priority(-1)
@@ -142,7 +139,7 @@ func (s *waitQueues) pop(now Time) (w waiter, ok bool) {
 			}
 		}
 		if aged >= 0 {
-			return s.q[aged].Pop(), true
+			return s.q[aged].Pop()
 		}
 	}
 	// FIFO keeps every waiter in ring 0, so this serves its head.
@@ -150,5 +147,5 @@ func (s *waitQueues) pop(now Time) (w waiter, ok bool) {
 	for s.q[p].Len() == 0 {
 		p++
 	}
-	return s.q[p].Pop(), true
+	return s.q[p].Pop()
 }

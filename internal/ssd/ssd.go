@@ -207,7 +207,7 @@ func New(cfg Config) (*SSD, error) {
 }
 
 // Reset returns the device to the state New(cfg) would produce, reusing the
-// structures that dominate construction cost: the engine's event heap, the
+// structures that dominate construction cost: the engine's event array, the
 // FTL's dense L2P and block tables (via ftl.Reset's pool), the scheduler
 // ring buffers, the latency-histogram buckets, and the op/request free
 // lists all keep their backing storage. The geometry must match the one the
