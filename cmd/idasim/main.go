@@ -270,9 +270,6 @@ func report(sys idaflash.System, policy idaflash.SchedulerPolicy, ar idaflash.Ar
 	fmt.Printf("mean write response:  %v\n", r.MeanWriteResponse.Round(time.Microsecond))
 	fmt.Printf("throughput:           %.1f MB/s (reads %.1f MB/s)\n", r.ThroughputMBps, r.ReadMBps)
 	fmt.Printf("makespan:             %v\n", r.Makespan.Round(time.Millisecond))
-	fmt.Printf("host-queued requests: %d (max depth %d, total wait %v)\n",
-		r.Stages.Admission.HostQueued, r.Stages.Admission.MaxHostQueue,
-		r.Stages.Admission.HostQueueWait.Round(time.Microsecond))
 	fmt.Printf("refreshes:            %d (%d with IDA, %d WLs adjusted)\n",
 		r.FTL.Refreshes, r.FTL.IDARefreshes, r.FTL.IDAAdjustedWLs)
 	fmt.Printf("reads from IDA WLs:   %d of %d\n", r.FTL.ReadsFromIDA, r.FTL.HostReads)

@@ -462,8 +462,7 @@ func BuildConfig(p Profile, sys System) (SSDConfig, Profile, error) {
 			// for the paper's "3 days to 3 months" scaled to the
 			// trace span, so the IDA/conventional block rotation
 			// reaches steady state well inside the measurement.
-			RefreshPeriod:  p.Duration / 6,
-			RefreshStagger: true,
+			RefreshPeriod: p.Duration / 6,
 			// Slow planes must still rotate their open blocks so
 			// recently-written (hot) wordlines reach the refresher.
 			MaxOpenBlockAge: p.Duration / 12,
@@ -498,7 +497,7 @@ var DefaultSnapshots = snapshot.NewStore(0)
 
 // DefaultArena pools fully-built simulation devices between runs, keyed by
 // geometry: a sweep worker's next point resets the previous point's device
-// in place (engine heap, dense L2P, block tables, histograms, op pools all
+// in place (event array, dense L2P, block tables, histograms, op pools all
 // reused) instead of reallocating them. Checkout and return are automatic
 // in every run entry point; System.NoPool opts a run out. Devices
 // are only parked after cleanly completed runs, so a failed or cancelled
@@ -589,10 +588,8 @@ type snapshotKeyData struct {
 	Profile         Profile
 	Geometry        Geometry
 	Order           flash.OrderKind
-	Allocation      string
 	GCFreeBlocks    int
 	RefreshPeriod   time.Duration
-	RefreshStagger  bool
 	MaxOpenBlockAge time.Duration
 	FTLSeed         int64
 	Seed            int64
@@ -608,10 +605,8 @@ func snapshotKey(p Profile, cfg SSDConfig) string {
 		Profile:         p,
 		Geometry:        cfg.Geometry,
 		Order:           cfg.FTL.Order,
-		Allocation:      cfg.FTL.Allocation,
 		GCFreeBlocks:    cfg.FTL.GCFreeBlocks,
 		RefreshPeriod:   cfg.FTL.RefreshPeriod,
-		RefreshStagger:  cfg.FTL.RefreshStagger,
 		MaxOpenBlockAge: cfg.FTL.MaxOpenBlockAge,
 		FTLSeed:         cfg.FTL.Seed,
 		Seed:            cfg.Seed,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"idaflash"
+	"idaflash/internal/ecc"
 )
 
 func smallProfile(t *testing.T, name string) idaflash.Profile {
@@ -81,6 +82,49 @@ func TestBuildConfig(t *testing.T) {
 	bad.BitsPerCell = 5
 	if _, _, err := idaflash.BuildConfig(p, bad); err == nil {
 		t.Error("5 bits/cell accepted")
+	}
+}
+
+// TestRBERDerivedECC covers the wear-derived ECC regime: PECycles and
+// RetentionDays are validated as typed config errors, exclude
+// Lifetime = PhaseLate, and when set replace the phase's retry parameters
+// with the RBER curve's at that wear point.
+func TestRBERDerivedECC(t *testing.T) {
+	p := smallProfile(t, "proj_3")
+	for _, tc := range []struct {
+		field string
+		sys   func(*idaflash.System)
+	}{
+		{"PECycles", func(s *idaflash.System) { s.PECycles = -1 }},
+		{"RetentionDays", func(s *idaflash.System) { s.RetentionDays = -0.5 }},
+		{"PECycles", func(s *idaflash.System) { s.PECycles, s.Lifetime = 1000, idaflash.PhaseLate }},
+	} {
+		sys := idaflash.IDA(0.2)
+		tc.sys(&sys)
+		_, _, err := idaflash.BuildConfig(p, sys)
+		var ce *idaflash.ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("PECycles %d RetentionDays %v Lifetime %v: err = %v, want a *ConfigError on %s",
+				sys.PECycles, sys.RetentionDays, sys.Lifetime, err, tc.field)
+		}
+	}
+
+	early, _, err := idaflash.BuildConfig(p, idaflash.IDA(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	worn := idaflash.IDA(0.2)
+	worn.PECycles, worn.RetentionDays = 3000, 30
+	cfg, _, err := idaflash.BuildConfig(p, worn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ecc.DefaultRBERCurve().ParamsAt(3000, 30, 0, cfg.Timing.ECCDecode)
+	if cfg.ECC != want {
+		t.Errorf("worn ECC = %+v, want the RBER curve's %+v", cfg.ECC, want)
+	}
+	if cfg.ECC == early.ECC {
+		t.Errorf("worn ECC %+v equals the early-phase params", cfg.ECC)
 	}
 }
 

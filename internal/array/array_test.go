@@ -21,9 +21,8 @@ func deviceConfig() ssd.Config {
 		},
 		Timing: flash.PaperTLCTiming(),
 		FTL: ftl.Options{
-			RefreshPeriod:  20 * time.Minute,
-			RefreshStagger: true,
-			Seed:           7,
+			RefreshPeriod: 20 * time.Minute,
+			Seed:          7,
 		},
 		RefreshScanInterval: time.Minute,
 		Seed:                7,

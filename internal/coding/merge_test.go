@@ -130,6 +130,9 @@ func TestMergedAccessors(t *testing.T) {
 	c := NewGray(3)
 	mask := MaskAll(3).Without(LSB)
 	m := c.Merge(mask)
+	if c.Merge(mask) != m {
+		t.Error("Merge should return the shared precomputed result")
+	}
 	if m.Scheme() != c {
 		t.Error("Scheme() should return the source scheme")
 	}

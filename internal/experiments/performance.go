@@ -9,17 +9,24 @@ import (
 // errorRates are the Figure 8 sweep points (IDA-E0 through IDA-E80).
 var errorRates = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 
+// figure8Systems returns the Figure 8 sweep's systems: the baseline, then
+// IDA at each error rate in sweep order. Shared with the batch API's
+// "figure8" sweep so the two enumerate identical memo keys.
+func figure8Systems() []idaflash.System {
+	systems := []idaflash.System{idaflash.Baseline()}
+	for _, e := range errorRates {
+		systems = append(systems, idaflash.IDA(e))
+	}
+	return systems
+}
+
 // Figure8 reproduces the headline result: mean read response time of the
 // IDA systems at voltage-adjustment error rates 0%..80%, normalized to the
 // baseline, per workload plus the geometric structure of the paper's bar
 // chart (one row per workload, one column per error rate).
 func Figure8(r *Runner) (*Table, error) {
 	profiles := r.profiles()
-	systems := []idaflash.System{idaflash.Baseline()}
-	for _, e := range errorRates {
-		systems = append(systems, idaflash.IDA(e))
-	}
-	if err := r.RunAll(crossProduct(profiles, systems)); err != nil {
+	if err := r.RunAll(crossProduct(profiles, figure8Systems())); err != nil {
 		return nil, err
 	}
 	t := &Table{

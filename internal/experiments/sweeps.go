@@ -21,13 +21,7 @@ type Point struct {
 // counterpart runs, so a batch warm-up makes the corresponding experiment
 // (Figure8, Figure9, CodingComparison) free.
 var sweeps = map[string]func() []idaflash.System{
-	"figure8": func() []idaflash.System {
-		systems := []idaflash.System{idaflash.Baseline()}
-		for _, e := range errorRates {
-			systems = append(systems, idaflash.IDA(e))
-		}
-		return systems
-	},
+	"figure8":     figure8Systems,
 	"sensitivity": sensitivitySystems,
 	"cmp":         codingLabSystems,
 }

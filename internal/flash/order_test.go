@@ -102,40 +102,3 @@ func TestNewProgramOrderPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestCellModel(t *testing.T) {
-	m := NewCellModel(coding.NewGray(3))
-	if m.Bits() != 3 {
-		t.Fatalf("bits = %d", m.Bits())
-	}
-	if got := m.ConventionalSenses(coding.MSB); got != 4 {
-		t.Errorf("conventional MSB senses = %d, want 4", got)
-	}
-	keep := coding.ValidMask(0).With(coding.CSB).With(coding.MSB)
-	if got := m.IDASenses(keep, coding.CSB); got != 1 {
-		t.Errorf("IDA CSB senses = %d, want 1", got)
-	}
-	if got := m.IDASenses(keep, coding.MSB); got != 2 {
-		t.Errorf("IDA MSB senses = %d, want 2", got)
-	}
-	// Cache must return the identical object.
-	if m.Merged(keep) != m.Merged(keep) {
-		t.Error("Merged not cached")
-	}
-	// Reading a non-kept page is a logic error.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("IDASenses on merged-away page should panic")
-			}
-		}()
-		m.IDASenses(keep, coding.LSB)
-	}()
-	// Plan forwards to the scheme.
-	if p := m.PlanWordline(coding.MaskAll(3)); !p.Apply {
-		t.Error("PlanWordline should apply for case 1")
-	}
-	if m.Code() == nil {
-		t.Error("Code() nil")
-	}
-}

@@ -66,22 +66,14 @@ type Options struct {
 	// written back to the new block (the paper's E0..E80 knob).
 	ErrorRate float64
 	// RefreshPeriod is the age at which a fully-programmed block is
-	// refreshed. Zero disables refresh.
+	// refreshed. Zero disables refresh; a positive period also makes
+	// StaggerBlockAges spread the aged blocks over one period.
 	RefreshPeriod time.Duration
-	// RefreshStagger spreads initial block ages uniformly over one
-	// period so refreshes do not arrive in a storm.
-	RefreshStagger bool
 	// MaxOpenBlockAge force-closes a plane's active block once it has
 	// been open this long, even if not full, so slowly-filling blocks
 	// still become eligible for refresh (data retention is about page
 	// age, not block occupancy). Zero disables forced closure.
 	MaxOpenBlockAge time.Duration
-	// Allocation is the static page-allocation order, a permutation of
-	// the letters C (channel), W (way/chip), D (die), P (plane); the
-	// first letter varies fastest across consecutive writes. The paper
-	// uses "CWDP" (channel first), the default; the cited allocation
-	// study (Jung & Kandemir, HotStorage'12) evaluates the others.
-	Allocation string
 	// GCFreeBlocks is the per-plane free-block low watermark that
 	// triggers garbage collection; defaults to 2.
 	GCFreeBlocks int
@@ -116,12 +108,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MaxOpenBlockAge < 0 {
 		return o, fmt.Errorf("ftl: MaxOpenBlockAge %v must be non-negative", o.MaxOpenBlockAge)
-	}
-	if o.Allocation == "" {
-		o.Allocation = "CWDP"
-	}
-	if err := validateAllocation(o.Allocation); err != nil {
-		return o, err
 	}
 	if o.GCFreeBlocks == 0 {
 		o.GCFreeBlocks = 2
@@ -165,19 +151,23 @@ type plane struct {
 type FTL struct {
 	opts  Options
 	geom  flash.Geometry
-	cells *flash.CellModel
 	order *flash.ProgramOrder
 	rng   *rand.Rand
 	// rngSrc is rng's underlying source; its draw count pins the rng's
 	// position in the seeded stream so Snapshot/Restore can serialize it.
 	rngSrc *sim.CountedSource
+	// pagePower and pageCells are the code's per-wordline program cost
+	// split per page: one page program accounts for 1/bits of the
+	// wordline's expected charge and programmed-cell population.
+	pagePower, pageCells float64
 
 	l2p    *l2pTable
 	planes []*plane
 	// allocCursor rotates host writes across planes in CWDP order
 	// (channel first, then chip, then die, then plane).
 	allocCursor int
-	// cwdp[i] is the PlaneID the i-th allocation in a stripe targets.
+	// cwdp[i] is the PlaneID the i-th allocation in a stripe targets;
+	// built once, since the geometry is fixed.
 	cwdp []flash.PlaneID
 
 	// pendingGC buffers garbage collections the FTL had to run inline
@@ -217,7 +207,7 @@ func New(opts Options) (*FTL, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	f := &FTL{geom: g, l2p: newL2P(g.TotalPages()), planes: make([]*plane, g.Planes())}
+	f := &FTL{geom: g, l2p: newL2P(g.TotalPages()), planes: make([]*plane, g.Planes()), cwdp: cwdpStripe(g)}
 	for i := range f.planes {
 		f.planes[i] = &plane{blocks: make([]*block, g.BlocksPerPlane), free: make([]int, 0, g.BlocksPerPlane)}
 	}
@@ -270,93 +260,41 @@ func (f *FTL) Reset(opts Options) error {
 	f.l2p.reset()
 	f.dropPendingGC()
 	src := sim.NewCountedSource(opts.Seed ^ rngSeedMask)
+	cost := opts.Code.ProgramCost()
+	bits := float64(opts.Code.Bits())
 	// The keep-list: the pooled storage above the blank line survives, the
 	// per-run state below it is rebuilt, and every field left off starts
 	// from its zero value, exactly as in a new FTL.
 	*f = FTL{
-		geom: f.geom, l2p: f.l2p, planes: f.planes, order: order, blockPool: pool,
+		geom: f.geom, l2p: f.l2p, planes: f.planes, cwdp: f.cwdp, order: order, blockPool: pool,
 		pendingGC: f.pendingGC, gcJobs: f.gcJobs, refreshJobs: f.refreshJobs, kept: f.kept,
 		freeReads: f.freeReads, freeMoves: f.freeMoves,
 
-		opts: opts, cells: flash.NewCellModel(opts.Code), rng: rand.New(src), rngSrc: src,
-		cwdp: allocationStripe(f.geom, opts.Allocation),
+		opts: opts, rng: rand.New(src), rngSrc: src,
+		pagePower: cost.MeanLevel / bits, pageCells: cost.ProgrammedFrac / bits,
 	}
 	return nil
 }
 
-// validateAllocation checks that the order names each of C, W, D, P once.
-func validateAllocation(s string) error {
-	if len(s) != 4 {
-		return fmt.Errorf("ftl: allocation order %q must have 4 letters", s)
-	}
-	seen := map[byte]bool{}
-	for i := 0; i < 4; i++ {
-		c := s[i]
-		switch c {
-		case 'C', 'W', 'D', 'P':
-			if seen[c] {
-				return fmt.Errorf("ftl: allocation order %q repeats %q", s, string(c))
-			}
-			seen[c] = true
-		default:
-			return fmt.Errorf("ftl: allocation order %q has invalid letter %q (want C, W, D, P)", s, string(c))
-		}
-	}
-	return nil
-}
-
-// allocationStripe builds the plane visit order for a static allocation: the
-// first letter of the order varies fastest across consecutive allocations.
-func allocationStripe(g flash.Geometry, order string) []flash.PlaneID {
-	limit := func(c byte) int {
-		switch c {
-		case 'C':
-			return g.Channels
-		case 'W':
-			return g.ChipsPerChannel
-		case 'D':
-			return g.DiesPerChip
-		default:
-			return g.PlanesPerDie
-		}
-	}
+// cwdpStripe builds the plane visit order of the paper's static CWDP
+// allocation: consecutive allocations step through the channels first,
+// then the chips, then the dies, then the planes.
+func cwdpStripe(g flash.Geometry) []flash.PlaneID {
 	stripe := make([]flash.PlaneID, 0, g.Planes())
-	idx := [4]int{} // counters for order[0..3]
-	for {
-		coord := flash.PlaneCoord{}
-		for i := 0; i < 4; i++ {
-			switch order[i] {
-			case 'C':
-				coord.Channel = idx[i]
-			case 'W':
-				coord.Chip = idx[i]
-			case 'D':
-				coord.Die = idx[i]
-			default:
-				coord.Plane = idx[i]
+	for p := 0; p < g.PlanesPerDie; p++ {
+		for d := 0; d < g.DiesPerChip; d++ {
+			for w := 0; w < g.ChipsPerChannel; w++ {
+				for c := 0; c < g.Channels; c++ {
+					stripe = append(stripe, g.PlaneOf(flash.PlaneCoord{Channel: c, Chip: w, Die: d, Plane: p}))
+				}
 			}
-		}
-		stripe = append(stripe, g.PlaneOf(coord))
-		// Odometer increment, first letter fastest.
-		i := 0
-		for ; i < 4; i++ {
-			idx[i]++
-			if idx[i] < limit(order[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i == 4 {
-			return stripe
 		}
 	}
+	return stripe
 }
 
 // Geometry returns the device geometry.
 func (f *FTL) Geometry() flash.Geometry { return f.geom }
-
-// CellModel returns the shared cell model (coding plus merge cache).
-func (f *FTL) CellModel() *flash.CellModel { return f.cells }
 
 // Options returns the options the FTL was built with (after defaulting).
 func (f *FTL) Options() Options { return f.opts }

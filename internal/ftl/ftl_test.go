@@ -343,49 +343,55 @@ func TestWearStats(t *testing.T) {
 	}
 }
 
+// TestAllocationOrders pins the static CWDP stripe: consecutive writes step
+// through the channels first, then the chips, the dies and the planes, and
+// the stripe repeats once every plane has had a page.
 func TestAllocationOrders(t *testing.T) {
 	g := multiPlaneGeom() // 2 channels x 2 chips x 2 dies x 2 planes
-	// Every valid permutation must visit all planes exactly once per
-	// stripe pass, with the first letter varying fastest.
-	for _, order := range []string{"CWDP", "WDPC", "PDWC", "DCWP"} {
-		f := mustFTL(t, Options{Geometry: g, Allocation: order})
-		seen := make(map[flash.PlaneID]bool)
-		var coords []flash.PlaneCoord
-		for i := 0; i < g.Planes(); i++ {
-			prog, err := f.Write(LPN(i), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seen[prog.Addr.Plane] {
-				t.Fatalf("%s: plane %d revisited within one stripe", order, prog.Addr.Plane)
-			}
-			seen[prog.Addr.Plane] = true
-			coords = append(coords, g.Coord(prog.Addr.Plane))
+	f := mustFTL(t, Options{Geometry: g})
+	// PlaneID = 8*channel + 4*chip + 2*die + plane.
+	want := []flash.PlaneID{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
+	for i := 0; i < 2*len(want); i++ {
+		prog, err := f.Write(LPN(i), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The first two allocations must differ in the first letter's
-		// dimension only.
-		a, b := coords[0], coords[1]
-		var fastDiffers bool
-		switch order[0] {
-		case 'C':
-			fastDiffers = a.Channel != b.Channel && a.Chip == b.Chip && a.Die == b.Die && a.Plane == b.Plane
-		case 'W':
-			fastDiffers = a.Chip != b.Chip && a.Channel == b.Channel && a.Die == b.Die && a.Plane == b.Plane
-		case 'D':
-			fastDiffers = a.Die != b.Die && a.Channel == b.Channel && a.Chip == b.Chip && a.Plane == b.Plane
-		case 'P':
-			fastDiffers = a.Plane != b.Plane && a.Channel == b.Channel && a.Chip == b.Chip && a.Die == b.Die
-		}
-		if !fastDiffers {
-			t.Errorf("%s: first step did not vary the fastest dimension: %+v -> %+v", order, a, b)
+		if prog.Addr.Plane != want[i%len(want)] {
+			t.Fatalf("write %d landed on plane %d, want %d", i, prog.Addr.Plane, want[i%len(want)])
 		}
 	}
-	// Invalid orders are rejected.
-	for _, bad := range []string{"CWD", "CCDP", "CWDX", "CWDPP"} {
-		if _, err := New(Options{Geometry: g, Allocation: bad}); err == nil {
-			t.Errorf("allocation %q accepted", bad)
+}
+
+// TestReadSensesUnderKeepMask checks the sensing count of a read on an
+// IDA-adjusted wordline, and that reading a page the adjustment merged away
+// panics: the FTL never maps such a page, so a read of one is a logic error.
+func TestReadSensesUnderKeepMask(t *testing.T) {
+	f := mustFTL(t, Options{Geometry: tinyGeom()})
+	var lpn LPN
+	var prog PageProgram
+	for ; ; lpn++ { // the first MSB page the program order writes
+		var err error
+		if prog, err = f.Write(lpn, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, typ := f.pageCoords(prog.Addr.Page); typ == coding.MSB {
+			break
 		}
 	}
+	wl, _ := f.pageCoords(prog.Addr.Page)
+	b := f.planes[prog.Addr.Plane].blocks[prog.Addr.Block]
+	// Table I case 2: the LSB is merged away, the MSB needs 2 sensings.
+	b.wlKeep[wl] = coding.MaskAll(3).Without(coding.LSB)
+	if info, _ := f.Read(lpn); info.Senses != 2 || !info.IDA {
+		t.Errorf("MSB read on an LSB-merged wordline: senses %d IDA %v, want 2 true", info.Senses, info.IDA)
+	}
+	b.wlKeep[wl] = coding.MaskAll(3).Without(coding.MSB)
+	defer func() {
+		if recover() == nil {
+			t.Error("reading a merged-away page did not panic")
+		}
+	}()
+	f.Read(lpn)
 }
 
 // TestUsageCountsIDAValidPages checks the merge-state page census.

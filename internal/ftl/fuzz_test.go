@@ -32,7 +32,6 @@ func TestRandomOperationsKeepInvariants(t *testing.T) {
 				ErrorRate:       0.3,
 				RefreshPeriod:   time.Hour,
 				MaxOpenBlockAge: 30 * time.Minute,
-				RefreshStagger:  true,
 				Seed:            seed,
 			})
 			rng := rand.New(rand.NewSource(seed))

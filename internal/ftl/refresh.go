@@ -122,9 +122,10 @@ func (f *FTL) CloseActiveBlocks() {
 
 // StaggerBlockAges spreads the apparent ages of all fully-programmed blocks
 // uniformly over one refresh period, so a freshly-prefilled device does not
-// refresh everything at once. Call it once, after warmup.
+// refresh everything at once. Call it once, after warmup. It does nothing
+// when refresh is disabled.
 func (f *FTL) StaggerBlockAges(now sim.Time) {
-	if f.opts.RefreshPeriod == 0 || !f.opts.RefreshStagger {
+	if f.opts.RefreshPeriod == 0 {
 		return
 	}
 	for _, ps := range f.planes {
@@ -273,7 +274,7 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 			}
 			continue
 		}
-		plan := f.cells.PlanWordline(mask)
+		plan := f.opts.Code.PlanWordline(mask)
 		for _, t := range plan.Move {
 			if job.Moves, err = f.appendMove(job.Moves, pl, blk, f.pageIndex(wl, t), true, now); err != nil {
 				return fmt.Errorf("ftl: allocation failed during IDA refresh of p%d/b%d: %w", pl, blk, err)
@@ -287,7 +288,7 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 		// proxy is the expected per-cell level distance of the merge.
 		b.wlKeep[wl] = plan.Keep
 		job.AdjustedWLs++
-		f.stats.ProgramPower += f.cells.AdjustPower(plan.Keep)
+		f.stats.ProgramPower += f.opts.Code.Merge(plan.Keep).MeanMove()
 		// Walk page types in order (not the KeptSenses map) so the
 		// corruption draws below consume randomness deterministically.
 		for t := coding.PageType(0); int(t) < f.geom.BitsPerCell; t++ {

@@ -315,9 +315,7 @@ func TestRefreshDeterminism(t *testing.T) {
 }
 
 func TestStaggerBlockAges(t *testing.T) {
-	opts := refreshOpts(false, 0)
-	opts.RefreshStagger = true
-	f := mustFTL(t, opts)
+	f := mustFTL(t, refreshOpts(false, 0))
 	for i := LPN(0); i < 48; i++ { // four full blocks
 		f.Write(i, 0)
 	}
@@ -337,14 +335,16 @@ func TestStaggerBlockAges(t *testing.T) {
 	if len(ages) < 2 {
 		t.Error("stagger produced identical ages")
 	}
-	// Without the flag it is a no-op.
-	f2 := mustFTL(t, refreshOpts(false, 0))
+	// With refresh disabled it is a no-op.
+	opts := refreshOpts(false, 0)
+	opts.RefreshPeriod = 0
+	f2 := mustFTL(t, opts)
 	for i := LPN(0); i < 12; i++ {
 		f2.Write(i, 0)
 	}
 	f2.StaggerBlockAges(0)
 	if f2.planes[0].blocks[0].programmedAt != 0 {
-		t.Error("stagger ran without the flag")
+		t.Error("stagger ran with refresh disabled")
 	}
 }
 

@@ -50,13 +50,12 @@ func ageRandomly(t *testing.T, f *FTL, seed int64, writes int) {
 
 func snapshotOptions(g flash.Geometry, seed int64, fm FaultModel) Options {
 	return Options{
-		Geometry:       g,
-		IDAEnabled:     true,
-		ErrorRate:      0.2, // corruption draws advance the rng stream
-		RefreshPeriod:  100 * time.Microsecond,
-		RefreshStagger: true,
-		Seed:           seed,
-		Faults:         fm,
+		Geometry:      g,
+		IDAEnabled:    true,
+		ErrorRate:     0.2, // corruption draws advance the rng stream
+		RefreshPeriod: 100 * time.Microsecond,
+		Seed:          seed,
+		Faults:        fm,
 	}
 }
 

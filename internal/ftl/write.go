@@ -237,8 +237,8 @@ func (f *FTL) retireBlock(b *block) {
 // given number of program pulses (the successful one plus any attempts the
 // fault model failed — those transferred charge into the now-bad block too).
 func (f *FTL) chargeProgram(attempts int) {
-	f.stats.ProgramPower += float64(attempts) * f.cells.PageProgramPower()
-	f.stats.ProgrammedCells += float64(attempts) * f.cells.PageProgrammedCells()
+	f.stats.ProgramPower += float64(attempts) * f.pagePower
+	f.stats.ProgrammedCells += float64(attempts) * f.pageCells
 }
 
 // relocateGlobal moves the valid page at src to the next page of the global
@@ -301,17 +301,21 @@ func (f *FTL) relocateTo(src flash.PageAddr, now sim.Time, target flash.PlaneID)
 }
 
 // sensesAt returns the sensing count needed to read the given physical page
-// under the wordline's current coding mode.
+// under the wordline's current coding mode. It panics if the page was merged
+// away by its wordline's IDA adjustment: reading such a page is a logic
+// error in the FTL, not a recoverable condition.
 func (f *FTL) sensesAt(b *block, page int) int {
 	wl, t := f.pageCoords(page)
 	if keep := b.wlKeep[wl]; keep != 0 {
-		return f.cells.IDASenses(keep, t)
+		if !keep.Has(t) {
+			panic(fmt.Sprintf("ftl: reading page %v of an IDA wordline that kept only %b", t, keep))
+		}
+		return f.opts.Code.Merge(keep).Senses(t)
 	}
-	return f.cells.ConventionalSenses(t)
+	return f.opts.Code.Senses(t)
 }
 
-// FreeBlocks returns the free-block count of a plane (for tests and
-// admission logic).
+// FreeBlocks returns the free-block count of a plane (for tests).
 func (f *FTL) FreeBlocks(pl flash.PlaneID) int { return len(f.planes[pl].free) }
 
 // validMaskForPage is a small helper exposing sibling validity to the read

@@ -51,9 +51,9 @@ func TestGetRejectedConfigKeepsIdle(t *testing.T) {
 	before := a.Stats()
 
 	bad := cfg
-	bad.MaxQueueDepth = -1
+	bad.RefreshScanInterval = -1
 	if dev, err := a.Get(bad); err == nil || dev != nil {
-		t.Fatalf("Get(MaxQueueDepth -1) = %v, %v; want nil device and an error", dev, err)
+		t.Fatalf("Get(RefreshScanInterval -1) = %v, %v; want nil device and an error", dev, err)
 	}
 	if got := a.Stats(); got != before {
 		t.Fatalf("rejected Get changed the arena:\nbefore %+v\nafter  %+v", before, got)
@@ -122,7 +122,7 @@ func TestNilArenaIsUnpooled(t *testing.T) {
 		t.Fatalf("nil arena Get = %p, %v; want a fresh device, not %p", again, err, dev)
 	}
 	bad := testConfig(1)
-	bad.MaxQueueDepth = -1
+	bad.RefreshScanInterval = -1
 	if _, err := a.Get(bad); err == nil {
 		t.Fatal("nil arena accepted an invalid config")
 	}

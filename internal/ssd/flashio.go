@@ -83,8 +83,7 @@ func (s *SSD) readPage(lpn ftl.LPN, req *request) {
 		// Reads of never-written data are served like a fastest-page
 		// read (the controller returns zeroes after a mapping miss;
 		// we charge a conservative full page read).
-		s.unmapped++
-		s.dispatchStats.UnmappedPages++
+		s.stages.Dispatch.UnmappedPages++
 		now := s.engine.Now()
 		flash := s.readHold(1)
 		req.sp.AddPhase(telemetry.StageFlash, now, now+flash)
@@ -152,9 +151,9 @@ func (op *readOp) round() {
 		op.hold = s.readHold(op.info.Senses) + op.extra
 	} else {
 		op.hold = s.cfg.Timing.ExtraSenseLatency(op.info.Senses) + s.cfg.Timing.Transfer/2
-		s.flashStats.RetryRounds++
+		s.stages.Flash.RetryRounds++
 	}
-	s.flashStats.ReadCommands++
+	s.stages.Flash.ReadCommands++
 	op.issued = s.engine.Now()
 	op.stage = readStageDie
 	s.dieOf(op.info.Addr).AcquireAction(sim.PrioHostRead, 0, op)
@@ -251,7 +250,7 @@ func (s *SSD) issueProgram(prog ftl.PageProgram, req *request, attempt int) {
 	if s.checkWriteOutage(prog, req, attempt) {
 		return
 	}
-	s.flashStats.ProgramCommands++
+	s.stages.Flash.ProgramCommands++
 	op := s.getWriteOp()
 	op.prog = prog
 	op.req = req

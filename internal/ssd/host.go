@@ -1,15 +1,75 @@
 package ssd
 
 import (
+	"time"
+
+	"idaflash/internal/ftl"
 	"idaflash/internal/sim"
 	"idaflash/internal/telemetry"
 	"idaflash/internal/workload"
 )
 
-// This file wires the stage pipeline together for one host request: submit
-// runs the admission stage (admission.go), admitted requests go to the FTL
-// dispatch stage (dispatch.go), and pageDone closes the loop — response
-// accounting and submission-queue slot release.
+// The request path through the device is a pipeline of three stages:
+//
+//	host dispatch (this file) -> scheduler (per-die/channel arbitration)
+//	  -> flash command issue (flashio.go)
+//
+// Requests replay open loop, as in the paper: each one enters service the
+// instant it arrives. This file holds the first stage: submit splits a host
+// request into logical pages and hands each to the FTL, and pageDone closes
+// the loop with the response accounting.
+
+// StageStats bundles the per-stage instrumentation for Results.
+type StageStats struct {
+	Admission AdmissionStats
+	Dispatch  DispatchStats
+	Flash     FlashStats
+}
+
+// Add returns the field-wise sum of two stage snapshots (array merging).
+func (s StageStats) Add(o StageStats) StageStats {
+	s.Admission.Admitted += o.Admission.Admitted
+	s.Admission.HostQueued += o.Admission.HostQueued
+	s.Admission.HostQueueWait += o.Admission.HostQueueWait
+	if o.Admission.MaxHostQueue > s.Admission.MaxHostQueue {
+		s.Admission.MaxHostQueue = o.Admission.MaxHostQueue
+	}
+	s.Dispatch.ReadPages += o.Dispatch.ReadPages
+	s.Dispatch.WritePages += o.Dispatch.WritePages
+	s.Dispatch.UnmappedPages += o.Dispatch.UnmappedPages
+	s.Flash.ReadCommands += o.Flash.ReadCommands
+	s.Flash.RetryRounds += o.Flash.RetryRounds
+	s.Flash.ProgramCommands += o.Flash.ProgramCommands
+	return s
+}
+
+// AdmissionStats counts the requests that entered service. The device has
+// no host-side queue, so the three host-queue fields are always zero; they
+// stay because pinned Results JSON digests and the benchmark's
+// ssd.host_queue_wait_ms probe read them.
+type AdmissionStats struct {
+	// Admitted counts requests that entered service.
+	Admitted uint64
+	// HostQueued is always zero (no host-side queue); kept for the
+	// Results JSON shape.
+	HostQueued uint64
+	// HostQueueWait is always zero (no host-side queue); kept for the
+	// Results JSON shape and the benchmark probe that reads it.
+	HostQueueWait time.Duration
+	// MaxHostQueue is always zero (no host-side queue); kept for the
+	// Results JSON shape.
+	MaxHostQueue int
+}
+
+// DispatchStats instruments the translation of host requests into pages.
+type DispatchStats struct {
+	// ReadPages and WritePages count the logical pages dispatched.
+	ReadPages  uint64
+	WritePages uint64
+	// UnmappedPages counts read pages that had no mapping (reads of
+	// never-written data); Results.UnmappedReads reports it too.
+	UnmappedPages uint64
+}
 
 // request tracks one in-flight host request. Requests are pooled on the
 // SSD: pageDone recycles the struct once its last page completes, so the
@@ -44,16 +104,41 @@ func (s *SSD) putRequest(req *request) {
 	s.requests = append(s.requests, req)
 }
 
-// submit admits a newly-arrived host request, queueing it host-side when
-// the submission queue is full.
+// lpnRange converts a byte extent to the logical pages it covers.
+func (s *SSD) lpnRange(offset int64, size int) (first, count ftl.LPN) {
+	first = ftl.LPN(offset / int64(s.pageSize))
+	last := ftl.LPN((offset + int64(size) - 1) / int64(s.pageSize))
+	return first, last - first + 1
+}
+
+// submit starts servicing a newly-arrived host request: its byte extent is
+// split into logical pages, each dispatched to the FTL and on to the flash
+// issue stage. Writes additionally trigger garbage collection when they
+// drain free blocks below the watermark.
 func (s *SSD) submit(r workload.Request) {
 	now := s.engine.Now()
 	sp := s.tel.StartRequest(now, r.Read, r.Size)
-	if !s.adm.hasSlot() {
-		s.adm.park(r, now, sp)
-		return
+	first, count := s.lpnRange(r.Offset, r.Size)
+	req := s.getRequest()
+	req.arrived, req.pages, req.read, req.size, req.sp = now, int(count), r.Read, r.Size, sp
+	if s.inFlight == 0 {
+		s.busyStart = now
 	}
-	s.startRequest(r, now, sp)
+	s.inFlight++
+	s.stages.Admission.Admitted++
+	for i := ftl.LPN(0); i < count; i++ {
+		if r.Read {
+			s.stages.Dispatch.ReadPages++
+			s.readPage(first+i, req)
+		} else {
+			s.stages.Dispatch.WritePages++
+			s.writePage(first+i, req)
+		}
+	}
+	if !r.Read {
+		// Writes may have drained free blocks below the watermark.
+		s.runGC()
+	}
 }
 
 // pageDone accounts one finished page of the request and completes it when
@@ -84,14 +169,8 @@ func (s *SSD) pageDone(req *request) {
 	}
 	s.putRequest(req)
 	s.lastHostDone = now
-	// A completed request frees a submission-queue slot; the oldest
-	// parked request (if any) enters service with its original arrival
-	// time, so host-side waiting counts toward its response.
-	next, ok := s.adm.release()
-	if s.adm.inFlight == 0 {
+	s.inFlight--
+	if s.inFlight == 0 {
 		s.busySpan += now - s.busyStart
-	}
-	if ok {
-		s.startRequest(next.r, next.arrived, next.sp)
 	}
 }

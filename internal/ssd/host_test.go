@@ -1,151 +1,10 @@
 package ssd
 
-import (
-	"testing"
-
-	"idaflash/internal/ftl"
-	"idaflash/internal/sim"
-	"idaflash/internal/workload"
-)
-
-// The admission stage is pure bookkeeping, so its FIFO ordering and slot
-// accounting are testable without an engine.
-func TestAdmissionStageFIFOUnderPressure(t *testing.T) {
-	a := admission{maxDepth: 2}
-	if !a.hasSlot() {
-		t.Fatal("fresh stage must have a slot")
-	}
-	a.admit(0, 0)
-	a.admit(0, 0)
-	if a.hasSlot() {
-		t.Fatal("depth-2 stage full after two admissions")
-	}
-	for i := 0; i < 3; i++ {
-		a.park(workload.Request{Offset: int64(i)}, sim.Time(i), nil)
-	}
-	if a.stats.HostQueued != 3 || a.stats.MaxHostQueue != 3 {
-		t.Fatalf("park stats = %+v", a.stats)
-	}
-	// Completions release slots; parked requests come back in FIFO order.
-	for want := int64(0); want < 3; want++ {
-		next, ok := a.release()
-		if !ok {
-			t.Fatalf("release %d: no parked request returned", want)
-		}
-		if next.r.Offset != want {
-			t.Fatalf("release %d: got offset %d, want %d (FIFO violated)", want, next.r.Offset, want)
-		}
-		a.admit(next.arrived, 10)
-	}
-	if next, ok := a.release(); ok {
-		t.Fatalf("empty queue released %+v", next)
-	}
-	if a.stats.Admitted != 5 {
-		t.Errorf("admitted = %d, want 5", a.stats.Admitted)
-	}
-	// The three parked requests arrived at t=0,1,2 and entered at t=10.
-	if a.stats.HostQueueWait != sim.Time(10-0)+sim.Time(10-1)+sim.Time(10-2) {
-		t.Errorf("queue wait = %v", a.stats.HostQueueWait)
-	}
-}
-
-func TestAdmissionUnlimitedDepthNeverParks(t *testing.T) {
-	a := admission{} // maxDepth 0 = unlimited
-	for i := 0; i < 100; i++ {
-		if !a.hasSlot() {
-			t.Fatal("unlimited stage ran out of slots")
-		}
-		a.admit(0, 0)
-	}
-	if len(a.queue) != 0 || a.stats.HostQueued != 0 {
-		t.Errorf("unlimited stage parked requests: %+v", a.stats)
-	}
-}
-
-// With QD=1, the second of two simultaneous reads waits host-side; its
-// response must count from its arrival, so it is exactly the first's
-// service plus its own.
-func TestHostQueueArrivalTimeAccounting(t *testing.T) {
-	cfg := testConfig(false, 0)
-	cfg.MaxQueueDepth = 1
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := ftl.LPN(0); i < 2; i++ {
-		if _, err := s.FTL().Write(i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Per-page service time depends on the page's sensing count.
-	latency := func(lpn ftl.LPN) sim.Time {
-		info, ok := s.FTL().Read(lpn)
-		if !ok {
-			t.Fatalf("lpn %d unmapped", lpn)
-		}
-		return s.cfg.Timing.ReadLatency(info.Senses) + s.cfg.Timing.Transfer + s.cfg.ECC.DecodeLatency
-	}
-	l0, l1 := latency(0), latency(1)
-	s.engine.At(0, func() {
-		s.submit(workload.Request{At: 0, Offset: 0, Size: 8192, Read: true})
-		s.submit(workload.Request{At: 0, Offset: 8192, Size: 8192, Read: true})
-	})
-	s.engine.Run()
-	if s.readReqs != 2 {
-		t.Fatalf("served %d requests", s.readReqs)
-	}
-	want := (l0 + (l0 + l1)) / 2
-	if got := s.readResp.Mean(); got != want {
-		t.Errorf("mean response %v, want %v (second must count host-queue wait)", got, want)
-	}
-	st := s.adm.stats
-	if st.Admitted != 2 || st.HostQueued != 1 || st.MaxHostQueue != 1 {
-		t.Errorf("admission stats = %+v", st)
-	}
-	if st.HostQueueWait != l0 {
-		t.Errorf("host queue wait = %v, want %v", st.HostQueueWait, l0)
-	}
-}
-
-// Completions must release exactly one slot each: with QD=2 and four
-// requests, the stage peaks at two in flight and drains completely.
-func TestHostQueueSlotReleaseOnCompletion(t *testing.T) {
-	cfg := testConfig(false, 0)
-	cfg.MaxQueueDepth = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := ftl.LPN(0); i < 4; i++ {
-		if _, err := s.FTL().Write(i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.engine.At(0, func() {
-		for i := int64(0); i < 4; i++ {
-			s.submit(workload.Request{At: 0, Offset: i * 8192, Size: 8192, Read: true})
-		}
-		if s.adm.inFlight != 2 || len(s.adm.queue) != 2 {
-			t.Errorf("at submit: inFlight=%d queued=%d, want 2/2", s.adm.inFlight, len(s.adm.queue))
-		}
-	})
-	s.engine.Run()
-	if s.readReqs != 4 {
-		t.Fatalf("served %d requests, want 4", s.readReqs)
-	}
-	if s.adm.inFlight != 0 || len(s.adm.queue) != 0 {
-		t.Errorf("stage not drained: inFlight=%d queued=%d", s.adm.inFlight, len(s.adm.queue))
-	}
-	if s.adm.stats.HostQueued != 2 {
-		t.Errorf("host-queued = %d, want 2", s.adm.stats.HostQueued)
-	}
-}
+import "testing"
 
 // Stage stats surface in Results and reset between phases.
 func TestStageStatsInResults(t *testing.T) {
-	cfg := testConfig(false, 0)
-	cfg.MaxQueueDepth = 4
-	s, err := New(cfg)
+	s, err := New(testConfig(false, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

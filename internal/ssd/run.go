@@ -84,8 +84,8 @@ type Results struct {
 	GCBusy      time.Duration
 	RefreshBusy time.Duration
 
-	// Stages instruments the request-path stages (admission, FTL
-	// dispatch, flash command issue).
+	// Stages instruments the request-path stages (host dispatch, flash
+	// command issue).
 	Stages StageStats
 
 	// Faults instruments the host-path fault recovery (zero outside fault
@@ -322,7 +322,7 @@ func (s *SSD) replayTimed(reqs []workload.Request) error {
 	feeder := &arrivalFeeder{s: s, reqs: reqs, start: start, base: reqs[0].At}
 	s.engine.AtAction(start+sim.Time(reqs[0].At-feeder.base), feeder)
 	s.scheduleRefreshScan(func() bool {
-		return feeder.remaining() > 0 || s.adm.inFlight > 0 || len(s.adm.queue) > 0
+		return feeder.remaining() > 0 || s.inFlight > 0
 	})
 	s.armSampler()
 	return s.engine.Run()
@@ -335,13 +335,10 @@ func (s *SSD) resetMetrics() {
 	s.writeResp.Reset()
 	s.readBytes, s.writeBytes = 0, 0
 	s.readReqs, s.writeReqs = 0, 0
-	s.unmapped = 0
 	s.busySpan = 0
 	s.gcBusy, s.refreshBusy = 0, 0
 	s.peakInUse, s.peakIDA = 0, 0
-	s.adm.stats = AdmissionStats{}
-	s.dispatchStats = DispatchStats{}
-	s.flashStats = FlashStats{}
+	s.stages = StageStats{}
 	s.faultStats = FaultStats{}
 	s.failedReads = nil
 	s.phaseStart = s.engine.Now()
@@ -405,25 +402,21 @@ func (s *SSD) results(name string) Results {
 		P99ReadResponse:   s.readResp.Quantile(0.99),
 		MeanWriteResponse: s.writeResp.Mean(),
 		Makespan:          s.lastHostDone - s.phaseStart,
-		UnmappedReads:     s.unmapped,
+		UnmappedReads:     s.stages.Dispatch.UnmappedPages,
 		FTL:               s.f.Stats(),
 		Usage:             s.f.Usage(),
 		PeakInUse:         s.peakInUse,
 		PeakIDA:           s.peakIDA,
 		GCBusy:            s.gcBusy,
 		RefreshBusy:       s.refreshBusy,
-		Stages: StageStats{
-			Admission: s.adm.stats,
-			Dispatch:  s.dispatchStats,
-			Flash:     s.flashStats,
-		},
-		Faults:    s.faultStats,
-		Events:    s.engine.Processed(),
-		ReadHist:  s.readResp.Clone(),
-		WriteHist: s.writeResp.Clone(),
-		Telemetry: s.tel.Export(),
+		Stages:            s.stages,
+		Faults:            s.faultStats,
+		Events:            s.engine.Processed(),
+		ReadHist:          s.readResp.Clone(),
+		WriteHist:         s.writeResp.Clone(),
+		Telemetry:         s.tel.Export(),
 	}
-	r.Coding = s.f.CellModel().Code().Name()
+	r.Coding = s.f.Options().Code.Name()
 	r.Wear = s.f.WearStats()
 	r.DeriveFTLMetrics()
 	for _, d := range s.dies {

@@ -36,11 +36,6 @@ type Config struct {
 	// RefreshScanInterval is how often the refresh manager scans for due
 	// blocks; defaults to one simulated minute.
 	RefreshScanInterval time.Duration
-	// MaxQueueDepth caps concurrently-serviced host requests, as a host
-	// interface's submission queue would; arrivals beyond the cap wait
-	// in a host-side FIFO (their wait counts toward response time).
-	// Zero means unlimited.
-	MaxQueueDepth int
 	// Scheduler selects the die/channel arbitration policy. Empty means
 	// read-first, the paper's policy (and the only one that reproduces
 	// its results bit for bit).
@@ -92,9 +87,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RefreshScanInterval < 0 {
 		return c, fmt.Errorf("ssd: RefreshScanInterval %v must be positive", c.RefreshScanInterval)
 	}
-	if c.MaxQueueDepth < 0 {
-		return c, fmt.Errorf("ssd: MaxQueueDepth %d must be non-negative", c.MaxQueueDepth)
-	}
 	if c.Scheduler == "" {
 		c.Scheduler = sim.PolicyReadFirst
 	}
@@ -133,11 +125,10 @@ type SSD struct {
 
 	pageSize int
 
-	// Stage state and instrumentation (see admission.go for the pipeline
-	// overview).
-	adm           admission
-	dispatchStats DispatchStats
-	flashStats    FlashStats
+	// Request-path instrumentation (see host.go for the pipeline
+	// overview) and the number of host requests in service.
+	stages   StageStats
+	inFlight int
 
 	// Free lists for the hot-path state (flashio.go, host.go): page
 	// operations and request records recycle through these instead of
@@ -169,7 +160,6 @@ type SSD struct {
 	writeBytes   uint64
 	readReqs     uint64
 	writeReqs    uint64
-	unmapped     uint64
 
 	// Background accounting.
 	gcBusy      time.Duration
@@ -257,7 +247,6 @@ func (s *SSD) Reset(cfg Config) error {
 
 	// Validation passed; everything below is infallible.
 	s.engine.Reset()
-	clear(s.adm.queue)
 	s.readResp.Reset()
 	s.writeResp.Reset()
 	if s.scan != nil {
@@ -270,7 +259,6 @@ func (s *SSD) Reset(cfg Config) error {
 		engine: s.engine, dies: s.dies, channels: s.channels, planes: s.planes, readResp: s.readResp, writeResp: s.writeResp,
 		readOps: s.readOps, writeOps: s.writeOps, requests: s.requests,
 		bgOps: s.bgOps, scan: s.scan,
-		adm: admission{maxDepth: cfg.MaxQueueDepth, queue: s.adm.queue[:0]},
 
 		cfg: cfg, f: f, pageSize: cfg.Geometry.PageSizeBytes,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x53534421)),

@@ -24,11 +24,10 @@ func testConfig(ida bool, errorRate float64) Config {
 		Geometry: testGeom(),
 		Timing:   flash.PaperTLCTiming(),
 		FTL: ftl.Options{
-			IDAEnabled:     ida,
-			ErrorRate:      errorRate,
-			RefreshPeriod:  20 * time.Minute,
-			RefreshStagger: true,
-			Seed:           7,
+			IDAEnabled:    ida,
+			ErrorRate:     errorRate,
+			RefreshPeriod: 20 * time.Minute,
+			Seed:          7,
 		},
 		RefreshScanInterval: time.Minute,
 		Seed:                7,
@@ -143,8 +142,8 @@ func TestUnmappedReads(t *testing.T) {
 		s.submit(workload.Request{At: 0, Offset: 0, Size: 8192, Read: true})
 	})
 	s.engine.Run()
-	if s.unmapped != 1 {
-		t.Errorf("unmapped reads = %d, want 1", s.unmapped)
+	if got := s.stages.Dispatch.UnmappedPages; got != 1 {
+		t.Errorf("unmapped reads = %d, want 1", got)
 	}
 }
 
@@ -255,11 +254,11 @@ func TestResetRejectsBeforeCommit(t *testing.T) {
 	}
 	now, mapped, ftlStats := s.engine.Now(), s.FTL().MappedPages(), s.FTL().Stats()
 
-	badQueue, badFTL, badGeom := cfg, cfg, cfg
-	badQueue.MaxQueueDepth = -1
+	badScan, badFTL, badGeom := cfg, cfg, cfg
+	badScan.RefreshScanInterval = -1
 	badFTL.FTL.ErrorRate = 2
 	badGeom.Geometry.BlocksPerPlane++
-	for name, bad := range map[string]Config{"queue": badQueue, "ftl": badFTL, "geometry": badGeom} {
+	for name, bad := range map[string]Config{"scan": badScan, "ftl": badFTL, "geometry": badGeom} {
 		if err := s.Reset(bad); err == nil {
 			t.Fatalf("%s: Reset accepted an invalid config", name)
 		}
@@ -398,68 +397,5 @@ func TestWriteAmplificationReported(t *testing.T) {
 	}
 	if res.WriteAmplification > 50 {
 		t.Errorf("write amplification = %v, implausibly large", res.WriteAmplification)
-	}
-}
-
-func TestMaxQueueDepthSerializes(t *testing.T) {
-	cfg := testConfig(false, 0)
-	cfg.MaxQueueDepth = 1
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := ftl.LPN(0); i < 3; i++ {
-		if _, err := s.FTL().Write(i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three single-page reads arrive simultaneously; with QD=1 they are
-	// serviced one after another, so the third's response is about three
-	// single-read latencies.
-	single := s.cfg.Timing.ReadLatency(1) + s.cfg.Timing.Transfer + s.cfg.ECC.DecodeLatency
-	s.engine.At(0, func() {
-		for i := int64(0); i < 3; i++ {
-			s.submit(workload.Request{At: 0, Offset: i * 8192, Size: 8192, Read: true})
-		}
-	})
-	s.engine.Run()
-	if s.readReqs != 3 {
-		t.Fatalf("served %d requests", s.readReqs)
-	}
-	// Mean of (1x, 2x, 3x) = 2x single latency; allow sensing variation
-	// (pages may be CSB/MSB) by requiring at least 1.5x the fastest.
-	if got := s.readResp.Mean(); got < single*3/2 {
-		t.Errorf("QD=1 mean response %v, want >= %v (serialized)", got, single*3/2)
-	}
-	if len(s.adm.queue) != 0 {
-		t.Error("host queue not drained")
-	}
-	// Negative depth is rejected.
-	bad := testConfig(false, 0)
-	bad.MaxQueueDepth = -1
-	if _, err := New(bad); err == nil {
-		t.Error("negative queue depth accepted")
-	}
-}
-
-func TestMaxQueueDepthEndToEnd(t *testing.T) {
-	// A full run with a QD cap completes every request and never leaves
-	// the host queue populated.
-	cfg := testConfig(true, 0.2)
-	cfg.MaxQueueDepth = 8
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := testTrace(t, "qd", 2500, 0.9)
-	res, err := s.Run(tr, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.ReadRequests + res.WriteRequests; got == 0 {
-		t.Fatal("no requests served")
-	}
-	if len(s.adm.queue) != 0 {
-		t.Errorf("host queue left with %d entries", len(s.adm.queue))
 	}
 }

@@ -128,8 +128,7 @@ func (s *SSD) recordSample(now sim.Time) {
 	prev := &s.lastTotals
 	sm := telemetry.Sample{
 		At:             now,
-		HostInFlight:   s.adm.inFlight,
-		HostQueued:     len(s.adm.queue),
+		HostInFlight:   s.inFlight,
 		FreeBlocks:     u.Free,
 		ActiveBlocks:   u.Active,
 		InUseBlocks:    u.InUse,

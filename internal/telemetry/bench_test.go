@@ -19,7 +19,6 @@ func BenchmarkDisabledHooks(b *testing.B) {
 // path.
 func disabledRequest(r *Recorder) {
 	sp := r.StartRequest(0, true, 8192)
-	sp.Admit(10)
 	for p := 0; p < 2; p++ {
 		sp.AddPhase(StageQueue, 10, 20)
 		sp.AddPhase(StageFlash, 20, 120)

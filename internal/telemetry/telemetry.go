@@ -5,12 +5,12 @@
 // It has two recording surfaces:
 //
 //   - A span recorder: every sampled host request gets a Span capturing its
-//     transitions through the staged request path (arrival -> admission
-//     wait -> scheduler queue -> flash sensing/transfer -> ECC decode ->
-//     completion), kept in a bounded ring buffer and exportable as
-//     Chrome/Perfetto trace-event JSON (trace.go).
+//     transitions through the staged request path (arrival -> scheduler
+//     queue -> flash sensing/transfer -> ECC decode -> completion), kept
+//     in a bounded ring buffer and exportable as Chrome/Perfetto
+//     trace-event JSON (trace.go).
 //   - A time-series sampler: at a fixed simulated-time interval the device
-//     snapshots queue depths, per-channel busy time, host-queue occupancy,
+//     snapshots queue depths, per-channel busy time, in-flight requests,
 //     block and merge-state page populations, and GC/refresh activity into
 //     Samples, exportable as CSV (timeseries.go).
 //
@@ -38,25 +38,19 @@ type Stage uint8
 
 // Request-path stages, in pipeline order.
 const (
-	// StageAdmission is the host-side wait for a submission-queue slot
-	// (zero-width for requests admitted on arrival).
-	StageAdmission Stage = iota
 	// StageQueue is the wait in a die/channel scheduler queue before a
 	// flash command is served.
-	StageQueue
+	StageQueue Stage = iota
 	// StageFlash is the sensing/transfer (reads) or transfer/program
 	// (writes) hold on the die and channel.
 	StageFlash
 	// StageECC is the decode latency after a read transfer.
 	StageECC
-	numStages
 )
 
 // String names the stage (the trace-event name).
 func (s Stage) String() string {
 	switch s {
-	case StageAdmission:
-		return "admission"
 	case StageQueue:
 		return "queue"
 	case StageFlash:
@@ -86,24 +80,12 @@ type Span struct {
 	Device int
 	Read   bool
 	Bytes  int
-	// Arrived, Admitted, and Completed are the simulated instants of
-	// arrival, entry into service (end of host-side queueing), and
-	// final page completion.
+	// Arrived and Completed are the simulated instants of arrival (which
+	// is also entry into service: requests replay open loop) and final
+	// page completion.
 	Arrived   time.Duration
-	Admitted  time.Duration
 	Completed time.Duration
 	Phases    []Phase
-}
-
-// Admit marks the end of the admission wait. Nil-safe.
-func (s *Span) Admit(now time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Admitted = now
-	if now > s.Arrived {
-		s.Phases = append(s.Phases, Phase{Stage: StageAdmission, Start: s.Arrived, End: now})
-	}
 }
 
 // AddPhase appends one timed segment. Zero-width segments are kept: they mark
@@ -194,12 +176,11 @@ func (r *Recorder) StartRequest(arrived time.Duration, read bool, bytes int) *Sp
 		return nil
 	}
 	return &Span{
-		ID:       r.arrivals,
-		Device:   r.cfg.Device,
-		Read:     read,
-		Bytes:    bytes,
-		Arrived:  arrived,
-		Admitted: arrived,
+		ID:      r.arrivals,
+		Device:  r.cfg.Device,
+		Read:    read,
+		Bytes:   bytes,
+		Arrived: arrived,
 	}
 }
 

@@ -17,7 +17,6 @@ func record(t *testing.T, cfg Config, n int) *Recorder {
 	for i := 0; i < n; i++ {
 		at := ms(int64(i))
 		sp := r.StartRequest(at, i%2 == 0, 4096)
-		sp.Admit(at + ms(1))
 		sp.AddPhase(StageQueue, at+ms(1), at+ms(2))
 		sp.AddPhase(StageFlash, at+ms(2), at+ms(3))
 		sp.AddPhase(StageECC, at+ms(3), at+ms(4))
@@ -36,15 +35,15 @@ func TestSpanLifecycleAndOrdering(t *testing.T) {
 		if sp.ID != uint64(i+1) {
 			t.Errorf("span %d: ID = %d, want %d", i, sp.ID, i+1)
 		}
-		if !(sp.Arrived <= sp.Admitted && sp.Admitted <= sp.Completed) {
-			t.Errorf("span %d: out-of-order instants %v %v %v", i, sp.Arrived, sp.Admitted, sp.Completed)
+		if sp.Arrived > sp.Completed {
+			t.Errorf("span %d: completed %v before arrival %v", i, sp.Completed, sp.Arrived)
 		}
-		// Admission phase (1ms wait) + the three explicit phases.
-		if len(sp.Phases) != 4 {
-			t.Fatalf("span %d: phases = %d, want 4", i, len(sp.Phases))
+		// The three explicit phases, in the order they were added.
+		if len(sp.Phases) != 3 {
+			t.Fatalf("span %d: phases = %d, want 3", i, len(sp.Phases))
 		}
-		if sp.Phases[0].Stage != StageAdmission {
-			t.Errorf("span %d: first phase %v, want admission", i, sp.Phases[0].Stage)
+		if sp.Phases[0].Stage != StageQueue {
+			t.Errorf("span %d: first phase %v, want queue", i, sp.Phases[0].Stage)
 		}
 		for j, ph := range sp.Phases {
 			if ph.End < ph.Start {
@@ -112,14 +111,14 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
-	// 1 metadata + 3 spans * (1 request + 4 phases).
-	if want := 1 + 3*5; len(doc.TraceEvents) != want {
+	// 1 metadata + 3 spans * (1 request + 3 phases).
+	if want := 1 + 3*4; len(doc.TraceEvents) != want {
 		t.Fatalf("events = %d, want %d", len(doc.TraceEvents), want)
 	}
 	if doc.TraceEvents[0].Ph != "M" || doc.TraceEvents[0].Name != "process_name" {
 		t.Fatalf("first event %+v, want process_name metadata", doc.TraceEvents[0])
 	}
-	stageNames := map[string]bool{"admission": true, "queue": true, "flash": true, "ecc": true}
+	stageNames := map[string]bool{"queue": true, "flash": true, "ecc": true}
 	var lastRequestTs float64 = -1
 	for _, ev := range doc.TraceEvents[1:] {
 		if ev.Ph != "X" {
@@ -260,7 +259,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil recorder returned a span")
 	}
-	sp.Admit(ms(1))
 	sp.AddPhase(StageFlash, 0, ms(1))
 	r.FinishRequest(sp, ms(2))
 	r.Record(Sample{})

@@ -49,9 +49,11 @@ type Sample struct {
 	// Device tags the stream (stamped by Recorder.Record).
 	Device int
 
-	// Host interface occupancy.
-	HostInFlight int // requests holding a submission-queue slot
-	HostQueued   int // requests parked host-side
+	// Host interface occupancy. HostQueued is always zero: the device
+	// has no host-side queue, but the CSV keeps its host_queued column
+	// so pinned telemetry digests stay valid.
+	HostInFlight int // host requests in service
+	HostQueued   int
 
 	// Die/channel scheduler state: busy server counts and summed queue
 	// depths at the instant, plus busy-time accumulated over the
