@@ -462,11 +462,11 @@ func BuildConfig(p Profile, sys System) (SSDConfig, Profile, error) {
 			// for the paper's "3 days to 3 months" scaled to the
 			// trace span, so the IDA/conventional block rotation
 			// reaches steady state well inside the measurement.
+			// The FTL closes a block left open half this period, so
+			// slow planes still rotate their hot wordlines to the
+			// refresher.
 			RefreshPeriod: p.Duration / 6,
-			// Slow planes must still rotate their open blocks so
-			// recently-written (hot) wordlines reach the refresher.
-			MaxOpenBlockAge: p.Duration / 12,
-			Seed:            p.Seed,
+			Seed:          p.Seed,
 		},
 		ECC:                 eccParams,
 		RefreshScanInterval: p.Duration / 300,
@@ -584,16 +584,13 @@ func StoreDisk() *results.Disk {
 // baseline, every IDA error-rate point, and every coding/scheduler variant
 // of one profile share a single snapshot.
 type snapshotKeyData struct {
-	Codec           uint32
-	Profile         Profile
-	Geometry        Geometry
-	Order           flash.OrderKind
-	GCFreeBlocks    int
-	RefreshPeriod   time.Duration
-	MaxOpenBlockAge time.Duration
-	FTLSeed         int64
-	Seed            int64
-	Faults          *FaultScenario
+	Codec         uint32
+	Profile       Profile
+	Geometry      Geometry
+	RefreshPeriod time.Duration
+	FTLSeed       int64
+	Seed          int64
+	Faults        *FaultScenario
 }
 
 // snapshotKey builds the cache key for one device's aged state. It fails
@@ -601,16 +598,13 @@ type snapshotKeyData struct {
 // run simply replays uncached.
 func snapshotKey(p Profile, cfg SSDConfig) string {
 	b, err := json.Marshal(snapshotKeyData{
-		Codec:           snapshot.CodecVersion,
-		Profile:         p,
-		Geometry:        cfg.Geometry,
-		Order:           cfg.FTL.Order,
-		GCFreeBlocks:    cfg.FTL.GCFreeBlocks,
-		RefreshPeriod:   cfg.FTL.RefreshPeriod,
-		MaxOpenBlockAge: cfg.FTL.MaxOpenBlockAge,
-		FTLSeed:         cfg.FTL.Seed,
-		Seed:            cfg.Seed,
-		Faults:          cfg.Faults,
+		Codec:         snapshot.CodecVersion,
+		Profile:       p,
+		Geometry:      cfg.Geometry,
+		RefreshPeriod: cfg.FTL.RefreshPeriod,
+		FTLSeed:       cfg.FTL.Seed,
+		Seed:          cfg.Seed,
+		Faults:        cfg.Faults,
 	})
 	if err != nil {
 		return ""

@@ -47,8 +47,10 @@ func TestBuildConfig(t *testing.T) {
 	if !cfg.FTL.IDAEnabled || cfg.FTL.ErrorRate != 0.2 {
 		t.Errorf("FTL options = %+v", cfg.FTL)
 	}
-	if cfg.FTL.RefreshPeriod <= 0 || cfg.FTL.MaxOpenBlockAge <= 0 {
-		t.Error("refresh knobs not set")
+	// The FTL force-closes a block left open half the refresh period, so
+	// the period must leave that bound positive.
+	if cfg.FTL.RefreshPeriod/2 <= 0 {
+		t.Errorf("refresh period %v leaves no open-block bound", cfg.FTL.RefreshPeriod)
 	}
 	if cfg.Geometry.BitsPerCell != 3 {
 		t.Errorf("bits = %d", cfg.Geometry.BitsPerCell)

@@ -13,90 +13,34 @@ type PageRef struct {
 	Type coding.PageType
 }
 
-// ProgramOrder is the sequence in which a block's pages are programmed.
-// Real multi-level devices never fill a wordline's pages back to back:
-// they use a staircase ("shadow") schedule that programs the fast page of
-// wordline n+k before the slow page of wordline n, which limits program
-// interference. The schedule matters to this reproduction because it
-// determines how temporally-adjacent host writes spread across page types,
-// and therefore how often a wordline ends up with an invalid LSB but valid
-// MSB (the paper's target scenario).
-type ProgramOrder struct {
-	refs  []PageRef
-	index map[PageRef]int
-}
+// ProgramOrder is the sequence in which a block's pages are programmed:
+// entry i is the page written at program step i. Real multi-level devices
+// never fill a wordline's pages back to back: they use a staircase
+// ("shadow") schedule that programs the fast page of wordline n+k before
+// the slow page of wordline n, which limits program interference. The
+// schedule matters to this reproduction because it determines how
+// temporally-adjacent host writes spread across page types, and therefore
+// how often a wordline ends up with an invalid LSB but valid MSB (the
+// paper's target scenario).
+type ProgramOrder []PageRef
 
-// OrderKind selects the program schedule.
-type OrderKind int
-
-const (
-	// OrderShadow is the staircase schedule: page (wl, type) is
-	// programmed in ascending (wl+type, type) order, e.g. for TLC:
-	// L0; L1, C0; L2, C1, M0; L3, C2, M1; ...
-	OrderShadow OrderKind = iota
-	// OrderSequential fills each wordline completely before the next:
-	// L0, C0, M0; L1, C1, M1; ...
-	OrderSequential
-)
-
-// String names the order kind.
-func (k OrderKind) String() string {
-	switch k {
-	case OrderShadow:
-		return "shadow"
-	case OrderSequential:
-		return "sequential"
-	default:
-		return fmt.Sprintf("OrderKind(%d)", int(k))
-	}
-}
-
-// NewProgramOrder builds the program schedule for a block of the given
-// shape.
-func NewProgramOrder(wordlines, bits int, kind OrderKind) *ProgramOrder {
+// NewProgramOrder builds the shadow schedule for a block of the given
+// shape: a diagonal sweep over key = wl + type, ties broken by the slower
+// page first so every wordline finishes as early as possible once its
+// diagonal arrives. For TLC: L0; C0, L1; M0, C1, L2; M1, C2, L3; ...
+func NewProgramOrder(wordlines, bits int) ProgramOrder {
 	if wordlines <= 0 || bits <= 0 {
 		panic(fmt.Sprintf("flash: NewProgramOrder(%d, %d)", wordlines, bits))
 	}
-	po := &ProgramOrder{
-		refs:  make([]PageRef, 0, wordlines*bits),
-		index: make(map[PageRef]int, wordlines*bits),
-	}
-	switch kind {
-	case OrderSequential:
-		for wl := 0; wl < wordlines; wl++ {
-			for b := 0; b < bits; b++ {
-				po.push(PageRef{WL: wl, Type: coding.PageType(b)})
+	po := make(ProgramOrder, 0, wordlines*bits)
+	maxKey := (wordlines - 1) + (bits - 1)
+	for key := 0; key <= maxKey; key++ {
+		for b := bits - 1; b >= 0; b-- {
+			wl := key - b
+			if wl >= 0 && wl < wordlines {
+				po = append(po, PageRef{WL: wl, Type: coding.PageType(b)})
 			}
 		}
-	case OrderShadow:
-		// Diagonal sweep: key = wl + type, ties broken by the slower
-		// page first so every wordline finishes as early as possible
-		// once its diagonal arrives.
-		maxKey := (wordlines - 1) + (bits - 1)
-		for key := 0; key <= maxKey; key++ {
-			for b := bits - 1; b >= 0; b-- {
-				wl := key - b
-				if wl >= 0 && wl < wordlines {
-					po.push(PageRef{WL: wl, Type: coding.PageType(b)})
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("flash: unknown order kind %d", kind))
 	}
 	return po
 }
-
-func (po *ProgramOrder) push(r PageRef) {
-	po.index[r] = len(po.refs)
-	po.refs = append(po.refs, r)
-}
-
-// Len returns the number of pages in the schedule (pages per block).
-func (po *ProgramOrder) Len() int { return len(po.refs) }
-
-// At returns the wordline and page type programmed at schedule step i.
-func (po *ProgramOrder) At(i int) PageRef { return po.refs[i] }
-
-// StepOf returns the schedule step at which the given page is programmed.
-func (po *ProgramOrder) StepOf(r PageRef) int { return po.index[r] }

@@ -3,6 +3,7 @@ package ftl
 import (
 	"testing"
 
+	"idaflash/internal/coding"
 	"idaflash/internal/flash"
 )
 
@@ -58,7 +59,7 @@ func TestProgramFailureRemapsWrite(t *testing.T) {
 
 	// The grown-bad blocks are empty, so GC reclaims them next — and their
 	// erase retires them instead of returning them to the free list.
-	f.opts.GCFreeBlocks = tinyGeom().BlocksPerPlane
+	f.gcFreeBlocks = tinyGeom().BlocksPerPlane
 	jobs := mustCollectGC(t, f, 0)
 	if len(jobs) != 2 {
 		t.Fatalf("GC reclaimed %d blocks, want the 2 grown-bad ones", len(jobs))
@@ -106,8 +107,8 @@ func TestEraseFailureRetires(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.opts.GCFreeBlocks = 6
-	freeBefore := f.FreeBlocks(0)
+	f.gcFreeBlocks = 6
+	freeBefore := len(f.planes[0].free)
 	mustCollectGC(t, f, 0)
 	st := f.Stats()
 	if st.EraseFailures == 0 {
@@ -120,7 +121,7 @@ func TestEraseFailureRetires(t *testing.T) {
 	if st.Erases != 0 {
 		t.Errorf("stats.Erases = %d with every erase failing", st.Erases)
 	}
-	if got := f.FreeBlocks(0); got != freeBefore {
+	if got := len(f.planes[0].free); got != freeBefore {
 		t.Errorf("free blocks %d -> %d; failed erases must not replenish the free list",
 			freeBefore, got)
 	}
@@ -171,7 +172,8 @@ func TestRelocationsCarryProgramFailures(t *testing.T) {
 		{name: "ida ablation", opts: ablation, writes: seq(0, 12)},
 		// Case-2 wordlines move nothing; at E=100% every kept page is
 		// written back.
-		{name: "corrupted write-back", opts: refreshOpts(true, 1), writes: append(seq(0, 12), 0, 3, 6, 9), corrupted: true},
+		{name: "corrupted write-back", opts: refreshOpts(true, 1), corrupted: true,
+			writes: append(seq(0, 12), lpnAt(0, 0, coding.LSB), lpnAt(0, 1, coding.LSB), lpnAt(0, 2, coding.LSB), lpnAt(0, 3, coding.LSB))},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -188,7 +190,7 @@ func TestRelocationsCarryProgramFailures(t *testing.T) {
 			var gcJobs []GCJob
 			var refJobs []RefreshJob
 			if c.gc {
-				f.opts.GCFreeBlocks = tinyGeom().BlocksPerPlane
+				f.gcFreeBlocks = tinyGeom().BlocksPerPlane
 				gcJobs = mustCollectGC(t, f, 0)
 			} else {
 				refJobs = mustDueRefreshes(t, f, 11*hour)

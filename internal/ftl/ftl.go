@@ -49,9 +49,6 @@ type Options struct {
 	// Code is the cell coding; defaults to the registry's default code
 	// (the paper's Gray/IDA coding) matching Geometry.BitsPerCell.
 	Code coding.Code
-	// Order is the in-block programming schedule; defaults to the shadow
-	// (staircase) order real devices use.
-	Order flash.OrderKind
 	// IDAEnabled turns the invalid-data-aware refresh on.
 	IDAEnabled bool
 	// IDAOnlyInvalid restricts the voltage adjustment to wordlines that
@@ -67,16 +64,10 @@ type Options struct {
 	ErrorRate float64
 	// RefreshPeriod is the age at which a fully-programmed block is
 	// refreshed. Zero disables refresh; a positive period also makes
-	// StaggerBlockAges spread the aged blocks over one period.
+	// StaggerBlockAges spread the aged blocks over one period, and
+	// force-closes an active block once it has been open half a period
+	// (see closeAgedActive).
 	RefreshPeriod time.Duration
-	// MaxOpenBlockAge force-closes a plane's active block once it has
-	// been open this long, even if not full, so slowly-filling blocks
-	// still become eligible for refresh (data retention is about page
-	// age, not block occupancy). Zero disables forced closure.
-	MaxOpenBlockAge time.Duration
-	// GCFreeBlocks is the per-plane free-block low watermark that
-	// triggers garbage collection; defaults to 2.
-	GCFreeBlocks int
 	// Seed drives the FTL's randomness (corruption draws, stagger).
 	Seed int64
 	// Faults injects media failures (program/erase); nil disables. The
@@ -106,20 +97,15 @@ func (o Options) withDefaults() (Options, error) {
 	if o.RefreshPeriod < 0 {
 		return o, fmt.Errorf("ftl: RefreshPeriod %v must be non-negative", o.RefreshPeriod)
 	}
-	if o.MaxOpenBlockAge < 0 {
-		return o, fmt.Errorf("ftl: MaxOpenBlockAge %v must be non-negative", o.MaxOpenBlockAge)
-	}
-	if o.GCFreeBlocks == 0 {
-		o.GCFreeBlocks = 2
-	}
-	if o.GCFreeBlocks < 1 {
-		return o, fmt.Errorf("ftl: GCFreeBlocks %d must be at least 1", o.GCFreeBlocks)
-	}
-	if o.GCFreeBlocks >= o.Geometry.BlocksPerPlane {
-		return o, fmt.Errorf("ftl: GCFreeBlocks %d must be below BlocksPerPlane %d", o.GCFreeBlocks, o.Geometry.BlocksPerPlane)
+	if gcWatermark >= o.Geometry.BlocksPerPlane {
+		return o, fmt.Errorf("ftl: BlocksPerPlane %d must exceed the GC watermark %d", o.Geometry.BlocksPerPlane, gcWatermark)
 	}
 	return o, nil
 }
+
+// gcWatermark is the per-plane free-block count below which garbage
+// collection runs.
+const gcWatermark = 2
 
 // block is the per-block entry of the block status table.
 type block struct {
@@ -149,10 +135,15 @@ type plane struct {
 // FTL is the flash translation layer state machine. It is not safe for
 // concurrent use; the simulation is single-threaded by design.
 type FTL struct {
-	opts  Options
-	geom  flash.Geometry
-	order *flash.ProgramOrder
-	rng   *rand.Rand
+	opts Options
+	geom flash.Geometry
+	// order[i] is the in-block page index programmed at step i of the
+	// shadow program order; built once, since the geometry is fixed.
+	order []int
+	// gcFreeBlocks is the GC watermark; always gcWatermark, except where
+	// a test sets another.
+	gcFreeBlocks int
+	rng          *rand.Rand
 	// rngSrc is rng's underlying source; its draw count pins the rng's
 	// position in the seeded stream so Snapshot/Restore can serialize it.
 	rngSrc *sim.CountedSource
@@ -200,14 +191,14 @@ type FTL struct {
 }
 
 // New builds an FTL over an erased device. It allocates only what the
-// geometry fixes — the dense L2P and the plane tables — and leaves every
-// other field to Reset, the one initializer.
+// geometry fixes — the L2P, the plane tables, the program order and the CWDP
+// stripe — and leaves every other field to Reset, the one initializer.
 func New(opts Options) (*FTL, error) {
 	g := opts.Geometry
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	f := &FTL{geom: g, l2p: newL2P(g.TotalPages()), planes: make([]*plane, g.Planes()), cwdp: cwdpStripe(g)}
+	f := &FTL{geom: g, l2p: newL2P(g.TotalPages()), planes: make([]*plane, g.Planes()), order: pageOrder(g), cwdp: cwdpStripe(g)}
 	for i := range f.planes {
 		f.planes[i] = &plane{blocks: make([]*block, g.BlocksPerPlane), free: make([]int, 0, g.BlocksPerPlane)}
 	}
@@ -238,10 +229,6 @@ func (f *FTL) Reset(opts Options) error {
 	}
 
 	// Validation passed; everything below is infallible.
-	order := f.order
-	if order == nil || opts.Order != f.opts.Order {
-		order = flash.NewProgramOrder(f.geom.WordlinesPerBlock, f.geom.BitsPerCell, opts.Order)
-	}
 	pool := f.blockPool
 	for _, p := range f.planes {
 		for i, b := range p.blocks {
@@ -266,14 +253,25 @@ func (f *FTL) Reset(opts Options) error {
 	// per-run state below it is rebuilt, and every field left off starts
 	// from its zero value, exactly as in a new FTL.
 	*f = FTL{
-		geom: f.geom, l2p: f.l2p, planes: f.planes, cwdp: f.cwdp, order: order, blockPool: pool,
+		geom: f.geom, l2p: f.l2p, planes: f.planes, cwdp: f.cwdp, order: f.order, blockPool: pool,
 		pendingGC: f.pendingGC, gcJobs: f.gcJobs, refreshJobs: f.refreshJobs, kept: f.kept,
 		freeReads: f.freeReads, freeMoves: f.freeMoves,
 
-		opts: opts, rng: rand.New(src), rngSrc: src,
+		opts: opts, gcFreeBlocks: gcWatermark, rng: rand.New(src), rngSrc: src,
 		pagePower: cost.MeanLevel / bits, pageCells: cost.ProgrammedFrac / bits,
 	}
 	return nil
+}
+
+// pageOrder turns the geometry's shadow program order into in-block page
+// indexes, one per program step.
+func pageOrder(g flash.Geometry) []int {
+	refs := flash.NewProgramOrder(g.WordlinesPerBlock, g.BitsPerCell)
+	order := make([]int, len(refs))
+	for i, r := range refs {
+		order[i] = r.WL*g.BitsPerCell + int(r.Type)
+	}
+	return order
 }
 
 // cwdpStripe builds the plane visit order of the paper's static CWDP
@@ -292,9 +290,6 @@ func cwdpStripe(g flash.Geometry) []flash.PlaneID {
 	}
 	return stripe
 }
-
-// Geometry returns the device geometry.
-func (f *FTL) Geometry() flash.Geometry { return f.geom }
 
 // Options returns the options the FTL was built with (after defaulting).
 func (f *FTL) Options() Options { return f.opts }
@@ -372,12 +367,6 @@ func (f *FTL) wlValidMask(b *block, wl int) coding.ValidMask {
 		}
 	}
 	return m
-}
-
-// Mapped reports whether the LPN currently has a physical page.
-func (f *FTL) Mapped(lpn LPN) bool {
-	_, ok := f.l2p.get(lpn)
-	return ok
 }
 
 // MappedPages returns the number of mapped logical pages.

@@ -171,27 +171,29 @@ func TestPageTypeSensesConventional(t *testing.T) {
 }
 
 func TestReadClassification(t *testing.T) {
-	f := mustFTL(t, Options{Geometry: tinyGeom(), Order: flash.OrderSequential})
-	// Sequential order: LPNs 0,1,2 land on WL0 as LSB, CSB, MSB.
-	for i := LPN(0); i < 3; i++ {
+	f := mustFTL(t, Options{Geometry: tinyGeom()})
+	// Steps 0-4 of the shadow order program all of WL0 (and WL1's LSB and
+	// CSB); the next write, step 5, lands on the LSB of WL2.
+	for i := LPN(0); i < 5; i++ {
 		f.Write(i, 0)
 	}
-	if info, _ := f.Read(2); info.Class != ReadMSBAllValid {
+	lsb, csb, msb := lpnAt(0, 0, coding.LSB), lpnAt(0, 0, coding.CSB), lpnAt(0, 0, coding.MSB)
+	if info, _ := f.Read(msb); info.Class != ReadMSBAllValid {
 		t.Errorf("MSB class with all valid = %v", info.Class)
 	}
-	if info, _ := f.Read(1); info.Class != ReadCSBAllValid {
+	if info, _ := f.Read(csb); info.Class != ReadCSBAllValid {
 		t.Errorf("CSB class with all valid = %v", info.Class)
 	}
-	// Overwrite the LSB (LPN 0): its WL0 copy goes invalid.
-	f.Write(0, 0)
-	if info, _ := f.Read(2); info.Class != ReadMSBLowerInvalid {
+	// Overwrite the LSB: its WL0 copy goes invalid.
+	f.Write(lsb, 0)
+	if info, _ := f.Read(msb); info.Class != ReadMSBLowerInvalid {
 		t.Errorf("MSB class with LSB invalid = %v", info.Class)
 	}
-	if info, _ := f.Read(1); info.Class != ReadCSBLowerInvalid {
+	if info, _ := f.Read(csb); info.Class != ReadCSBLowerInvalid {
 		t.Errorf("CSB class with LSB invalid = %v", info.Class)
 	}
-	// The relocated LPN 0 is an LSB read again somewhere else.
-	if info, _ := f.Read(0); info.Class != ReadLSB {
+	// The relocated LSB's LPN is an LSB read again somewhere else.
+	if info, _ := f.Read(lsb); info.Class != ReadLSB {
 		t.Errorf("LSB class = %v", info.Class)
 	}
 	st := f.Stats()
@@ -237,17 +239,16 @@ func TestCWDPStriping(t *testing.T) {
 
 func TestWriteFailsWhenFull(t *testing.T) {
 	g := tinyGeom()
-	f := mustFTL(t, Options{Geometry: g, GCFreeBlocks: 1})
-	// Fill the whole device with distinct LPNs (no invalid pages, so GC
-	// cannot help).
-	total := g.TotalBlocks() * g.PagesPerBlock()
-	var err error
-	for i := 0; i < total+1; i++ {
-		if _, err = f.Write(LPN(i), 0); err != nil {
-			break
+	f := mustFTL(t, Options{Geometry: g})
+	f.gcFreeBlocks = 1
+	// Fill the whole device with distinct LPNs: no page is invalid, so GC
+	// cannot help, and one more write, even an overwrite, finds no room.
+	for i := LPN(0); i < LPN(g.TotalPages()); i++ {
+		if _, err := f.Write(i, 0); err != nil {
+			t.Fatalf("write %d of %d: %v", i, g.TotalPages(), err)
 		}
 	}
-	if err == nil {
+	if _, err := f.Write(0, 0); err == nil {
 		t.Fatal("writing past device capacity should fail")
 	}
 }
@@ -259,10 +260,12 @@ func TestOptionsValidation(t *testing.T) {
 		{Geometry: good, ErrorRate: -0.1},
 		{Geometry: good, ErrorRate: 1.1},
 		{Geometry: good, RefreshPeriod: -time.Second},
-		{Geometry: good, GCFreeBlocks: -1},
-		{Geometry: good, GCFreeBlocks: 8},
 		{Geometry: good, Code: coding.NewGray(2)},
 	}
+	// A plane needs more blocks than the GC watermark.
+	small := good
+	small.BlocksPerPlane = gcWatermark
+	cases = append(cases, Options{Geometry: small})
 	for i, o := range cases {
 		if _, err := New(o); err == nil {
 			t.Errorf("case %d should fail", i)
@@ -290,13 +293,13 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestMappedAndUsage(t *testing.T) {
 	f := mustFTL(t, Options{Geometry: tinyGeom()})
-	if f.Mapped(3) {
+	if _, ok := f.l2p.get(3); ok {
 		t.Error("unmapped LPN reported mapped")
 	}
 	for i := LPN(0); i < 12; i++ {
 		f.Write(i, 0)
 	}
-	if !f.Mapped(3) || f.MappedPages() != 12 {
+	if _, ok := f.l2p.get(3); !ok || f.MappedPages() != 12 {
 		t.Error("mapping census wrong")
 	}
 	u := f.Usage()

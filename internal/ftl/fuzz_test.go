@@ -27,12 +27,11 @@ func TestRandomOperationsKeepInvariants(t *testing.T) {
 				BlocksPerPlane: 10, WordlinesPerBlock: 4, PageSizeBytes: 8192, BitsPerCell: 3,
 			}
 			f := mustFTL(t, Options{
-				Geometry:        g,
-				IDAEnabled:      seed%2 == 0,
-				ErrorRate:       0.3,
-				RefreshPeriod:   time.Hour,
-				MaxOpenBlockAge: 30 * time.Minute,
-				Seed:            seed,
+				Geometry:      g,
+				IDAEnabled:    seed%2 == 0,
+				ErrorRate:     0.3,
+				RefreshPeriod: time.Hour,
+				Seed:          seed,
 			})
 			rng := rand.New(rand.NewSource(seed))
 			// Logical space sized to ~45% of the device.
@@ -99,12 +98,11 @@ func TestRandomOperationsMLCAndQLC(t *testing.T) {
 				BlocksPerPlane: 8, WordlinesPerBlock: 4, PageSizeBytes: 8192, BitsPerCell: bits,
 			}
 			f := mustFTL(t, Options{
-				Geometry:        g,
-				IDAEnabled:      true,
-				ErrorRate:       0.2,
-				RefreshPeriod:   time.Hour,
-				MaxOpenBlockAge: 30 * time.Minute,
-				Seed:            int64(bits),
+				Geometry:      g,
+				IDAEnabled:    true,
+				ErrorRate:     0.2,
+				RefreshPeriod: time.Hour,
+				Seed:          int64(bits),
 			})
 			rng := rand.New(rand.NewSource(int64(bits)))
 			space := LPN(float64(g.TotalPages()) * 0.4)

@@ -51,7 +51,7 @@ func (f *FTL) CollectGC(now sim.Time) ([]GCJob, error) {
 	clear(f.gcJobs)
 	f.gcJobs, f.pendingGC = f.pendingGC, f.gcJobs[:0]
 	for pl := range f.planes {
-		for len(f.planes[pl].free) < f.opts.GCFreeBlocks {
+		for len(f.planes[pl].free) < f.gcFreeBlocks {
 			job, ok, err := f.collectPlane(flash.PlaneID(pl), now)
 			if err != nil {
 				return f.gcJobs, err
@@ -88,7 +88,7 @@ func (f *FTL) dropPendingGC() {
 // CollectGC, a non-nil error means a mid-collection allocation failure that
 // must end the run.
 func (f *FTL) ensureFree(pl flash.PlaneID, now sim.Time) error {
-	for len(f.planes[pl].free) < f.opts.GCFreeBlocks {
+	for len(f.planes[pl].free) < f.gcFreeBlocks {
 		job, ok, err := f.collectPlane(pl, now)
 		if err != nil {
 			return err
@@ -125,15 +125,15 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 	}
 	// Reclaiming a block whose valid pages would fill a whole new block
 	// gains nothing; stop rather than churn.
-	if vb.validCount >= f.order.Len() {
+	if vb.validCount >= len(f.order) {
 		return GCJob{}, false, nil
 	}
 	// The victim's valid pages relocate within this plane; decline when
 	// they would not fit in the plane's remaining space (the plane then
 	// recovers as refresh drains its blocks elsewhere).
-	space := len(ps.free) * f.order.Len()
+	space := len(ps.free) * len(f.order)
 	if ps.active >= 0 {
-		space += f.order.Len() - ps.blocks[ps.active].nextStep
+		space += len(f.order) - ps.blocks[ps.active].nextStep
 	}
 	if vb.validCount > space {
 		return GCJob{}, false, nil

@@ -8,9 +8,11 @@ import (
 
 func TestGCReclaimsInvalidBlocks(t *testing.T) {
 	g := tinyGeom()
-	f := mustFTL(t, Options{Geometry: g, GCFreeBlocks: 3})
+	f := mustFTL(t, Options{Geometry: g})
 	// Write 36 LPNs (3 blocks) twice, then overwrite 24 of them again:
 	// the old blocks become fully invalid while free blocks drain to 0.
+	// Inline GC is off while filling, so the sweep below does the work.
+	f.gcFreeBlocks = 0
 	counts := []LPN{36, 36, 24}
 	for round, n := range counts {
 		for i := LPN(0); i < n; i++ {
@@ -19,14 +21,15 @@ func TestGCReclaimsInvalidBlocks(t *testing.T) {
 			}
 		}
 	}
-	if free := f.FreeBlocks(0); free >= 3 {
-		t.Skipf("device did not drain below watermark (free=%d)", free)
+	if free := len(f.planes[0].free); free >= 3 {
+		t.Fatalf("device did not drain below watermark (free=%d)", free)
 	}
+	f.gcFreeBlocks = 3
 	jobs := mustCollectGC(t, f, 0)
 	if len(jobs) == 0 {
 		t.Fatal("GC produced no jobs below watermark")
 	}
-	if free := f.FreeBlocks(0); free < 3 {
+	if free := len(f.planes[0].free); free < 3 {
 		t.Errorf("free blocks after GC = %d, want >= 3", free)
 	}
 	// Fully-invalid victims require no moves.
@@ -49,7 +52,8 @@ func TestGCReclaimsInvalidBlocks(t *testing.T) {
 
 func TestGCMovesValidPages(t *testing.T) {
 	g := tinyGeom()
-	f := mustFTL(t, Options{Geometry: g, GCFreeBlocks: 6})
+	f := mustFTL(t, Options{Geometry: g})
+	f.gcFreeBlocks = 6
 	// Fill two blocks, then invalidate most (but not all) of the first
 	// block's pages by overwriting them.
 	for i := LPN(0); i < 24; i++ {
@@ -104,7 +108,8 @@ func TestGCMovesValidPages(t *testing.T) {
 
 func TestGCPrefersLeastValidVictim(t *testing.T) {
 	g := tinyGeom()
-	f := mustFTL(t, Options{Geometry: g, GCFreeBlocks: 1})
+	f := mustFTL(t, Options{Geometry: g})
+	f.gcFreeBlocks = 1
 	// Block A (LPNs 0-11): invalidate 8. Block B (LPNs 12-23):
 	// invalidate 2. Then force exactly one GC pass.
 	for i := LPN(0); i < 24; i++ {
@@ -163,7 +168,8 @@ func TestGCNothingToDo(t *testing.T) {
 		t.Errorf("GC on an empty device returned %d jobs", len(jobs))
 	}
 	// All-valid device: victim would gain nothing, so GC declines.
-	f2 := mustFTL(t, Options{Geometry: tinyGeom(), GCFreeBlocks: 7})
+	f2 := mustFTL(t, Options{Geometry: tinyGeom()})
+	f2.gcFreeBlocks = 7
 	for i := LPN(0); i < 24; i++ {
 		f2.Write(i, 0)
 	}

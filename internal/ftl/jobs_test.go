@@ -4,8 +4,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"idaflash/internal/flash"
 )
 
 // churnFTL returns an IDA FTL with a one-hour refresh period on a
@@ -14,7 +12,6 @@ func churnFTL(t *testing.T) *FTL {
 	t.Helper()
 	f := mustFTL(t, Options{
 		Geometry:      multiPlaneGeom(),
-		Order:         flash.OrderSequential,
 		IDAEnabled:    true,
 		ErrorRate:     0.5,
 		RefreshPeriod: time.Hour,

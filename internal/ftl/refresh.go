@@ -66,14 +66,7 @@ func (f *FTL) DueRefreshes(now sim.Time) ([]RefreshJob, error) {
 	f.refreshJobs = f.refreshJobs[:0]
 	for pl := range f.planes {
 		ps := f.planes[pl]
-		// Retire an active block whose oldest data has aged past the
-		// open-age limit, so slowly-filling planes still refresh.
-		// Skipped under space pressure (see allocate).
-		if ps.active >= 0 && f.opts.MaxOpenBlockAge > 0 && len(ps.free) >= 2 {
-			if b := ps.blocks[ps.active]; b.nextStep > 0 && now-b.openedAt >= f.opts.MaxOpenBlockAge {
-				f.closeActive(flash.PlaneID(pl))
-			}
-		}
+		f.closeAgedActive(flash.PlaneID(pl), now)
 		for blk, b := range ps.blocks {
 			if b == nil || blk == ps.active || b.nextStep == 0 {
 				continue

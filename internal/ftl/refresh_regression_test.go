@@ -2,6 +2,8 @@ package ftl
 
 import (
 	"testing"
+
+	"idaflash/internal/coding"
 )
 
 // TestDueRefreshesReChecksAfterInlineGC is a regression test for the stale
@@ -17,7 +19,7 @@ func TestDueRefreshesReChecksAfterInlineGC(t *testing.T) {
 	f := mustFTL(t, opts)
 	// Disable inline GC while shaping the layout; the scan below re-enables
 	// it so the due block's ensureFree is the first GC to run.
-	f.opts.GCFreeBlocks = 0
+	f.gcFreeBlocks = 0
 	write := func(lo, hi LPN) {
 		t.Helper()
 		for i := lo; i < hi; i++ {
@@ -50,7 +52,7 @@ func TestDueRefreshesReChecksAfterInlineGC(t *testing.T) {
 	for _, blk := range []int{0, 2, 3, 4, 5, 6} {
 		ps.blocks[blk].programmedAt = now
 	}
-	f.opts.GCFreeBlocks = 2
+	f.gcFreeBlocks = gcWatermark
 
 	jobs := mustDueRefreshes(t, f, now)
 
@@ -96,7 +98,7 @@ func TestRefreshIDAOnlyInvalid(t *testing.T) {
 		}
 	}
 	// Invalidate WL0's LSB; WLs 1-3 stay fully valid.
-	if _, err := f.Write(0, 0); err != nil {
+	if _, err := f.Write(lpnAt(0, 0, coding.LSB), lateWrite); err != nil {
 		t.Fatal(err)
 	}
 	jobs := mustDueRefreshes(t, f, 11*hour)

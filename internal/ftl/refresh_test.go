@@ -5,16 +5,20 @@ import (
 	"time"
 
 	"idaflash/internal/coding"
-	"idaflash/internal/flash"
 	"idaflash/internal/sim"
 )
 
 const hour = sim.Time(time.Hour)
 
+// lateWrite is when the refresh tests overwrite pages of blocks filled at
+// time 0. The block those overwrites open is then younger than half the 10h
+// period at the 11h scan, so it stays open instead of being force-closed
+// into the scan.
+const lateWrite = 10 * hour
+
 func refreshOpts(ida bool, errRate float64) Options {
 	return Options{
 		Geometry:      tinyGeom(),
-		Order:         flash.OrderSequential,
 		IDAEnabled:    ida,
 		ErrorRate:     errRate,
 		RefreshPeriod: time.Duration(10 * hour),
@@ -52,7 +56,7 @@ func TestOriginalRefreshMovesEverything(t *testing.T) {
 	for i := LPN(0); i < 12; i++ {
 		f.Write(i, 0)
 	}
-	f.Write(0, 0) // one page invalid in the target block
+	f.Write(0, lateWrite) // one page invalid in the target block
 	jobs := mustDueRefreshes(t, f, 11*hour)
 	if len(jobs) == 0 {
 		t.Fatal("no refresh jobs")
@@ -91,14 +95,13 @@ func TestOriginalRefreshMovesEverything(t *testing.T) {
 }
 
 func TestIDARefreshCase2Wordline(t *testing.T) {
-	// Sequential order: WL w holds LPNs 3w (LSB), 3w+1 (CSB), 3w+2 (MSB).
 	f := mustFTL(t, refreshOpts(true, 0))
 	for i := LPN(0); i < 12; i++ {
 		f.Write(i, 0)
 	}
 	// Invalidate the LSB of every wordline: all WLs become case 2.
-	for w := LPN(0); w < 4; w++ {
-		f.Write(3*w, 0)
+	for w := 0; w < 4; w++ {
+		f.Write(lpnAt(0, w, coding.LSB), lateWrite)
 	}
 	jobs := mustDueRefreshes(t, f, 11*hour)
 	if len(jobs) != 1 {
@@ -125,12 +128,12 @@ func TestIDARefreshCase2Wordline(t *testing.T) {
 		}
 	}
 	// Host reads now see reduced latencies.
-	for w := LPN(0); w < 4; w++ {
-		csb, _ := f.Read(3*w + 1)
+	for w := 0; w < 4; w++ {
+		csb, _ := f.Read(lpnAt(0, w, coding.CSB))
 		if csb.Senses != 1 || !csb.IDA {
 			t.Errorf("WL %d CSB after IDA: senses %d ida %v", w, csb.Senses, csb.IDA)
 		}
-		msb, _ := f.Read(3*w + 2)
+		msb, _ := f.Read(lpnAt(0, w, coding.MSB))
 		if msb.Senses != 2 || !msb.IDA {
 			t.Errorf("WL %d MSB after IDA: senses %d ida %v", w, msb.Senses, msb.IDA)
 		}
@@ -174,15 +177,15 @@ func TestIDARefreshCase3And4(t *testing.T) {
 		f.Write(i, 0)
 	}
 	// WL0: invalidate CSB only (case 3). WL1: invalidate LSB+CSB (case 4).
-	f.Write(1, 0)
-	f.Write(3, 0)
-	f.Write(4, 0)
+	f.Write(lpnAt(0, 0, coding.CSB), lateWrite)
+	f.Write(lpnAt(0, 1, coding.LSB), lateWrite)
+	f.Write(lpnAt(0, 1, coding.CSB), lateWrite)
 	jobs := mustDueRefreshes(t, f, 11*hour)
 	if len(jobs) == 0 {
 		t.Fatal("no refresh jobs")
 	}
-	// MSBs of WL0 (LPN 2) and WL1 (LPN 5) must now read with 1 sensing.
-	for _, lpn := range []LPN{2, 5} {
+	// The MSBs of WL0 and WL1 must now read with 1 sensing.
+	for _, lpn := range []LPN{lpnAt(0, 0, coding.MSB), lpnAt(0, 1, coding.MSB)} {
 		info, ok := f.Read(lpn)
 		if !ok {
 			t.Fatalf("LPN %d lost", lpn)
@@ -201,8 +204,8 @@ func TestIDARefreshCase5To7MovesOnly(t *testing.T) {
 	}
 	// Invalidate every MSB: all wordlines become case 5 (MSB invalid,
 	// LSB+CSB valid), so nothing is adjustable.
-	for w := LPN(0); w < 4; w++ {
-		f.Write(3*w+2, 0)
+	for w := 0; w < 4; w++ {
+		f.Write(lpnAt(0, w, coding.MSB), lateWrite)
 	}
 	jobs := mustDueRefreshes(t, f, 11*hour)
 	if len(jobs) == 0 {
@@ -296,8 +299,8 @@ func TestRefreshDeterminism(t *testing.T) {
 		for i := LPN(0); i < 24; i++ {
 			f.Write(i, 0)
 		}
-		for i := LPN(0); i < 6; i++ {
-			f.Write(i*3, 0)
+		for i := 0; i < 6; i++ { // the LSBs of WLs 0-3 in block 0 and WLs 0-1 in block 1
+			f.Write(lpnAt(i/4, i%4, coding.LSB), lateWrite)
 		}
 		return mustDueRefreshes(t, f, 11*hour)
 	}
@@ -323,7 +326,7 @@ func TestStaggerBlockAges(t *testing.T) {
 	ages := make(map[sim.Time]bool)
 	for _, ps := range f.planes {
 		for blk, b := range ps.blocks {
-			if b == nil || blk == ps.active || b.nextStep != f.order.Len() {
+			if b == nil || blk == ps.active || b.nextStep != len(f.order) {
 				continue
 			}
 			if b.programmedAt > 0 || b.programmedAt < -10*hour {
@@ -356,8 +359,10 @@ func TestTableIVShapeAtE20(t *testing.T) {
 	for i := LPN(0); i < 48; i++ {
 		f.Write(i, 0)
 	}
-	for w := LPN(0); w < 16; w++ {
-		f.Write(3*w, 0)
+	for blk := 0; blk < 4; blk++ {
+		for w := 0; w < 4; w++ {
+			f.Write(lpnAt(blk, w, coding.LSB), lateWrite)
+		}
 	}
 	jobs := mustDueRefreshes(t, f, 11*hour)
 	var verify, corrupted int
@@ -381,16 +386,17 @@ func TestTableIVShapeAtE20(t *testing.T) {
 func TestCoding232SchemeInFTL(t *testing.T) {
 	// The FTL accepts a custom scheme; with the 2-3-2 coding the page
 	// sensing counts follow that scheme.
-	opts := Options{Geometry: tinyGeom(), Code: coding.Vendor232TLC(), Order: flash.OrderSequential}
+	opts := Options{Geometry: tinyGeom(), Code: coding.Vendor232TLC()}
 	f := mustFTL(t, opts)
-	for i := LPN(0); i < 3; i++ {
+	// Steps 0-3 of the shadow order program all of WL0.
+	for i := LPN(0); i < 4; i++ {
 		f.Write(i, 0)
 	}
 	want := []int{2, 3, 2}
-	for i := LPN(0); i < 3; i++ {
-		info, _ := f.Read(i)
-		if info.Senses != want[i] {
-			t.Errorf("2-3-2 page %d senses = %d, want %d", i, info.Senses, want[i])
+	for typ := coding.LSB; typ <= coding.MSB; typ++ {
+		info, _ := f.Read(lpnAt(0, 0, typ))
+		if info.Senses != want[typ] {
+			t.Errorf("2-3-2 page %v senses = %d, want %d", typ, info.Senses, want[typ])
 		}
 	}
 }
@@ -403,7 +409,7 @@ func TestIDAOnlyInvalidAblation(t *testing.T) {
 		f.Write(i, 0)
 	}
 	// WL0 stays fully valid (case 1); WL1 loses its LSB (case 2).
-	f.Write(3, 0)
+	f.Write(lpnAt(0, 1, coding.LSB), lateWrite)
 	jobs := mustDueRefreshes(t, f, 11*hour)
 	if len(jobs) == 0 {
 		t.Fatal("no refresh jobs")
@@ -425,12 +431,86 @@ func TestIDAOnlyInvalidAblation(t *testing.T) {
 		t.Errorf("moves = %d, want 9 (case-1 wordlines relocated whole)", len(j.Moves))
 	}
 	// Case-2 kept pages read fast afterwards.
-	if csb, _ := f.Read(4); csb.Senses != 1 || !csb.IDA {
+	if csb, _ := f.Read(lpnAt(0, 1, coding.CSB)); csb.Senses != 1 || !csb.IDA {
 		t.Errorf("case-2 CSB after ablation refresh: %+v", csb)
 	}
 	// Case-1 pages were relocated and stay conventional.
-	if lsb, _ := f.Read(0); lsb.IDA {
+	if lsb, _ := f.Read(lpnAt(0, 0, coding.LSB)); lsb.IDA {
 		t.Error("case-1 page converted despite IDAOnlyInvalid")
 	}
 	checkInvariants(t, f)
+}
+
+// TestAgedOpenBlockCloses pins the open-block bound: an active block open
+// for half the refresh period is closed by the next Write and by
+// DueRefreshes, so its pages reach the refresher, but not while its plane
+// has fewer than 2 free blocks, and never without a refresh period.
+func TestAgedOpenBlockCloses(t *testing.T) {
+	const half = 5 * hour // refreshOpts' 10h period
+	// fill writes LPNs [0, n) at time 0 and returns the plane.
+	fill := func(f *FTL, n LPN) *plane {
+		t.Helper()
+		for i := LPN(0); i < n; i++ {
+			if _, err := f.Write(i, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f.planes[0]
+	}
+	write := func(f *FTL, lpn LPN, now sim.Time) PageProgram {
+		t.Helper()
+		prog, err := f.Write(lpn, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+
+	// Write: block 0 holds 4 pages written at time 0.
+	f := mustFTL(t, refreshOpts(false, 0))
+	ps := fill(f, 4)
+	if prog := write(f, 4, half-1); prog.Addr.Block != 0 {
+		t.Fatalf("write just before half the period landed in block %d, want 0", prog.Addr.Block)
+	}
+	if prog := write(f, 5, half); prog.Addr.Block != 1 {
+		t.Fatalf("write at half the period landed in block %d, want 1 after closing block 0", prog.Addr.Block)
+	}
+	if b := ps.blocks[0]; b.nextStep != 5 || b.programmedAt != 0 {
+		t.Errorf("closed block 0: step %d programmedAt %v, want 5 and 0", b.nextStep, b.programmedAt)
+	}
+
+	// DueRefreshes closes the aged block, and a later scan refreshes it.
+	f = mustFTL(t, refreshOpts(false, 0))
+	ps = fill(f, 4)
+	mustDueRefreshes(t, f, half-1)
+	if ps.active != 0 {
+		t.Fatalf("scan before half the period closed the open block (active %d)", ps.active)
+	}
+	mustDueRefreshes(t, f, half)
+	if ps.active != -1 {
+		t.Fatalf("scan at half the period left block %d open", ps.active)
+	}
+	if jobs := mustDueRefreshes(t, f, 11*hour); len(jobs) != 1 || jobs[0].Target.Block != 0 || jobs[0].ValidPages != 4 {
+		t.Errorf("refresh after the period = %+v, want one job for the 4 pages of block 0", jobs)
+	}
+
+	// Space pressure: blocks 0-5 full, block 6 open, only block 7 free.
+	f = mustFTL(t, refreshOpts(false, 0))
+	ps = fill(f, 76)
+	if len(ps.free) != 1 || ps.active != 6 {
+		t.Fatalf("setup: free %v active %d, want one free block and block 6 open", ps.free, ps.active)
+	}
+	mustDueRefreshes(t, f, half)
+	if prog := write(f, 76, half); ps.active != 6 || prog.Addr.Block != 6 {
+		t.Errorf("plane with 1 free block closed its aged block (write landed in %d, active %d)", prog.Addr.Block, ps.active)
+	}
+
+	// No refresh period: blocks only close when full.
+	opts := refreshOpts(false, 0)
+	opts.RefreshPeriod = 0
+	f = mustFTL(t, opts)
+	ps = fill(f, 4)
+	if prog := write(f, 4, 1000*hour); prog.Addr.Block != 0 || ps.active != 0 {
+		t.Errorf("refresh disabled but the open block closed (write landed in %d)", prog.Addr.Block)
+	}
 }

@@ -15,9 +15,9 @@ import (
 const rngSeedMask = 0x49444146
 
 // State is a deep, self-contained copy of everything mutable in an FTL: the
-// L2P table (dense and sparse sides), every plane's block table, free list
-// and active block, buffered inline GC jobs, the refresh guard, the stats
-// counters, and the rng stream position. It exists so device-state snapshots
+// L2P table, every plane's block table, free list and active block,
+// buffered inline GC jobs, the refresh guard, the stats counters, and the
+// rng stream position. It exists so device-state snapshots
 // (internal/snapshot) can serialize an aged device and later runs can
 // restore it in O(state) instead of replaying the aging preamble.
 //
@@ -30,13 +30,11 @@ type State struct {
 	// tables of the wrong dimensions.
 	Geometry flash.Geometry
 
-	// DenseL2P mirrors the dense mapping slice (noPPN sentinel preserved);
-	// nil when the device was over the dense cap. SparseL2P carries the
-	// out-of-range mappings. L2PCount is the mapped-LPN count, recomputed
-	// and cross-checked on restore.
-	DenseL2P  []uint64
-	SparseL2P map[int64]uint64
-	L2PCount  int
+	// DenseL2P mirrors the mapping slice, one entry per page of capacity
+	// (noPPN sentinel preserved). L2PCount is the mapped-LPN count,
+	// recomputed and cross-checked on restore.
+	DenseL2P []uint64
+	L2PCount int
 
 	Planes      []PlaneState
 	AllocCursor int
@@ -88,17 +86,9 @@ func (f *FTL) Snapshot() *State {
 		Stats:            f.stats,
 		RNGDraws:         f.rngSrc.Draws(),
 	}
-	if f.l2p.dense != nil {
-		st.DenseL2P = make([]uint64, len(f.l2p.dense))
-		for i, p := range f.l2p.dense {
-			st.DenseL2P[i] = uint64(p)
-		}
-	}
-	if len(f.l2p.sparse) > 0 {
-		st.SparseL2P = make(map[int64]uint64, len(f.l2p.sparse))
-		for k, v := range f.l2p.sparse {
-			st.SparseL2P[int64(k)] = uint64(v)
-		}
+	st.DenseL2P = make([]uint64, len(f.l2p.dense))
+	for i, p := range f.l2p.dense {
+		st.DenseL2P[i] = uint64(p)
 	}
 	st.Planes = make([]PlaneState, len(f.planes))
 	for pl, ps := range f.planes {
@@ -142,10 +132,10 @@ func (f *FTL) Snapshot() *State {
 // Restore replaces the FTL's mutable state with a deep copy of st, as if the
 // writes that produced st had just been replayed on this instance. The FTL
 // must have been built with the same geometry (and, for identical subsequent
-// behavior, the same seed and allocation order — the snapshot cache key pins
-// those). Restore validates shapes and internal consistency and returns an
-// error without touching the FTL on any mismatch, so a corrupt or mis-keyed
-// snapshot degrades to an ordinary replay instead of a poisoned run.
+// behavior, the same seed — the snapshot cache key pins it). Restore
+// validates shapes and internal consistency and returns an error without
+// touching the FTL on any mismatch, so a corrupt or mis-keyed snapshot
+// degrades to an ordinary replay instead of a poisoned run.
 //
 // The copy lands in the FTL's existing storage: the dense L2P and block
 // tables are overwritten in place (absent blocks return to the Reset pool,
@@ -159,17 +149,8 @@ func (f *FTL) Restore(st *State) error {
 	}
 
 	// Validation passed; everything below is infallible copying.
-	if st.DenseL2P != nil {
-		for i, v := range st.DenseL2P {
-			f.l2p.dense[i] = ppn(v)
-		}
-	}
-	f.l2p.sparse = nil
-	if len(st.SparseL2P) > 0 {
-		f.l2p.sparse = make(map[LPN]ppn, len(st.SparseL2P))
-		for k, v := range st.SparseL2P {
-			f.l2p.sparse[LPN(k)] = ppn(v)
-		}
+	for i, v := range st.DenseL2P {
+		f.l2p.dense[i] = ppn(v)
 	}
 	f.l2p.count = st.L2PCount
 
@@ -241,21 +222,15 @@ func (f *FTL) validateState(st *State) error {
 	if len(st.Planes) != len(f.planes) {
 		return fmt.Errorf("ftl: snapshot has %d planes, device has %d", len(st.Planes), len(f.planes))
 	}
-	if (f.l2p.dense != nil) != (st.DenseL2P != nil) {
-		return fmt.Errorf("ftl: snapshot dense-L2P form does not match device capacity")
+	if len(st.DenseL2P) != len(f.l2p.dense) {
+		return fmt.Errorf("ftl: snapshot L2P has %d entries, device needs %d", len(st.DenseL2P), len(f.l2p.dense))
 	}
 	count := 0
-	if st.DenseL2P != nil {
-		if len(st.DenseL2P) != len(f.l2p.dense) {
-			return fmt.Errorf("ftl: snapshot dense L2P has %d entries, device needs %d", len(st.DenseL2P), len(f.l2p.dense))
-		}
-		for _, v := range st.DenseL2P {
-			if ppn(v) != noPPN {
-				count++
-			}
+	for _, v := range st.DenseL2P {
+		if ppn(v) != noPPN {
+			count++
 		}
 	}
-	count += len(st.SparseL2P)
 	if count != st.L2PCount {
 		return fmt.Errorf("ftl: snapshot L2P count %d does not match its %d entries", st.L2PCount, count)
 	}

@@ -11,25 +11,22 @@ import (
 )
 
 // ageRandomly drives the FTL through a randomized history: a skewed
-// overwrite-heavy write mix (forcing inline GC), trims, out-of-range LPNs
-// (exercising the sparse L2P side), refresh sweeps with the IDA corruption
-// draws (advancing the rng stream), and optional stagger. It leaves whatever
-// pendingGC the inline path buffered undrained, so the snapshot covers
-// mid-GC state.
+// overwrite-heavy write mix (forcing inline GC), trims, refresh sweeps with
+// the IDA corruption draws (advancing the rng stream), and optional
+// stagger. It leaves whatever pendingGC the inline path buffered undrained,
+// so the snapshot covers mid-GC state.
 func ageRandomly(t *testing.T, f *FTL, seed int64, writes int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	capacity := f.Geometry().TotalPages()
+	capacity := f.geom.TotalPages()
 	now := sim.Time(0)
 	for i := 0; i < writes; i++ {
 		now += sim.Time(rng.Intn(1000)) * sim.Time(time.Microsecond)
-		// The total footprint (cold range + sparse overflow) stays around
-		// half of capacity so GC can always find reclaimable victims.
+		// The footprint stays around half of capacity so GC can always
+		// find reclaimable victims.
 		var lpn LPN
 		switch rng.Intn(10) {
-		case 0: // sparse side: address beyond device capacity
-			lpn = LPN(capacity) + LPN(rng.Intn(8))
-		case 1, 2: // cold spread
+		case 0, 1, 2: // cold spread
 			lpn = LPN(rng.Int63n(capacity / 2))
 		default: // hot working set, forces overwrites and GC pressure
 			lpn = LPN(rng.Intn(int(capacity) / 8))
@@ -159,18 +156,16 @@ func TestSnapshotCoversRetiredBlocks(t *testing.T) {
 }
 
 // TestSnapshotCoversSparseAndPending asserts the randomized aging actually
-// exercised the state corners this suite exists for — sparse L2P mappings and
-// buffered inline GC — so a regression that silently stops producing them
-// does not hollow out the round-trip tests.
+// exercised the state corners this suite exists for — a populated L2P,
+// garbage collection and rng draws — so a regression that silently stops
+// producing them does not hollow out the round-trip tests. (The name
+// predates the removal of the sparse L2P side.)
 func TestSnapshotCoversSparseAndPending(t *testing.T) {
 	f := mustFTL(t, snapshotOptions(tinyGeom(), 42, nil))
 	ageRandomly(t, f, 42, 400)
 	st := f.Snapshot()
-	if len(st.SparseL2P) == 0 {
-		t.Error("no sparse L2P entries in the aged state")
-	}
-	if st.DenseL2P == nil {
-		t.Error("no dense L2P in the aged state")
+	if st.L2PCount == 0 {
+		t.Error("no mapped LPNs in the aged state")
 	}
 	if st.RNGDraws == 0 {
 		t.Error("rng never drawn; behavioral equivalence would not test stream position")
@@ -202,6 +197,13 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 
 	corrupt("geometry", func(st *State) { st.Geometry.BlocksPerPlane++ })
 	corrupt("l2p count", func(st *State) { st.L2PCount++ })
+	corrupt("l2p length", func(st *State) {
+		last := len(st.DenseL2P) - 1
+		if ppn(st.DenseL2P[last]) != noPPN {
+			st.L2PCount-- // keep the count consistent so only the length is wrong
+		}
+		st.DenseL2P = st.DenseL2P[:last]
+	})
 	corrupt("plane count", func(st *State) { st.Planes = st.Planes[:0] })
 	corrupt("active range", func(st *State) { st.Planes[0].Active = 1 << 20 })
 	corrupt("free range", func(st *State) { st.Planes[0].Free = append(st.Planes[0].Free, -1) })

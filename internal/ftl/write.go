@@ -19,10 +19,14 @@ type PageProgram struct {
 
 // Write maps the LPN to a fresh physical page, invalidating any previous
 // copy, and returns the program operation. now stamps the block age used by
-// the refresh policy. Write fails only when the device is truly out of
+// the refresh policy. Write fails, changing nothing, for an LPN outside
+// [0, capacity); otherwise it fails only when the device is truly out of
 // space (no free block and nothing reclaimable), which indicates a mis-sized
 // experiment rather than a runtime condition to retry.
 func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
+	if !f.l2p.inRange(lpn) {
+		return PageProgram{}, fmt.Errorf("ftl: write of LPN %d outside the device's %d pages", lpn, len(f.l2p.dense))
+	}
 	var a flash.PageAddr
 	var failed int
 	var err error
@@ -94,7 +98,8 @@ func (f *FTL) claimPage(now sim.Time, pl flash.PlaneID) (flash.PageAddr, int, er
 	}
 }
 
-// Trim invalidates the LPN without writing a replacement.
+// Trim invalidates the LPN without writing a replacement. An unmapped or
+// out-of-range LPN is a no-op.
 func (f *FTL) Trim(lpn LPN) {
 	if old, ok := f.l2p.get(lpn); ok {
 		f.invalidate(f.addrOf(old))
@@ -111,32 +116,40 @@ func (f *FTL) nextAllocPlane() flash.PlaneID {
 }
 
 // allocate claims the next page of the plane's active block, opening a new
-// block when needed. An active block that has been open longer than
-// MaxOpenBlockAge is force-closed first, so its pages age toward refresh
-// even when the plane fills slowly.
+// block when needed. An aged active block is force-closed first (see
+// closeAgedActive).
 func (f *FTL) allocate(now sim.Time, pl flash.PlaneID) (flash.PageAddr, error) {
 	ps := f.planes[pl]
-	// Only retire an aged active block when the plane has spare blocks:
-	// closing a partial block strands its unwritten pages, which a plane
-	// under space pressure cannot afford.
-	if ps.active >= 0 && f.opts.MaxOpenBlockAge > 0 && len(ps.free) >= 2 {
-		if b := ps.blocks[ps.active]; now-b.openedAt >= f.opts.MaxOpenBlockAge {
-			f.closeActive(pl)
-		}
-	}
+	f.closeAgedActive(pl, now)
 	if ps.active < 0 {
 		if err := f.openBlock(now, pl); err != nil {
 			return flash.PageAddr{}, err
 		}
 	}
 	b := ps.blocks[ps.active]
-	ref := f.order.At(b.nextStep)
-	a := pageAddr(pl, ps.active, f.pageIndex(ref.WL, ref.Type))
+	a := pageAddr(pl, ps.active, f.order[b.nextStep])
 	b.nextStep++
-	if b.nextStep == f.order.Len() {
+	if b.nextStep == len(f.order) {
 		f.closeActive(pl)
 	}
 	return a, nil
+}
+
+// closeAgedActive retires the plane's active block once its oldest data has
+// been open for half the refresh period, so slowly-filling planes still feed
+// the refresher (data retention is about page age, not block occupancy).
+// Without a refresh period nothing closes early. Only a plane with at least
+// 2 free blocks retires an aged block: closing a partial block strands its
+// unwritten pages, which a plane under space pressure cannot afford.
+func (f *FTL) closeAgedActive(pl flash.PlaneID, now sim.Time) {
+	ps := f.planes[pl]
+	limit := f.opts.RefreshPeriod / 2
+	if ps.active < 0 || limit <= 0 || len(ps.free) < 2 {
+		return
+	}
+	if b := ps.blocks[ps.active]; b.nextStep > 0 && now-b.openedAt >= limit {
+		f.closeActive(pl)
+	}
 }
 
 // closeActive retires the plane's active block. The retention clock starts
@@ -314,9 +327,6 @@ func (f *FTL) sensesAt(b *block, page int) int {
 	}
 	return f.opts.Code.Senses(t)
 }
-
-// FreeBlocks returns the free-block count of a plane (for tests).
-func (f *FTL) FreeBlocks(pl flash.PlaneID) int { return len(f.planes[pl].free) }
 
 // validMaskForPage is a small helper exposing sibling validity to the read
 // classifier.

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"idaflash/internal/coding"
 	"idaflash/internal/flash"
@@ -30,7 +29,7 @@ import (
 // the payload layout or the meaning of any captured field changes; the
 // Store treats a version mismatch as a miss, and callers fold the version
 // into their cache keys so stale fixture directories invalidate themselves.
-const CodecVersion = 2
+const CodecVersion = 3
 
 // format frames snapshot files: the "IDASNAP\0" magic rejects arbitrary
 // bytes before any length field is trusted, and the record checksum covers
@@ -52,8 +51,7 @@ type DeviceState struct {
 }
 
 // Encode serializes the state as a single-record frame file. The encoding
-// is deterministic (sparse maps are written in sorted key order), so
-// identical states produce identical bytes.
+// is deterministic: identical states produce identical bytes.
 func Encode(st *DeviceState) ([]byte, error) {
 	if st == nil || st.FTL == nil {
 		return nil, fmt.Errorf("snapshot: encode of nil state")
@@ -158,22 +156,9 @@ func (e *encoder) stats(s ftl.Stats) {
 func (e *encoder) ftlState(st *ftl.State) {
 	e.geometry(st.Geometry)
 
-	e.boolean(st.DenseL2P != nil)
-	if st.DenseL2P != nil {
-		e.u64(uint64(len(st.DenseL2P)))
-		for _, v := range st.DenseL2P {
-			e.u64(v)
-		}
-	}
-	keys := make([]int64, 0, len(st.SparseL2P))
-	for k := range st.SparseL2P {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.i64(k)
-		e.u64(st.SparseL2P[k])
+	e.u64(uint64(len(st.DenseL2P)))
+	for _, v := range st.DenseL2P {
+		e.u64(v)
 	}
 	e.i64(int64(st.L2PCount))
 	e.i64(int64(st.AllocCursor))
@@ -402,22 +387,9 @@ func (d *decoder) ftlState() *ftl.State {
 	st := &ftl.State{}
 	st.Geometry = d.geometry()
 
-	if d.boolean() {
-		n := d.count(8)
-		st.DenseL2P = make([]uint64, n)
-		for i := range st.DenseL2P {
-			st.DenseL2P[i] = d.u64()
-		}
-	}
-	if n := d.count(16); n > 0 {
-		st.SparseL2P = make(map[int64]uint64, n)
-		for i := 0; i < n; i++ {
-			k := d.i64()
-			st.SparseL2P[k] = d.u64()
-		}
-		if len(st.SparseL2P) != n {
-			d.fail("sparse L2P repeats keys")
-		}
+	st.DenseL2P = make([]uint64, d.count(8))
+	for i := range st.DenseL2P {
+		st.DenseL2P[i] = d.u64()
 	}
 	st.L2PCount = d.intField()
 	st.AllocCursor = d.intField()
