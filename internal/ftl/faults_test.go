@@ -46,7 +46,7 @@ func TestProgramFailureRemapsWrite(t *testing.T) {
 		t.Errorf("stats.ProgramFailures = %d, want 2", got)
 	}
 	ps := f.planes[0]
-	if !ps.blocks[0].bad || !ps.blocks[1].bad {
+	if !f.block(0, 0).Bad || !f.block(0, 1).Bad {
 		t.Error("failed blocks not marked grown bad")
 	}
 	if ps.active != 2 {

@@ -12,6 +12,7 @@ package ftl
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -23,10 +24,15 @@ import (
 // LPN is a logical page number (host address divided by the page size).
 type LPN int64
 
-// ppn is a packed physical page number.
-type ppn uint64
+// ppn is a packed physical page number: the page index in the low bits, the
+// block index above it and the plane on top, each field as wide as the
+// geometry needs (see ppnFields). It is an alias so the L2P copies straight
+// into State.DenseL2P.
+type ppn = uint32
 
-const noPPN = ppn(1) << 63
+// noPPN marks an unmapped L2P entry. New rejects any geometry whose last
+// page would pack to it or beyond.
+const noPPN = ^ppn(0)
 
 // FaultModel is the FTL's view of a fault injector (internal/faults): it
 // answers, per physical operation, whether the medium fails it. The FTL
@@ -100,37 +106,53 @@ func (o Options) withDefaults() (Options, error) {
 	if gcWatermark >= o.Geometry.BlocksPerPlane {
 		return o, fmt.Errorf("ftl: BlocksPerPlane %d must exceed the GC watermark %d", o.Geometry.BlocksPerPlane, gcWatermark)
 	}
+	if _, _, err := ppnFields(o.Geometry); err != nil {
+		return o, err
+	}
 	return o, nil
+}
+
+// ppnFields returns the widths of a packed PPN's page and block fields. It
+// fails when the device's last page would not pack below noPPN. The page
+// count is at most that last packed value plus one, so every LPN of a
+// device that passes fits in 32 bits too.
+func ppnFields(g flash.Geometry) (pageBits, blockBits uint, err error) {
+	pageBits = uint(bits.Len(uint(g.PagesPerBlock() - 1)))
+	blockBits = uint(bits.Len(uint(g.BlocksPerPlane - 1)))
+	planeBits := uint(bits.Len(uint(g.Planes() - 1)))
+	width := planeBits + blockBits + pageBits
+	if width <= 32 {
+		last := uint64(g.Planes()-1)<<(blockBits+pageBits) | uint64(g.BlocksPerPlane-1)<<pageBits | uint64(g.PagesPerBlock()-1)
+		if last < uint64(noPPN) {
+			return pageBits, blockBits, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("ftl: geometry %v needs %d-bit physical page numbers; at most 32 fit, with the all-ones value reserved", g, width)
 }
 
 // gcWatermark is the per-plane free-block count below which garbage
 // collection runs.
 const gcWatermark = 2
 
-// block is the per-block entry of the block status table.
-type block struct {
-	eraseCount   int
-	openedAt     sim.Time // time the block started accepting programs
-	programmedAt sim.Time // retention clock start (set when the block closes)
-	nextStep     int      // next program-order step; len(order) when full
-	validCount   int
-	valid        []bool // per page index (wl*bits + type)
-	rmap         []LPN  // reverse map per page index
-	ida          bool   // reprogrammed with the IDA coding
-	refreshed    bool   // already refreshed once this cycle (await reclaim)
-	bad          bool   // a program failed here; retire at the next erase
-	retired      bool   // permanently out of service (grown bad block)
-	// wlKeep[wl] is the kept-page mask of an IDA-reprogrammed wordline,
-	// or 0 for a conventionally-coded wordline.
-	wlKeep []coding.ValidMask
-}
-
 // plane is the per-plane allocation state.
 type plane struct {
-	blocks []*block
 	free   []int // free block indexes (LIFO)
 	active int   // block currently accepting programs; -1 if none
 }
+
+// pageCoord is a page's wordline and page type within its block.
+type pageCoord struct {
+	wl uint32
+	t  uint8
+}
+
+// typeBits is the width of the page-type field of a sensing-table index:
+// a cell stores at most 8 bits (flash.Geometry.Validate).
+const typeBits = 3
+
+// droppedPage marks a sensing-table entry for a page type its wordline's
+// IDA adjustment merged away: no read of it is valid.
+const droppedPage = -1
 
 // FTL is the flash translation layer state machine. It is not safe for
 // concurrent use; the simulation is single-threaded by design.
@@ -140,6 +162,18 @@ type FTL struct {
 	// order[i] is the in-block page index programmed at step i of the
 	// shadow program order; built once, since the geometry is fixed.
 	order []int
+	// coords[page] is the wordline and page type of an in-block page
+	// index (the inverse of pageIndex), so no hot path divides by the bits
+	// per cell.
+	coords []pageCoord
+	// pageBits and planeShift place the fields of a packed PPN; pageMask
+	// and blockMask extract the page and block fields.
+	pageBits, planeShift uint8
+	pageMask, blockMask  ppn
+	// senses[keep<<typeBits|t] is the sensing count of page type t on a
+	// wordline whose kept-page mask is keep (0: conventionally coded), or
+	// droppedPage. Reset fills it from opts.Code.
+	senses []int8
 	// gcFreeBlocks is the GC watermark; always gcWatermark, except where
 	// a test sets another.
 	gcFreeBlocks int
@@ -154,6 +188,18 @@ type FTL struct {
 
 	l2p    *l2pTable
 	planes []*plane
+	// blocks is the block status table, indexed by global block id
+	// (plane*BlocksPerPlane + block). A never-programmed block is the zero
+	// value; an erased or retired one has NextStep 0.
+	blocks []BlockState
+	// wlValid and wlKeep hold one mask per wordline of the device, at
+	// global block id*WordlinesPerBlock + wordline. Bit t of wlValid is
+	// set while page type t holds valid data; wlKeep is the kept-page mask
+	// of an IDA-adjusted wordline, 0 for a conventionally coded one.
+	wlValid, wlKeep []uint8
+	// rmap is the reverse map: the LPN programmed at each page of the
+	// device, at global block id*PagesPerBlock + page.
+	rmap []uint32
 	// allocCursor rotates host writes across planes in CWDP order
 	// (channel first, then chip, then die, then plane).
 	allocCursor int
@@ -181,26 +227,37 @@ type FTL struct {
 	refreshing       flash.BlockAddr
 	refreshingActive bool
 
-	// blockPool holds block-status-table entries harvested by Reset so a
-	// reused FTL repopulates its lazily-allocated block table without
-	// fresh allocations. Entries keep their table slices (sized for this
-	// geometry); newBlock clears them on the way out.
-	blockPool []*block
-
 	stats Stats
 }
 
-// New builds an FTL over an erased device. It allocates only what the
-// geometry fixes — the L2P, the plane tables, the program order and the CWDP
-// stripe — and leaves every other field to Reset, the one initializer.
+// New builds an FTL over an erased device. It validates opts first, so a
+// geometry too large for 32-bit PPNs allocates nothing. It then allocates
+// only what the geometry fixes — the L2P, the block, wordline and page
+// tables, the program order and the CWDP stripe — and leaves every other
+// field to Reset, the one initializer.
 func New(opts Options) (*FTL, error) {
-	g := opts.Geometry
-	if err := g.Validate(); err != nil {
+	opts, err := opts.withDefaults()
+	if err != nil {
 		return nil, err
 	}
-	f := &FTL{geom: g, l2p: newL2P(g.TotalPages()), planes: make([]*plane, g.Planes()), order: pageOrder(g), cwdp: cwdpStripe(g)}
+	g := opts.Geometry
+	pageBits, blockBits, _ := ppnFields(g)
+	f := &FTL{
+		geom: g, order: pageOrder(g), coords: make([]pageCoord, g.PagesPerBlock()), cwdp: cwdpStripe(g),
+		pageBits: uint8(pageBits), planeShift: uint8(pageBits + blockBits),
+		pageMask: 1<<pageBits - 1, blockMask: 1<<blockBits - 1,
+		senses: make([]int8, 1<<g.BitsPerCell<<typeBits),
+		l2p:    newL2P(g.TotalPages()), planes: make([]*plane, g.Planes()),
+		blocks:  make([]BlockState, g.TotalBlocks()),
+		wlValid: make([]uint8, g.TotalBlocks()*g.WordlinesPerBlock),
+		wlKeep:  make([]uint8, g.TotalBlocks()*g.WordlinesPerBlock),
+		rmap:    make([]uint32, g.TotalPages()),
+	}
+	for page := range f.coords {
+		f.coords[page] = pageCoord{wl: uint32(page / g.BitsPerCell), t: uint8(page % g.BitsPerCell)}
+	}
 	for i := range f.planes {
-		f.planes[i] = &plane{blocks: make([]*block, g.BlocksPerPlane), free: make([]int, 0, g.BlocksPerPlane)}
+		f.planes[i] = &plane{free: make([]int, 0, g.BlocksPerPlane)}
 	}
 	if err := f.Reset(opts); err != nil {
 		return nil, err
@@ -209,13 +266,12 @@ func New(opts Options) (*FTL, error) {
 }
 
 // Reset returns the FTL to the erased-device state for opts, reusing the
-// existing storage: the dense L2P is refilled in place, block-status-table
-// entries are harvested into a pool that blockAt (and Restore) draws from,
-// and the free lists and job buffers keep their backing arrays. The
-// geometry must match the one the FTL was built with — every table is
-// sized for it — so a pooled FTL is keyed by geometry; any other option may
-// change freely. A reset FTL is indistinguishable from a freshly built one,
-// including its rng stream position.
+// existing storage: the L2P and the block, wordline and page tables are
+// cleared in place, and the free lists and job buffers keep their backing
+// arrays. The geometry must match the one the FTL was built with — every
+// table is sized for it — so a pooled FTL is keyed by geometry; any other
+// option may change freely. A reset FTL is indistinguishable from a freshly
+// built one, including its rng stream position.
 //
 // Reset validates opts before it changes anything: on error the FTL is
 // untouched and stays usable.
@@ -229,14 +285,7 @@ func (f *FTL) Reset(opts Options) error {
 	}
 
 	// Validation passed; everything below is infallible.
-	pool := f.blockPool
 	for _, p := range f.planes {
-		for i, b := range p.blocks {
-			if b != nil {
-				pool = append(pool, b)
-				p.blocks[i] = nil
-			}
-		}
 		// Push free blocks in reverse so allocation starts at block 0.
 		p.free = p.free[:0]
 		for b := f.geom.BlocksPerPlane - 1; b >= 0; b-- {
@@ -244,23 +293,50 @@ func (f *FTL) Reset(opts Options) error {
 		}
 		p.active = -1
 	}
+	clear(f.blocks)
+	clear(f.wlValid)
+	clear(f.wlKeep)
+	clear(f.rmap)
 	f.l2p.reset()
 	f.dropPendingGC()
 	src := sim.NewCountedSource(opts.Seed ^ rngSeedMask)
 	cost := opts.Code.ProgramCost()
-	bits := float64(opts.Code.Bits())
+	perCell := float64(opts.Code.Bits())
 	// The keep-list: the pooled storage above the blank line survives, the
 	// per-run state below it is rebuilt, and every field left off starts
 	// from its zero value, exactly as in a new FTL.
 	*f = FTL{
-		geom: f.geom, l2p: f.l2p, planes: f.planes, cwdp: f.cwdp, order: f.order, blockPool: pool,
+		geom: f.geom, order: f.order, coords: f.coords, cwdp: f.cwdp,
+		pageBits: f.pageBits, planeShift: f.planeShift, pageMask: f.pageMask, blockMask: f.blockMask,
+		senses: f.senses, l2p: f.l2p, planes: f.planes, blocks: f.blocks,
+		wlValid: f.wlValid, wlKeep: f.wlKeep, rmap: f.rmap,
 		pendingGC: f.pendingGC, gcJobs: f.gcJobs, refreshJobs: f.refreshJobs, kept: f.kept,
 		freeReads: f.freeReads, freeMoves: f.freeMoves,
 
 		opts: opts, gcFreeBlocks: gcWatermark, rng: rand.New(src), rngSrc: src,
-		pagePower: cost.MeanLevel / bits, pageCells: cost.ProgrammedFrac / bits,
+		pagePower: cost.MeanLevel / perCell, pageCells: cost.ProgrammedFrac / perCell,
 	}
+	fillSenses(f.senses, opts.Code)
 	return nil
+}
+
+// fillSenses builds the sensing table for code: for every kept-page mask
+// and page type, what Code.Senses (mask 0) or Code.Merge(keep).Senses (a
+// kept page) return, and droppedPage for a page the mask merged away.
+func fillSenses(tab []int8, code coding.Code) {
+	n := code.Bits()
+	for keep := coding.ValidMask(0); keep <= coding.MaskAll(n); keep++ {
+		for t := coding.PageType(0); int(t) < n; t++ {
+			s := droppedPage
+			switch {
+			case keep == 0:
+				s = code.Senses(t)
+			case keep.Has(t):
+				s = code.Merge(keep).Senses(t)
+			}
+			tab[int(keep)<<typeBits|int(t)] = int8(s)
+		}
+	}
 }
 
 // pageOrder turns the geometry's shadow program order into in-block page
@@ -296,16 +372,12 @@ func (f *FTL) Options() Options { return f.opts }
 
 // packPPN encodes a physical page address.
 func (f *FTL) packPPN(pl flash.PlaneID, blk, page int) ppn {
-	per := f.geom.PagesPerBlock()
-	return ppn((int(pl)*f.geom.BlocksPerPlane+blk)*per + page)
+	return ppn(pl)<<f.planeShift | ppn(blk)<<f.pageBits | ppn(page)
 }
 
 // unpackPPN decodes a physical page address.
 func (f *FTL) unpackPPN(p ppn) (flash.PlaneID, int, int) {
-	per := f.geom.PagesPerBlock()
-	page := int(p) % per
-	rest := int(p) / per
-	return flash.PlaneID(rest / f.geom.BlocksPerPlane), rest % f.geom.BlocksPerPlane, page
+	return flash.PlaneID(p >> f.planeShift), int(p >> f.pageBits & f.blockMask), int(p & f.pageMask)
 }
 
 // addrOf converts a packed PPN into a flash address.
@@ -323,50 +395,41 @@ func (f *FTL) pageIndex(wl int, t coding.PageType) int {
 	return wl*f.geom.BitsPerCell + int(t)
 }
 
-// pageCoords inverts pageIndex.
-func (f *FTL) pageCoords(page int) (wl int, t coding.PageType) {
-	return page / f.geom.BitsPerCell, coding.PageType(page % f.geom.BitsPerCell)
+// blockID returns the global block id of block blk in plane pl.
+func (f *FTL) blockID(pl flash.PlaneID, blk int) int {
+	return int(pl)*f.geom.BlocksPerPlane + blk
 }
 
-// blockAt returns the block entry, allocating its table lazily.
-func (f *FTL) blockAt(pl flash.PlaneID, blk int) *block {
-	b := f.planes[pl].blocks[blk]
-	if b == nil {
-		b = f.newBlock()
-		f.planes[pl].blocks[blk] = b
-	}
-	return b
+// block returns the block-status-table entry of block blk in plane pl.
+func (f *FTL) block(pl flash.PlaneID, blk int) *BlockState {
+	return &f.blocks[f.blockID(pl, blk)]
 }
 
-// newBlock returns a zeroed block entry, reusing a pooled one (tables
-// cleared in place) when Reset has harvested any.
-func (f *FTL) newBlock() *block {
-	if n := len(f.blockPool); n > 0 {
-		b := f.blockPool[n-1]
-		f.blockPool[n-1] = nil
-		f.blockPool = f.blockPool[:n-1]
-		clear(b.valid)
-		clear(b.rmap)
-		clear(b.wlKeep)
-		*b = block{valid: b.valid, rmap: b.rmap, wlKeep: b.wlKeep}
-		return b
-	}
-	return &block{
-		valid:  make([]bool, f.geom.PagesPerBlock()),
-		rmap:   make([]LPN, f.geom.PagesPerBlock()),
-		wlKeep: make([]coding.ValidMask, f.geom.WordlinesPerBlock),
-	}
+// planeBlocks returns the block-status-table entries of plane pl, indexed
+// by block.
+func (f *FTL) planeBlocks(pl flash.PlaneID) []BlockState {
+	n := f.geom.BlocksPerPlane
+	return f.blocks[int(pl)*n : int(pl)*n+n]
 }
 
-// wlValidMask returns the validity mask of a wordline.
-func (f *FTL) wlValidMask(b *block, wl int) coding.ValidMask {
-	var m coding.ValidMask
-	for j := 0; j < f.geom.BitsPerCell; j++ {
-		if b.valid[f.pageIndex(wl, coding.PageType(j))] {
-			m = m.With(coding.PageType(j))
-		}
-	}
-	return m
+// wordline returns the device-wide wordline index and the page type of
+// page of global block gb.
+func (f *FTL) wordline(gb, page int) (int, coding.PageType) {
+	c := f.coords[page]
+	return gb*f.geom.WordlinesPerBlock + int(c.wl), coding.PageType(c.t)
+}
+
+// blockTables returns the wordline masks and reverse-map entries of global
+// block gb.
+func (f *FTL) blockTables(gb int) (valid, keep []uint8, rmap []uint32) {
+	wls, pages := f.geom.WordlinesPerBlock, len(f.coords)
+	return f.wlValid[gb*wls : (gb+1)*wls], f.wlKeep[gb*wls : (gb+1)*wls], f.rmap[gb*pages : (gb+1)*pages]
+}
+
+// pageValid reports whether page of global block gb holds valid data.
+func (f *FTL) pageValid(gb, page int) bool {
+	w, t := f.wordline(gb, page)
+	return f.wlValid[w]&(1<<t) != 0
 }
 
 // MappedPages returns the number of mapped logical pages.

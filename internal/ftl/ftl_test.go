@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -36,12 +37,14 @@ func mustFTL(t *testing.T, opts Options) *FTL {
 }
 
 // checkInvariants verifies the structural consistency of the FTL: valid
-// counts match valid bitmaps, every mapping points at a valid page whose
-// reverse map points back, and the global valid-page count equals the
-// mapped LPN count.
+// counts match the wordline validity masks, every mapping points at a valid
+// page whose reverse map points back, the global valid-page count equals the
+// mapped LPN count, and every block with no program step taken has zero
+// masks and reverse-map entries (the part Snapshot leaves out).
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
 	totalValid := 0
+	pages := len(f.coords)
 	for pl, ps := range f.planes {
 		seenFree := make(map[int]bool)
 		for _, blk := range ps.free {
@@ -49,21 +52,23 @@ func checkInvariants(t *testing.T, f *FTL) {
 				t.Fatalf("plane %d: block %d on free list twice", pl, blk)
 			}
 			seenFree[blk] = true
-			if b := ps.blocks[blk]; b != nil && b.nextStep != 0 {
+			if b := f.block(flash.PlaneID(pl), blk); b.NextStep != 0 {
 				t.Fatalf("plane %d: free block %d not erased", pl, blk)
 			}
 		}
-		for blk, b := range ps.blocks {
-			if b == nil {
-				continue
+		for blk, b := range f.planeBlocks(flash.PlaneID(pl)) {
+			gb := f.blockID(flash.PlaneID(pl), blk)
+			if valid, keep, rmap := f.blockTables(gb); b.NextStep == 0 &&
+				(slices.ContainsFunc(valid, nonZero) || slices.ContainsFunc(keep, nonZero) || slices.ContainsFunc(rmap, nonZero)) {
+				t.Fatalf("plane %d block %d unprogrammed but has masks or reverse-map entries", pl, blk)
 			}
 			n := 0
-			for page, v := range b.valid {
-				if !v {
+			for page := 0; page < pages; page++ {
+				if !f.pageValid(gb, page) {
 					continue
 				}
 				n++
-				lpn := b.rmap[page]
+				lpn := LPN(f.rmap[gb*pages+page])
 				p, ok := f.l2p.get(lpn)
 				if !ok {
 					t.Fatalf("plane %d block %d page %d valid but LPN %d unmapped", pl, blk, page, lpn)
@@ -73,8 +78,8 @@ func checkInvariants(t *testing.T, f *FTL) {
 					t.Fatalf("LPN %d maps to %v but valid at p%d/b%d/pg%d", lpn, f.addrOf(p), pl, blk, page)
 				}
 			}
-			if n != b.validCount {
-				t.Fatalf("plane %d block %d validCount %d but %d valid bits", pl, blk, b.validCount, n)
+			if n != b.ValidCount {
+				t.Fatalf("plane %d block %d ValidCount %d but %d valid bits", pl, blk, b.ValidCount, n)
 			}
 			totalValid += n
 		}
@@ -83,6 +88,8 @@ func checkInvariants(t *testing.T, f *FTL) {
 		t.Fatalf("%d valid pages but %d mapped LPNs", totalValid, f.l2p.len())
 	}
 }
+
+func nonZero[T uint8 | uint32](v T) bool { return v != 0 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	f := mustFTL(t, Options{Geometry: tinyGeom()})
@@ -377,18 +384,17 @@ func TestReadSensesUnderKeepMask(t *testing.T) {
 		if prog, err = f.Write(lpn, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, typ := f.pageCoords(prog.Addr.Page); typ == coding.MSB {
+		if coding.PageType(f.coords[prog.Addr.Page].t) == coding.MSB {
 			break
 		}
 	}
-	wl, _ := f.pageCoords(prog.Addr.Page)
-	b := f.planes[prog.Addr.Plane].blocks[prog.Addr.Block]
+	w, _ := f.wordline(f.blockID(prog.Addr.Plane, prog.Addr.Block), prog.Addr.Page)
 	// Table I case 2: the LSB is merged away, the MSB needs 2 sensings.
-	b.wlKeep[wl] = coding.MaskAll(3).Without(coding.LSB)
+	f.wlKeep[w] = uint8(coding.MaskAll(3).Without(coding.LSB))
 	if info, _ := f.Read(lpn); info.Senses != 2 || !info.IDA {
 		t.Errorf("MSB read on an LSB-merged wordline: senses %d IDA %v, want 2 true", info.Senses, info.IDA)
 	}
-	b.wlKeep[wl] = coding.MaskAll(3).Without(coding.MSB)
+	f.wlKeep[w] = uint8(coding.MaskAll(3).Without(coding.MSB))
 	defer func() {
 		if recover() == nil {
 			t.Error("reading a merged-away page did not panic")
@@ -422,10 +428,10 @@ func TestUsageCountsIDAValidPages(t *testing.T) {
 	}
 	// The census sums exactly the valid counts of IDA blocks.
 	want := 0
-	for _, ps := range f.planes {
-		for blk, b := range ps.blocks {
-			if b != nil && blk != ps.active && b.nextStep > 0 && b.validCount > 0 && b.ida {
-				want += b.validCount
+	for pl, ps := range f.planes {
+		for blk, b := range f.planeBlocks(flash.PlaneID(pl)) {
+			if blk != ps.active && b.NextStep > 0 && b.ValidCount > 0 && b.IDA {
+				want += b.ValidCount
 			}
 		}
 	}

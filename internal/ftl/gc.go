@@ -106,17 +106,19 @@ func (f *FTL) ensureFree(pl flash.PlaneID, now sim.Time) error {
 func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) {
 	ps := f.planes[pl]
 	victim := -1
-	var vb *block
-	for blk, b := range ps.blocks {
-		if b == nil || blk == ps.active || b.retired || b.nextStep == 0 {
-			continue // untouched, retired, erased, or still accepting programs
+	var vb *BlockState
+	blocks := f.planeBlocks(pl)
+	for blk := range blocks {
+		b := &blocks[blk]
+		if blk == ps.active || b.Retired || b.NextStep == 0 {
+			continue // retired, erased, or still accepting programs
 		}
 		if f.refreshingActive && f.refreshing.Plane == pl && f.refreshing.Block == blk {
 			continue // mid-refresh; the refresh flow owns this block
 		}
 		if vb == nil ||
-			b.validCount < vb.validCount ||
-			(b.validCount == vb.validCount && b.eraseCount < vb.eraseCount) {
+			b.ValidCount < vb.ValidCount ||
+			(b.ValidCount == vb.ValidCount && b.EraseCount < vb.EraseCount) {
 			victim, vb = blk, b
 		}
 	}
@@ -125,7 +127,7 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 	}
 	// Reclaiming a block whose valid pages would fill a whole new block
 	// gains nothing; stop rather than churn.
-	if vb.validCount >= len(f.order) {
+	if vb.ValidCount >= len(f.order) {
 		return GCJob{}, false, nil
 	}
 	// The victim's valid pages relocate within this plane; decline when
@@ -133,18 +135,19 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 	// recovers as refresh drains its blocks elsewhere).
 	space := len(ps.free) * len(f.order)
 	if ps.active >= 0 {
-		space += len(f.order) - ps.blocks[ps.active].nextStep
+		space += len(f.order) - blocks[ps.active].NextStep
 	}
-	if vb.validCount > space {
+	if vb.ValidCount > space {
 		return GCJob{}, false, nil
 	}
 	job := GCJob{
 		Victim:       flash.BlockAddr{Plane: pl, Block: victim},
 		Moves:        takeList(&f.freeMoves),
-		VictimWasIDA: vb.ida,
+		VictimWasIDA: vb.IDA,
 	}
-	for page := 0; page < f.geom.PagesPerBlock(); page++ {
-		if !vb.valid[page] {
+	gb := f.blockID(pl, victim)
+	for page := range f.coords {
+		if !f.pageValid(gb, page) {
 			continue
 		}
 		var err error

@@ -148,7 +148,7 @@ func TestGCWearTieBreak(t *testing.T) {
 	}
 	// Both original blocks now fully invalid; bump one's erase count by
 	// reclaiming and refilling it... simpler: tamper directly.
-	f.planes[0].blocks[0].eraseCount = 5
+	f.block(0, 0).EraseCount = 5
 	job, ok, err := f.collectPlane(flash.PlaneID(0), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -62,15 +62,14 @@ func (f *FTL) Read(lpn LPN) (ReadInfo, bool) {
 		return ReadInfo{}, false
 	}
 	pl, blk, page := f.unpackPPN(p)
-	b := f.planes[pl].blocks[blk]
-	wl, t := f.pageCoords(page)
+	w, t := f.wordline(f.blockID(pl, blk), page)
 	info := ReadInfo{
 		Addr:   pageAddr(pl, blk, page),
 		LPN:    lpn,
 		Type:   t,
-		Senses: f.sensesAt(b, page),
-		IDA:    b.wlKeep[wl] != 0,
-		Class:  f.classify(b, wl, t),
+		Senses: f.sensesAt(w, t),
+		IDA:    f.wlKeep[w] != 0,
+		Class:  classify(coding.ValidMask(f.wlValid[w]), t),
 	}
 	f.stats.HostReads++
 	f.stats.ReadsByClass[info.Class]++
@@ -81,20 +80,15 @@ func (f *FTL) Read(lpn LPN) (ReadInfo, bool) {
 	return info, true
 }
 
-// classify buckets the read for Figure 4. Pages above CSB in >3-bit cells
-// fold into the MSB buckets (the paper's TLC taxonomy generalized).
-func (f *FTL) classify(b *block, wl int, t coding.PageType) ReadClass {
+// classify buckets a read of page type t on a wordline with validity mask
+// for Figure 4. Pages above CSB in >3-bit cells fold into the MSB buckets
+// (the paper's TLC taxonomy generalized).
+func classify(mask coding.ValidMask, t coding.PageType) ReadClass {
 	if t == coding.LSB {
 		return ReadLSB
 	}
-	mask := f.wlValidMask(b, wl)
-	lowerInvalid := false
-	for j := coding.PageType(0); j < t; j++ {
-		if !mask.Has(j) {
-			lowerInvalid = true
-			break
-		}
-	}
+	lower := coding.MaskAll(int(t))
+	lowerInvalid := mask&lower != lower
 	if t == coding.CSB {
 		if lowerInvalid {
 			return ReadCSBLowerInvalid

@@ -64,31 +64,31 @@ func (f *FTL) DueRefreshes(now sim.Time) ([]RefreshJob, error) {
 	}
 	clear(f.refreshJobs)
 	f.refreshJobs = f.refreshJobs[:0]
-	for pl := range f.planes {
-		ps := f.planes[pl]
+	for pl, ps := range f.planes {
 		f.closeAgedActive(flash.PlaneID(pl), now)
-		for blk, b := range ps.blocks {
-			if b == nil || blk == ps.active || b.nextStep == 0 {
+		blocks := f.planeBlocks(flash.PlaneID(pl))
+		for blk := range blocks {
+			b := &blocks[blk]
+			if blk == ps.active || b.NextStep == 0 {
 				continue
 			}
-			if b.validCount == 0 {
+			if b.ValidCount == 0 {
 				continue // nothing to preserve; GC will reclaim
 			}
-			if now-b.programmedAt < f.opts.RefreshPeriod {
+			if now-b.ProgrammedAt < f.opts.RefreshPeriod {
 				continue
 			}
 			// Keep enough free space in the plane for the moves
 			// this refresh will make. The inline GC may reclaim
 			// this very block — and free-list reuse may reopen and
-			// refill it — so re-read the entry and re-check full
-			// eligibility (including age) afterwards; the loop
-			// variable b is stale once GC has run.
+			// refill it — so re-check full eligibility (including
+			// age) afterwards: the entry may have changed once GC
+			// has run.
 			if err := f.ensureFree(flash.PlaneID(pl), now); err != nil {
 				return f.refreshJobs, err
 			}
-			b = ps.blocks[blk]
-			if b == nil || blk == ps.active || b.retired || b.nextStep == 0 ||
-				b.validCount == 0 || now-b.programmedAt < f.opts.RefreshPeriod {
+			if blk == ps.active || b.Retired || b.NextStep == 0 ||
+				b.ValidCount == 0 || now-b.ProgrammedAt < f.opts.RefreshPeriod {
 				continue
 			}
 			job, err := f.refreshBlock(flash.PlaneID(pl), blk, now)
@@ -107,7 +107,7 @@ func (f *FTL) DueRefreshes(now sim.Time) ([]RefreshJob, error) {
 // data.
 func (f *FTL) CloseActiveBlocks() {
 	for pl, ps := range f.planes {
-		if ps.active >= 0 && ps.blocks[ps.active].nextStep > 0 {
+		if ps.active >= 0 && f.block(flash.PlaneID(pl), ps.active).NextStep > 0 {
 			f.closeActive(flash.PlaneID(pl))
 		}
 	}
@@ -121,13 +121,14 @@ func (f *FTL) StaggerBlockAges(now sim.Time) {
 	if f.opts.RefreshPeriod == 0 {
 		return
 	}
-	for _, ps := range f.planes {
-		for blk, b := range ps.blocks {
-			if b == nil || blk == ps.active || b.nextStep == 0 {
+	for pl, ps := range f.planes {
+		blocks := f.planeBlocks(flash.PlaneID(pl))
+		for blk := range blocks {
+			if blk == ps.active || blocks[blk].NextStep == 0 {
 				continue
 			}
 			age := sim.Time(f.rng.Int63n(int64(f.opts.RefreshPeriod)))
-			b.programmedAt = now - age
+			blocks[blk].ProgrammedAt = now - age
 		}
 	}
 }
@@ -166,10 +167,11 @@ func putList[T any](free *[][]T, ops []T) {
 // refreshBlock refreshes one block, choosing the original or IDA-modified
 // flow.
 func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob, error) {
-	b := f.planes[pl].blocks[blk]
+	gb := f.blockID(pl, blk)
+	b := &f.blocks[gb]
 	job := RefreshJob{
 		Target:         flash.BlockAddr{Plane: pl, Block: blk},
-		ValidPages:     b.validCount,
+		ValidPages:     b.ValidCount,
 		Reads:          takeList(&f.freeReads),
 		Moves:          takeList(&f.freeMoves),
 		VerifyReads:    takeList(&f.freeReads),
@@ -180,16 +182,16 @@ func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob,
 	f.refreshingActive = true
 	defer func() { f.refreshingActive = false }()
 	// Step 1-2 (both flows): read and decode every valid page.
-	for page := 0; page < f.geom.PagesPerBlock(); page++ {
-		if b.valid[page] {
+	for page := range f.coords {
+		if f.pageValid(gb, page) {
 			job.Reads = append(job.Reads, ReadOp{
 				Addr:   pageAddr(pl, blk, page),
-				Senses: f.sensesAt(b, page),
+				Senses: f.sensesAt(f.wordline(gb, page)),
 			})
 		}
 	}
 
-	useIDA := f.opts.IDAEnabled && !b.ida && !b.refreshed
+	useIDA := f.opts.IDAEnabled && !b.IDA && !b.Refreshed
 	var err error
 	if !useIDA {
 		err = f.refreshOriginal(pl, blk, now, &job)
@@ -217,9 +219,9 @@ func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob,
 // refreshOriginal implements Figure 7a: move every valid page to a new
 // block. The emptied target block is reclaimed by GC later.
 func (f *FTL) refreshOriginal(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJob) error {
-	b := f.planes[pl].blocks[blk]
-	for page := 0; page < f.geom.PagesPerBlock(); page++ {
-		if !b.valid[page] {
+	gb := f.blockID(pl, blk)
+	for page := range f.coords {
+		if !f.pageValid(gb, page) {
 			continue
 		}
 		var err error
@@ -229,8 +231,9 @@ func (f *FTL) refreshOriginal(pl flash.PlaneID, blk int, now sim.Time, job *Refr
 	}
 	// Reset the age so an empty block lingering before GC reclaim does
 	// not re-trigger refresh scans.
-	b.programmedAt = now
-	b.refreshed = true
+	b := &f.blocks[gb]
+	b.ProgrammedAt = now
+	b.Refreshed = true
 	return nil
 }
 
@@ -245,14 +248,16 @@ type keptPage struct {
 // voltage-adjust the beneficial wordlines, verify the kept pages, and write
 // back any pages the adjustment corrupted.
 func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJob) error {
-	b := f.planes[pl].blocks[blk]
+	gb := f.blockID(pl, blk)
+	b := &f.blocks[gb]
+	wlBase := gb * f.geom.WordlinesPerBlock
 	f.kept = f.kept[:0]
 	var err error
 
 	// Step 3: per-wordline Table I decision. Moves happen first (they
 	// need the pre-adjustment data), then the adjustment.
 	for wl := 0; wl < f.geom.WordlinesPerBlock; wl++ {
-		mask := f.wlValidMask(b, wl)
+		mask := coding.ValidMask(f.wlValid[wlBase+wl])
 		if mask == 0 {
 			continue // case 8
 		}
@@ -279,7 +284,7 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 		// Step 4: the wordline is reprogrammed; record its new coding.
 		// The adjustment's ISPP sweep transfers charge too: its power
 		// proxy is the expected per-cell level distance of the merge.
-		b.wlKeep[wl] = plan.Keep
+		f.wlKeep[wlBase+wl] = uint8(plan.Keep)
 		job.AdjustedWLs++
 		f.stats.ProgramPower += f.opts.Code.Merge(plan.Keep).MeanMove()
 		// Walk page types in order (not the KeptSenses map) so the
@@ -288,9 +293,8 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 			if !plan.Keep.Has(t) {
 				continue
 			}
-			page := f.pageIndex(wl, t)
-			if b.valid[page] {
-				f.kept = append(f.kept, keptPage{page: page, senses: plan.KeptSenses[t]})
+			if f.wlValid[wlBase+wl]&(1<<t) != 0 {
+				f.kept = append(f.kept, keptPage{page: f.pageIndex(wl, t), senses: plan.KeptSenses[t]})
 			}
 		}
 	}
@@ -298,8 +302,8 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 	if job.AdjustedWLs == 0 {
 		// Nothing was worth adjusting (every wordline was cases 5-8);
 		// the block emptied exactly like an original refresh.
-		b.programmedAt = now
-		b.refreshed = true
+		b.ProgrammedAt = now
+		b.Refreshed = true
 		return nil
 	}
 
@@ -319,9 +323,9 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 		}
 	}
 
-	b.ida = true
-	b.refreshed = true
-	b.programmedAt = now // reclaimed on the next refresh cycle
+	b.IDA = true
+	b.Refreshed = true
+	b.ProgrammedAt = now // reclaimed on the next refresh cycle
 	job.IDAApplied = true
 	return nil
 }

@@ -50,7 +50,7 @@ func TestDueRefreshesReChecksAfterInlineGC(t *testing.T) {
 	now := 11 * hour // past the 10h refresh period
 	// Only b1 is due: backdating everything else isolates the scenario.
 	for _, blk := range []int{0, 2, 3, 4, 5, 6} {
-		ps.blocks[blk].programmedAt = now
+		f.block(0, blk).ProgrammedAt = now
 	}
 	f.gcFreeBlocks = gcWatermark
 
@@ -72,9 +72,9 @@ func TestDueRefreshesReChecksAfterInlineGC(t *testing.T) {
 		t.Fatalf("scenario drifted: GCJobs=%d active=%d, want 3 inline GC jobs ending with b2 open",
 			f.Stats().GCJobs, ps.active)
 	}
-	if b := ps.blocks[1]; b.nextStep != 12 || b.validCount != 12 || b.programmedAt != now {
+	if b := f.block(0, 1); b.NextStep != 12 || b.ValidCount != 12 || b.ProgrammedAt != now {
 		t.Fatalf("scenario drifted: b1 step=%d valid=%d, want b1 refilled and closed at now",
-			b.nextStep, b.validCount)
+			b.NextStep, b.ValidCount)
 	}
 	for i := LPN(0); i < 73; i++ {
 		if _, ok := f.Read(i); !ok {
@@ -125,7 +125,7 @@ func TestRefreshIDAOnlyInvalid(t *testing.T) {
 		t.Errorf("verify=%d kept=%d corrupted=%d, want 2/2/0 with a zero error rate",
 			len(job.VerifyReads), job.KeptPages, len(job.CorruptedMoves))
 	}
-	if !f.planes[0].blocks[0].ida {
+	if !f.block(0, 0).IDA {
 		t.Error("target block not marked IDA after adjustment")
 	}
 	for i := LPN(0); i < 12; i++ {
@@ -164,14 +164,14 @@ func TestRefreshIDAOnlyInvalidAllValid(t *testing.T) {
 	if len(job.VerifyReads) != 0 || job.KeptPages != 0 || len(job.CorruptedMoves) != 0 {
 		t.Error("early return must skip the verify/write-back steps")
 	}
-	b := f.planes[0].blocks[0]
-	if !b.refreshed || b.ida {
-		t.Errorf("refreshed=%v ida=%v, want refreshed without IDA conversion", b.refreshed, b.ida)
+	b := f.block(0, 0)
+	if !b.Refreshed || b.IDA {
+		t.Errorf("refreshed=%v ida=%v, want refreshed without IDA conversion", b.Refreshed, b.IDA)
 	}
-	if b.validCount != 0 {
-		t.Errorf("target still holds %d valid pages", b.validCount)
+	if b.ValidCount != 0 {
+		t.Errorf("target still holds %d valid pages", b.ValidCount)
 	}
-	if b.programmedAt != now {
+	if b.ProgrammedAt != now {
 		t.Error("age not reset; the emptied block would re-trigger refresh scans")
 	}
 	st := f.Stats()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"idaflash/internal/coding"
+	"idaflash/internal/flash"
 	"idaflash/internal/sim"
 )
 
@@ -77,9 +78,9 @@ func TestOriginalRefreshMovesEverything(t *testing.T) {
 		t.Error("original refresh has IDA side effects")
 	}
 	// Target block now fully invalid.
-	b := f.planes[j.Target.Plane].blocks[j.Target.Block]
-	if b.validCount != 0 {
-		t.Errorf("target block still has %d valid pages", b.validCount)
+	b := f.block(j.Target.Plane, j.Target.Block)
+	if b.ValidCount != 0 {
+		t.Errorf("target block still has %d valid pages", b.ValidCount)
 	}
 	// Data intact.
 	for i := LPN(0); i < 12; i++ {
@@ -251,9 +252,9 @@ func TestIDARefreshErrorRateOne(t *testing.T) {
 			t.Fatalf("LPN %d lost", i)
 		}
 	}
-	b := f.planes[j.Target.Plane].blocks[j.Target.Block]
-	if b.validCount != 0 {
-		t.Errorf("block still holds %d valid pages", b.validCount)
+	b := f.block(j.Target.Plane, j.Target.Block)
+	if b.ValidCount != 0 {
+		t.Errorf("block still holds %d valid pages", b.ValidCount)
 	}
 	checkInvariants(t, f)
 }
@@ -286,9 +287,9 @@ func TestIDABlockForcedReclaimNextCycle(t *testing.T) {
 	if len(second.Moves) != second.ValidPages {
 		t.Errorf("forced reclaim moved %d of %d pages", len(second.Moves), second.ValidPages)
 	}
-	b := f.planes[target.Plane].blocks[target.Block]
-	if b.validCount != 0 {
-		t.Errorf("IDA block still holds %d valid pages after forced reclaim", b.validCount)
+	b := f.block(target.Plane, target.Block)
+	if b.ValidCount != 0 {
+		t.Errorf("IDA block still holds %d valid pages after forced reclaim", b.ValidCount)
 	}
 	checkInvariants(t, f)
 }
@@ -324,15 +325,15 @@ func TestStaggerBlockAges(t *testing.T) {
 	}
 	f.StaggerBlockAges(0)
 	ages := make(map[sim.Time]bool)
-	for _, ps := range f.planes {
-		for blk, b := range ps.blocks {
-			if b == nil || blk == ps.active || b.nextStep != len(f.order) {
+	for pl, ps := range f.planes {
+		for blk, b := range f.planeBlocks(flash.PlaneID(pl)) {
+			if blk == ps.active || b.NextStep != len(f.order) {
 				continue
 			}
-			if b.programmedAt > 0 || b.programmedAt < -10*hour {
-				t.Errorf("staggered age %v out of range", b.programmedAt)
+			if b.ProgrammedAt > 0 || b.ProgrammedAt < -10*hour {
+				t.Errorf("staggered age %v out of range", b.ProgrammedAt)
 			}
-			ages[b.programmedAt] = true
+			ages[b.ProgrammedAt] = true
 		}
 	}
 	if len(ages) < 2 {
@@ -346,7 +347,7 @@ func TestStaggerBlockAges(t *testing.T) {
 		f2.Write(i, 0)
 	}
 	f2.StaggerBlockAges(0)
-	if f2.planes[0].blocks[0].programmedAt != 0 {
+	if f2.block(0, 0).ProgrammedAt != 0 {
 		t.Error("stagger ran with refresh disabled")
 	}
 }
@@ -475,8 +476,8 @@ func TestAgedOpenBlockCloses(t *testing.T) {
 	if prog := write(f, 5, half); prog.Addr.Block != 1 {
 		t.Fatalf("write at half the period landed in block %d, want 1 after closing block 0", prog.Addr.Block)
 	}
-	if b := ps.blocks[0]; b.nextStep != 5 || b.programmedAt != 0 {
-		t.Errorf("closed block 0: step %d programmedAt %v, want 5 and 0", b.nextStep, b.programmedAt)
+	if b := f.block(0, 0); b.NextStep != 5 || b.ProgrammedAt != 0 {
+		t.Errorf("closed block 0: step %d programmedAt %v, want 5 and 0", b.NextStep, b.ProgrammedAt)
 	}
 
 	// DueRefreshes closes the aged block, and a later scan refreshes it.

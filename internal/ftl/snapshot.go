@@ -2,7 +2,7 @@ package ftl
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"idaflash/internal/coding"
 	"idaflash/internal/flash"
@@ -15,11 +15,12 @@ import (
 const rngSeedMask = 0x49444146
 
 // State is a deep, self-contained copy of everything mutable in an FTL: the
-// L2P table, every plane's block table, free list and active block,
-// buffered inline GC jobs, the refresh guard, the stats counters, and the
-// rng stream position. It exists so device-state snapshots
-// (internal/snapshot) can serialize an aged device and later runs can
-// restore it in O(state) instead of replaying the aging preamble.
+// L2P table, the block table, the wordline masks and reverse map of every
+// programmed block, every plane's free list and active block, buffered inline
+// GC jobs, the refresh guard, the stats counters, and the rng stream
+// position. It exists so device-state snapshots (internal/snapshot) can
+// serialize an aged device and later runs can restore it in O(state) instead
+// of replaying the aging preamble.
 //
 // A State shares no memory with the FTL that produced it, and Restore
 // installs fresh copies too — one cached State can seed any number of
@@ -30,14 +31,24 @@ type State struct {
 	// tables of the wrong dimensions.
 	Geometry flash.Geometry
 
-	// DenseL2P mirrors the mapping slice, one entry per page of capacity
-	// (noPPN sentinel preserved). L2PCount is the mapped-LPN count,
-	// recomputed and cross-checked on restore.
-	DenseL2P []uint64
+	// DenseL2P mirrors the mapping slice, one packed 32-bit PPN per page
+	// of capacity (the all-ones unmapped sentinel preserved). L2PCount is
+	// the mapped-LPN count, recomputed and cross-checked on restore.
+	DenseL2P []uint32
 	L2PCount int
 
 	Planes      []PlaneState
 	AllocCursor int
+
+	// Blocks is the block table, indexed by global block id
+	// (plane*BlocksPerPlane + block).
+	Blocks []BlockState
+	// WLValid and WLKeep hold the validity and kept-page masks of every
+	// wordline, and RMap the reverse-map entry of every page, of the
+	// blocks with NextStep > 0, concatenated in block-id order. Every
+	// other block's masks and entries are zero.
+	WLValid, WLKeep []uint8
+	RMap            []uint32
 
 	PendingGC        []GCJob
 	Refreshing       flash.BlockAddr
@@ -53,71 +64,56 @@ type State struct {
 type PlaneState struct {
 	Active int
 	Free   []int // free block indexes, LIFO order preserved
-	Blocks []BlockState
 }
 
-// BlockState is one block-status-table entry. Present distinguishes a
-// lazily-unallocated entry (nil in the live table) from an allocated one, so
-// a restored device's block census matches the original exactly.
+// BlockState is one block-status-table entry, both in a State and in the
+// live FTL's block table. The zero value is a never-programmed block.
 type BlockState struct {
-	Present      bool
 	EraseCount   int
-	OpenedAt     sim.Time
-	ProgrammedAt sim.Time
-	NextStep     int
+	OpenedAt     sim.Time // time the block started accepting programs
+	ProgrammedAt sim.Time // retention clock start (set when the block closes)
+	NextStep     int      // next program-order step; PagesPerBlock when full
 	ValidCount   int
-	Valid        []bool
-	RMap         []LPN
-	IDA          bool
-	Refreshed    bool
-	Bad          bool
-	Retired      bool
-	WLKeep       []coding.ValidMask
+	IDA          bool // reprogrammed with the IDA coding
+	Refreshed    bool // already refreshed once this cycle (await reclaim)
+	Bad          bool // a program failed here; retire at the next erase
+	Retired      bool // permanently out of service (grown bad block)
 }
 
 // Snapshot captures the FTL's full mutable state as a deep copy.
 func (f *FTL) Snapshot() *State {
 	st := &State{
 		Geometry:         f.geom,
+		DenseL2P:         slices.Clone(f.l2p.dense),
 		L2PCount:         f.l2p.count,
 		AllocCursor:      f.allocCursor,
+		Blocks:           slices.Clone(f.blocks),
 		Refreshing:       f.refreshing,
 		RefreshingActive: f.refreshingActive,
 		Stats:            f.stats,
 		RNGDraws:         f.rngSrc.Draws(),
 	}
-	st.DenseL2P = make([]uint64, len(f.l2p.dense))
-	for i, p := range f.l2p.dense {
-		st.DenseL2P[i] = uint64(p)
-	}
 	st.Planes = make([]PlaneState, len(f.planes))
 	for pl, ps := range f.planes {
-		out := PlaneState{
-			Active: ps.active,
-			Free:   append([]int(nil), ps.free...),
-			Blocks: make([]BlockState, len(ps.blocks)),
+		st.Planes[pl] = PlaneState{Active: ps.active, Free: append([]int(nil), ps.free...)}
+	}
+	programmed := 0
+	for _, b := range f.blocks {
+		if b.NextStep > 0 {
+			programmed++
 		}
-		for blk, b := range ps.blocks {
-			if b == nil {
-				continue
-			}
-			out.Blocks[blk] = BlockState{
-				Present:      true,
-				EraseCount:   b.eraseCount,
-				OpenedAt:     b.openedAt,
-				ProgrammedAt: b.programmedAt,
-				NextStep:     b.nextStep,
-				ValidCount:   b.validCount,
-				Valid:        append([]bool(nil), b.valid...),
-				RMap:         append([]LPN(nil), b.rmap...),
-				IDA:          b.ida,
-				Refreshed:    b.refreshed,
-				Bad:          b.bad,
-				Retired:      b.retired,
-				WLKeep:       append([]coding.ValidMask(nil), b.wlKeep...),
-			}
+	}
+	wls, pages := f.geom.WordlinesPerBlock, len(f.coords)
+	st.WLValid = make([]uint8, 0, programmed*wls)
+	st.WLKeep = make([]uint8, 0, programmed*wls)
+	st.RMap = make([]uint32, 0, programmed*pages)
+	for gb, b := range f.blocks {
+		if b.NextStep > 0 {
+			valid, keep, rmap := f.blockTables(gb)
+			st.WLValid = append(st.WLValid, valid...)
+			st.WLKeep = append(st.WLKeep, keep...)
+			st.RMap = append(st.RMap, rmap...)
 		}
-		st.Planes[pl] = out
 	}
 	if len(f.pendingGC) > 0 {
 		st.PendingGC = make([]GCJob, len(f.pendingGC))
@@ -137,55 +133,38 @@ func (f *FTL) Snapshot() *State {
 // touching the FTL on any mismatch, so a corrupt or mis-keyed snapshot
 // degrades to an ordinary replay instead of a poisoned run.
 //
-// The copy lands in the FTL's existing storage: the dense L2P and block
-// tables are overwritten in place (absent blocks return to the Reset pool,
-// newly-present ones draw from it), so a warm run on a pooled device
-// restores without a fresh deep copy. st itself is never aliased or
-// mutated — one cached State can still seed any number of devices,
-// concurrently.
+// The copy lands in the FTL's existing storage: every table is overwritten
+// in place, so a warm run on a pooled device restores without a fresh deep
+// copy. st itself is never aliased or mutated — one cached State can still
+// seed any number of devices, concurrently.
 func (f *FTL) Restore(st *State) error {
 	if err := f.validateState(st); err != nil {
 		return err
 	}
 
 	// Validation passed; everything below is infallible copying.
-	for i, v := range st.DenseL2P {
-		f.l2p.dense[i] = ppn(v)
-	}
+	copy(f.l2p.dense, st.DenseL2P)
 	f.l2p.count = st.L2PCount
-
-	for pl := range st.Planes {
-		ps := &st.Planes[pl]
+	copy(f.blocks, st.Blocks)
+	for pl, ps := range st.Planes {
 		np := f.planes[pl]
 		np.active = ps.Active
 		np.free = append(np.free[:0], ps.Free...)
-		for blk := range ps.Blocks {
-			bs := &ps.Blocks[blk]
-			if !bs.Present {
-				if b := np.blocks[blk]; b != nil {
-					f.blockPool = append(f.blockPool, b)
-					np.blocks[blk] = nil
-				}
-				continue
-			}
-			b := np.blocks[blk]
-			if b == nil {
-				b = f.newBlock()
-				np.blocks[blk] = b
-			}
-			b.eraseCount = bs.EraseCount
-			b.openedAt = bs.OpenedAt
-			b.programmedAt = bs.ProgrammedAt
-			b.nextStep = bs.NextStep
-			b.validCount = bs.ValidCount
-			copy(b.valid, bs.Valid)
-			copy(b.rmap, bs.RMap)
-			copy(b.wlKeep, bs.WLKeep)
-			b.ida = bs.IDA
-			b.refreshed = bs.Refreshed
-			b.bad = bs.Bad
-			b.retired = bs.Retired
+	}
+	wls, pages := f.geom.WordlinesPerBlock, len(f.coords)
+	wlValid, wlKeep, rmap := st.WLValid, st.WLKeep, st.RMap
+	for gb, b := range f.blocks {
+		dv, dk, dr := f.blockTables(gb)
+		if b.NextStep == 0 {
+			clear(dv)
+			clear(dk)
+			clear(dr)
+			continue
 		}
+		copy(dv, wlValid)
+		copy(dk, wlKeep)
+		copy(dr, rmap)
+		wlValid, wlKeep, rmap = wlValid[wls:], wlKeep[wls:], rmap[pages:]
 	}
 
 	f.dropPendingGC()
@@ -194,19 +173,17 @@ func (f *FTL) Restore(st *State) error {
 		f.pendingGC = append(f.pendingGC, job)
 	}
 
-	// Rebuild the rng at the recorded stream position. The seed is derived
-	// from the FTL's own options, not stored in the snapshot: the snapshot
-	// cache key includes the seed, so a state only ever restores onto a
-	// device whose stream it belongs to.
-	src := sim.NewCountedSource(f.opts.Seed ^ rngSeedMask)
-	src.Skip(st.RNGDraws)
+	// Reseed the rng in place and move it to the recorded stream position.
+	// The seed is derived from the FTL's own options, not stored in the
+	// snapshot: the snapshot cache key includes the seed, so a state only
+	// ever restores onto a device whose stream it belongs to.
+	f.rng.Seed(f.opts.Seed ^ rngSeedMask)
+	f.rngSrc.Skip(st.RNGDraws)
 
 	f.allocCursor = st.AllocCursor
 	f.refreshing = st.Refreshing
 	f.refreshingActive = st.RefreshingActive
 	f.stats = st.Stats
-	f.rngSrc = src
-	f.rng = rand.New(src)
 	return nil
 }
 
@@ -227,19 +204,18 @@ func (f *FTL) validateState(st *State) error {
 	}
 	count := 0
 	for _, v := range st.DenseL2P {
-		if ppn(v) != noPPN {
+		if v != noPPN {
 			count++
 		}
 	}
 	if count != st.L2PCount {
 		return fmt.Errorf("ftl: snapshot L2P count %d does not match its %d entries", st.L2PCount, count)
 	}
-	pages := f.geom.PagesPerBlock()
+	if st.AllocCursor < 0 || st.AllocCursor >= len(f.cwdp) {
+		return fmt.Errorf("ftl: snapshot allocation cursor %d out of range", st.AllocCursor)
+	}
 	for pl := range st.Planes {
 		ps := &st.Planes[pl]
-		if len(ps.Blocks) != f.geom.BlocksPerPlane {
-			return fmt.Errorf("ftl: snapshot plane %d has %d blocks, device has %d", pl, len(ps.Blocks), f.geom.BlocksPerPlane)
-		}
 		if ps.Active < -1 || ps.Active >= f.geom.BlocksPerPlane {
 			return fmt.Errorf("ftl: snapshot plane %d active block %d out of range", pl, ps.Active)
 		}
@@ -248,17 +224,26 @@ func (f *FTL) validateState(st *State) error {
 				return fmt.Errorf("ftl: snapshot plane %d free-list block %d out of range", pl, idx)
 			}
 		}
-		for blk := range ps.Blocks {
-			bs := &ps.Blocks[blk]
-			if !bs.Present {
-				continue
-			}
-			if len(bs.Valid) != pages || len(bs.RMap) != pages || len(bs.WLKeep) != f.geom.WordlinesPerBlock {
-				return fmt.Errorf("ftl: snapshot plane %d block %d has wrong table sizes", pl, blk)
-			}
-			if bs.NextStep < 0 || bs.NextStep > pages {
-				return fmt.Errorf("ftl: snapshot plane %d block %d next step %d out of range", pl, blk, bs.NextStep)
-			}
+	}
+	if len(st.Blocks) != len(f.blocks) {
+		return fmt.Errorf("ftl: snapshot has %d blocks, device has %d", len(st.Blocks), len(f.blocks))
+	}
+	programmed := 0
+	for gb := range st.Blocks {
+		if n := st.Blocks[gb].NextStep; n < 0 || n > len(f.order) {
+			return fmt.Errorf("ftl: snapshot block %d next step %d out of range", gb, n)
+		} else if n > 0 {
+			programmed++
+		}
+	}
+	wls := programmed * f.geom.WordlinesPerBlock
+	if len(st.WLValid) != wls || len(st.WLKeep) != wls || len(st.RMap) != programmed*len(f.coords) {
+		return fmt.Errorf("ftl: snapshot wordline and reverse-map tables do not cover its %d programmed blocks", programmed)
+	}
+	all := uint8(coding.MaskAll(f.geom.BitsPerCell))
+	for i := range st.WLValid {
+		if st.WLValid[i]&^all != 0 || st.WLKeep[i]&^all != 0 {
+			return fmt.Errorf("ftl: snapshot wordline mask beyond %d bits per cell", f.geom.BitsPerCell)
 		}
 	}
 	return nil

@@ -131,14 +131,12 @@ func TestSnapshotCoversRetiredBlocks(t *testing.T) {
 	st := f.Snapshot()
 
 	bad, retired := 0, 0
-	for _, ps := range st.Planes {
-		for _, bs := range ps.Blocks {
-			if bs.Bad {
-				bad++
-			}
-			if bs.Retired {
-				retired++
-			}
+	for _, bs := range st.Blocks {
+		if bs.Bad {
+			bad++
+		}
+		if bs.Retired {
+			retired++
 		}
 	}
 	if bad == 0 && retired == 0 {
@@ -199,7 +197,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	corrupt("l2p count", func(st *State) { st.L2PCount++ })
 	corrupt("l2p length", func(st *State) {
 		last := len(st.DenseL2P) - 1
-		if ppn(st.DenseL2P[last]) != noPPN {
+		if st.DenseL2P[last] != noPPN {
 			st.L2PCount-- // keep the count consistent so only the length is wrong
 		}
 		st.DenseL2P = st.DenseL2P[:last]
@@ -207,24 +205,29 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	corrupt("plane count", func(st *State) { st.Planes = st.Planes[:0] })
 	corrupt("active range", func(st *State) { st.Planes[0].Active = 1 << 20 })
 	corrupt("free range", func(st *State) { st.Planes[0].Free = append(st.Planes[0].Free, -1) })
+	corrupt("alloc cursor", func(st *State) { st.AllocCursor = len(f.cwdp) })
+	corrupt("block count", func(st *State) { st.Blocks = st.Blocks[1:] })
 	corrupt("next step", func(st *State) {
-		for blk := range st.Planes[0].Blocks {
-			if st.Planes[0].Blocks[blk].Present {
-				st.Planes[0].Blocks[blk].NextStep = 1 << 20
+		for gb := range st.Blocks {
+			if st.Blocks[gb].NextStep > 0 {
+				st.Blocks[gb].NextStep = 1 << 20
 				return
 			}
 		}
-		t.Fatal("donor state has no present blocks")
+		t.Fatal("donor state has no programmed blocks")
 	})
-	corrupt("table sizes", func(st *State) {
-		for blk := range st.Planes[0].Blocks {
-			if st.Planes[0].Blocks[blk].Present {
-				st.Planes[0].Blocks[blk].Valid = st.Planes[0].Blocks[blk].Valid[:1]
+	corrupt("unprogrammed block", func(st *State) {
+		for gb := range st.Blocks {
+			if st.Blocks[gb].NextStep > 0 {
+				st.Blocks[gb].NextStep = 0 // its masks and entries no longer have an owner
 				return
 			}
 		}
-		t.Fatal("donor state has no present blocks")
+		t.Fatal("donor state has no programmed blocks")
 	})
+	corrupt("reverse-map length", func(st *State) { st.RMap = st.RMap[1:] })
+	corrupt("keep-mask length", func(st *State) { st.WLKeep = st.WLKeep[1:] })
+	corrupt("mask width", func(st *State) { st.WLValid[0] = 1 << 3 })
 	if err := f.Restore(nil); err == nil {
 		t.Error("restore accepted nil state")
 	}

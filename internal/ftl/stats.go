@@ -1,5 +1,7 @@
 package ftl
 
+import "idaflash/internal/flash"
+
 // Stats accumulates the FTL-level counters every experiment reads out.
 // All counts are cumulative since construction.
 type Stats struct {
@@ -137,29 +139,18 @@ type Wear struct {
 // WearStats computes the erase-count distribution.
 func (f *FTL) WearStats() Wear {
 	var w Wear
-	first := true
-	total, n := 0, 0
-	for _, ps := range f.planes {
-		for _, b := range ps.blocks {
-			e := 0
-			if b != nil {
-				e = b.eraseCount
-			}
-			if first {
-				w.MinErase, w.MaxErase = e, e
-				first = false
-			}
-			if e < w.MinErase {
-				w.MinErase = e
-			}
-			if e > w.MaxErase {
-				w.MaxErase = e
-			}
-			total += e
-			n++
+	total := 0
+	for i, b := range f.blocks {
+		e := b.EraseCount
+		if i == 0 || e < w.MinErase {
+			w.MinErase = e
 		}
+		if i == 0 || e > w.MaxErase {
+			w.MaxErase = e
+		}
+		total += e
 	}
-	if n > 0 {
+	if n := len(f.blocks); n > 0 {
 		w.MeanErase = float64(total) / float64(n)
 	}
 	w.Spread = w.MaxErase - w.MinErase
@@ -170,27 +161,27 @@ func (f *FTL) WearStats() Wear {
 func (f *FTL) Usage() BlockUsage {
 	var u BlockUsage
 	u.Total = f.geom.TotalBlocks()
-	for _, ps := range f.planes {
+	for pl, ps := range f.planes {
 		u.Free += len(ps.free)
 		if ps.active >= 0 {
 			u.Active++
 		}
-		for blk, b := range ps.blocks {
-			if b == nil || blk == ps.active {
+		for blk, b := range f.planeBlocks(flash.PlaneID(pl)) {
+			if blk == ps.active {
 				continue
 			}
-			if b.retired {
+			if b.Retired {
 				u.Retired++
 				continue
 			}
-			if b.nextStep == 0 {
+			if b.NextStep == 0 {
 				continue // erased (already counted via free list)
 			}
-			if b.validCount > 0 {
+			if b.ValidCount > 0 {
 				u.InUse++
-				if b.ida {
+				if b.IDA {
 					u.IDABlocks++
-					u.IDAValidPages += b.validCount
+					u.IDAValidPages += b.ValidCount
 				}
 			} else {
 				u.Empty++

@@ -58,10 +58,11 @@ func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
 // mapPage points the LPN at the freshly programmed page a.
 func (f *FTL) mapPage(lpn LPN, a flash.PageAddr) {
 	f.l2p.set(lpn, f.packPPN(a.Plane, a.Block, a.Page))
-	b := f.planes[a.Plane].blocks[a.Block]
-	b.valid[a.Page] = true
-	b.rmap[a.Page] = lpn
-	b.validCount++
+	gb := f.blockID(a.Plane, a.Block)
+	w, t := f.wordline(gb, a.Page)
+	f.wlValid[w] |= 1 << t
+	f.rmap[gb*len(f.coords)+a.Page] = uint32(lpn)
+	f.blocks[gb].ValidCount++
 }
 
 // claimPage allocates the next page of the plane and runs the program past
@@ -83,16 +84,15 @@ func (f *FTL) claimPage(now sim.Time, pl flash.PlaneID) (flash.PageAddr, int, er
 			f.chargeProgram(1 + failed)
 			return a, failed, nil
 		}
-		ps := f.planes[pl]
-		b := ps.blocks[a.Block]
-		if !f.opts.Faults.ProgramFails(a, b.eraseCount) {
+		b := f.block(pl, a.Block)
+		if !f.opts.Faults.ProgramFails(a, b.EraseCount) {
 			f.chargeProgram(1 + failed)
 			return a, failed, nil
 		}
 		failed++
 		f.stats.ProgramFailures++
-		b.bad = true
-		if ps.active == a.Block {
+		b.Bad = true
+		if f.planes[pl].active == a.Block {
 			f.closeActive(pl)
 		}
 	}
@@ -111,7 +111,10 @@ func (f *FTL) Trim(lpn LPN) {
 // advancing the CWDP stripe cursor.
 func (f *FTL) nextAllocPlane() flash.PlaneID {
 	p := f.cwdp[f.allocCursor]
-	f.allocCursor = (f.allocCursor + 1) % len(f.cwdp)
+	f.allocCursor++
+	if f.allocCursor == len(f.cwdp) {
+		f.allocCursor = 0
+	}
 	return p
 }
 
@@ -126,10 +129,10 @@ func (f *FTL) allocate(now sim.Time, pl flash.PlaneID) (flash.PageAddr, error) {
 			return flash.PageAddr{}, err
 		}
 	}
-	b := ps.blocks[ps.active]
-	a := pageAddr(pl, ps.active, f.order[b.nextStep])
-	b.nextStep++
-	if b.nextStep == len(f.order) {
+	b := f.block(pl, ps.active)
+	a := pageAddr(pl, ps.active, f.order[b.NextStep])
+	b.NextStep++
+	if b.NextStep == len(f.order) {
 		f.closeActive(pl)
 	}
 	return a, nil
@@ -147,7 +150,7 @@ func (f *FTL) closeAgedActive(pl flash.PlaneID, now sim.Time) {
 	if ps.active < 0 || limit <= 0 || len(ps.free) < 2 {
 		return
 	}
-	if b := ps.blocks[ps.active]; b.nextStep > 0 && now-b.openedAt >= limit {
+	if b := f.block(pl, ps.active); b.NextStep > 0 && now-b.OpenedAt >= limit {
 		f.closeActive(pl)
 	}
 }
@@ -156,8 +159,8 @@ func (f *FTL) closeAgedActive(pl flash.PlaneID, now sim.Time) {
 // at the block's first program, which is when its oldest data was written.
 func (f *FTL) closeActive(pl flash.PlaneID) {
 	ps := f.planes[pl]
-	b := ps.blocks[ps.active]
-	b.programmedAt = b.openedAt
+	b := f.block(pl, ps.active)
+	b.ProgrammedAt = b.OpenedAt
 	ps.active = -1
 }
 
@@ -169,25 +172,25 @@ func (f *FTL) openBlock(now sim.Time, pl flash.PlaneID) error {
 	}
 	blk := ps.free[len(ps.free)-1]
 	ps.free = ps.free[:len(ps.free)-1]
-	b := f.blockAt(pl, blk)
-	if b.nextStep != 0 {
-		return fmt.Errorf("ftl: free block p%d/b%d not erased (step %d)", pl, blk, b.nextStep)
+	b := f.block(pl, blk)
+	if b.NextStep != 0 {
+		return fmt.Errorf("ftl: free block p%d/b%d not erased (step %d)", pl, blk, b.NextStep)
 	}
-	b.openedAt = now
-	b.programmedAt = now
+	b.OpenedAt = now
+	b.ProgrammedAt = now
 	ps.active = blk
 	return nil
 }
 
 // invalidate clears the valid bit of the page at a.
 func (f *FTL) invalidate(a flash.PageAddr) {
-	b := f.planes[a.Plane].blocks[a.Block]
-	page := a.Page
-	if b == nil || !b.valid[page] {
+	gb := f.blockID(a.Plane, a.Block)
+	w, t := f.wordline(gb, a.Page)
+	if f.wlValid[w]&(1<<t) == 0 {
 		panic(fmt.Sprintf("ftl: invalidating already-invalid page %v", a))
 	}
-	b.valid[page] = false
-	b.validCount--
+	f.wlValid[w] &^= 1 << t
+	f.blocks[gb].ValidCount--
 	f.stats.Invalidations++
 }
 
@@ -195,55 +198,46 @@ func (f *FTL) invalidate(a flash.PageAddr) {
 // block is grown bad (an earlier program failed there) or the erase itself
 // fails, in which case the block is retired instead.
 func (f *FTL) eraseBlock(pl flash.PlaneID, blk int) {
-	ps := f.planes[pl]
-	b := ps.blocks[blk]
-	if b == nil {
-		panic(fmt.Sprintf("ftl: erasing untouched block p%d/b%d", pl, blk))
+	gb := f.blockID(pl, blk)
+	b := &f.blocks[gb]
+	if b.ValidCount != 0 {
+		panic(fmt.Sprintf("ftl: erasing block p%d/b%d with %d valid pages", pl, blk, b.ValidCount))
 	}
-	if b.validCount != 0 {
-		panic(fmt.Sprintf("ftl: erasing block p%d/b%d with %d valid pages", pl, blk, b.validCount))
-	}
-	b.eraseCount++
-	if b.bad {
-		f.retireBlock(b)
+	b.EraseCount++
+	if b.Bad {
+		f.retireBlock(gb)
 		return
 	}
 	if f.opts.Faults != nil &&
-		f.opts.Faults.EraseFails(flash.BlockAddr{Plane: pl, Block: blk}, b.eraseCount) {
+		f.opts.Faults.EraseFails(flash.BlockAddr{Plane: pl, Block: blk}, b.EraseCount) {
 		f.stats.EraseFailures++
-		f.retireBlock(b)
+		f.retireBlock(gb)
 		return
 	}
-	b.nextStep = 0
-	b.ida = false
-	b.refreshed = false
-	for i := range b.valid {
-		b.valid[i] = false
-		b.rmap[i] = 0
-	}
-	for i := range b.wlKeep {
-		b.wlKeep[i] = 0
-	}
-	ps.free = append(ps.free, blk)
+	f.wipe(gb)
+	f.planes[pl].free = append(f.planes[pl].free, blk)
 	f.stats.Erases++
 }
 
 // retireBlock takes a block permanently out of service. The entry stays in
 // the block table (wear stats still see it) but never rejoins the free
 // list; GC, refresh, and allocation all skip it from here on.
-func (f *FTL) retireBlock(b *block) {
-	b.retired = true
-	b.nextStep = 0
-	b.ida = false
-	b.refreshed = false
-	for i := range b.valid {
-		b.valid[i] = false
-		b.rmap[i] = 0
-	}
-	for i := range b.wlKeep {
-		b.wlKeep[i] = 0
-	}
+func (f *FTL) retireBlock(gb int) {
+	f.blocks[gb].Retired = true
+	f.wipe(gb)
 	f.stats.RetiredBlocks++
+}
+
+// wipe returns a block to the unprogrammed state: no program step taken,
+// no coding flags, and zero wordline masks and reverse-map entries (the
+// state Snapshot leaves out for every block with NextStep 0).
+func (f *FTL) wipe(gb int) {
+	b := &f.blocks[gb]
+	b.NextStep, b.IDA, b.Refreshed = 0, false, false
+	valid, keep, rmap := f.blockTables(gb)
+	clear(valid)
+	clear(keep)
+	clear(rmap)
 }
 
 // chargeProgram accumulates the coding scheme's power/wear proxies for the
@@ -284,7 +278,7 @@ func (f *FTL) relocateGlobal(src flash.PageAddr, now sim.Time) (PageProgram, err
 // comes back unchanged.
 func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global bool, now sim.Time) ([]MoveOp, error) {
 	src := pageAddr(pl, blk, page)
-	senses := f.sensesAt(f.planes[pl].blocks[blk], page)
+	senses := f.sensesAt(f.wordline(f.blockID(pl, blk), page))
 	var prog PageProgram
 	var err error
 	if global {
@@ -303,7 +297,7 @@ func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global b
 // destination is allocated before the source is invalidated, so a failed
 // allocation leaves the source mapping intact.
 func (f *FTL) relocateTo(src flash.PageAddr, now sim.Time, target flash.PlaneID) (PageProgram, error) {
-	lpn := f.planes[src.Plane].blocks[src.Block].rmap[src.Page]
+	lpn := LPN(f.rmap[f.blockID(src.Plane, src.Block)*len(f.coords)+src.Page])
 	dst, failed, err := f.claimPage(now, target)
 	if err != nil {
 		return PageProgram{}, err
@@ -313,24 +307,15 @@ func (f *FTL) relocateTo(src flash.PageAddr, now sim.Time, target flash.PlaneID)
 	return PageProgram{Addr: dst, LPN: lpn, FailedPrograms: failed}, nil
 }
 
-// sensesAt returns the sensing count needed to read the given physical page
-// under the wordline's current coding mode. It panics if the page was merged
-// away by its wordline's IDA adjustment: reading such a page is a logic
-// error in the FTL, not a recoverable condition.
-func (f *FTL) sensesAt(b *block, page int) int {
-	wl, t := f.pageCoords(page)
-	if keep := b.wlKeep[wl]; keep != 0 {
-		if !keep.Has(t) {
-			panic(fmt.Sprintf("ftl: reading page %v of an IDA wordline that kept only %b", t, keep))
-		}
-		return f.opts.Code.Merge(keep).Senses(t)
+// sensesAt returns the sensing count needed to read page type t of the
+// device-wide wordline w under the wordline's current coding mode. It panics
+// if the page was merged away by its wordline's IDA adjustment: reading such
+// a page is a logic error in the FTL, not a recoverable condition.
+func (f *FTL) sensesAt(w int, t coding.PageType) int {
+	keep := f.wlKeep[w]
+	s := f.senses[int(keep)<<typeBits|int(t)]
+	if s == droppedPage {
+		panic(fmt.Sprintf("ftl: reading page %v of an IDA wordline that kept only %b", t, keep))
 	}
-	return f.opts.Code.Senses(t)
-}
-
-// validMaskForPage is a small helper exposing sibling validity to the read
-// classifier.
-func (f *FTL) validMaskForPage(b *block, page int) coding.ValidMask {
-	wl, _ := f.pageCoords(page)
-	return f.wlValidMask(b, wl)
+	return int(s)
 }

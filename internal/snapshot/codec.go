@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"idaflash/internal/coding"
 	"idaflash/internal/flash"
 	"idaflash/internal/frame"
 	"idaflash/internal/ftl"
@@ -29,7 +28,7 @@ import (
 // the payload layout or the meaning of any captured field changes; the
 // Store treats a version mismatch as a miss, and callers fold the version
 // into their cache keys so stale fixture directories invalidate themselves.
-const CodecVersion = 3
+const CodecVersion = 4
 
 // format frames snapshot files: the "IDASNAP\0" magic rejects arbitrary
 // bytes before any length field is trusted, and the record checksum covers
@@ -158,7 +157,7 @@ func (e *encoder) ftlState(st *ftl.State) {
 
 	e.u64(uint64(len(st.DenseL2P)))
 	for _, v := range st.DenseL2P {
-		e.u64(v)
+		e.u32(v)
 	}
 	e.i64(int64(st.L2PCount))
 	e.i64(int64(st.AllocCursor))
@@ -170,42 +169,37 @@ func (e *encoder) ftlState(st *ftl.State) {
 		for _, idx := range ps.Free {
 			e.i64(int64(idx))
 		}
-		e.u64(uint64(len(ps.Blocks)))
-		for _, bs := range ps.Blocks {
-			e.boolean(bs.Present)
-			if !bs.Present {
-				continue
-			}
-			e.i64(int64(bs.EraseCount))
-			e.i64(int64(bs.OpenedAt))
-			e.i64(int64(bs.ProgrammedAt))
-			e.i64(int64(bs.NextStep))
-			e.i64(int64(bs.ValidCount))
-			var flags uint8
-			if bs.IDA {
-				flags |= 1
-			}
-			if bs.Refreshed {
-				flags |= 2
-			}
-			if bs.Bad {
-				flags |= 4
-			}
-			if bs.Retired {
-				flags |= 8
-			}
-			e.u8(flags)
-			e.u64(uint64(len(bs.Valid)))
-			e.bitset(bs.Valid)
-			e.u64(uint64(len(bs.RMap)))
-			for _, lpn := range bs.RMap {
-				e.i64(int64(lpn))
-			}
-			e.u64(uint64(len(bs.WLKeep)))
-			for _, m := range bs.WLKeep {
-				e.u32(uint32(m))
-			}
+	}
+
+	e.u64(uint64(len(st.Blocks)))
+	for _, bs := range st.Blocks {
+		e.i64(int64(bs.EraseCount))
+		e.i64(int64(bs.OpenedAt))
+		e.i64(int64(bs.ProgrammedAt))
+		e.i64(int64(bs.NextStep))
+		e.i64(int64(bs.ValidCount))
+		var flags uint8
+		if bs.IDA {
+			flags |= 1
 		}
+		if bs.Refreshed {
+			flags |= 2
+		}
+		if bs.Bad {
+			flags |= 4
+		}
+		if bs.Retired {
+			flags |= 8
+		}
+		e.u8(flags)
+	}
+	e.u64(uint64(len(st.WLValid)))
+	e.buf = append(e.buf, st.WLValid...)
+	e.u64(uint64(len(st.WLKeep)))
+	e.buf = append(e.buf, st.WLKeep...)
+	e.u64(uint64(len(st.RMap)))
+	for _, lpn := range st.RMap {
+		e.u32(lpn)
 	}
 
 	e.u64(uint64(len(st.PendingGC)))
@@ -228,23 +222,6 @@ func (e *encoder) ftlState(st *ftl.State) {
 	e.i64(int64(st.Refreshing.Block))
 	e.stats(st.Stats)
 	e.u64(st.RNGDraws)
-}
-
-// bitset packs a []bool eight entries per byte.
-func (e *encoder) bitset(bits []bool) {
-	var cur uint8
-	for i, b := range bits {
-		if b {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			e.u8(cur)
-			cur = 0
-		}
-	}
-	if len(bits)%8 != 0 {
-		e.u8(cur)
-	}
 }
 
 // decoder reads the encoder's fields back, tracking the first error and
@@ -387,14 +364,14 @@ func (d *decoder) ftlState() *ftl.State {
 	st := &ftl.State{}
 	st.Geometry = d.geometry()
 
-	st.DenseL2P = make([]uint64, d.count(8))
+	st.DenseL2P = make([]uint32, d.count(4))
 	for i := range st.DenseL2P {
-		st.DenseL2P[i] = d.u64()
+		st.DenseL2P[i] = d.u32()
 	}
 	st.L2PCount = d.intField()
 	st.AllocCursor = d.intField()
 
-	planes := d.count(24) // active + free length + blocks length minimum
+	planes := d.count(16) // active + free length minimum
 	st.Planes = make([]ftl.PlaneState, 0, planes)
 	for pl := 0; pl < planes && d.err == nil; pl++ {
 		var ps ftl.PlaneState
@@ -407,38 +384,32 @@ func (d *decoder) ftlState() *ftl.State {
 				ps.Free[i] = d.intField()
 			}
 		}
-		nBlocks := d.count(1)
-		ps.Blocks = make([]ftl.BlockState, 0, nBlocks)
-		for blk := 0; blk < nBlocks && d.err == nil; blk++ {
-			var bs ftl.BlockState
-			bs.Present = d.boolean()
-			if bs.Present {
-				bs.EraseCount = d.intField()
-				bs.OpenedAt = sim.Time(d.i64())
-				bs.ProgrammedAt = sim.Time(d.i64())
-				bs.NextStep = d.intField()
-				bs.ValidCount = d.intField()
-				flags := d.u8()
-				bs.IDA = flags&1 != 0
-				bs.Refreshed = flags&2 != 0
-				bs.Bad = flags&4 != 0
-				bs.Retired = flags&8 != 0
-				nValid := d.count(1)
-				bs.Valid = d.bitset(nValid)
-				nRMap := d.count(8)
-				bs.RMap = make([]ftl.LPN, nRMap)
-				for i := range bs.RMap {
-					bs.RMap[i] = ftl.LPN(d.i64())
-				}
-				nKeep := d.count(4)
-				bs.WLKeep = make([]coding.ValidMask, nKeep)
-				for i := range bs.WLKeep {
-					bs.WLKeep[i] = coding.ValidMask(d.u32())
-				}
-			}
-			ps.Blocks = append(ps.Blocks, bs)
-		}
 		st.Planes = append(st.Planes, ps)
+	}
+
+	if nBlocks := d.count(41); nBlocks > 0 {
+		st.Blocks = make([]ftl.BlockState, nBlocks)
+		for i := range st.Blocks {
+			bs := &st.Blocks[i]
+			bs.EraseCount = d.intField()
+			bs.OpenedAt = sim.Time(d.i64())
+			bs.ProgrammedAt = sim.Time(d.i64())
+			bs.NextStep = d.intField()
+			bs.ValidCount = d.intField()
+			flags := d.u8()
+			bs.IDA = flags&1 != 0
+			bs.Refreshed = flags&2 != 0
+			bs.Bad = flags&4 != 0
+			bs.Retired = flags&8 != 0
+		}
+	}
+	st.WLValid = d.bytes(d.count(1))
+	st.WLKeep = d.bytes(d.count(1))
+	if nRMap := d.count(4); nRMap > 0 {
+		st.RMap = make([]uint32, nRMap)
+		for i := range st.RMap {
+			st.RMap[i] = d.u32()
+		}
 	}
 
 	nJobs := d.count(25)
@@ -471,16 +442,12 @@ func (d *decoder) ftlState() *ftl.State {
 	return st
 }
 
-// bitset unpacks n bools written by encoder.bitset.
-func (d *decoder) bitset(n int) []bool {
-	bytes := (n + 7) / 8
-	if !d.need(bytes) {
+// bytes copies the next n payload bytes out; zero bytes decode as nil.
+func (d *decoder) bytes(n int) []byte {
+	if n == 0 || !d.need(n) {
 		return nil
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.b[d.off+i/8]&(1<<(i%8)) != 0
-	}
-	d.off += bytes
+	out := append([]byte(nil), d.b[d.off:d.off+n]...)
+	d.off += n
 	return out
 }

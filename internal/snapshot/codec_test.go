@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"idaflash/internal/coding"
 	"idaflash/internal/flash"
 	"idaflash/internal/frame"
 	"idaflash/internal/ftl"
@@ -15,8 +14,9 @@ import (
 )
 
 // randState builds a structurally plausible random device state: mixed
-// present/absent blocks, a full L2P table, buffered GC jobs with and
-// without moves, and every flag combination the codec packs.
+// programmed and erased blocks with their wordline masks and reverse-map
+// entries, a full L2P table, buffered GC jobs with and without moves, and
+// every flag combination the codec packs.
 func randState(rng *rand.Rand) *DeviceState {
 	g := flash.Geometry{
 		Channels: 1 + rng.Intn(2), ChipsPerChannel: 1, DiesPerChip: 1,
@@ -42,49 +42,45 @@ func randState(rng *rand.Rand) *DeviceState {
 	for i := range st.Stats.ReadsByClass {
 		st.Stats.ReadsByClass[i] = rng.Uint64()
 	}
-	st.DenseL2P = make([]uint64, g.TotalPages())
+	st.DenseL2P = make([]uint32, g.TotalPages())
 	for i := range st.DenseL2P {
-		st.DenseL2P[i] = rng.Uint64()
+		st.DenseL2P[i] = rng.Uint32()
 	}
 	st.L2PCount = rng.Intn(100)
 	st.Planes = make([]ftl.PlaneState, g.Planes())
 	for pl := range st.Planes {
-		ps := ftl.PlaneState{Active: rng.Intn(g.BlocksPerPlane+1) - 1, Blocks: make([]ftl.BlockState, g.BlocksPerPlane)}
+		ps := ftl.PlaneState{Active: rng.Intn(g.BlocksPerPlane+1) - 1}
 		if n := rng.Intn(3); n > 0 {
 			ps.Free = make([]int, n)
 			for i := range ps.Free {
 				ps.Free[i] = rng.Intn(g.BlocksPerPlane)
 			}
 		}
-		for blk := range ps.Blocks {
-			if rng.Intn(3) == 0 {
-				continue // lazily-unallocated entry
-			}
-			bs := ftl.BlockState{
-				Present:      true,
-				EraseCount:   rng.Intn(100),
-				OpenedAt:     sim.Time(rng.Int63n(1 << 40)),
-				ProgrammedAt: sim.Time(rng.Int63n(1 << 40)),
-				NextStep:     rng.Intn(pages + 1),
-				ValidCount:   rng.Intn(pages),
-				Valid:        make([]bool, pages),
-				RMap:         make([]ftl.LPN, pages),
-				WLKeep:       make([]coding.ValidMask, g.WordlinesPerBlock),
-				IDA:          rng.Intn(2) == 0,
-				Refreshed:    rng.Intn(2) == 0,
-				Bad:          rng.Intn(4) == 0,
-				Retired:      rng.Intn(4) == 0,
-			}
-			for i := range bs.Valid {
-				bs.Valid[i] = rng.Intn(2) == 0
-				bs.RMap[i] = ftl.LPN(rng.Int63n(1 << 30))
-			}
-			for i := range bs.WLKeep {
-				bs.WLKeep[i] = coding.ValidMask(rng.Intn(8))
-			}
-			ps.Blocks[blk] = bs
-		}
 		st.Planes[pl] = ps
+	}
+	st.Blocks = make([]ftl.BlockState, g.TotalBlocks())
+	for gb := range st.Blocks {
+		if rng.Intn(3) == 0 {
+			continue // erased block: zero scalars, no masks or entries
+		}
+		st.Blocks[gb] = ftl.BlockState{
+			EraseCount:   rng.Intn(100),
+			OpenedAt:     sim.Time(rng.Int63n(1 << 40)),
+			ProgrammedAt: sim.Time(rng.Int63n(1 << 40)),
+			NextStep:     1 + rng.Intn(pages),
+			ValidCount:   rng.Intn(pages),
+			IDA:          rng.Intn(2) == 0,
+			Refreshed:    rng.Intn(2) == 0,
+			Bad:          rng.Intn(4) == 0,
+			Retired:      rng.Intn(4) == 0,
+		}
+		for i := 0; i < g.WordlinesPerBlock; i++ {
+			st.WLValid = append(st.WLValid, uint8(rng.Intn(8)))
+			st.WLKeep = append(st.WLKeep, uint8(rng.Intn(8)))
+		}
+		for i := 0; i < pages; i++ {
+			st.RMap = append(st.RMap, rng.Uint32())
+		}
 	}
 	for i := 0; i < rng.Intn(3); i++ {
 		job := ftl.GCJob{

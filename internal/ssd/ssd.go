@@ -198,9 +198,9 @@ func New(cfg Config) (*SSD, error) {
 
 // Reset returns the device to the state New(cfg) would produce, reusing the
 // structures that dominate construction cost: the engine's event array, the
-// FTL's dense L2P and block tables (via ftl.Reset's pool), the scheduler
-// ring buffers, the latency-histogram buckets, and the op/request free
-// lists all keep their backing storage. The geometry must match the one the
+// FTL's dense L2P and block tables (cleared in place by ftl.Reset), the
+// scheduler ring buffers, the latency-histogram buckets, and the op/request
+// free lists all keep their backing storage. The geometry must match the one the
 // device was built with — every table is sized for it — so pooled devices
 // are keyed by geometry; any other config field may change between runs. A
 // reset device is observably identical to a fresh one: same rng streams,

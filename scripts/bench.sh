@@ -22,13 +22,17 @@ label="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo local)}"
 count="${2:-10}"
 out="BENCH_${label}.json"
 
-benches='BenchmarkEngine$|BenchmarkSingleRun$|BenchmarkSingleRunIDA$|BenchmarkSingleRunIDACold$|BenchmarkCodingMerge$|BenchmarkCodingPlan$|BenchmarkTraceGeneration$|BenchmarkFigure8Snapshotted$|BenchmarkFarmThroughput$'
+benches='BenchmarkEngine$|BenchmarkSingleRun$|BenchmarkSingleRunIDA$|BenchmarkSingleRunIDACold$|BenchmarkCodingMerge$|BenchmarkCodingPlan$|BenchmarkFTLRead$|BenchmarkFTLRestore$|BenchmarkTraceGeneration$|BenchmarkFigure8Snapshotted$|BenchmarkFigure8DefaultRequests$|BenchmarkFarmThroughput$'
+# The run-mode rows at experiments.DefaultRequests, the budget of the
+# paper's tables (the 2,500-request rows stay out of the snapshot).
+modes='BenchmarkRunModes$/@40000$/'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "running: $benches (count=$count)" >&2
+echo "running: $benches and $modes (count=$count)" >&2
 go test -run '^$' -bench "$benches" -benchmem -count "$count" . | tee "$raw" >&2
+go test -run '^$' -bench "$modes" -benchmem -count "$count" . | tee -a "$raw" >&2
 
 awk -v label="$label" '
   # Pick metrics by unit token, not column position: benchmarks that

@@ -1,22 +1,78 @@
 package idaflash_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"idaflash"
+	"idaflash/internal/results"
 	"idaflash/internal/snapshot"
 )
 
 // withFreshSnapshotStore swaps the process-wide snapshot store for an empty
 // one so a test observes its own cold/warm transitions, restoring the shared
 // store afterwards.
-func withFreshSnapshotStore(t *testing.T) *snapshot.Store {
+func withFreshSnapshotStore(t testing.TB) *snapshot.Store {
 	t.Helper()
 	old := idaflash.DefaultSnapshots
 	fresh := snapshot.NewStore(0)
 	idaflash.DefaultSnapshots = fresh
 	t.Cleanup(func() { idaflash.DefaultSnapshots = old })
 	return fresh
+}
+
+// agedState runs one IDA-E20 point of the named profile against a fresh
+// snapshot store backed by a temporary blob directory, and returns the aged
+// device state the run captured together with its encoded size.
+func agedState(t testing.TB, name string, requests int) (*snapshot.DeviceState, int) {
+	t.Helper()
+	p, err := idaflash.ProfileByName(name, requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	disk, err := results.OpenDiskOptions(dir, results.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFreshSnapshotStore(t).SetBlobs(disk.Sub(idaflash.ExtSnapshot))
+	if _, err := idaflash.RunWorkload(p, idaflash.IDA(0.2)); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"+idaflash.ExtSnapshot))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("%s@%d captured %d snapshots (%v), want 1", name, requests, len(files), err)
+	}
+	enc, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, len(enc)
+}
+
+// TestAgedStateSize guards the size of an encoded aged-device snapshot. The
+// snapshot store keeps up to 64 of them in memory, so their size is part of
+// every process's resident memory; a change that widens the state again
+// fails here instead of showing up as RSS. The limits sit above the 32-bit
+// L2P, per-wordline layout (133,738 and 176,362 bytes) and below the 258,538
+// and 348,442 bytes of the 64-bit, per-page layout before it.
+func TestAgedStateSize(t *testing.T) {
+	for _, tc := range []struct {
+		profile  string
+		requests int
+		limit    int
+	}{{"hm_1", 10000, 150_000}, {"src1_0", 2500, 200_000}} {
+		if _, size := agedState(t, tc.profile, tc.requests); size > tc.limit {
+			t.Errorf("%s@%d: aged state encodes to %d bytes, limit %d", tc.profile, tc.requests, size, tc.limit)
+		} else {
+			t.Logf("%s@%d: aged state encodes to %d bytes", tc.profile, tc.requests, size)
+		}
+	}
 }
 
 // TestSnapshotRunsMatchReplay is the facade-level equivalence gate: for every
