@@ -20,6 +20,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/default_p
 // grows new fields around it.
 type goldenRun struct {
 	System              string
+	Coding              string
 	ReadRequests        uint64
 	WriteRequests       uint64
 	MeanReadResponseNs  int64
@@ -46,11 +47,15 @@ type goldenRun struct {
 	IDAVerifyReads     uint64
 	IDACorruptedWrites uint64
 	IDAKeptPages       uint64
+
+	ProgramPower    float64
+	ProgrammedCells float64
 }
 
 func goldenFromResults(sys string, r idaflash.Results) goldenRun {
 	g := goldenRun{
 		System:              sys,
+		Coding:              r.Coding,
 		ReadRequests:        r.ReadRequests,
 		WriteRequests:       r.WriteRequests,
 		MeanReadResponseNs:  r.MeanReadResponse.Nanoseconds(),
@@ -73,6 +78,8 @@ func goldenFromResults(sys string, r idaflash.Results) goldenRun {
 		IDAVerifyReads:      r.FTL.IDAVerifyReads,
 		IDACorruptedWrites:  r.FTL.IDACorruptedWrites,
 		IDAKeptPages:        r.FTL.IDAKeptPages,
+		ProgramPower:        r.FTL.ProgramPower,
+		ProgrammedCells:     r.FTL.ProgrammedCells,
 	}
 	copy(g.ReadsByClass[:], r.FTL.ReadsByClass[:])
 	copy(g.ReadsBySenses[:], r.FTL.ReadsBySenses[:])
@@ -80,13 +87,23 @@ func goldenFromResults(sys string, r idaflash.Results) goldenRun {
 }
 
 // goldenSystems are the default-path configurations frozen by the golden:
-// the baseline, the paper's headline IDA-E20, and IDA on the vendor 2-3-2
-// coding (the alternative state map that must also survive the refactor).
+// the baseline, the paper's headline IDA-E20, IDA on the vendor 2-3-2
+// coding (the alternative state map that must also survive the refactor),
+// and IDA under the two other registered codings, random-I/O (its own
+// state map) and inverted limited-weight coding (the Gray map with its own
+// program cost).
 func goldenSystems() []idaflash.System {
 	v := idaflash.IDA(0.20)
 	v.Name = "IDA-E20-232"
 	v.Vendor232 = true
-	return []idaflash.System{idaflash.Baseline(), idaflash.IDA(0.20), v}
+	systems := []idaflash.System{idaflash.Baseline(), idaflash.IDA(0.20), v}
+	for _, c := range []string{idaflash.CodingILWC, idaflash.CodingRandIO} {
+		s := idaflash.IDA(0.20)
+		s.Name = "IDA-E20-" + c
+		s.Coding = c
+		systems = append(systems, s)
+	}
+	return systems
 }
 
 // TestDefaultPathGolden replays a small deterministic workload under the
