@@ -95,14 +95,6 @@ func main() {
 	if *late {
 		sys.Lifetime = idaflash.PhaseLate
 	}
-	if *peCycles < 0 || *retention < 0 {
-		fmt.Fprintln(os.Stderr, "-pe-cycles and -retention-days must be non-negative")
-		os.Exit(1)
-	}
-	if *late && (*peCycles > 0 || *retention > 0) {
-		fmt.Fprintln(os.Stderr, "-late and -pe-cycles/-retention-days are mutually exclusive")
-		os.Exit(1)
-	}
 	sys.PECycles = *peCycles
 	sys.RetentionDays = *retention
 	policy, err := idaflash.ParseSchedulerPolicy(*sched)
@@ -112,16 +104,8 @@ func main() {
 	}
 	sys.Scheduler = policy
 	sys.SchedulerMaxWait = *maxWait
-	if *devices < 1 {
-		fmt.Fprintf(os.Stderr, "-devices %d: must be at least 1\n", *devices)
-		os.Exit(1)
-	}
 	sys.Devices = *devices
 	sys.StripeKB = *stripeKB
-	if *parity && *devices < 3 {
-		fmt.Fprintf(os.Stderr, "-parity needs -devices >= 3, have %d\n", *devices)
-		os.Exit(1)
-	}
 	sys.Parity = *parity
 	sys.NoSnapshot = *noSnapshot
 	sys.NoPool = *noPool

@@ -29,7 +29,7 @@ func ExampleScheme_PlanWordline() {
 	plan := tlc.PlanWordline(idaflash.ValidMask(0).With(idaflash.MSB))
 	fmt.Println("apply:", plan.Apply)
 	fmt.Println("moves:", len(plan.Move))
-	fmt.Println("MSB sensings after:", plan.KeptSenses[idaflash.MSB])
+	fmt.Println("MSB sensings after:", tlc.Merge(plan.Keep).Senses(idaflash.MSB))
 	// Output:
 	// apply: true
 	// moves: 0

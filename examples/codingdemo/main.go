@@ -49,7 +49,14 @@ func main() {
 		p := tlc.PlanWordline(sc.mask)
 		switch {
 		case p.Apply:
-			fmt.Printf("  %-26s adjust; move %v; kept sensings %v\n", sc.name, p.Move, p.KeptSenses)
+			fmt.Printf("  %-26s adjust; move %v; kept sensings", sc.name, p.Move)
+			km := tlc.Merge(p.Keep)
+			for t := idaflash.LSB; t <= idaflash.MSB; t++ {
+				if p.Keep.Has(t) {
+					fmt.Printf(" %v=%d", t, km.Senses(t))
+				}
+			}
+			fmt.Println()
 		case len(p.Move) > 0:
 			fmt.Printf("  %-26s relocate %v (no adjustment)\n", sc.name, p.Move)
 		default:

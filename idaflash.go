@@ -65,12 +65,9 @@ type (
 	Geometry = flash.Geometry
 	// TimingSpec is the device timing (reads, program, erase, bus, ECC).
 	TimingSpec = flash.TimingSpec
-	// Scheme is a cell coding (state-to-bits assignment).
+	// Scheme is a cell coding: the state map, the sensing counts and IDA
+	// merge rules it implies, and its per-program power/wear cost.
 	Scheme = coding.Scheme
-	// Code is the pluggable coding-scheme interface every simulator layer
-	// programs against: state map, sensing counts, IDA merge rules, and
-	// per-program power/wear cost hooks.
-	Code = coding.Code
 	// CellCost is a code's per-program power/wear proxy.
 	CellCost = coding.CellCost
 	// PageType identifies a page within a wordline (LSB/CSB/MSB/...).
@@ -204,7 +201,7 @@ func ParseCoding(s string) (string, error) {
 }
 
 // NewCoding builds a registered coding scheme for the given bits per cell.
-func NewCoding(name string, bits int) (Code, error) { return coding.New(name, bits) }
+func NewCoding(name string, bits int) (*Scheme, error) { return coding.New(name, bits) }
 
 // ConfigError is a typed, fielded rejection of a System/Profile combination:
 // every validation failure BuildConfig can produce (unknown coding scheme,
@@ -315,10 +312,11 @@ type System struct {
 	// Devices stripes the workload RAID-0-style across this many
 	// independent devices, each sized for its share of the footprint.
 	// 0 or 1 means a single device: a one-member array holding the whole
-	// footprint.
+	// footprint. Negative counts are rejected.
 	Devices int
 	// StripeKB is the array stripe unit in KiB; zero uses the array
-	// default (64). Only meaningful with Devices > 1.
+	// default (64), negative units are rejected. Only meaningful with
+	// Devices > 1.
 	StripeKB int
 	// Parity rotates a RAID-5-style parity stripe across the array so
 	// reads that fail outright under a fault scenario are reconstructed
@@ -367,11 +365,22 @@ func IDA(errorRate float64) System {
 
 // BuildConfig assembles the full SSD configuration for a workload profile
 // under a system description: trace-sized geometry, bit-density-specific
-// timing and coding, refresh period, and the ECC regime.
+// timing and coding, refresh period, and the ECC regime. It validates the
+// whole System, array shape included, so a nil error means every run entry
+// point accepts sys.
 func BuildConfig(p Profile, sys System) (SSDConfig, Profile, error) {
 	p, err := p.Normalize()
 	if err != nil {
 		return SSDConfig{}, p, err
+	}
+	if sys.Devices < 0 {
+		return SSDConfig{}, p, &ConfigError{Field: "Devices", Reason: fmt.Sprintf("%d must be non-negative", sys.Devices)}
+	}
+	if sys.StripeKB < 0 {
+		return SSDConfig{}, p, &ConfigError{Field: "StripeKB", Reason: fmt.Sprintf("%d must be non-negative", sys.StripeKB)}
+	}
+	if sys.Parity && sys.Devices < 3 {
+		return SSDConfig{}, p, &ConfigError{Field: "Parity", Reason: fmt.Sprintf("needs Devices >= 3, have %d", max(sys.Devices, 1))}
 	}
 	bits := sys.BitsPerCell
 	if bits == 0 {
@@ -384,7 +393,7 @@ func BuildConfig(p Profile, sys System) (SSDConfig, Profile, error) {
 	if err != nil {
 		return SSDConfig{}, p, err
 	}
-	var code Code
+	var code *Scheme
 	if sys.Vendor232 {
 		if codingName != CodingIDA {
 			return SSDConfig{}, p, &ConfigError{Field: "Vendor232",
@@ -695,9 +704,6 @@ func runArray(ctx context.Context, p Profile, tr *Trace, sys System) (ArrayResul
 	np, err := p.Normalize()
 	if err != nil {
 		return ArrayResults{}, nil, err
-	}
-	if sys.Parity && devices < 3 {
-		return ArrayResults{}, nil, &ConfigError{Field: "Parity", Reason: fmt.Sprintf("needs Devices >= 3, have %d", devices)}
 	}
 	// A lone device holds the whole footprint. An array member holds
 	// ~1/devices of it — or, with parity, 1/(devices-1), since the rotated

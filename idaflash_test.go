@@ -85,6 +85,30 @@ func TestBuildConfig(t *testing.T) {
 	if _, _, err := idaflash.BuildConfig(p, bad); err == nil {
 		t.Error("5 bits/cell accepted")
 	}
+	// So are array shapes no run entry point can build.
+	for _, tc := range []struct {
+		field string
+		sys   func(*idaflash.System)
+	}{
+		{"Devices", func(s *idaflash.System) { s.Devices = -4 }},
+		{"StripeKB", func(s *idaflash.System) { s.Devices, s.StripeKB = 2, -1 }},
+		{"Parity", func(s *idaflash.System) { s.Parity = true }},
+		{"Parity", func(s *idaflash.System) { s.Devices, s.Parity = 2, true }},
+	} {
+		sys := idaflash.IDA(0.2)
+		tc.sys(&sys)
+		_, _, err := idaflash.BuildConfig(p, sys)
+		var ce *idaflash.ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("Devices %d StripeKB %d Parity %v: err = %v, want a *ConfigError on %s",
+				sys.Devices, sys.StripeKB, sys.Parity, err, tc.field)
+		}
+	}
+	parity := idaflash.IDA(0.2)
+	parity.Devices, parity.Parity = 3, true
+	if _, _, err := idaflash.BuildConfig(p, parity); err != nil {
+		t.Errorf("parity over 3 devices rejected: %v", err)
+	}
 }
 
 // TestRBERDerivedECC covers the wear-derived ECC regime: PECycles and

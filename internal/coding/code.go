@@ -1,48 +1,5 @@
 package coding
 
-// Code is a pluggable cell coding: the contract every layer of the
-// simulator programs against. A code supplies the state map (which bit
-// tuple each ordered voltage state stores), the sensing counts that map
-// implies per page kind, the IDA merge/adjust rules (how states collapse
-// when pages are invalidated), and the per-program power/wear cost hooks
-// that make schemes with identical latency but different programmed-cell
-// populations (e.g. inverted limited-weight coding) comparable in the same
-// harness.
-//
-// Implementations must be immutable after construction and safe for
-// concurrent use; every slice- or pointer-returning method returns shared
-// precomputed state that callers must not modify. Merge and PlanWordline
-// are hot-path methods: they must be allocation-free lookups, not
-// recomputations (see *Scheme, which precomputes all 2^bits masks).
-type Code interface {
-	// Name is the registry name of the code ("ida", "randio", "ilwc").
-	Name() string
-
-	// Bits returns the number of bits stored per cell; States returns the
-	// number of voltage states (2^Bits); Value returns the value of bit j
-	// when the cell is in voltage state s. Together they are the state map.
-	Bits() int
-	States() int
-	Value(s int, j PageType) uint8
-
-	// ReadLevels returns the read-voltage positions of page j under the
-	// conventional (unmerged) coding, Senses the resulting sensing count,
-	// and MaxSenses the cost of the slowest page.
-	ReadLevels(j PageType) []int
-	Senses(j PageType) int
-	MaxSenses() int
-
-	// Merge returns the IDA voltage-adjustment result for a validity mask;
-	// PlanWordline is the Table I refresh decision generalized to the
-	// code's state map. Both return precomputed shared state.
-	Merge(mask ValidMask) *Merged
-	PlanWordline(mask ValidMask) Plan
-
-	// ProgramCost returns the power/wear proxies of programming host data
-	// through this code.
-	ProgramCost() CellCost
-}
-
 // CellCost is a code's per-program power/wear proxy, computed from the
 // distribution of voltage states the code's codewords land on. Both fields
 // are per-cell expectations over one full wordline program; a single page

@@ -55,10 +55,12 @@ func (p PageType) String() string {
 }
 
 // Scheme is an immutable cell coding: an assignment of bit tuples to the
-// ordered voltage states of a b-bit cell. It is the base implementation of
-// the Code interface; the registered codes are either Schemes with
-// different state maps (ida, randio) or thin wrappers overriding the cost
-// hooks (ilwc).
+// ordered voltage states of a b-bit cell, the sensing counts and IDA
+// merge/refresh rules that map implies, and the per-program power/wear cost
+// of the data it stores. Every registered code is a Scheme: ida and randio
+// differ in their state maps, ilwc is the Gray map with a biased-data cost.
+// A Scheme is safe for concurrent use; every slice or pointer it returns is
+// shared precomputed state that callers must not modify.
 type Scheme struct {
 	name   string
 	bits   int
@@ -80,9 +82,6 @@ type Scheme struct {
 	merges []*Merged
 	plans  []Plan
 }
-
-// Scheme implements Code.
-var _ Code = (*Scheme)(nil)
 
 // NewGray builds the standard binary-reflected Gray coding used by the paper
 // (Figure 2 for TLC, Figure 6 for QLC): bit j has exactly 2^j transitions, so
@@ -171,9 +170,6 @@ func NewCustom(values [][]uint8) (*Scheme, error) {
 	sch.plans = make([]Plan, states)
 	for m := ValidMask(0); int(m) < states; m++ {
 		sch.merges[m] = sch.computeMerge(m)
-	}
-	// Plans second: computePlan reads the merge table through Merge.
-	for m := ValidMask(0); int(m) < states; m++ {
 		sch.plans[m] = sch.computePlan(m)
 	}
 	return sch, nil
@@ -205,7 +201,7 @@ func Vendor232TLC() *Scheme {
 
 // Name returns the registry name of the code family this scheme belongs to
 // ("ida" for the Gray and vendor maps, "randio" for the balanced map,
-// "custom" for NewCustom schemes).
+// "ilwc" for the biased-data Gray map, "custom" for NewCustom schemes).
 func (c *Scheme) Name() string { return c.name }
 
 // ProgramCost returns the per-program power/wear proxy of the scheme.

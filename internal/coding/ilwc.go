@@ -7,28 +7,14 @@ package coding
 // ≈ 9.571 ones out of 16, i.e. p ≈ 0.598.
 const ilwcPOne = 0.598
 
-// ilwcCode is inverted limited-weight coding: the Gray state map (latency is
-// identical to the ida code) fed bit-biased data. With the erased state
-// storing all ones, biasing stored bits toward 1 shifts the programmed state
-// distribution toward low voltages, which the cost hooks expose as lower
-// MeanLevel and ProgrammedFrac. Everything except the name and cost is the
-// embedded Scheme's behaviour.
-type ilwcCode struct {
-	*Scheme
-	cost CellCost
-}
-
-var _ Code = (*ilwcCode)(nil)
-
-// NewILWC builds the inverted limited-weight code for the given bits-per-cell.
-func NewILWC(bits int) Code {
+// NewILWC builds inverted limited-weight coding for the given bits-per-cell:
+// the Gray state map (latency is identical to the ida code) fed bit-biased
+// data. With the erased state storing all ones, biasing stored bits toward 1
+// shifts the programmed state distribution toward low voltages, which
+// ProgramCost exposes as lower MeanLevel and ProgrammedFrac.
+func NewILWC(bits int) *Scheme {
 	g := NewGray(bits)
-	return &ilwcCode{Scheme: g, cost: biasedCost(g, ilwcPOne)}
+	g.name = CodeILWC
+	g.cost = biasedCost(g, ilwcPOne)
+	return g
 }
-
-// Name identifies the code in the registry.
-func (c *ilwcCode) Name() string { return CodeILWC }
-
-// ProgramCost returns the biased-data power/wear proxy: the whole point of
-// the code.
-func (c *ilwcCode) ProgramCost() CellCost { return c.cost }

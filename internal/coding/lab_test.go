@@ -7,9 +7,9 @@ import (
 
 // labCodes returns every registered code at every bit width it supports,
 // so the property tests below cover the whole coding lab.
-func labCodes(t *testing.T) []Code {
+func labCodes(t *testing.T) []*Scheme {
 	t.Helper()
-	var codes []Code
+	var codes []*Scheme
 	for _, name := range Names() {
 		for bits := 1; bits <= 4; bits++ {
 			c, err := New(name, bits)
@@ -49,7 +49,7 @@ func TestRegistry(t *testing.T) {
 	}
 	for _, c := range labCodes(t) {
 		if c.Name() == "" {
-			t.Errorf("%T has empty Name()", c)
+			t.Errorf("%v has empty Name()", c)
 		}
 	}
 }
@@ -187,15 +187,15 @@ func TestLabMergeISPPLegal(t *testing.T) {
 }
 
 // TestLabPlansConsistent checks every code's refresh plans: kept pages form
-// a subset of the mask (plus nothing), moved pages are exactly the valid
-// pages not kept, and the advertised kept sensing counts match the merge.
+// a subset of the mask (plus nothing), and moved pages are exactly the valid
+// pages not kept.
 func TestLabPlansConsistent(t *testing.T) {
 	for _, c := range labCodes(t) {
 		name := fmt.Sprintf("%s/b%d", c.Name(), c.Bits())
 		for mask := ValidMask(0); int(mask) < c.States(); mask++ {
 			p := c.PlanWordline(mask)
 			if !p.Apply {
-				if p.Keep != 0 || p.KeptSenses != nil {
+				if p.Keep != 0 {
 					t.Fatalf("%s mask %b: non-applied plan keeps pages", name, mask)
 				}
 				if len(p.Move) != mask.Count() {
@@ -212,15 +212,6 @@ func TestLabPlansConsistent(t *testing.T) {
 			}
 			if want := mask &^ p.Keep; moved != want {
 				t.Fatalf("%s mask %b: moved %b, want %b", name, mask, moved, want)
-			}
-			m := c.Merge(p.Keep)
-			for j, senses := range p.KeptSenses {
-				if !p.Keep.Has(j) {
-					t.Fatalf("%s mask %b: KeptSenses lists unkept page %v", name, mask, j)
-				}
-				if senses != m.Senses(j) {
-					t.Fatalf("%s mask %b: KeptSenses[%v] = %d, merge says %d", name, mask, j, senses, m.Senses(j))
-				}
 			}
 		}
 	}
@@ -266,8 +257,9 @@ func TestLabProgramCost(t *testing.T) {
 	}
 }
 
-// TestLabMergeAllocationFree verifies the hot-path contract of the Code
-// interface directly: Merge and PlanWordline perform zero allocations.
+// TestLabMergeAllocationFree verifies the hot-path contract of every
+// registered Scheme directly: Merge and PlanWordline perform zero
+// allocations.
 func TestLabMergeAllocationFree(t *testing.T) {
 	for _, c := range labCodes(t) {
 		c := c

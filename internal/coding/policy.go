@@ -63,11 +63,9 @@ type Plan struct {
 	// before (or instead of) adjusting.
 	Move []PageType
 	// Keep is the mask of pages that stay in the wordline after the
-	// adjustment. Zero when Apply is false.
+	// adjustment; Merge(Keep) gives their post-adjustment sensing counts.
+	// Zero when Apply is false.
 	Keep ValidMask
-	// KeptSenses[j] is the post-adjustment sensing count of each kept
-	// page; nil when Apply is false.
-	KeptSenses map[PageType]int
 }
 
 // PlanWordline generalizes Table I to any bits-per-cell scheme: the
@@ -76,7 +74,7 @@ type Plan struct {
 // page, and relocating every other valid page. For TLC this reproduces
 // Table I exactly: cases 1-2 keep CSB+MSB, cases 3-4 keep MSB only, cases
 // 5-7 relocate, case 8 does nothing. The returned plan shares precomputed
-// state (Move, KeptSenses); callers must treat it as read-only.
+// state (Move); callers must treat it as read-only.
 func (c *Scheme) PlanWordline(mask ValidMask) Plan {
 	return c.plans[mask&MaskAll(c.bits)]
 }
@@ -115,12 +113,5 @@ func (c *Scheme) computePlan(mask ValidMask) Plan {
 	}
 	p.Apply = true
 	p.Keep = keep
-	m := c.Merge(keep)
-	p.KeptSenses = make(map[PageType]int, keep.Count())
-	for j := PageType(0); int(j) < c.bits; j++ {
-		if keep.Has(j) {
-			p.KeptSenses[j] = m.Senses(j)
-		}
-	}
 	return p
 }

@@ -105,8 +105,8 @@ func TestPlanWordlineTableI(t *testing.T) {
 			t.Errorf("%v: keep = %b, want %b", wc, p.Keep, w.keep)
 		}
 		for pt, n := range w.keptSenses {
-			if p.KeptSenses[pt] != n {
-				t.Errorf("%v: kept senses[%v] = %d, want %d", wc, pt, p.KeptSenses[pt], n)
+			if got := c.Merge(p.Keep).Senses(pt); got != n {
+				t.Errorf("%v: kept senses[%v] = %d, want %d", wc, pt, got, n)
 			}
 		}
 	}
@@ -121,8 +121,8 @@ func TestPlanWordlineQLC(t *testing.T) {
 		t.Fatalf("QLC all-valid plan = %+v", p)
 	}
 	for j, want := range map[PageType]int{1: 1, 2: 2, 3: 4} {
-		if p.KeptSenses[j] != want {
-			t.Errorf("QLC kept senses[%d] = %d, want %d", j, p.KeptSenses[j], want)
+		if got := c.Merge(p.Keep).Senses(j); got != want {
+			t.Errorf("QLC kept senses[%d] = %d, want %d", j, got, want)
 		}
 	}
 	// Figure 6 scenario: lower two invalid, keep 2..3 with 1 and 2.
@@ -130,8 +130,8 @@ func TestPlanWordlineQLC(t *testing.T) {
 	if !p.Apply || len(p.Move) != 0 {
 		t.Fatalf("QLC fig6 plan = %+v", p)
 	}
-	if p.KeptSenses[2] != 1 || p.KeptSenses[3] != 2 {
-		t.Errorf("QLC fig6 kept senses = %v", p.KeptSenses)
+	if m := c.Merge(p.Keep); m.Senses(2) != 1 || m.Senses(3) != 2 {
+		t.Errorf("QLC fig6 kept senses = %d, %d", m.Senses(2), m.Senses(3))
 	}
 }
 
@@ -167,8 +167,11 @@ func TestPlanWordlineProperty(t *testing.T) {
 			}
 		}
 		// Kept pages must read at least as fast as before.
-		for j, n := range p.KeptSenses {
-			if n > c.Senses(j) || n < 1 {
+		for j := PageType(0); int(j) < bitsPerCell; j++ {
+			if !p.Keep.Has(j) {
+				continue
+			}
+			if n := c.Merge(p.Keep).Senses(j); n > c.Senses(j) || n < 1 {
 				return false
 			}
 		}

@@ -26,20 +26,20 @@ const DefaultCode = CodeIDA
 
 // registry maps each built-in code name to its constructor for a given
 // bits-per-cell geometry.
-var registry = map[string]func(bits int) (Code, error){
-	CodeIDA: func(bits int) (Code, error) { return NewGray(bits), nil },
-	CodeRandIO: func(bits int) (Code, error) {
+var registry = map[string]func(bits int) (*Scheme, error){
+	CodeIDA: func(bits int) (*Scheme, error) { return NewGray(bits), nil },
+	CodeRandIO: func(bits int) (*Scheme, error) {
 		if bits > 4 {
 			return nil, fmt.Errorf("coding: code %q supports 1..4 bits/cell, got %d", CodeRandIO, bits)
 		}
 		return NewRandIO(bits), nil
 	},
-	CodeILWC: func(bits int) (Code, error) { return NewILWC(bits), nil },
+	CodeILWC: func(bits int) (*Scheme, error) { return NewILWC(bits), nil },
 }
 
 // New builds the named code for the given bits-per-cell. The name must be
 // a built-in code and the bits must be in the code's supported range.
-func New(name string, bits int) (Code, error) {
+func New(name string, bits int) (*Scheme, error) {
 	ctor, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("coding: unknown code %q (known: %v)", name, Names())
@@ -51,7 +51,7 @@ func New(name string, bits int) (Code, error) {
 }
 
 // Default returns the default code for the given bits-per-cell.
-func Default(bits int) Code {
+func Default(bits int) *Scheme {
 	c, err := New(DefaultCode, bits)
 	if err != nil {
 		panic("coding: building default code: " + err.Error())

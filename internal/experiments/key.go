@@ -32,9 +32,11 @@ const KeyVersion = 1
 // because memoization and the singleflight on top of it must not depend on
 // validity; the run itself reports the real error. An empty System.Coding
 // or System.Scheduler is keyed as the default it selects (CodingIDA,
-// SchedReadFirst), so a named sweep's idaflash.IDA(e) and the server's
-// explicitly spelled system share one key. An encoding failure is returned
-// rather than panicked; callers fall back to an uncached execution.
+// SchedReadFirst), and a BitsPerCell of 3 or a Devices of 1 as the zero
+// value that selects the same device, so a named sweep's idaflash.IDA(e)
+// and the server's explicitly spelled system share one key. An encoding
+// failure is returned rather than panicked; callers fall back to an
+// uncached execution.
 func Key(p workload.Profile, sys idaflash.System) (string, error) {
 	np, err := p.Normalize()
 	if err != nil {
@@ -45,6 +47,12 @@ func Key(p workload.Profile, sys idaflash.System) (string, error) {
 	}
 	if sys.Scheduler == "" {
 		sys.Scheduler = idaflash.SchedReadFirst
+	}
+	if sys.BitsPerCell == 3 {
+		sys.BitsPerCell = 0
+	}
+	if sys.Devices == 1 {
+		sys.Devices = 0
 	}
 	b, err := json.Marshal(struct {
 		V int

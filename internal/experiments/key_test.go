@@ -99,19 +99,25 @@ func TestKeyCanonicalizesDefaultSpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spelled := idaflash.IDA(0.2)
-	spelled.Coding = idaflash.CodingIDA
-	spelled.Scheduler = idaflash.SchedReadFirst
 	kEmpty, err := Key(profile, idaflash.IDA(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kSpelled, err := Key(profile, spelled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kEmpty != kSpelled {
-		t.Errorf("default spellings key differently:\n%s\n%s", kEmpty, kSpelled)
+	spelled := idaflash.IDA(0.2)
+	for _, spell := range []func(*idaflash.System){
+		func(s *idaflash.System) { s.Coding = idaflash.CodingIDA },
+		func(s *idaflash.System) { s.Scheduler = idaflash.SchedReadFirst },
+		func(s *idaflash.System) { s.BitsPerCell = 3 },
+		func(s *idaflash.System) { s.Devices = 1 },
+	} {
+		spell(&spelled)
+		kSpelled, err := Key(profile, spelled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kEmpty != kSpelled {
+			t.Errorf("default spellings key differently:\n%s\n%s", kEmpty, kSpelled)
+		}
 	}
 	other := spelled
 	other.Scheduler = idaflash.SchedFIFO

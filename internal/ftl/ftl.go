@@ -54,7 +54,7 @@ type Options struct {
 	Geometry flash.Geometry
 	// Code is the cell coding; defaults to the registry's default code
 	// (the paper's Gray/IDA coding) matching Geometry.BitsPerCell.
-	Code coding.Code
+	Code *coding.Scheme
 	// IDAEnabled turns the invalid-data-aware refresh on.
 	IDAEnabled bool
 	// IDAOnlyInvalid restricts the voltage adjustment to wordlines that
@@ -212,10 +212,11 @@ type FTL struct {
 	// model drains them via CollectGC and charges their timing.
 	pendingGC []GCJob
 	// gcJobs and refreshJobs back the slices CollectGC and DueRefreshes
-	// return (valid until the next call); kept is refreshIDA's scratch.
+	// return (valid until the next call); kept is refreshIDA's scratch:
+	// the in-block page indexes it keeps through a voltage adjustment.
 	gcJobs      []GCJob
 	refreshJobs []RefreshJob
-	kept        []keptPage
+	kept        []int
 	// freeReads and freeMoves hold the op lists of released jobs (see
 	// ReleaseRefreshJob and ReleaseGCJob) for the next jobs to fill, so a
 	// caller that releases every job it charges makes background work
@@ -321,9 +322,9 @@ func (f *FTL) Reset(opts Options) error {
 }
 
 // fillSenses builds the sensing table for code: for every kept-page mask
-// and page type, what Code.Senses (mask 0) or Code.Merge(keep).Senses (a
+// and page type, what code.Senses (mask 0) or code.Merge(keep).Senses (a
 // kept page) return, and droppedPage for a page the mask merged away.
-func fillSenses(tab []int8, code coding.Code) {
+func fillSenses(tab []int8, code *coding.Scheme) {
 	n := code.Bits()
 	for keep := coding.ValidMask(0); keep <= coding.MaskAll(n); keep++ {
 		for t := coding.PageType(0); int(t) < n; t++ {

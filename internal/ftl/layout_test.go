@@ -113,7 +113,7 @@ func TestNewRejectsTooWidePPN(t *testing.T) {
 
 // TestSensingTableMatchesCode checks the FTL's sensing table against the
 // code it was built from, for every registered code at every width the
-// registry builds: mask 0 reads at Code.Senses, a kept page at the merged
+// registry builds: mask 0 reads at Scheme.Senses, a kept page at the merged
 // code's count, and a read of a page its wordline merged away panics. A code
 // whose slowest page needs more sensings than Stats can bucket is rejected.
 func TestSensingTableMatchesCode(t *testing.T) {

@@ -237,13 +237,6 @@ func (f *FTL) refreshOriginal(pl flash.PlaneID, blk int, now sim.Time, job *Refr
 	return nil
 }
 
-// keptPage is a page an IDA refresh keeps in place through the voltage
-// adjustment.
-type keptPage struct {
-	page   int
-	senses int // post-adjustment sensing count
-}
-
 // refreshIDA implements Figure 7b: relocate only the non-beneficial pages,
 // voltage-adjust the beneficial wordlines, verify the kept pages, and write
 // back any pages the adjustment corrupted.
@@ -287,14 +280,11 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 		f.wlKeep[wlBase+wl] = uint8(plan.Keep)
 		job.AdjustedWLs++
 		f.stats.ProgramPower += f.opts.Code.Merge(plan.Keep).MeanMove()
-		// Walk page types in order (not the KeptSenses map) so the
-		// corruption draws below consume randomness deterministically.
+		// Walk page types in order so the corruption draws below
+		// consume randomness deterministically.
 		for t := coding.PageType(0); int(t) < f.geom.BitsPerCell; t++ {
-			if !plan.Keep.Has(t) {
-				continue
-			}
-			if f.wlValid[wlBase+wl]&(1<<t) != 0 {
-				f.kept = append(f.kept, keptPage{page: f.pageIndex(wl, t), senses: plan.KeptSenses[t]})
+			if plan.Keep.Has(t) && f.wlValid[wlBase+wl]&(1<<t) != 0 {
+				f.kept = append(f.kept, f.pageIndex(wl, t))
 			}
 		}
 	}
@@ -307,15 +297,16 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 		return nil
 	}
 
-	// Steps 5-8: verify-read every kept page; corrupted ones are written
-	// back to the new block.
-	for _, kp := range f.kept {
+	// Steps 5-8: verify-read every kept page at its post-adjustment
+	// sensing count (its wordline's keep mask is recorded above);
+	// corrupted ones are written back to the new block.
+	for _, page := range f.kept {
 		job.VerifyReads = append(job.VerifyReads, ReadOp{
-			Addr:   pageAddr(pl, blk, kp.page),
-			Senses: kp.senses,
+			Addr:   pageAddr(pl, blk, page),
+			Senses: f.sensesAt(f.wordline(gb, page)),
 		})
 		if f.opts.ErrorRate > 0 && f.rng.Float64() < f.opts.ErrorRate {
-			if job.CorruptedMoves, err = f.appendMove(job.CorruptedMoves, pl, blk, kp.page, true, now); err != nil {
+			if job.CorruptedMoves, err = f.appendMove(job.CorruptedMoves, pl, blk, page, true, now); err != nil {
 				return fmt.Errorf("ftl: allocation failed during IDA write-back of p%d/b%d: %w", pl, blk, err)
 			}
 		} else {

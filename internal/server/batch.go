@@ -103,7 +103,10 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// batchPoints expands the request into concrete sweep points.
+// batchPoints expands the request into concrete sweep points. Each explicit
+// point is validated by BuildConfig, so a configuration the simulator would
+// reject fails the submission with a 400 instead of failing its point; the
+// named sweeps' points are valid by construction.
 func (s *Server) batchPoints(req BatchRequest) ([]experiments.Point, error) {
 	budget := req.Requests
 	if budget == 0 {
@@ -130,6 +133,9 @@ func (s *Server) batchPoints(req BatchRequest) ([]experiments.Point, error) {
 		}
 		sys, err := buildSystem(bp.System)
 		if err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+		if _, _, err := idaflash.BuildConfig(profile, sys); err != nil {
 			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 		pts = append(pts, experiments.Point{Profile: profile, System: sys})

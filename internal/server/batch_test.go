@@ -374,6 +374,10 @@ func TestBatchValidation(t *testing.T) {
 		`{"sweep":"figure8","points":[{"profile":"usr_1","system":{}}]}`,
 		`{"points":[{"profile":"no-such-workload","system":{}}]}`,
 		`{"points":[{"profile":"usr_1","system":{"coding":"bogus"}}]}`,
+		`{"points":[{"profile":"usr_1","system":{"bits_per_cell":7}}]}`,
+		`{"points":[{"profile":"usr_1","system":{"parity":true,"devices":2}}]}`,
+		`{"points":[{"profile":"usr_1","system":{"stripe_kb":-1,"devices":2}}]}`,
+		`{"points":[{"profile":"usr_1","system":{"devices":-4}}]}`,
 		`{"stream":"telepathy","points":[{"profile":"usr_1","system":{}}]}`,
 		`{"requests":-5,"points":[{"profile":"usr_1","system":{}}]}`,
 	} {

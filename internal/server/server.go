@@ -410,7 +410,10 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"profiles": names})
 }
 
-// parse validates the request body into a runnable (profile, system, timeout).
+// parse validates the request body into a runnable (profile, system,
+// timeout): a nil error means BuildConfig accepts the pair, so a
+// configuration the simulator would reject is a 400 before the request
+// takes a worker slot, not a failed run.
 func (s *Server) parse(r *http.Request) (idaflash.Profile, idaflash.System, time.Duration, error) {
 	var req RunRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
@@ -431,6 +434,9 @@ func (s *Server) parse(r *http.Request) (idaflash.Profile, idaflash.System, time
 	}
 	sys, err := buildSystem(req.System)
 	if err != nil {
+		return idaflash.Profile{}, idaflash.System{}, 0, err
+	}
+	if _, _, err := idaflash.BuildConfig(profile, sys); err != nil {
 		return idaflash.Profile{}, idaflash.System{}, 0, err
 	}
 	return profile, sys, s.clampTimeout(req.TimeoutMs), nil

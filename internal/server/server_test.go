@@ -135,6 +135,10 @@ func TestRunEndpointRejectsBadRequests(t *testing.T) {
 		`{"profile":"proj_3","requests":-5}`,
 		`{"profile":"proj_3","system":{"scheduler":"bogus"}}`,
 		`{"profile":"proj_3","system":{"coding":"gray"}}`,
+		`{"profile":"proj_3","system":{"bits_per_cell":7}}`,
+		`{"profile":"proj_3","system":{"parity":true,"devices":2}}`,
+		`{"profile":"proj_3","system":{"stripe_kb":-1,"devices":2}}`,
+		`{"profile":"proj_3","system":{"devices":-4}}`,
 		`not json`,
 	} {
 		resp, eb, err := postRun(ts, strings.NewReader(body))
