@@ -1,0 +1,217 @@
+package idaflash_test
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+
+	"idaflash"
+	"idaflash/internal/array"
+	"idaflash/internal/snapshot"
+	"idaflash/internal/ssd"
+	"idaflash/internal/workload"
+)
+
+// traceBytes is the heap size of a trace's request slice.
+func traceBytes(tr *workload.Trace) uint64 {
+	return uint64(cap(tr.Requests)) * uint64(unsafe.Sizeof(workload.Request{}))
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// A striped array generates its aging preamble at most once per run, on
+// the first member that ages, and splits it across members; members
+// restored from snapshots never ask for it. Lazy aging, a preamble handed
+// over up front and the facade's own run all agree, with and without
+// parity.
+func TestArrayAgingGeneratesOnce(t *testing.T) {
+	p := smallProfile(t, "hm_1")
+	for _, parity := range []bool{false, true} {
+		sys := idaflash.IDA(0.2)
+		sys.Devices, sys.Parity, sys.NoSnapshot = 4, parity, true
+		np, err := p.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sized as the facade sizes members: parity leaves three data
+		// shares of four.
+		shares := 4.0
+		if parity {
+			shares = 3
+		}
+		pdev := np
+		pdev.FootprintMB = np.FootprintMB/shares + 1
+		cfg, _, err := idaflash.BuildConfig(pdev, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := np.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := np.AgingPreamble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int32
+		counted := func() (*workload.Trace, error) {
+			calls.Add(1)
+			return np.AgingPreamble()
+		}
+		run := func(opts ssd.RunOptions) array.Results {
+			t.Helper()
+			arr, err := array.New(array.Config{Devices: 4, Parity: parity, Device: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := arr.Run(tr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+
+		want := run(ssd.RunOptions{Preamble: pre})
+		if got := run(ssd.RunOptions{Aging: counted}); got.Combined.Scalars() != want.Combined.Scalars() {
+			t.Errorf("parity=%t: lazy aging diverged from the given preamble", parity)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("parity=%t: an aging run generated the preamble %d times, want 1", parity, n)
+		}
+		facade, err := idaflash.RunArrayWorkload(p, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if facade.Combined.Scalars() != want.Combined.Scalars() {
+			t.Errorf("parity=%t: the facade diverged from the hand-built array", parity)
+		}
+
+		// A second array on the same snapshots restores every member and
+		// never generates the preamble.
+		store := snapshot.NewStore(0)
+		calls.Store(0)
+		cold := run(ssd.RunOptions{Aging: counted, Snapshots: store, SnapshotKey: "aging"})
+		warm := run(ssd.RunOptions{Aging: counted, Snapshots: store, SnapshotKey: "aging"})
+		if n := calls.Load(); n != 1 {
+			t.Errorf("parity=%t: a cold and a restored run generated the preamble %d times, want 1", parity, n)
+		}
+		if cold.Combined.Scalars() != want.Combined.Scalars() || warm.Combined.Scalars() != want.Combined.Scalars() {
+			t.Errorf("parity=%t: snapshotted runs diverged from the replayed one", parity)
+		}
+	}
+}
+
+// Setting both a preamble and its generator is ambiguous and rejected, on
+// a device and on an array.
+func TestRunOptionsRejectBothAgingSources(t *testing.T) {
+	p := smallProfile(t, "hm_1")
+	cfg, np, err := idaflash.BuildConfig(p, idaflash.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := np.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := np.AgingPreamble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ssd.RunOptions{Preamble: pre, Aging: np.AgingPreamble}
+	dev, err := ssd.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.Run(tr, opts); err == nil {
+		t.Error("a device ran with both Preamble and Aging set")
+	}
+	arr, err := array.New(array.Config{Devices: 2, Device: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.Run(tr, opts); err == nil {
+		t.Error("an array ran with both Preamble and Aging set")
+	}
+}
+
+// A pooled run restored from a snapshot never generates the aging
+// preamble: it allocates less than one preamble's bytes in all (about half
+// of one on src1_0), where generating one would add a whole preamble.
+func TestWarmRunAllocatesNoPreamble(t *testing.T) {
+	p, err := idaflash.ProfileByName("src1_0", 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := p.AgingPreamble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := idaflash.IDA(0.2)
+	if _, err := idaflash.RunWorkload(p, sys); err != nil { // warms every cache
+		t.Fatal(err)
+	}
+	const runs = 5
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		if _, err := idaflash.RunWorkload(p, sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perRun, bound := (m1.TotalAlloc-m0.TotalAlloc)/runs, traceBytes(pre)
+	t.Logf("warm run: %d bytes allocated; one preamble is %d", perRun, bound)
+	if perRun > bound {
+		t.Errorf("a warm run allocated %d bytes, over one preamble (%d)", perRun, bound)
+	}
+}
+
+// The process-wide trace cache keeps traces, never aging preambles: after
+// more never-seen points than it holds, what its entries keep alive is
+// about their traces alone.
+func TestTraceCacheRetainsNoPreamble(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 72 cold points")
+	}
+	const points = 72 // more than the cache's 64 entries
+	p, err := idaflash.ProfileByName("src1_0", 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, pre, err := workload.NewTraceCache(1).Traces(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := idaflash.Baseline()
+	sys.NoSnapshot, sys.NoPool = true, true // nothing but the trace cache keeps state
+	for i := 0; i < points; i++ {
+		q := p
+		q.Seed = 1e6 + int64(i)
+		if _, err := idaflash.RunWorkload(q, sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := liveHeap()
+	// Replace every entry by a near-empty one; the heap that frees is what
+	// the 64 entries kept.
+	for i := 0; i < points; i++ {
+		tiny := workload.Profile{Name: "tiny", ReadRatio: 0.5, MeanReadKB: 4, FootprintMB: 0.05, Requests: 10, Seed: int64(i)}
+		if _, _, err := workload.DefaultTraceCache.Traces(tiny); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := liveHeap()
+	kept := int64(full) - int64(flushed)
+	bound := int64(64*traceBytes(tr) + 16*traceBytes(pre)) // a quarter of the preambles would exceed it
+	t.Logf("64 src1_0@2500 entries keep %d bytes; traces are %d each, preambles %d", kept, traceBytes(tr), traceBytes(pre))
+	if kept > bound {
+		t.Errorf("the trace cache keeps %d bytes for 64 entries, over %d: it retains preambles", kept, bound)
+	}
+}

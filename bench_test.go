@@ -115,10 +115,10 @@ func BenchmarkSingleRunIDA(b *testing.B) {
 }
 
 // BenchmarkSingleRunIDACold measures one IDA-E20 run cold: a fresh device
-// (NoPool) replays the full aging preamble (NoSnapshot) before the timed
-// replay. Only trace generation stays out of the timing: the trace cache is
-// primed before the timer starts, as a sweep's first run of a profile would
-// find it.
+// (NoPool) generates and replays the full aging preamble (NoSnapshot)
+// before the timed replay. Only trace generation stays out of the timing:
+// the trace cache is primed before the timer starts, as a sweep's first run
+// of a profile would find it.
 func BenchmarkSingleRunIDACold(b *testing.B) {
 	p, err := idaflash.ProfileByName("hm_1", benchRequests)
 	if err != nil {
@@ -128,7 +128,7 @@ func BenchmarkSingleRunIDACold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := workload.DefaultTraceCache.Traces(np); err != nil {
+	if _, err := workload.DefaultTraceCache.Trace(np); err != nil {
 		b.Fatal(err)
 	}
 	sys := idaflash.IDA(0.2)
@@ -251,7 +251,7 @@ func agedFTL(b *testing.B) (*ftl.FTL, *ftl.State, []ftl.LPN) {
 	if err := f.Restore(st.FTL); err != nil {
 		b.Fatal(err)
 	}
-	tr, _, err := workload.DefaultTraceCache.Traces(np)
+	tr, err := workload.DefaultTraceCache.Trace(np)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -726,9 +726,11 @@ func runArray(ctx context.Context, p Profile, tr *Trace, sys System) (ArrayResul
 		// The trace depends only on the normalized profile, never on the
 		// system, so one cached generation backs every system evaluated on
 		// it; the simulator replays it through a cursor without mutating it.
-		if tr, opts.Preamble, err = workload.DefaultTraceCache.Traces(np); err != nil {
+		// The aging preamble is generated only by a run that ages.
+		if tr, err = workload.DefaultTraceCache.Trace(np); err != nil {
 			return ArrayResults{}, nil, err
 		}
+		opts.Aging = np.AgingPreamble
 		if !sys.NoSnapshot {
 			// The base key covers the full profile and the member
 			// template config; a multi-device array suffixes each

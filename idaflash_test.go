@@ -109,6 +109,19 @@ func TestBuildConfig(t *testing.T) {
 	if _, _, err := idaflash.BuildConfig(p, parity); err != nil {
 		t.Errorf("parity over 3 devices rejected: %v", err)
 	}
+	// Every call shares one coding scheme per (name, bits) instead of
+	// rebuilding its merge and plan tables (105 allocations each time), so
+	// building a config allocates nothing.
+	for _, sys := range []idaflash.System{idaflash.Baseline(), idaflash.IDA(0.2), mlc, d70} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := idaflash.BuildConfig(p, sys); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("BuildConfig(%s, %d bits/cell) makes %.0f allocations, budget 1", sys.Name, sys.BitsPerCell, allocs)
+		}
+	}
 }
 
 // TestRBERDerivedECC covers the wear-derived ECC regime: PECycles and

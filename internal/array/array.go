@@ -195,9 +195,9 @@ type Results struct {
 	Degraded DegradedStats
 }
 
-// Run splits the trace (and any preamble) across the devices, runs every
-// member concurrently — each on its own goroutine, each deterministic in
-// isolation — and merges the measurements. Like ssd.Run it may be called
+// Run splits the trace (and any aging preamble) across the devices, runs
+// every member concurrently — each on its own goroutine, each deterministic
+// in isolation — and merges the measurements. Like ssd.Run it may be called
 // once per array.
 func (a *Array) Run(tr *workload.Trace, opts ssd.RunOptions) (Results, error) {
 	return a.RunContext(context.Background(), tr, opts)
@@ -222,9 +222,24 @@ func (a *Array) RunContext(ctx context.Context, tr *workload.Trace, opts ssd.Run
 		split = SplitParity
 	}
 	subs := split(tr, a.cfg.Devices, a.unit)
-	var pres []*workload.Trace
-	if opts.Preamble != nil {
-		pres = split(opts.Preamble, a.cfg.Devices, a.unit)
+	aging, err := opts.AgingSource()
+	if err != nil {
+		return Results{}, err
+	}
+	// The first member that ages generates the preamble and splits it for
+	// every member; members restored from snapshots never ask. Each member
+	// takes its share out of the split, so no share outlives its member's
+	// aging.
+	opts.Preamble, opts.Aging = nil, nil
+	var splitAging func() ([]*workload.Trace, error)
+	if aging != nil {
+		splitAging = sync.OnceValues(func() ([]*workload.Trace, error) {
+			pre, err := aging()
+			if err != nil {
+				return nil, err
+			}
+			return split(pre, a.cfg.Devices, a.unit), nil
+		})
 	}
 	// Siblings cancel one another through a derived context. A lone member
 	// has none, and keeps ctx itself: a derived context is cancellable, and
@@ -242,8 +257,16 @@ func (a *Array) RunContext(ctx context.Context, tr *workload.Trace, opts ssd.Run
 			return
 		}
 		o := opts
-		if pres != nil {
-			o.Preamble = pres[d]
+		if splitAging != nil {
+			o.Aging = func() (*workload.Trace, error) {
+				pres, err := splitAging()
+				if err != nil {
+					return nil, err
+				}
+				pre := pres[d]
+				pres[d] = nil
+				return pre, nil
+			}
 		}
 		if o.SnapshotKey != "" && a.cfg.Devices > 1 {
 			// Each member ages differently: it replays its own split

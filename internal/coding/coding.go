@@ -22,6 +22,7 @@ package coding
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // PageType identifies a logical page (bit position) within a wordline.
@@ -178,7 +179,10 @@ func NewCustom(values [][]uint8) (*Scheme, error) {
 // Vendor232TLC returns the alternative vendor TLC coding mentioned in
 // Section III-B of the paper, which needs 2, 3, and 2 sensings for the LSB,
 // CSB, and MSB pages respectively (a flatter but still asymmetric layout).
-func Vendor232TLC() *Scheme {
+// Like New, it returns one shared scheme, built on first use.
+func Vendor232TLC() *Scheme { return vendor232() }
+
+var vendor232 = sync.OnceValue(func() *Scheme {
 	// Built as a Gray sequence (adjacent states differ in one bit) whose
 	// per-bit transition counts are 2, 3, and 2.
 	values := [][]uint8{
@@ -197,7 +201,7 @@ func Vendor232TLC() *Scheme {
 	}
 	sch.name = CodeIDA
 	return sch
-}
+})
 
 // Name returns the registry name of the code family this scheme belongs to
 // ("ida" for the Gray and vendor maps, "randio" for the balanced map,

@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -276,5 +277,67 @@ func TestLabMergeAllocationFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s/b%d: Merge+PlanWordline allocate %v per run, want 0", c.Name(), c.Bits(), allocs)
 		}
+	}
+}
+
+// TestNewSharesOneScheme checks that New hands out one scheme per (name,
+// bits), built once even when many goroutines ask first at the same time,
+// while NewCustom keeps building fresh schemes.
+func TestNewSharesOneScheme(t *testing.T) {
+	sharedMu.Lock()
+	saved := shared
+	shared = map[schemeKey]func() (*Scheme, error){}
+	sharedMu.Unlock()
+	t.Cleanup(func() {
+		sharedMu.Lock()
+		shared = saved
+		sharedMu.Unlock()
+	})
+
+	type key struct {
+		name string
+		bits int
+	}
+	var keys []key
+	for _, name := range Names() {
+		for bits := 1; bits <= 5; bits++ {
+			keys = append(keys, key{name, bits})
+		}
+	}
+	const callers = 8
+	got := make([][]*Scheme, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, k := range keys {
+				s, err := New(k.name, k.bits)
+				if (err != nil) != (k.name == CodeRandIO && k.bits > 4) {
+					t.Errorf("New(%q, %d): unexpected error %v", k.name, k.bits, err)
+				}
+				got[i] = append(got[i], s)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for j, k := range keys {
+		for i := 1; i < callers; i++ {
+			if got[i][j] != got[0][j] {
+				t.Fatalf("New(%q, %d) returned distinct schemes to concurrent callers", k.name, k.bits)
+			}
+		}
+		if again, _ := New(k.name, k.bits); again != got[0][j] {
+			t.Errorf("New(%q, %d) rebuilt its scheme", k.name, k.bits)
+		}
+	}
+	if Vendor232TLC() != Vendor232TLC() {
+		t.Error("Vendor232TLC rebuilt its scheme")
+	}
+	values := [][]uint8{{1}, {0}}
+	a, errA := NewCustom(values)
+	b, errB := NewCustom(values)
+	if errA != nil || errB != nil || a == b {
+		t.Errorf("NewCustom shared a scheme (%p, %p) or failed (%v, %v)", a, b, errA, errB)
 	}
 }

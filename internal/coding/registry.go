@@ -3,6 +3,7 @@ package coding
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Registry names of the built-in codes. These are the values accepted by the
@@ -37,8 +38,24 @@ var registry = map[string]func(bits int) (*Scheme, error){
 	CodeILWC: func(bits int) (*Scheme, error) { return NewILWC(bits), nil },
 }
 
-// New builds the named code for the given bits-per-cell. The name must be
+// schemeKey identifies one built-in scheme.
+type schemeKey struct {
+	name string
+	bits int
+}
+
+// shared holds each built-in scheme's one-time construction, filled on
+// first use of its (name, bits).
+var (
+	sharedMu sync.Mutex
+	shared   = map[schemeKey]func() (*Scheme, error){}
+)
+
+// New returns the named code for the given bits-per-cell. The name must be
 // a built-in code and the bits must be in the code's supported range.
+// Schemes are immutable, so every call for one (name, bits) returns the
+// same shared scheme, built on first use; concurrent first uses build it
+// once.
 func New(name string, bits int) (*Scheme, error) {
 	ctor, ok := registry[name]
 	if !ok {
@@ -47,7 +64,15 @@ func New(name string, bits int) (*Scheme, error) {
 	if bits < 1 || bits > 8 {
 		return nil, fmt.Errorf("coding: code %q needs bits in [1,8], got %d", name, bits)
 	}
-	return ctor(bits)
+	k := schemeKey{name, bits}
+	sharedMu.Lock()
+	build, ok := shared[k]
+	if !ok {
+		build = sync.OnceValues(func() (*Scheme, error) { return ctor(bits) })
+		shared[k] = build
+	}
+	sharedMu.Unlock()
+	return build()
 }
 
 // Default returns the default code for the given bits-per-cell.

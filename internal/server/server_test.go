@@ -44,6 +44,16 @@ func blockingRun(release <-chan struct{}, started *atomic.Int64) func(context.Co
 	}
 }
 
+// rejectedRun returns a run stub for requests the server must refuse
+// before they run: a call fails the test at once, where a parked stub would
+// hang until the run timeout.
+func rejectedRun(t *testing.T) func(context.Context, idaflash.Profile, idaflash.System) (idaflash.Results, error) {
+	return func(ctx context.Context, p idaflash.Profile, sys idaflash.System) (idaflash.Results, error) {
+		t.Errorf("a request that should be rejected ran: profile %q, system %+v", p.Name, sys)
+		return idaflash.Results{}, errors.New("run stub: request should have been rejected")
+	}
+}
+
 func runBody(t *testing.T, extra string) *bytes.Reader {
 	t.Helper()
 	return bytes.NewReader([]byte(`{"profile":"proj_3"` + extra + `}`))
@@ -125,7 +135,7 @@ func TestRunEndpointCodingSelection(t *testing.T) {
 }
 
 func TestRunEndpointRejectsBadRequests(t *testing.T) {
-	s := stubServer(Config{Workers: 1}, blockingRun(nil, nil))
+	s := stubServer(Config{Workers: 1}, rejectedRun(t))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -24,6 +24,13 @@ type RunOptions struct {
 	// workload.Profile.AgingPreamble) replayed in zero simulated time
 	// after the prefill and before the warmup.
 	Preamble *workload.Trace
+	// Aging, when non-nil, generates the aging stream Preamble would
+	// hold. The run calls it only when it ages the device — a snapshot
+	// miss, or a run without snapshots — and drops the stream once the
+	// aged state is reached, so a restored run never generates one and
+	// nothing keeps one after its run. Setting both Aging and Preamble is
+	// an error.
+	Aging func() (*workload.Trace, error)
 	// Snapshots, when non-nil together with a SnapshotKey, short-circuits
 	// the zero-time aging phases: a cached device state for the key is
 	// restored in O(state) instead of replaying prefill + preamble +
@@ -36,6 +43,20 @@ type RunOptions struct {
 	// everything the pre-measurement state depends on (profile, geometry,
 	// seeds, fault scenario — see the facade's key builder).
 	SnapshotKey string
+}
+
+// AgingSource returns the run's aging stream as one generator: Aging, or
+// Preamble wrapped, or nil when the run has no aging phase. It rejects
+// options that set both.
+func (o RunOptions) AgingSource() (func() (*workload.Trace, error), error) {
+	switch {
+	case o.Aging != nil && o.Preamble != nil:
+		return nil, fmt.Errorf("ssd: RunOptions sets both Preamble and Aging")
+	case o.Preamble != nil:
+		pre := o.Preamble
+		return func() (*workload.Trace, error) { return pre, nil }, nil
+	}
+	return o.Aging, nil
 }
 
 // Results is everything a single simulation run reports.
@@ -144,6 +165,10 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 	if s.engine.Processed() != 0 || s.readReqs != 0 || s.f.Stats().HostWrites != 0 {
 		return Results{}, fmt.Errorf("ssd: Run called on a used device")
 	}
+	aging, err := opts.AgingSource()
+	if err != nil {
+		return Results{}, err
+	}
 	s.engine.SetContext(ctx)
 	defer s.contain(tr.Name, &res, &err)
 
@@ -206,8 +231,14 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 			}
 			return nil
 		}
-		if opts.Preamble != nil {
-			if err := replay(opts.Preamble.Requests, "preamble"); err != nil {
+		if aging != nil {
+			// Generated here, after the snapshot lookup, so only a run
+			// that ages pays for the stream; it is dead once replayed.
+			pre, err := aging()
+			if err != nil {
+				return Results{}, fmt.Errorf("ssd: preamble: %w", err)
+			}
+			if err := replay(pre.Requests, "preamble"); err != nil {
 				return Results{}, err
 			}
 		}

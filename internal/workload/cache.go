@@ -7,25 +7,25 @@ import (
 	"idaflash/internal/memo"
 )
 
-// TraceCache memoizes generated traces and aging preambles per normalized
-// profile. Every (profile, system) pair of an experiment sweep replays the
-// same profile trace — the system knobs change the device, never the host
-// stream — so generating it once and sharing it across systems removes the
-// largest repeated cost of a sweep. Cached traces are handed out as shared
+// TraceCache memoizes generated traces per normalized profile. Every
+// (profile, system) pair of an experiment sweep replays the same profile
+// trace — the system knobs change the device, never the host stream — so
+// generating it once and sharing it across systems removes the largest
+// repeated cost of a sweep. Cached traces are handed out as shared
 // pointers: the simulator replays them through a cursor and never mutates
 // them, and callers must do the same.
+//
+// Aging preambles are deliberately not cached: only a run that ages a
+// device (a snapshot miss, or a run without snapshots) reads one, once, so
+// a kept preamble would be memory no later run uses. Such a run generates
+// its own through Profile.AgingPreamble.
 //
 // Generation is singleflighted and bounded by a memo.Cache: concurrent
 // requests for one profile generate it once, and long-lived processes
 // sweeping many profiles keep only the most recently used ones. A failed
 // generation is not kept.
 type TraceCache struct {
-	mem *memo.Cache[tracePair]
-}
-
-// tracePair is one profile's memoized generation.
-type tracePair struct {
-	trace, preamble *Trace
+	mem *memo.Cache[*Trace]
 }
 
 // defaultTraceCacheLimit bounds the default cache: the paper's sweeps use
@@ -38,43 +38,47 @@ func NewTraceCache(limit int) *TraceCache {
 	if limit <= 0 {
 		limit = defaultTraceCacheLimit
 	}
-	return &TraceCache{mem: memo.New[tracePair](limit)}
+	return &TraceCache{mem: memo.New[*Trace](limit)}
 }
 
 // DefaultTraceCache is the process-wide cache the idaflash run helpers use.
 var DefaultTraceCache = NewTraceCache(0)
 
-// Traces returns the profile's trace and aging preamble, generating them on
-// the first request and recalling them afterwards. The returned traces are
-// shared and must be treated as immutable.
-func (c *TraceCache) Traces(p Profile) (trace, preamble *Trace, err error) {
+// Trace returns the profile's trace, generating it on the first request
+// and recalling it afterwards. The returned trace is shared and must be
+// treated as immutable.
+func (c *TraceCache) Trace(p Profile) (*Trace, error) {
 	np, err := p.Normalize()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	generate := func(context.Context) (tracePair, error) {
-		tr, err := np.Generate()
-		if err != nil {
-			return tracePair{}, err
-		}
-		pre, err := np.AgingPreamble()
-		return tracePair{tr, pre}, err
-	}
+	generate := func(context.Context) (*Trace, error) { return np.Generate() }
 	// The key is the normalized profile's JSON: Profile is plain data and
 	// encoding/json emits fields in declaration order, so it is lossless and
 	// deterministic.
-	var tp tracePair
-	if k, kerr := json.Marshal(np); kerr == nil {
-		tp, _, err = c.mem.Do(context.Background(), string(k), generate)
-	} else {
+	k, err := json.Marshal(np)
+	if err != nil {
 		// Uncacheable (a non-finite float) is not unrunnable: generate
 		// without memoizing.
-		tp, err = generate(context.Background())
+		return generate(context.Background())
 	}
-	if err != nil {
+	tr, _, err := c.mem.Do(context.Background(), string(k), generate)
+	return tr, err
+}
+
+// Traces returns the profile's cached trace (see Trace) together with a
+// freshly generated aging preamble that the cache does not keep. It serves
+// callers that age a device on every run; a run that may restore a
+// snapshot instead calls Trace and generates the preamble only when it
+// ages.
+func (c *TraceCache) Traces(p Profile) (trace, preamble *Trace, err error) {
+	if trace, err = c.Trace(p); err != nil {
 		return nil, nil, err
 	}
-	return tp.trace, tp.preamble, nil
+	if preamble, err = p.AgingPreamble(); err != nil {
+		return nil, nil, err
+	}
+	return trace, preamble, nil
 }
 
 // Stats reports the cache's traffic counters (the service's /statz).

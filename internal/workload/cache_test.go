@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -11,7 +12,8 @@ func cacheProfile(name string) Profile {
 
 // TestTraceCacheSharesOneGeneration checks the cache's core contract:
 // repeated and concurrent requests for one profile return the same shared
-// trace pointers, generated once.
+// trace pointer, generated once. Preambles are generated per call, never
+// kept, so every caller gets an equal stream of its own.
 func TestTraceCacheSharesOneGeneration(t *testing.T) {
 	c := NewTraceCache(0)
 	p := cacheProfile("shared")
@@ -40,10 +42,16 @@ func TestTraceCacheSharesOneGeneration(t *testing.T) {
 	if first.trace == nil || len(first.trace.Requests) == 0 {
 		t.Fatal("cached trace is empty")
 	}
+	if first.preamble == nil || len(first.preamble.Requests) == 0 {
+		t.Fatal("preamble is empty")
+	}
 	for i, r := range results[1:] {
-		if r.trace != first.trace || r.preamble != first.preamble || r.err != nil {
-			t.Fatalf("caller %d got a different generation: %p/%p vs %p/%p (err %v)",
-				i+1, r.trace, r.preamble, first.trace, first.preamble, r.err)
+		if r.trace != first.trace || r.err != nil {
+			t.Fatalf("caller %d got a different generation: %p vs %p (err %v)",
+				i+1, r.trace, first.trace, r.err)
+		}
+		if !reflect.DeepEqual(r.preamble, first.preamble) {
+			t.Fatalf("caller %d got a different preamble", i+1)
 		}
 	}
 	if c.Stats().Entries != 1 {
