@@ -1,6 +1,8 @@
 package idaflash_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,6 +74,25 @@ func TestAgedStateSize(t *testing.T) {
 		} else {
 			t.Logf("%s@%d: aged state encodes to %d bytes", tc.profile, tc.requests, size)
 		}
+	}
+}
+
+// agedHM1Digest is the SHA-256 of snapshot.Encode's output for the aged
+// IDA-E20 state of hm_1 at 2,500 requests. Encode is a pure function of the
+// state, and the state a pure function of the configuration, so any change
+// to these bytes is a format change: it needs a CodecVersion bump.
+const agedHM1Digest = "64dbe9179a2727ec9ac8fb8ce0e5ffc52d17a1298bb671d6404146dcd7401d1c"
+
+// TestAgedSnapshotBytes pins the encoded bytes of one aged device state, so
+// a rewrite of the encoder must reproduce the format byte for byte.
+func TestAgedSnapshotBytes(t *testing.T) {
+	st, _ := agedState(t, "hm_1", 2500)
+	enc, err := snapshot.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != agedHM1Digest {
+		t.Errorf("hm_1@2500 IDA-E20 snapshot: %d bytes with SHA-256 %x, want %s", len(enc), sum, agedHM1Digest)
 	}
 }
 
