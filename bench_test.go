@@ -16,6 +16,7 @@ import (
 	"idaflash/internal/experiments"
 	"idaflash/internal/ftl"
 	"idaflash/internal/sim"
+	"idaflash/internal/snapshot"
 	"idaflash/internal/workload"
 )
 
@@ -293,6 +294,22 @@ func BenchmarkFTLRestore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := f.Restore(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotEncode measures encoding hm_1's aged IDA-E20 state at
+// 10,000 requests, the cost of every snapshot a cold run publishes to the
+// blob tier. Encode sizes the file exactly and writes it in place, so it
+// makes one allocation, the file; CI gates it at 1 alloc/op.
+func BenchmarkSnapshotEncode(b *testing.B) {
+	st, size := agedState(b, "hm_1", 10000)
+	b.ReportAllocs()
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snapshot.Encode(st); err != nil {
 			b.Fatal(err)
 		}
 	}

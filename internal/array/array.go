@@ -296,8 +296,18 @@ func (a *Array) RunContext(ctx context.Context, tr *workload.Trace, opts ssd.Run
 	// array runs its device exactly where a plain device run would.
 	run(0)
 	wg.Wait()
+	// The members' response-time histograms are pooled from the devices
+	// themselves, before they go back to the arena. One member's results
+	// are the array's, so a lone device hands over nothing.
+	var reads, writes []*stats.LatencyHist
+	if len(a.devs) > 1 {
+		reads, writes = make([]*stats.LatencyHist, len(a.devs)), make([]*stats.LatencyHist, len(a.devs))
+		for d, dev := range a.devs {
+			reads[d], writes[d] = dev.ResponseHists()
+		}
+	}
 	res := Results{
-		Combined:  Merge(tr.Name, per),
+		Combined:  Merge(tr.Name, per, reads, writes),
 		PerDevice: per,
 		Devices:   a.cfg.Devices,
 		StripeKB:  a.cfg.StripeKB,
@@ -359,21 +369,22 @@ func joinRunErrors(ctx context.Context, errs []error) error {
 
 // Merge combines per-device results into one array-level ssd.Results (see
 // Results.Combined for the metric semantics). Counters and busy times sum;
-// response-time statistics come from the merged per-device histograms;
+// response-time statistics come from the merged per-device histograms,
+// reads[d] and writes[d] for member d (nil, or a short slice, for none);
 // spans take the slowest device; throughput is total bytes moved per second
 // of the longest device busy span. Per-device telemetry exports merge into
 // one multi-stream export. One member's results are returned unchanged.
-func Merge(name string, per []ssd.Results) ssd.Results {
+func Merge(name string, per []ssd.Results, reads, writes []*stats.LatencyHist) ssd.Results {
 	if len(per) == 1 {
 		return per[0]
 	}
 	c := ssd.Results{Trace: name}
-	readHist, writeHist := &stats.LatencyHist{}, &stats.LatencyHist{}
+	var readHist, writeHist stats.LatencyHist
 	tels := make([]*telemetry.Export, 0, len(per))
 	var bytesMB, readMB float64 // total host MB moved, from per-device rates
 	var utilDevs int
 	var totalBlocks int
-	for _, r := range per {
+	for d, r := range per {
 		// All members run the same coding scheme, so the name copies.
 		c.Coding = r.Coding
 		// Wear pools across members: extremes widen, means weight by
@@ -388,8 +399,12 @@ func Merge(name string, per []ssd.Results) ssd.Results {
 		totalBlocks += r.Usage.Total
 		c.ReadRequests += r.ReadRequests
 		c.WriteRequests += r.WriteRequests
-		readHist.Merge(r.ReadHist)
-		writeHist.Merge(r.WriteHist)
+		if d < len(reads) {
+			readHist.Merge(reads[d])
+		}
+		if d < len(writes) {
+			writeHist.Merge(writes[d])
+		}
 		tels = append(tels, r.Telemetry)
 		if r.Makespan > c.Makespan {
 			c.Makespan = r.Makespan
@@ -415,16 +430,14 @@ func Merge(name string, per []ssd.Results) ssd.Results {
 			utilDevs++
 		}
 	}
-	// Every member result carries its histograms (untouched members report
-	// zero requests), so the pooled statistics are exact.
+	// Every member hands over its histograms (untouched members hold zero
+	// requests), so the pooled statistics are exact.
 	if readHist.N() > 0 {
 		c.MeanReadResponse = readHist.Mean()
 		c.P99ReadResponse = readHist.Quantile(0.99)
-		c.ReadHist = readHist
 	}
 	if writeHist.N() > 0 {
 		c.MeanWriteResponse = writeHist.Mean()
-		c.WriteHist = writeHist
 	}
 	c.Telemetry = telemetry.MergeExports(tels...)
 	if utilDevs > 0 {

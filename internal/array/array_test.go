@@ -254,18 +254,20 @@ func TestMergePoolsPercentiles(t *testing.T) {
 	for i := range fast {
 		fast[i] = time.Millisecond
 	}
-	dev0 := ssd.Results{ReadRequests: 100, ReadHist: hist(fast...)}
 	slowTail := append(append([]time.Duration{}, fast[:9]...), 100*time.Millisecond)
-	dev1 := ssd.Results{ReadRequests: 10, ReadHist: hist(slowTail...)}
+	per := []ssd.Results{{ReadRequests: 100}, {ReadRequests: 10}}
+	reads := []*stats.LatencyHist{hist(fast...), hist(slowTail...)}
 
-	m := Merge("pool", []ssd.Results{dev0, dev1})
+	m := Merge("pool", per, reads, nil)
 	// Pooled: 109 of 110 reads are ~1ms, so the 99th percentile sits in
 	// the 1ms bucket. The worst device's own P99 would be ~100ms.
 	if m.P99ReadResponse > 2*time.Millisecond {
 		t.Errorf("pooled P99 = %v, want ~1ms (worst-device P99 leaked through)", m.P99ReadResponse)
 	}
-	if m.ReadHist == nil || m.ReadHist.N() != 110 {
-		t.Errorf("merged histogram missing or wrong population: %+v", m.ReadHist)
+	// The mean weighs all 110 reads: (109*1ms + 100ms) / 110.
+	pooled := hist(append(fast, slowTail...)...)
+	if m.MeanReadResponse != pooled.Mean() || m.MeanWriteResponse != 0 {
+		t.Errorf("pooled means = %v read, %v write; want %v read, 0 write", m.MeanReadResponse, m.MeanWriteResponse, pooled.Mean())
 	}
 }
 
@@ -323,13 +325,13 @@ func TestArrayTelemetryMergesStreams(t *testing.T) {
 }
 
 func TestMergeEmptyAndZeroDevices(t *testing.T) {
-	m := Merge("empty", nil)
+	m := Merge("empty", nil, nil, nil)
 	if m.ReadRequests != 0 || m.ThroughputMBps != 0 {
 		t.Errorf("merge of nothing = %+v", m)
 	}
 	// A device that never ran contributes nothing, including to the
 	// utilization average.
-	m = Merge("partial", []ssd.Results{{}, {Events: 10, MeanDieUtilization: 0.5, MeanChannelUtilization: 0.25}})
+	m = Merge("partial", []ssd.Results{{}, {Events: 10, MeanDieUtilization: 0.5, MeanChannelUtilization: 0.25}}, nil, nil)
 	if m.MeanDieUtilization != 0.5 || m.MeanChannelUtilization != 0.25 {
 		t.Errorf("idle device skewed utilization: %+v", m)
 	}

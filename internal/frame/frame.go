@@ -82,7 +82,35 @@ const sealedKind = 0
 
 // Seal returns a whole file holding exactly one record.
 func (f Format) Seal(payload []byte) []byte {
-	return AppendRecord(f.AppendHeader(make([]byte, 0, headerSize+overhead+len(payload))), sealedKind, payload)
+	file, window := f.Reserve(len(payload))
+	copy(window, payload)
+	return Finish(file)
+}
+
+// Reserve is Seal in place, for a writer that knows its payload's size: it
+// allocates the whole n-byte-payload file once, writes the header and the
+// record's kind and length, and returns the file with the payload window
+// inside it, capped at n bytes. Fill the window, then call Finish. The result is byte for
+// byte what Seal returns for the same payload. n must not exceed
+// MaxPayload.
+func (f Format) Reserve(n int) (file, payload []byte) {
+	if uint64(n) > MaxPayload {
+		panic(fmt.Sprintf("frame: %d-byte payload exceeds MaxPayload", n))
+	}
+	file = f.AppendHeader(make([]byte, 0, headerSize+overhead+n))
+	file = append(file, sealedKind)
+	file = binary.LittleEndian.AppendUint32(file, uint32(n))
+	file = file[:len(file)+n+8]
+	start := headerSize + 5
+	return file, file[start : start+n : start+n]
+}
+
+// Finish writes the checksum of a file from Reserve once its payload
+// window is filled, and returns the file.
+func Finish(file []byte) []byte {
+	end := len(file) - 8
+	binary.LittleEndian.PutUint64(file[end:], checksum(file[headerSize], file[headerSize+5:end]))
+	return file
 }
 
 // Open checks a file written by Seal and returns its payload, which

@@ -21,6 +21,33 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReserveMatchesSeal checks that a file filled in place through
+// Reserve and Finish is byte for byte the file Seal writes, and the file
+// the record-stream encoder lays out, with no spare capacity.
+func TestReserveMatchesSeal(t *testing.T) {
+	big := make([]byte, 64<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	for _, payload := range [][]byte{{}, []byte("x"), big} {
+		file, window := testFormat.Reserve(len(payload))
+		if len(window) != len(payload) {
+			t.Fatalf("%d-byte reserve has a %d-byte window", len(payload), len(window))
+		}
+		copy(window, payload)
+		got := Finish(file)
+		if !bytes.Equal(got, testFormat.Seal(payload)) {
+			t.Errorf("%d-byte payload: in-place file differs from Seal", len(payload))
+		}
+		if want := AppendRecord(testFormat.AppendHeader(nil), sealedKind, payload); !bytes.Equal(got, want) {
+			t.Errorf("%d-byte payload: in-place file differs from the record layout", len(payload))
+		}
+		if len(got) != cap(got) {
+			t.Errorf("%d-byte payload: file has len %d, cap %d", len(payload), len(got), cap(got))
+		}
+	}
+}
+
 // TestLayout pins the byte layout the job journal has always written:
 // existing journals must stay readable without a version bump.
 func TestLayout(t *testing.T) {

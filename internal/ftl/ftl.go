@@ -300,7 +300,15 @@ func (f *FTL) Reset(opts Options) error {
 	clear(f.rmap)
 	f.l2p.reset()
 	f.dropPendingGC()
-	src := sim.NewCountedSource(opts.Seed ^ rngSeedMask)
+	// The rng is reseeded in place: Seed reinitializes the source fully,
+	// so the stream is the one a new source with this seed would give.
+	rng, src := f.rng, f.rngSrc
+	if rng == nil {
+		src = sim.NewCountedSource(opts.Seed ^ rngSeedMask)
+		rng = rand.New(src)
+	} else {
+		rng.Seed(opts.Seed ^ rngSeedMask)
+	}
 	cost := opts.Code.ProgramCost()
 	perCell := float64(opts.Code.Bits())
 	// The keep-list: the pooled storage above the blank line survives, the
@@ -312,9 +320,9 @@ func (f *FTL) Reset(opts Options) error {
 		senses: f.senses, l2p: f.l2p, planes: f.planes, blocks: f.blocks,
 		wlValid: f.wlValid, wlKeep: f.wlKeep, rmap: f.rmap,
 		pendingGC: f.pendingGC, gcJobs: f.gcJobs, refreshJobs: f.refreshJobs, kept: f.kept,
-		freeReads: f.freeReads, freeMoves: f.freeMoves,
+		freeReads: f.freeReads, freeMoves: f.freeMoves, rng: rng, rngSrc: src,
 
-		opts: opts, gcFreeBlocks: gcWatermark, rng: rand.New(src), rngSrc: src,
+		opts: opts, gcFreeBlocks: gcWatermark,
 		pagePower: cost.MeanLevel / perCell, pageCells: cost.ProgrammedFrac / perCell,
 	}
 	fillSenses(f.senses, opts.Code)

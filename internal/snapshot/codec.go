@@ -50,18 +50,58 @@ type DeviceState struct {
 }
 
 // Encode serializes the state as a single-record frame file. The encoding
-// is deterministic: identical states produce identical bytes.
+// is deterministic: identical states produce identical bytes. Every field
+// is fixed-width, so the payload's size follows from the state's slice
+// lengths: Encode allocates the whole file once, at its exact size, and
+// encodes straight into it.
 func Encode(st *DeviceState) ([]byte, error) {
 	if st == nil || st.FTL == nil {
 		return nil, fmt.Errorf("snapshot: encode of nil state")
 	}
-	var e encoder
+	n := payloadSize(st.FTL)
+	if uint64(n) > frame.MaxPayload {
+		return nil, fmt.Errorf("snapshot: %d-byte state exceeds the frame limit", n)
+	}
+	file, payload := format.Reserve(n)
+	e := encoder{buf: payload[:0]}
 	e.ftlState(st.FTL)
 	e.u64(st.InjectorDraws)
-	if uint64(len(e.buf)) > frame.MaxPayload {
-		return nil, fmt.Errorf("snapshot: %d-byte state exceeds the frame limit", len(e.buf))
+	if len(e.buf) != n || cap(e.buf) != n {
+		// The fields and payloadSize disagree: a bug, never bad input.
+		return nil, fmt.Errorf("snapshot: encoded %d bytes into a %d-byte payload", len(e.buf), n)
 	}
-	return format.Seal(e.buf), nil
+	return frame.Finish(file), nil
+}
+
+// Encoded sizes of the fixed-width records inside the payload. The decoder
+// uses them too, as the least bytes a counted element can take.
+const (
+	geometryBytes = 8 * 8
+	planeBytes    = 8 + 8   // active, free-list length
+	blockBytes    = 5*8 + 1 // five counters and the flags
+	pageAddrBytes = 3 * 8   // plane, block, page
+	moveBytes     = 2*pageAddrBytes + 3*8
+	jobBytes      = 8 + 8 + 1 + 8 // victim, IDA flag, moves length
+)
+
+// payloadSize is the exact encoded size of a state whose FTL part is st:
+// the fields ftlState and Encode write, counted from the slice lengths.
+func payloadSize(st *ftl.State) int {
+	n := geometryBytes + 8 + 4*len(st.DenseL2P) + 8 + 8
+	n += 8
+	for _, ps := range st.Planes {
+		n += planeBytes + 8*len(ps.Free)
+	}
+	n += 8 + blockBytes*len(st.Blocks)
+	n += 8 + len(st.WLValid) + 8 + len(st.WLKeep) + 8 + 4*len(st.RMap)
+	n += 8
+	for _, job := range st.PendingGC {
+		n += jobBytes + moveBytes*len(job.Moves)
+	}
+	n += 1 + 8 + 8 // the refresh guard
+	// Stats: 21 counters plus the two length-prefixed histograms.
+	n += 8 * (21 + 1 + len(st.Stats.ReadsByClass) + 1 + len(st.Stats.ReadsBySenses))
+	return n + 8 + 8 // RNGDraws, then the injector's draws
 }
 
 // Decode parses bytes produced by Encode. It never panics on arbitrary
@@ -85,7 +125,7 @@ func Decode(b []byte) (*DeviceState, error) {
 	return st, nil
 }
 
-// encoder appends fixed-width little-endian fields to a growing buffer.
+// encoder appends fixed-width little-endian fields to a buffer.
 type encoder struct{ buf []byte }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -371,7 +411,7 @@ func (d *decoder) ftlState() *ftl.State {
 	st.L2PCount = d.intField()
 	st.AllocCursor = d.intField()
 
-	planes := d.count(16) // active + free length minimum
+	planes := d.count(planeBytes)
 	st.Planes = make([]ftl.PlaneState, 0, planes)
 	for pl := 0; pl < planes && d.err == nil; pl++ {
 		var ps ftl.PlaneState
@@ -387,7 +427,7 @@ func (d *decoder) ftlState() *ftl.State {
 		st.Planes = append(st.Planes, ps)
 	}
 
-	if nBlocks := d.count(41); nBlocks > 0 {
+	if nBlocks := d.count(blockBytes); nBlocks > 0 {
 		st.Blocks = make([]ftl.BlockState, nBlocks)
 		for i := range st.Blocks {
 			bs := &st.Blocks[i]
@@ -412,7 +452,7 @@ func (d *decoder) ftlState() *ftl.State {
 		}
 	}
 
-	nJobs := d.count(25)
+	nJobs := d.count(jobBytes)
 	if nJobs > 0 {
 		st.PendingGC = make([]ftl.GCJob, 0, nJobs)
 	}
@@ -421,7 +461,7 @@ func (d *decoder) ftlState() *ftl.State {
 		job.Victim.Plane = flash.PlaneID(d.i64())
 		job.Victim.Block = d.intField()
 		job.VictimWasIDA = d.boolean()
-		if nMoves := d.count(72); nMoves > 0 {
+		if nMoves := d.count(moveBytes); nMoves > 0 {
 			job.Moves = make([]ftl.MoveOp, nMoves)
 			for i := range job.Moves {
 				job.Moves[i].From = d.pageAddr()

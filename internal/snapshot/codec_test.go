@@ -120,6 +120,25 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocatesOnce: Encode sizes the file exactly from the state and
+// encodes into it in place, so it makes one allocation, the file it
+// returns, with no spare capacity.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		st := randState(rand.New(rand.NewSource(seed)))
+		var b []byte
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if b, err = Encode(st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 || len(b) != cap(b) {
+			t.Fatalf("seed %d: %v allocs, len %d, cap %d; want 1 alloc with len == cap", seed, allocs, len(b), cap(b))
+		}
+	}
+}
+
 // TestCodecDeterministic: equal states encode to equal bytes, whether they
 // are the same value or two independently built copies.
 func TestCodecDeterministic(t *testing.T) {

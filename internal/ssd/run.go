@@ -8,7 +8,6 @@ import (
 	"idaflash/internal/ftl"
 	"idaflash/internal/sim"
 	"idaflash/internal/snapshot"
-	"idaflash/internal/stats"
 	"idaflash/internal/telemetry"
 	"idaflash/internal/workload"
 )
@@ -125,24 +124,19 @@ type Results struct {
 
 	Events uint64
 
-	// ReadHist and WriteHist are independent copies of the response-time
-	// histograms behind the means and quantiles above; array drivers
-	// merge them for true array-level percentiles. Excluded from JSON so
-	// serialized results keep their pre-telemetry shape.
-	ReadHist  *stats.LatencyHist `json:"-"`
-	WriteHist *stats.LatencyHist `json:"-"`
 	// Telemetry is the device's span and time-series export, nil when
-	// telemetry is disabled. Excluded from JSON for the same reason;
-	// drivers serialize it through WriteTraceFile/WriteCSVFile.
+	// telemetry is disabled. Excluded from JSON so serialized results
+	// keep their pre-telemetry shape; drivers serialize it through
+	// WriteTraceFile/WriteCSVFile.
 	Telemetry *telemetry.Export `json:"-"`
 }
 
-// Scalars returns a copy with the pointer-typed exports (histograms,
-// telemetry) cleared, leaving only value fields. Determinism checks compare
-// these copies with ==; the pointed-to exports are compared through their
-// own serialized forms (the CSV/trace byte-equality gate in CI).
+// Scalars returns a copy with the one pointer-typed export, Telemetry,
+// cleared, leaving only value fields. Determinism checks compare these
+// copies with ==; the telemetry export is compared through its own
+// serialized forms (the CSV/trace byte-equality gate in CI).
 func (r Results) Scalars() Results {
-	r.ReadHist, r.WriteHist, r.Telemetry = nil, nil, nil
+	r.Telemetry = nil
 	return r
 }
 
@@ -443,8 +437,6 @@ func (s *SSD) results(name string) Results {
 		Stages:            s.stages,
 		Faults:            s.faultStats,
 		Events:            s.engine.Processed(),
-		ReadHist:          s.readResp.Clone(),
-		WriteHist:         s.writeResp.Clone(),
 		Telemetry:         s.tel.Export(),
 	}
 	r.Coding = s.f.Options().Code.Name()

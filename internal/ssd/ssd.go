@@ -106,6 +106,10 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// rngSeedMask decorrelates the device's random stream (ECC retry sampling)
+// from the raw device seed.
+const rngSeedMask = 0x53534421
+
 // SSD is one simulated device instance. Like the engine it runs on, it is
 // single-goroutine by design.
 type SSD struct {
@@ -200,7 +204,7 @@ func New(cfg Config) (*SSD, error) {
 // structures that dominate construction cost: the engine's event array, the
 // FTL's dense L2P and block tables (cleared in place by ftl.Reset), the
 // scheduler ring buffers, the latency-histogram buckets, and the op/request
-// free lists all keep their backing storage. The geometry must match the one the
+// free lists all keep their backing storage, and the rng is reseeded. The geometry must match the one the
 // device was built with — every table is sized for it — so pooled devices
 // are keyed by geometry; any other config field may change between runs. A
 // reset device is observably identical to a fresh one: same rng streams,
@@ -247,6 +251,13 @@ func (s *SSD) Reset(cfg Config) error {
 
 	// Validation passed; everything below is infallible.
 	s.engine.Reset()
+	// The rng is reseeded in place: Seed reinitializes the source fully,
+	// so the stream is the one a new source with this seed would give.
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(cfg.Seed ^ rngSeedMask))
+	} else {
+		s.rng.Seed(cfg.Seed ^ rngSeedMask)
+	}
 	s.readResp.Reset()
 	s.writeResp.Reset()
 	if s.scan != nil {
@@ -256,12 +267,11 @@ func (s *SSD) Reset(cfg Config) error {
 	// per-run objects below it are installed, and every field left off
 	// starts from its zero value, exactly as in a new device.
 	*s = SSD{
-		engine: s.engine, dies: s.dies, channels: s.channels, planes: s.planes, readResp: s.readResp, writeResp: s.writeResp,
+		engine: s.engine, rng: s.rng, dies: s.dies, channels: s.channels, planes: s.planes, readResp: s.readResp, writeResp: s.writeResp,
 		readOps: s.readOps, writeOps: s.writeOps, requests: s.requests,
 		bgOps: s.bgOps, scan: s.scan,
 
 		cfg: cfg, f: f, pageSize: cfg.Geometry.PageSizeBytes,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x53534421)),
 		inj: inj, tel: tel, dieWatch: dieWatch, chanWatch: chanWatch,
 	}
 	s.resetResources(s.dies, "die", dieWatch)
@@ -302,6 +312,13 @@ func (s *SSD) fail(err error) { s.engine.Stop(err) }
 
 // Telemetry exposes the device's recorder (nil when disabled).
 func (s *SSD) Telemetry() *telemetry.Recorder { return s.tel }
+
+// ResponseHists returns the device's live read and write response-time
+// histograms, the populations behind its Results' means and quantiles.
+// They belong to the device, and its next Reset clears them: an array
+// pools its members' histograms after the run and before the devices go
+// back to their arena.
+func (s *SSD) ResponseHists() (read, write *stats.LatencyHist) { return &s.readResp, &s.writeResp }
 
 // Engine exposes the simulation engine (tests and advanced drivers).
 func (s *SSD) Engine() *sim.Engine { return s.engine }

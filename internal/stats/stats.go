@@ -162,17 +162,6 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 	return histValue(histMax - 1)
 }
 
-// Clone returns an independent copy, so a results snapshot stays stable
-// when the source histogram keeps accumulating (and so array drivers can
-// merge per-device copies without aliasing device state).
-func (h *LatencyHist) Clone() *LatencyHist {
-	c := &LatencyHist{total: h.total, sum: h.sum}
-	if h.buckets != nil {
-		c.buckets = append([]uint64(nil), h.buckets...)
-	}
-	return c
-}
-
 // Merge folds another histogram into this one.
 func (h *LatencyHist) Merge(o *LatencyHist) {
 	if o == nil || o.total == 0 {

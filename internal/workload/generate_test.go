@@ -155,6 +155,30 @@ func TestScaleForQuickRun(t *testing.T) {
 	}
 }
 
+// TestProfileByNameAllocationFree: a lookup reads the built-once templates
+// in place. Every /v1/run parse and every batch point makes one.
+func TestProfileByNameAllocationFree(t *testing.T) {
+	for _, name := range []string{"usr_2", "rr60"} {
+		var p Profile
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if p, err = ProfileByName(name, 4000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("ProfileByName(%q) made %v allocations, want 0", name, allocs)
+		}
+		if p.Name != name || p.Requests != 4000 {
+			t.Errorf("ProfileByName(%q) = %+v", name, p)
+		}
+	}
+	// Callers get copies: setting one's budget leaves the templates alone.
+	if p, _ := ProfileByName("usr_2", 0); p.Requests != 0 {
+		t.Errorf("a lookup's budget leaked into the template: %+v", p)
+	}
+}
+
 func TestProfileRegistry(t *testing.T) {
 	if len(PaperProfiles(0)) != 11 {
 		t.Fatalf("paper profiles = %d, want 11", len(PaperProfiles(0)))

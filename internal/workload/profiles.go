@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -30,10 +31,15 @@ var PaperTableIII = []struct {
 	{"usr_2", 81.13, 50.89, 94.01, 21.43},
 }
 
-// PaperProfiles returns the eleven synthetic profiles standing in for the
-// paper's workloads, with the given request budget per trace (0 uses the
-// default). Each profile embeds its Table III targets.
-func PaperProfiles(requests int) []Profile {
+// paperProfiles and extraProfiles are the profile templates, built once:
+// every field but Requests, which each caller fills in on its own copy.
+// Nothing writes to them after init.
+var (
+	paperProfiles = buildPaperProfiles()
+	extraProfiles = buildExtraProfiles()
+)
+
+func buildPaperProfiles() []Profile {
 	out := make([]Profile, 0, len(PaperTableIII))
 	for i, w := range PaperTableIII {
 		out = append(out, Profile{
@@ -42,17 +48,13 @@ func PaperProfiles(requests int) []Profile {
 			MeanReadKB:       w.ReadSizeKB,
 			ReadDataRatio:    w.ReadDataPct / 100,
 			TargetInvalidMSB: w.InvalidMSBPct / 100,
-			Requests:         requests,
 			Seed:             int64(1000 + i),
 		})
 	}
 	return out
 }
 
-// ExtraProfiles returns the nine additional workloads of Figure 4 (right),
-// categorized by read ratio as in the paper: three groups of three, from
-// very read-heavy to mixed.
-func ExtraProfiles(requests int) []Profile {
+func buildExtraProfiles() []Profile {
 	ratios := []float64{0.97, 0.93, 0.90, 0.85, 0.80, 0.75, 0.70, 0.65, 0.60}
 	out := make([]Profile, 0, len(ratios))
 	for i, rr := range ratios {
@@ -62,23 +64,41 @@ func ExtraProfiles(requests int) []Profile {
 			MeanReadKB:       32,
 			ReadDataRatio:    rr, // data mix tracks the request mix
 			TargetInvalidMSB: 0.20 + 0.02*float64(i%5),
-			Requests:         requests,
 			Seed:             int64(2000 + i),
 		})
 	}
 	return out
 }
 
-// ProfileByName finds a paper or extra profile by name.
-func ProfileByName(name string, requests int) (Profile, error) {
-	for _, p := range PaperProfiles(requests) {
-		if p.Name == name {
-			return p, nil
-		}
+// withRequests returns a copy of the templates with the request budget set.
+func withRequests(templates []Profile, requests int) []Profile {
+	out := slices.Clone(templates)
+	for i := range out {
+		out[i].Requests = requests
 	}
-	for _, p := range ExtraProfiles(requests) {
-		if p.Name == name {
-			return p, nil
+	return out
+}
+
+// PaperProfiles returns the eleven synthetic profiles standing in for the
+// paper's workloads, with the given request budget per trace (0 uses the
+// default). Each profile embeds its Table III targets.
+func PaperProfiles(requests int) []Profile { return withRequests(paperProfiles, requests) }
+
+// ExtraProfiles returns the nine additional workloads of Figure 4 (right),
+// categorized by read ratio as in the paper: three groups of three, from
+// very read-heavy to mixed.
+func ExtraProfiles(requests int) []Profile { return withRequests(extraProfiles, requests) }
+
+// ProfileByName finds a paper or extra profile by name. It reads the
+// templates in place and allocates nothing for a known name.
+func ProfileByName(name string, requests int) (Profile, error) {
+	for _, templates := range [...][]Profile{paperProfiles, extraProfiles} {
+		for i := range templates {
+			if templates[i].Name == name {
+				p := templates[i]
+				p.Requests = requests
+				return p, nil
+			}
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown profile %q", name)
