@@ -88,11 +88,11 @@ func (f Format) Seal(payload []byte) []byte {
 }
 
 // Reserve is Seal in place, for a writer that knows its payload's size: it
-// allocates the whole n-byte-payload file once, writes the header and the
-// record's kind and length, and returns the file with the payload window
-// inside it, capped at n bytes. Fill the window, then call Finish. The result is byte for
-// byte what Seal returns for the same payload. n must not exceed
-// MaxPayload.
+// allocates the whole file for an n-byte payload once, writes the header
+// and the record's kind and length, and returns the file with the payload
+// window inside it, capped at n bytes. Fill the window, then call Finish;
+// the result is byte for byte what Seal returns for the same payload. n
+// must not exceed MaxPayload.
 func (f Format) Reserve(n int) (file, payload []byte) {
 	if uint64(n) > MaxPayload {
 		panic(fmt.Sprintf("frame: %d-byte payload exceeds MaxPayload", n))

@@ -204,11 +204,12 @@ func New(cfg Config) (*SSD, error) {
 // structures that dominate construction cost: the engine's event array, the
 // FTL's dense L2P and block tables (cleared in place by ftl.Reset), the
 // scheduler ring buffers, the latency-histogram buckets, and the op/request
-// free lists all keep their backing storage, and the rng is reseeded. The geometry must match the one the
-// device was built with — every table is sized for it — so pooled devices
-// are keyed by geometry; any other config field may change between runs. A
-// reset device is observably identical to a fresh one: same rng streams,
-// same resource state, same zeroed accounting.
+// free lists all keep their backing storage, and the rng is reseeded. The
+// geometry must match the one the device was built with — every table is
+// sized for it — so pooled devices are keyed by geometry; any other config
+// field may change between runs. A reset device is observably identical to
+// a fresh one: same rng streams, same resource state, same zeroed
+// accounting.
 //
 // Reset must not be called while a run is in progress. It validates cfg
 // before it changes anything: on error the device is untouched and stays
