@@ -86,6 +86,14 @@ type PointResult struct {
 	Kind      string          `json:"kind,omitempty"`
 }
 
+// ElapsedMs returns the wall time since start in whole milliseconds,
+// rounded to the nearest: a 2.9 ms point reports 3. Truncating would bias
+// every sum of point times (the benchmark's worker busy ratio) down by half
+// a millisecond per point.
+func ElapsedMs(start time.Time) int64 {
+	return time.Since(start).Round(time.Millisecond).Milliseconds()
+}
+
 // Job states.
 const (
 	StateRunning = "running"
@@ -379,7 +387,7 @@ func (m *Manager) runPoint(j *Job, idx int) {
 		if v := recover(); v != nil {
 			pr.Error = fmt.Sprintf("panic: %v", v)
 			pr.Kind = "internal"
-			pr.ElapsedMs = time.Since(start).Milliseconds()
+			pr.ElapsedMs = ElapsedMs(start)
 		}
 		m.finishPoint(j, pr)
 	}()
@@ -391,7 +399,7 @@ func (m *Manager) runPoint(j *Job, idx int) {
 		defer cancel()
 	}
 	payload, cached, err := m.cfg.Run(ctx, pt)
-	pr.ElapsedMs = time.Since(start).Milliseconds()
+	pr.ElapsedMs = ElapsedMs(start)
 	switch {
 	case err == nil:
 		pr.Results = payload

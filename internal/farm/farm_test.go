@@ -407,3 +407,12 @@ func TestPointTimeout(t *testing.T) {
 		}
 	}
 }
+
+// TestElapsedMsRounds pins the rounding of point and run wall times: 2.9 ms
+// reports 3, where truncation reported 2.
+func TestElapsedMsRounds(t *testing.T) {
+	// A stall of over 0.6 ms before the call would round to 4.
+	if got := ElapsedMs(time.Now().Add(-2900 * time.Microsecond)); got != 3 && got != 4 {
+		t.Errorf("ElapsedMs of 2.9ms = %d, want 3", got)
+	}
+}

@@ -582,7 +582,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RunResponse{
 		Profile:   profile.Name,
 		System:    sys.Name,
-		ElapsedMs: time.Since(start).Milliseconds(),
+		ElapsedMs: farm.ElapsedMs(start),
 		Cached:    cached,
 		Results:   res,
 	})

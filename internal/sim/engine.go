@@ -55,15 +55,15 @@ type Engine struct {
 	processed uint64
 
 	// Cooperative cancellation. ctx is nil unless SetContext installed a
-	// cancellable context; the run loops poll it at most every
-	// cancelCheckEvents events or cancelCheckSim of simulated progress,
-	// whichever comes first, so the amortized cost is two integer compares
-	// per event. stopErr is the sticky reason the run loops stopped early —
-	// a context error, or whatever a callback passed to Stop.
-	ctx         context.Context
-	stopErr     error
-	sinceCheck  uint32
-	nextCheckAt Time
+	// cancellable context; Run then polls it before each batch of events,
+	// a batch ending after cancelCheckEvents events or before the first
+	// event more than cancelCheckSim past the batch's start, whichever
+	// comes first. budget counts the events the batch has left. stopErr is
+	// the sticky reason the run loop stopped early — a context error, or
+	// whatever a callback passed to Stop, which also zeroes budget.
+	ctx     context.Context
+	stopErr error
+	budget  int
 }
 
 // Cancellation polling bounds: poll the context at least once per this many
@@ -94,8 +94,7 @@ func (e *Engine) Reset() {
 	e.processed = 0
 	e.ctx = nil
 	e.stopErr = nil
-	e.sinceCheck = 0
-	e.nextCheckAt = 0
+	e.budget = 0
 }
 
 // Now returns the current simulated time.
@@ -106,15 +105,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events waiting to run.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// next returns the instant of the next event to run, if any: the last
-// element of the latest-first array.
-func (e *Engine) next() (Time, bool) {
-	if n := len(e.events); n > 0 {
-		return e.events[n-1].at, true
-	}
-	return 0, false
-}
 
 // schedule validates the timestamp and inserts the event. Every pending
 // event was scheduled before this one, so every event due at or before t
@@ -165,28 +155,30 @@ func (e *Engine) Step() bool {
 	if n < 0 {
 		return false
 	}
+	e.step(n)
+	return true
+}
+
+// step executes the earliest pending event, the one at index n.
+func (e *Engine) step(n int) {
 	ev := e.events[n]
 	e.events[n] = event{}
 	e.events = e.events[:n]
 	e.now = ev.at
 	e.processed++
 	ev.op.Run()
-	return true
 }
 
 // SetContext installs a context the run loop polls cooperatively: once it is
 // cancelled, Run stops (leaving remaining events queued) and returns
 // its error. A nil context — or one that can never be cancelled, like
-// context.Background() — disables polling entirely, keeping the hot loop at
-// a single nil check per event.
+// context.Background() — disables polling entirely, leaving Run the plain
+// Step loop.
 func (e *Engine) SetContext(ctx context.Context) {
 	if ctx == nil || ctx.Done() == nil {
-		e.ctx = nil
-		return
+		ctx = nil
 	}
 	e.ctx = ctx
-	e.sinceCheck = 0
-	e.nextCheckAt = e.now + cancelCheckSim
 }
 
 // Stop aborts the current run loop after the event in flight: Run returns
@@ -197,67 +189,44 @@ func (e *Engine) SetContext(ctx context.Context) {
 func (e *Engine) Stop(err error) {
 	if e.stopErr == nil && err != nil {
 		e.stopErr = err
+		e.budget = 0
 	}
 }
 
 // Err returns the error that stopped the engine, if any.
 func (e *Engine) Err() error { return e.stopErr }
 
-// checkCancel polls the installed context on the amortized schedule.
-func (e *Engine) checkCancel() {
-	if e.ctx == nil {
-		return
-	}
-	e.sinceCheck++
-	if e.sinceCheck < cancelCheckEvents && e.now < e.nextCheckAt {
-		return
-	}
-	e.sinceCheck = 0
-	e.nextCheckAt = e.now + cancelCheckSim
-	if err := e.ctx.Err(); err != nil && e.stopErr == nil {
-		e.stopErr = err
-	}
-}
-
-// jumpCancel polls the context before an event that would advance the clock
-// past the polling horizon. The post-step poll alone bounds detection only
-// in dense stretches; a sparse tail (say, an idle device whose next event is
-// a background scan a simulated minute away) would otherwise leap minutes
-// past a cancellation in a single step. Returns true when the run must stop.
-func (e *Engine) jumpCancel() bool {
-	if e.ctx == nil {
-		return false
-	}
-	at, ok := e.next()
-	if !ok || at <= e.nextCheckAt {
-		return false
-	}
-	e.sinceCheck = 0
-	e.nextCheckAt = at + cancelCheckSim
-	if err := e.ctx.Err(); err != nil {
-		if e.stopErr == nil {
-			e.stopErr = err
-		}
-		return true
-	}
-	return false
-}
-
 // Run executes events until the queue is empty, the installed context is
 // cancelled, or a callback calls Stop. It returns nil on a full drain and
 // the stopping error otherwise.
-// Without a context installed before Run, the loop is Step alone.
+//
+// Without a context installed before Run, the loop is Step alone. With
+// one, Run polls it before each batch of events. A batch runs at most
+// cancelCheckEvents events, and none due more than cancelCheckSim after
+// the batch's first: so a dense stretch is polled every few thousand
+// events, and a sparse tail (say, an idle device whose next event is a
+// background scan a simulated minute away) is polled before the clock
+// jumps. The batch costs one compare per event over the plain loop,
+// because budget also carries Stop.
 func (e *Engine) Run() error {
 	if e.ctx == nil {
 		for e.stopErr == nil && e.Step() {
 		}
 		return e.stopErr
 	}
-	for e.stopErr == nil {
-		if e.jumpCancel() || !e.Step() {
+	for e.stopErr == nil && len(e.events) > 0 {
+		if err := e.ctx.Err(); err != nil {
+			e.Stop(err)
 			break
 		}
-		e.checkCancel()
+		horizon := e.events[len(e.events)-1].at + cancelCheckSim
+		for e.budget = cancelCheckEvents; e.budget > 0; e.budget-- {
+			n := len(e.events) - 1
+			if n < 0 || e.events[n].at > horizon {
+				break
+			}
+			e.step(n)
+		}
 	}
 	return e.stopErr
 }
