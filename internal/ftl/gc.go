@@ -142,7 +142,6 @@ func (f *FTL) collectPlane(pl flash.PlaneID, now sim.Time) (GCJob, bool, error) 
 	}
 	job := GCJob{
 		Victim:       flash.BlockAddr{Plane: pl, Block: victim},
-		Moves:        takeList(&f.freeMoves),
 		VictimWasIDA: vb.IDA,
 	}
 	gb := f.blockID(pl, victim)

@@ -169,13 +169,13 @@ func putList[T any](free *[][]T, ops []T) {
 func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob, error) {
 	gb := f.blockID(pl, blk)
 	b := &f.blocks[gb]
+	// Each op list is taken from the free lists when the job first needs
+	// it (appendMove for the move lists), so a list the job leaves empty
+	// stays free for another job.
 	job := RefreshJob{
-		Target:         flash.BlockAddr{Plane: pl, Block: blk},
-		ValidPages:     b.ValidCount,
-		Reads:          takeList(&f.freeReads),
-		Moves:          takeList(&f.freeMoves),
-		VerifyReads:    takeList(&f.freeReads),
-		CorruptedMoves: takeList(&f.freeMoves),
+		Target:     flash.BlockAddr{Plane: pl, Block: blk},
+		ValidPages: b.ValidCount,
+		Reads:      takeList(&f.freeReads),
 	}
 	// Protect the target from inline GC while its pages are in flight.
 	f.refreshing = job.Target
@@ -300,6 +300,7 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 	// Steps 5-8: verify-read every kept page at its post-adjustment
 	// sensing count (its wordline's keep mask is recorded above);
 	// corrupted ones are written back to the new block.
+	job.VerifyReads = takeList(&f.freeReads)
 	for _, page := range f.kept {
 		job.VerifyReads = append(job.VerifyReads, ReadOp{
 			Addr:   pageAddr(pl, blk, page),

@@ -290,6 +290,9 @@ func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global b
 		return ops, err
 	}
 	m := MoveOp{From: src, FromSenses: senses, To: prog.Addr, LPN: prog.LPN, FailedPrograms: prog.FailedPrograms}
+	if ops == nil {
+		ops = takeList(&f.freeMoves) // a job's first move
+	}
 	return append(ops, m), nil
 }
 

@@ -14,14 +14,15 @@ import (
 // source of a warm run, while the pooled machine keeps the steady state
 // allocation-free.
 
-// runGC collects any planes below the free-block watermark and charges the
-// resulting moves and erases as background work.
+// runGC charges the moves and erases of the GC the FTL stage ran at this
+// event (stage.go) as background work; a failed collection fails the run.
 func (s *SSD) runGC() {
-	jobs, err := s.f.CollectGC(s.engine.Now())
-	for _, job := range jobs {
-		s.chargeGC(job)
+	st := s.stage
+	for e := st.next(); e.kind == effGC; e = st.next() {
+		s.chargeGC(e.gc)
+		st.popJob()
 	}
-	if err != nil {
+	if err := st.jobsEnd(); err != nil {
 		s.fail(err)
 	}
 }
@@ -218,55 +219,72 @@ func (s *SSD) getBgOp() *bgOp {
 }
 
 // putBgOp recycles a finished machine, handing the job's op lists back to
-// the FTL for the next job (the other job kind is zero, and releasing it
-// is a no-op).
+// the FTL, through the FTL stage, for the next job.
 func (s *SSD) putBgOp(o *bgOp) {
-	s.f.ReleaseGCJob(&o.gc)
-	s.f.ReleaseRefreshJob(&o.ref)
+	if o.phases[0] == bgCopies {
+		s.stage.releaseGC(&o.gc)
+	} else {
+		s.stage.releaseRefresh(&o.ref)
+	}
 	*o = bgOp{s: s}
 	s.bgOps = append(s.bgOps, o)
 }
 
 // refreshScan is the periodic refresh-scan tick as a reusable engine
-// Action, so re-arming does not allocate a closure per interval.
+// Action, so re-arming does not allocate a closure per interval. covered
+// tells whether the FTL stage's walk makes this tick's FTL calls: it does
+// for every tick certain to happen, those armed while arrivals remain.
 type refreshScan struct {
-	s        *SSD
-	moreWork func() bool
+	s       *SSD
+	covered bool
 }
 
-// scheduleRefreshScan arms the periodic refresh scan. The scan re-arms
-// itself only while host work remains, so a finished simulation drains.
-func (s *SSD) scheduleRefreshScan(moreWork func() bool) {
+// scheduleRefreshScan arms the periodic refresh scan and reports whether it
+// did. The scan re-arms itself only while host work remains, so a finished
+// simulation drains.
+func (s *SSD) scheduleRefreshScan() bool {
 	if s.cfg.FTL.RefreshPeriod == 0 || s.scanning {
-		return
+		return false
 	}
 	s.scanning = true
 	if s.scan == nil {
 		s.scan = &refreshScan{s: s}
 	}
-	s.scan.moreWork = moreWork
+	s.scan.covered = true
 	s.engine.AfterAction(s.cfg.RefreshScanInterval, s.scan)
+	return true
 }
 
-// Run executes one scan tick.
+// Run executes one scan tick, charging the refreshes and GC the FTL stage
+// ran for it. A tick past the walk's last one happens only because
+// requests are still in flight; its FTL calls run here, after the stage
+// goroutine, if any, has finished.
 func (t *refreshScan) Run() {
 	s := t.s
-	jobs, err := s.f.DueRefreshes(s.engine.Now())
-	for _, job := range jobs {
-		s.chargeRefresh(job)
+	st := s.stage
+	if !t.covered {
+		st.join()
+		st.scanTick(s.engine.Now())
 	}
-	if err != nil {
+	refreshed := false
+	for e := st.next(); e.kind == effRefresh; e = st.next() {
+		s.chargeRefresh(e.ref)
+		st.popJob()
+		refreshed = true
+	}
+	if err := st.jobsEnd(); err != nil {
 		s.fail(err)
 		s.scanning = false
 		return
 	}
-	if len(jobs) > 0 {
-		// Refresh moves may have drained free blocks, and
-		// emptied blocks are reclaimable.
+	if refreshed {
 		s.runGC()
 	}
-	s.sampleUsage()
-	if t.moreWork() {
+	e := st.expect(effUsage)
+	s.notePeaks(e.inUse, e.idaBlocks)
+	st.pop()
+	t.covered = t.covered && s.feeder.remaining() > 0
+	if s.feeder.remaining() > 0 || s.inFlight > 0 {
 		s.engine.AfterAction(s.cfg.RefreshScanInterval, t)
 	} else {
 		s.scanning = false
@@ -279,11 +297,12 @@ func (t *refreshScan) Run() {
 // coding's space retention.
 func (s *SSD) sampleUsage() {
 	u := s.f.Usage()
-	inUse := u.InUse + u.Active
-	if inUse > s.peakInUse {
-		s.peakInUse = inUse
-	}
-	if u.IDABlocks > s.peakIDA {
-		s.peakIDA = u.IDABlocks
-	}
+	s.notePeaks(u.InUse+u.Active, u.IDABlocks)
+}
+
+// notePeaks raises the usage peaks to one census: blocks in use (valid
+// data, or accepting programs) and IDA blocks.
+func (s *SSD) notePeaks(inUse, idaBlocks int) {
+	s.peakInUse = max(s.peakInUse, inUse)
+	s.peakIDA = max(s.peakIDA, idaBlocks)
 }

@@ -116,7 +116,7 @@ func (s *SSD) issueRead(lpn ftl.LPN, info ftl.ReadInfo, req *request, attempt in
 	if extra > 0 {
 		s.faultStats.LatencySpikes++
 	}
-	retries := s.eccParams(info).SampleRetries(s.rng)
+	retries := eccParams(s.cfg.ECC, info).SampleRetries(s.rng)
 	s.startRead(info, req, retries, extra)
 }
 

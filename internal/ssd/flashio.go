@@ -74,12 +74,12 @@ func (s *SSD) putReadOp(op *readOp) {
 	s.readOps = append(s.readOps, op)
 }
 
-// readPage services one logical page read: memory access on the die (with
-// the sensing count the wordline's current coding dictates), transfer on
-// the channel, ECC decode, plus any read-retry rounds.
-func (s *SSD) readPage(lpn ftl.LPN, req *request) {
-	info, ok := s.f.Read(lpn)
-	if !ok {
+// readPage services one logical page read, resolved by the FTL stage into
+// e: memory access on the die (with the sensing count the wordline's
+// current coding dictates), transfer on the channel, ECC decode, plus any
+// read-retry rounds.
+func (s *SSD) readPage(e *effect, lpn ftl.LPN, req *request) {
+	if !e.mapped {
 		// Reads of never-written data are served like a fastest-page
 		// read (the controller returns zeroes after a mapping miss;
 		// we charge a conservative full page read).
@@ -95,11 +95,10 @@ func (s *SSD) readPage(lpn ftl.LPN, req *request) {
 		return
 	}
 	if s.inj != nil {
-		s.issueRead(lpn, info, req, 0)
+		s.issueRead(lpn, e.read, req, 0)
 		return
 	}
-	retries := s.eccParams(info).SampleRetries(s.rng)
-	s.startRead(info, req, retries, 0)
+	s.startRead(e.read, req, e.retries, 0)
 }
 
 // startRead begins the first sensing round of a resolved page read.
@@ -113,9 +112,9 @@ func (s *SSD) startRead(info ftl.ReadInfo, req *request, retries int, extra time
 	op.round()
 }
 
-// eccParams returns the decode/retry parameters for one resolved read.
-func (s *SSD) eccParams(info ftl.ReadInfo) ecc.Params {
-	params := s.cfg.ECC
+// eccParams returns the decode/retry parameters of one resolved read on a
+// device whose parameters are params.
+func eccParams(params ecc.Params, info ftl.ReadInfo) ecc.Params {
 	if info.IDA {
 		// Merged wordlines occupy half the voltage states, widening
 		// the read margins and cutting the raw bit error rate; their
@@ -229,18 +228,17 @@ func (s *SSD) putWriteOp(op *writeOp) {
 	s.writeOps = append(s.writeOps, op)
 }
 
-// writePage services one logical page write: transfer to the chip on the
-// channel, then the program on the die.
-func (s *SSD) writePage(lpn ftl.LPN, req *request) {
-	prog, err := s.f.Write(lpn, s.engine.Now())
-	if err != nil {
+// writePage services one logical page write, mapped by the FTL stage into
+// e: transfer to the chip on the channel, then the program on the die.
+func (s *SSD) writePage(e *effect, req *request) {
+	if e.err != nil {
 		// Out of space mid-run: a sizing bug. Fail the run — the request
 		// in flight never completes, but the engine stops after this
 		// event and Run returns the error with partial stats.
-		s.fail(fmt.Errorf("ssd: %w", err))
+		s.fail(fmt.Errorf("ssd: %w", e.err))
 		return
 	}
-	s.issueProgram(prog, req, 0)
+	s.issueProgram(e.prog, req, 0)
 }
 
 // issueProgram issues one page program, retrying around die/channel outages

@@ -104,21 +104,28 @@ func (s *SSD) putRequest(req *request) {
 	s.requests = append(s.requests, req)
 }
 
-// lpnRange converts a byte extent to the logical pages it covers.
-func (s *SSD) lpnRange(offset int64, size int) (first, count ftl.LPN) {
-	first = ftl.LPN(offset / int64(s.pageSize))
-	last := ftl.LPN((offset + int64(size) - 1) / int64(s.pageSize))
+// lpnRange converts a byte extent to the logical pages of pageSize bytes it
+// covers.
+func lpnRange(pageSize int, offset int64, size int) (first, count ftl.LPN) {
+	first = ftl.LPN(offset / int64(pageSize))
+	last := ftl.LPN((offset + int64(size) - 1) / int64(pageSize))
 	return first, last - first + 1
 }
 
 // submit starts servicing a newly-arrived host request: its byte extent is
-// split into logical pages, each dispatched to the FTL and on to the flash
-// issue stage. Writes additionally trigger garbage collection when they
-// drain free blocks below the watermark.
+// split into logical pages, each resolved by the FTL stage and handed on to
+// the flash issue stage. Writes additionally charge the garbage collection
+// the stage ran when they drained free blocks below the watermark.
 func (s *SSD) submit(r workload.Request) {
 	now := s.engine.Now()
+	st := s.stage
+	if !st.streaming {
+		// A request submitted outside a timed replay, straight on the
+		// engine, makes its FTL calls here.
+		st.arrival(r, now)
+	}
 	sp := s.tel.StartRequest(now, r.Read, r.Size)
-	first, count := s.lpnRange(r.Offset, r.Size)
+	first, count := lpnRange(s.pageSize, r.Offset, r.Size)
 	req := s.getRequest()
 	req.arrived, req.pages, req.read, req.size, req.sp = now, int(count), r.Read, r.Size, sp
 	if s.inFlight == 0 {
@@ -129,14 +136,14 @@ func (s *SSD) submit(r workload.Request) {
 	for i := ftl.LPN(0); i < count; i++ {
 		if r.Read {
 			s.stages.Dispatch.ReadPages++
-			s.readPage(first+i, req)
+			s.readPage(st.expect(effRead), first+i, req)
 		} else {
 			s.stages.Dispatch.WritePages++
-			s.writePage(first+i, req)
+			s.writePage(st.expect(effWrite), req)
 		}
+		st.pop()
 	}
 	if !r.Read {
-		// Writes may have drained free blocks below the watermark.
 		s.runGC()
 	}
 }

@@ -213,7 +213,7 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 				if r.Read {
 					continue // reads have no state effect
 				}
-				first, count := s.lpnRange(r.Offset, r.Size)
+				first, count := lpnRange(s.pageSize, r.Offset, r.Size)
 				for i := ftl.LPN(0); i < count; i++ {
 					if _, err := s.f.Write(first+i, 0); err != nil {
 						return fmt.Errorf("ssd: %s: %w", label, err)
@@ -303,6 +303,10 @@ func (s *SSD) RunMoreContext(ctx context.Context, tr *workload.Trace) (res Resul
 	if s.lastHostDone == 0 {
 		return Results{}, fmt.Errorf("ssd: RunMore needs a prior Run")
 	}
+	if s.feeder.remaining() > 0 || s.inFlight > 0 || s.scanning {
+		// A cancelled or failed run left its arrivals or scan queued.
+		return Results{}, fmt.Errorf("ssd: RunMore after a run that did not finish")
+	}
 	s.engine.SetContext(ctx)
 	defer s.contain(tr.Name, &res, &err)
 	s.resetMetrics()
@@ -319,11 +323,8 @@ func (s *SSD) RunMoreContext(ctx context.Context, tr *workload.Trace) (res Resul
 // allocating a closure per request. The slice is never mutated, so cached
 // traces can back any number of runs.
 type arrivalFeeder struct {
-	s     *SSD
-	reqs  []workload.Request
-	next  int
-	start sim.Time // engine time the replay began
-	base  time.Duration
+	s *SSD
+	cursor
 }
 
 // Run submits the request under the cursor and re-arms for the next one.
@@ -331,25 +332,31 @@ func (a *arrivalFeeder) Run() {
 	a.s.submit(a.reqs[a.next])
 	a.next++
 	if a.next < len(a.reqs) {
-		a.s.engine.AtAction(a.start+sim.Time(a.reqs[a.next].At-a.base), a)
+		a.s.engine.AtAction(a.due(), a)
 	}
 }
 
-// remaining returns the number of requests not yet submitted.
-func (a *arrivalFeeder) remaining() int { return len(a.reqs) - a.next }
-
 // replayTimed schedules the requests (rebased to the current simulated
-// time), arms the refresh scan, and drains the engine. A non-nil error means
-// the drain stopped early — cancellation, or a mid-simulation failure routed
-// through fail — with events still queued.
+// time), arms the refresh scan, and drains the engine, with the FTL stage
+// (stage.go) walking the same arrivals and ticks: on its own goroutine when
+// a CPU is spare and neither faults nor telemetry read the device state
+// mid-run, inline otherwise. A non-nil error means the drain stopped early
+// — cancellation, or a mid-simulation failure routed through fail — with
+// events still queued.
 func (s *SSD) replayTimed(reqs []workload.Request) error {
 	start := s.engine.Now()
-	feeder := &arrivalFeeder{s: s, reqs: reqs, start: start, base: reqs[0].At}
-	s.engine.AtAction(start+sim.Time(reqs[0].At-feeder.base), feeder)
-	s.scheduleRefreshScan(func() bool {
-		return feeder.remaining() > 0 || s.inFlight > 0
-	})
+	s.feeder = arrivalFeeder{s: s, cursor: cursor{reqs: reqs, start: start, base: reqs[0].At}}
+	s.engine.AtAction(s.feeder.due(), &s.feeder)
+	scan := s.scheduleRefreshScan()
 	s.armSampler()
+	st := s.stage
+	st.begin(reqs, start, scan)
+	busyStages.Add(1)
+	defer busyStages.Add(-1)
+	if s.inj == nil && s.tel == nil && claimSpareCPU() {
+		st.spawn()
+	}
+	defer st.finish()
 	return s.engine.Run()
 }
 

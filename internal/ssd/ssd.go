@@ -111,7 +111,8 @@ func (c Config) withDefaults() (Config, error) {
 const rngSeedMask = 0x53534421
 
 // SSD is one simulated device instance. Like the engine it runs on, it is
-// single-goroutine by design.
+// single-goroutine by design: only a timed replay hands its FTL to a stage
+// goroutine of its own for the replay's duration (stage.go).
 type SSD struct {
 	cfg    Config
 	engine *sim.Engine
@@ -146,6 +147,11 @@ type SSD struct {
 	// is a single reusable Action.
 	bgOps []*bgOp
 	scan  *refreshScan
+
+	// The timed replay's arrival stream and its FTL stage (stage.go),
+	// which makes every FTL call of the replay.
+	feeder arrivalFeeder
+	stage  *ftlStage
 
 	// Fault injection (nil injector when no scenario is attached; see
 	// faults.go for the recovery path).
@@ -261,20 +267,21 @@ func (s *SSD) Reset(cfg Config) error {
 	}
 	s.readResp.Reset()
 	s.writeResp.Reset()
-	if s.scan != nil {
-		s.scan.moreWork = nil
-	}
 	// The keep-list: the pooled storage above the blank line survives, the
 	// per-run objects below it are installed, and every field left off
 	// starts from its zero value, exactly as in a new device.
 	*s = SSD{
 		engine: s.engine, rng: s.rng, dies: s.dies, channels: s.channels, planes: s.planes, readResp: s.readResp, writeResp: s.writeResp,
 		readOps: s.readOps, writeOps: s.writeOps, requests: s.requests,
-		bgOps: s.bgOps, scan: s.scan,
+		bgOps: s.bgOps, scan: s.scan, stage: s.stage,
 
 		cfg: cfg, f: f, pageSize: cfg.Geometry.PageSizeBytes,
 		inj: inj, tel: tel, dieWatch: dieWatch, chanWatch: chanWatch,
 	}
+	if s.stage == nil {
+		s.stage = newStage(s)
+	}
+	s.stage.bind()
 	s.resetResources(s.dies, "die", dieWatch)
 	s.resetResources(s.channels, "ch", chanWatch)
 	if s.planes == nil {
