@@ -32,3 +32,7 @@ func (p *PendingPeak) ResourceEnqueued(*sim.Resource, sim.Priority, int) { p.sam
 func (p *PendingPeak) ResourceGranted(*sim.Resource, sim.Priority, time.Duration, time.Duration) {
 	p.sample()
 }
+
+// PipelinedReplays returns the number of timed replays, process-wide, whose
+// FTL stage ran on its own goroutine rather than inline.
+func PipelinedReplays() uint64 { return pipelined.Load() }

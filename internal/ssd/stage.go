@@ -93,12 +93,9 @@ const (
 // gets its own goroutine only while the count is below GOMAXPROCS.
 var busyStages atomic.Int32
 
-// pipelined counts the replays whose FTL stage ran on its own goroutine.
+// pipelined counts the replays whose FTL stage ran on its own goroutine,
+// so tests can tell that a replay did.
 var pipelined atomic.Uint64
-
-// PipelinedReplays returns the number of timed replays, process-wide, whose
-// FTL stage ran on its own goroutine rather than inline.
-func PipelinedReplays() uint64 { return pipelined.Load() }
 
 // claimSpareCPU counts one more busy stage if that leaves none waiting for
 // a CPU.

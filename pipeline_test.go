@@ -5,17 +5,13 @@ import (
 	"testing"
 
 	"idaflash"
-	"idaflash/internal/ssd"
 )
 
-// underProcs runs f with GOMAXPROCS set to n and returns how many timed
-// replays ran their FTL stage on its own goroutine meanwhile.
-func underProcs(n int, f func()) uint64 {
+// underProcs runs f with GOMAXPROCS set to n.
+func underProcs(n int, f func()) {
 	prev := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(prev)
-	before := ssd.PipelinedReplays()
 	f()
-	return ssd.PipelinedReplays() - before
 }
 
 // arrayScalars is an array run's combined and per-device scalars.
@@ -29,9 +25,11 @@ func arrayScalars(res idaflash.ArrayResults) []idaflash.Results {
 
 // TestPipelinedArraysMatchInline: single devices, striped arrays and parity
 // arrays give the same results whether their members' FTL stages run inline
-// (GOMAXPROCS 1) or each on its own goroutine (GOMAXPROCS 8 leaves a CPU
-// for every stage of a 4-device array), on fresh devices, on devices
-// restored from a snapshot, and on devices reused from the arena.
+// (GOMAXPROCS 1 leaves no CPU spare) or each on its own goroutine
+// (GOMAXPROCS 8 leaves one for every stage of a 4-device array; the ssd
+// package's tests check that a replay with a CPU spare pipelines), on fresh
+// devices, on devices restored from a snapshot, and on devices reused from
+// the arena.
 func TestPipelinedArraysMatchInline(t *testing.T) {
 	p, err := idaflash.ProfileByName("hm_1", 2000)
 	if err != nil {
@@ -74,15 +72,10 @@ func TestPipelinedArraysMatchInline(t *testing.T) {
 				path.setup(t, &sys)
 				var inline, piped idaflash.ArrayResults
 				var inErr, pipeErr error
-				if n := underProcs(1, func() { inline, inErr = idaflash.RunArrayWorkload(p, sys) }); n != 0 {
-					t.Fatalf("%d replays pipelined under GOMAXPROCS 1", n)
-				}
-				n := underProcs(8, func() { piped, pipeErr = idaflash.RunArrayWorkload(p, sys) })
+				underProcs(1, func() { inline, inErr = idaflash.RunArrayWorkload(p, sys) })
+				underProcs(8, func() { piped, pipeErr = idaflash.RunArrayWorkload(p, sys) })
 				if inErr != nil || pipeErr != nil {
 					t.Fatalf("inline: %v; pipelined: %v", inErr, pipeErr)
-				}
-				if n != uint64(l.devices) {
-					t.Errorf("%d replays pipelined under GOMAXPROCS 8, want one per device (%d)", n, l.devices)
 				}
 				want, got := arrayScalars(inline), arrayScalars(piped)
 				for i := range want {
