@@ -87,12 +87,13 @@ type PointResult struct {
 }
 
 // ElapsedMs returns the wall time since start in whole milliseconds,
-// rounded to the nearest: a 2.9 ms point reports 3. Truncating would bias
-// every sum of point times (the benchmark's worker busy ratio) down by half
-// a millisecond per point.
-func ElapsedMs(start time.Time) int64 {
-	return time.Since(start).Round(time.Millisecond).Milliseconds()
-}
+// rounded to the nearest (see RoundMs).
+func ElapsedMs(start time.Time) int64 { return RoundMs(time.Since(start)) }
+
+// RoundMs returns d in whole milliseconds, rounded to the nearest: a 2.9 ms
+// point reports 3. Truncating would bias every sum of point times (the
+// benchmark's worker busy ratio) down by half a millisecond per point.
+func RoundMs(d time.Duration) int64 { return d.Round(time.Millisecond).Milliseconds() }
 
 // Job states.
 const (

@@ -408,11 +408,21 @@ func TestPointTimeout(t *testing.T) {
 	}
 }
 
-// TestElapsedMsRounds pins the rounding of point and run wall times: 2.9 ms
-// reports 3, where truncation reported 2.
-func TestElapsedMsRounds(t *testing.T) {
-	// A stall of over 0.6 ms before the call would round to 4.
-	if got := ElapsedMs(time.Now().Add(-2900 * time.Microsecond)); got != 3 && got != 4 {
-		t.Errorf("ElapsedMs of 2.9ms = %d, want 3", got)
+// TestRoundMs pins the rounding of point and run wall times to the nearest
+// millisecond: 2.9 ms reports 3, where truncation reported 2.
+func TestRoundMs(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want int64
+	}{
+		{2900 * time.Microsecond, 3},
+		{2400 * time.Microsecond, 2},
+		{2500 * time.Microsecond, 3},
+		{400 * time.Microsecond, 0},
+		{0, 0},
+	} {
+		if got := RoundMs(c.d); got != c.want {
+			t.Errorf("RoundMs(%v) = %d, want %d", c.d, got, c.want)
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 func (s *SSD) runGC() {
 	st := s.stage
 	for e := st.next(); e.kind == effGC; e = st.next() {
-		s.chargeGC(e.gc)
+		s.chargeGC(st.job().gc)
 		st.popJob()
 	}
 	if err := st.jobsEnd(); err != nil {
@@ -268,7 +268,7 @@ func (t *refreshScan) Run() {
 	}
 	refreshed := false
 	for e := st.next(); e.kind == effRefresh; e = st.next() {
-		s.chargeRefresh(e.ref)
+		s.chargeRefresh(st.job().ref)
 		st.popJob()
 		refreshed = true
 	}
@@ -281,7 +281,7 @@ func (t *refreshScan) Run() {
 		s.runGC()
 	}
 	e := st.expect(effUsage)
-	s.notePeaks(e.inUse, e.idaBlocks)
+	s.notePeaks(int(e.inUse), int(e.idaBlocks))
 	st.pop()
 	t.covered = t.covered && s.feeder.remaining() > 0
 	if s.feeder.remaining() > 0 || s.inFlight > 0 {

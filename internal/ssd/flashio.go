@@ -98,7 +98,7 @@ func (s *SSD) readPage(e *effect, lpn ftl.LPN, req *request) {
 		s.issueRead(lpn, e.read, req, 0)
 		return
 	}
-	s.startRead(e.read, req, e.retries, 0)
+	s.startRead(e.read, req, int(e.retries), 0)
 }
 
 // startRead begins the first sensing round of a resolved page read.

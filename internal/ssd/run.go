@@ -195,6 +195,8 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 			defer claim.Abandon() // no-op once published
 		}
 	}
+	busy.Add(1)
+	defer busy.Add(-1)
 
 	if !restored {
 		// Phase 0: prefill the footprint so every read hits mapped data.
@@ -309,6 +311,8 @@ func (s *SSD) RunMoreContext(ctx context.Context, tr *workload.Trace) (res Resul
 	}
 	s.engine.SetContext(ctx)
 	defer s.contain(tr.Name, &res, &err)
+	busy.Add(1)
+	defer busy.Add(-1)
 	s.resetMetrics()
 	s.f.ResetStats()
 	if err := s.replayTimed(tr.Requests); err != nil {
@@ -351,10 +355,10 @@ func (s *SSD) replayTimed(reqs []workload.Request) error {
 	s.armSampler()
 	st := s.stage
 	st.begin(reqs, start, scan)
-	busyStages.Add(1)
-	defer busyStages.Add(-1)
-	if s.inj == nil && s.tel == nil && claimSpareCPU() {
-		st.spawn()
+	if s.inj == nil && s.tel == nil {
+		if procs, ok := claimSpareCPU(); ok {
+			st.spawn(procs)
+		}
 	}
 	defer st.finish()
 	return s.engine.Run()

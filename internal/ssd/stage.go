@@ -45,26 +45,30 @@ type effectKind uint8
 const (
 	effRead    effectKind = iota // a host page read: read, mapped, retries
 	effWrite                     // a host page write: prog, or err
-	effGC                        // a GC job to charge: gc
-	effRefresh                   // a refresh job to charge: ref
+	effGC                        // a GC job to charge, in the job ring
+	effRefresh                   // a refresh job to charge, in the job ring
 	effEnd                       // ends a job list: err is the call's error
 	effUsage                     // a tick's block census: inUse, idaBlocks
-	effPanic                     // the stage panicked: pan
+	effPanic                     // the stage panicked: the stage's pan
 )
 
-// effect is one FTL call's result as the timing stage consumes it. Jobs are
-// copied by value; their op lists stay FTL-owned until released.
+// effect is one FTL call's result as the timing stage consumes it. The jobs
+// a GC or refresh effect stands for wait in the stage's job ring, so an
+// effect stays small.
 type effect struct {
-	kind             effectKind
-	mapped           bool
-	retries          int
-	read             ftl.ReadInfo
-	prog             ftl.PageProgram
-	gc               ftl.GCJob
-	ref              ftl.RefreshJob
-	inUse, idaBlocks int
-	err              error
-	pan              *sim.InvariantError
+	kind                      effectKind
+	mapped                    bool
+	retries, inUse, idaBlocks int32
+	read                      ftl.ReadInfo
+	prog                      ftl.PageProgram
+	err                       error
+}
+
+// jobSlot is one slot of the job ring: a GC or refresh job, copied by value.
+// Its op lists stay FTL-owned until released.
+type jobSlot struct {
+	gc  ftl.GCJob
+	ref ftl.RefreshJob
 }
 
 const (
@@ -73,7 +77,7 @@ const (
 	inlineRing = 64
 	// asyncRing is the ring size a stage on its own goroutine runs with.
 	// A producer that fills it waits until half of it is free.
-	asyncRing = 512
+	asyncRing = 256
 	// popPublish is how many effects the consumer takes between two
 	// publications of its position.
 	popPublish = 16
@@ -81,33 +85,37 @@ const (
 	// before the consumer takes them: a job's op lists stay out of the
 	// FTL's pool until the job is charged, so a walk far ahead would grow
 	// the pool past what the device needs inline. A producer at the bound
-	// waits until the consumer has taken half of them.
+	// waits until the consumer has taken half of them. It is also the job
+	// ring's first size, all a producer on its own goroutine needs.
 	jobsAhead = 16
 	// spinChecks is how many times a waiting side polls before it starts
 	// yielding its processor between polls.
 	spinChecks = 1 << 12
 )
 
-// busyStages counts the replay stages running in the process: one timing
-// stage per timed replay, plus each FTL stage on its own goroutine. A stage
-// gets its own goroutine only while the count is below GOMAXPROCS.
-var busyStages atomic.Int32
+// busy counts the goroutines device runs keep busy in the process: one per
+// RunContext or RunMoreContext past its snapshot lookup — its restore or
+// aging and its timing stage — plus each FTL stage on its own goroutine. A
+// stage gets its own goroutine only while the count is below GOMAXPROCS,
+// and gives it back once another run lifts the count above.
+var busy atomic.Int32
 
 // pipelined counts the replays whose FTL stage ran on its own goroutine,
-// so tests can tell that a replay did.
-var pipelined atomic.Uint64
+// and handedBack those among them whose stage gave its goroutine up before
+// the walk ended, so tests can tell that a replay did.
+var pipelined, handedBack atomic.Uint64
 
-// claimSpareCPU counts one more busy stage if that leaves none waiting for
-// a CPU.
-func claimSpareCPU() bool {
-	limit := int32(runtime.GOMAXPROCS(0))
+// claimSpareCPU counts one more busy goroutine if that leaves none waiting
+// for a CPU, and returns the CPU count it checked against.
+func claimSpareCPU() (procs int32, ok bool) {
+	procs = int32(runtime.GOMAXPROCS(0))
 	for {
-		n := busyStages.Load()
-		if n >= limit {
-			return false
+		n := busy.Load()
+		if n >= procs {
+			return procs, false
 		}
-		if busyStages.CompareAndSwap(n, n+1) {
-			return true
+		if busy.CompareAndSwap(n, n+1) {
+			return procs, true
 		}
 	}
 }
@@ -164,11 +172,14 @@ func (t *stageTick) Run() {
 // and the device rng belong to the walking goroutine alone.
 type ftlStage struct {
 	// Set before the walk starts; read by both sides.
-	s     *SSD
-	ring  []effect
-	mask  uint64
-	async bool // the walk runs on its own goroutine
-	_     [64]byte
+	s       *SSD
+	ring    []effect
+	mask    uint64
+	jobRing []jobSlot // job i waits in slot i&jobMask
+	jobMask uint64
+	async   bool  // the walk runs on its own goroutine
+	procs   int32 // the CPU count the goroutine was claimed against
+	_       [64]byte
 
 	// Producer side.
 	walk     *sim.Engine
@@ -180,17 +191,20 @@ type ftlStage struct {
 	ecc      ecc.Params // the device's retry parameters
 	pageSize int
 	interval time.Duration
-	ptail    uint64            // next slot to fill
-	phead    uint64            // the consumer's position as last seen
-	failed   bool              // an FTL call failed: the walk ends with this event
-	jobs     uint64            // jobs pushed
-	jobAt    [jobsAhead]uint64 // the positions of the last jobsAhead jobs
-	discard  effect            // what a producer told to stop fills instead of a slot
+	ptail    uint64              // next slot to fill
+	phead    uint64              // the consumer's position as last seen
+	failed   bool                // an FTL call failed: the walk ends with this event
+	jobs     uint64              // jobs pushed
+	jobAt    [jobsAhead]uint64   // the positions of the last jobsAhead jobs
+	pan      *sim.InvariantError // what an effPanic forwards
+	discard  effect              // what a producer told to stop fills instead of a slot
+	discJob  jobSlot             // the same for a job
 	_        [64]byte
 
 	// Consumer side.
 	chead, ctail uint64
-	streaming    bool // the replay's arrivals come from the walk
+	jhead        uint64 // the next job to take
+	streaming    bool   // the replay's arrivals come from the walk
 	_            [64]byte
 
 	// Shared while async: the two positions, the run flags, and the job
@@ -231,7 +245,7 @@ func (st *ftlStage) begin(reqs []workload.Request, start sim.Time, scan bool) {
 	st.walk.Reset()
 	st.ptail, st.phead, st.chead, st.ctail = 0, 0, 0, 0
 	st.failed = false
-	st.jobs = 0
+	st.jobs, st.jhead = 0, 0
 	st.feed.cursor = cursor{reqs: reqs, start: start, base: reqs[0].At}
 	st.walk.AtAction(st.feed.due(), &st.feed)
 	if scan {
@@ -255,7 +269,7 @@ func (st *ftlStage) arrival(r workload.Request, now sim.Time) {
 				retries = eccParams(st.ecc, info).SampleRetries(st.rng)
 			}
 			e := st.push(effRead)
-			e.read, e.mapped, e.retries = info, ok, retries
+			e.read, e.mapped, e.retries = info, ok, int32(retries)
 			continue
 		}
 		prog, err := st.f.Write(lpn, now)
@@ -287,7 +301,7 @@ func (st *ftlStage) scanTick(now sim.Time) {
 	}
 	u := st.f.Usage()
 	e := st.push(effUsage)
-	e.inUse, e.idaBlocks = u.InUse+u.Active, u.IDABlocks
+	e.inUse, e.idaBlocks = int32(u.InUse+u.Active), int32(u.IDABlocks)
 }
 
 // collect runs the GC and publishes its jobs.
@@ -316,20 +330,28 @@ func (st *ftlStage) push(kind effectKind) *effect {
 	return e
 }
 
-// pushJob is push for a GC or refresh job. A producer on its own goroutine
-// first waits, at jobsAhead jobs the consumer has not taken, until it has
-// taken half of them.
-func (st *ftlStage) pushJob(kind effectKind) *effect {
+// pushJob is push for a GC or refresh job; it returns the job's slot. A
+// producer on its own goroutine first waits, at jobsAhead jobs the consumer
+// has not taken, until it has taken half of them, so the job ring, never
+// smaller than jobsAhead, has room. Inline, a full job ring grows.
+func (st *ftlStage) pushJob(kind effectKind) *jobSlot {
 	if st.async && st.jobs >= jobsAhead {
 		if oldest := st.jobAt[st.jobs%jobsAhead]; st.phead <= oldest {
 			if !st.waitFor(st.jobAt[(st.jobs+jobsAhead/2)%jobsAhead] + 1) {
-				return &st.discard
+				return &st.discJob
 			}
 		}
 	}
+	if !st.async && st.jobs-st.jhead == uint64(len(st.jobRing)) {
+		st.growJobs(max(jobsAhead, 2*len(st.jobRing)))
+	}
 	st.jobAt[st.jobs%jobsAhead] = st.ptail
+	if st.push(kind) == &st.discard {
+		return &st.discJob
+	}
+	j := &st.jobRing[st.jobs&st.jobMask]
 	st.jobs++
-	return st.push(kind)
+	return j
 }
 
 // makeRoom frees a slot for push: inline, by growing the ring past what
@@ -353,6 +375,15 @@ func (st *ftlStage) grow(n int) {
 		ring[i&mask] = st.ring[i&st.mask]
 	}
 	st.ring, st.mask = ring, mask
+}
+
+// growJobs moves the job ring's pending jobs into a ring of n slots.
+func (st *ftlStage) growJobs(n int) {
+	ring, mask := make([]jobSlot, n), uint64(n-1)
+	for i := st.jhead; i < st.jobs; i++ {
+		ring[i&mask] = st.jobRing[i&st.jobMask]
+	}
+	st.jobRing, st.jobMask = ring, mask
 }
 
 // waitFor publishes what the producer has filled and waits until the
@@ -384,11 +415,15 @@ func idle(round int) {
 // publish makes the filled slots visible to the consumer.
 func (st *ftlStage) publish() { st.tail.Store(st.ptail) }
 
-// spawn starts the walk on its own goroutine.
-func (st *ftlStage) spawn() {
+// spawn starts the walk on its own goroutine, claimed against procs CPUs.
+func (st *ftlStage) spawn(procs int32) {
 	if len(st.ring) < asyncRing {
 		st.grow(asyncRing)
 	}
+	if len(st.jobRing) < jobsAhead {
+		st.growJobs(jobsAhead)
+	}
+	st.procs = procs
 	st.head.Store(0)
 	st.tail.Store(0)
 	st.stop.Store(false)
@@ -399,16 +434,24 @@ func (st *ftlStage) spawn() {
 }
 
 // run is the stage goroutine: it walks until the walk drains, an FTL call
-// fails or the timing side stops it. A panic becomes the stream's last
-// effect, re-raised on the timing goroutine where it would have happened.
+// fails or the timing side stops it, or, between two walk events, until
+// more goroutines are busy than there are CPUs — another run started — and
+// the timing goroutine is to step the rest of the walk. A panic becomes
+// the stream's last effect, re-raised on the timing goroutine where it
+// would have happened.
 func (st *ftlStage) run() {
 	defer st.exit()
 	defer func() {
 		if v := recover(); v != nil {
-			st.push(effPanic).pan = sim.CapturePanic(v, nil)
+			st.pan = sim.CapturePanic(v, nil)
+			st.push(effPanic)
 		}
 	}()
 	for !st.failed && !st.stop.Load() {
+		if busy.Load() > st.procs {
+			handedBack.Add(1)
+			return
+		}
 		st.takeReleased()
 		if !st.walk.Step() {
 			return
@@ -435,9 +478,16 @@ func (st *ftlStage) join() {
 	for i := 0; !st.finished.Load(); i++ {
 		idle(i)
 	}
+	st.reclaim()
+}
+
+// reclaim gives the FTL and the walk back to the timing goroutine once the
+// stage goroutine has finished, with every effect it published and every
+// op list released meanwhile.
+func (st *ftlStage) reclaim() {
 	st.async = false
 	st.ctail = st.ptail
-	busyStages.Add(-1)
+	busy.Add(-1)
 	st.takeReleased()
 }
 
@@ -455,7 +505,7 @@ func (st *ftlStage) next() *effect {
 	}
 	e := &st.ring[st.chead&st.mask]
 	if e.kind == effPanic {
-		ie := e.pan
+		ie := st.pan
 		ie.At, ie.Events = st.s.engine.Now(), st.s.engine.Processed()
 		panic(ie)
 	}
@@ -487,15 +537,18 @@ func (st *ftlStage) fill() {
 
 // await waits until the stage goroutine publishes past the consumer. It
 // first hands back every slot taken, which a producer waiting for room may
-// need to make progress.
+// need to make progress. Once the goroutine has finished — it gave its CPU
+// back, or its walk ended — the timing goroutine steps the walk inline.
 func (st *ftlStage) await() {
 	st.publishHead()
 	for i := 0; ; i++ {
 		if st.ctail = st.tail.Load(); st.ctail != st.chead {
 			return
 		}
-		if st.finished.Load() && st.tail.Load() == st.chead {
-			panic("ssd: effect stream ended before the timing stage")
+		if st.finished.Load() {
+			st.reclaim()
+			st.fill()
+			return
 		}
 		idle(i)
 	}
@@ -513,12 +566,15 @@ func (st *ftlStage) pop() {
 // publishHead publishes the consumer's position.
 func (st *ftlStage) publishHead() { st.head.Store(st.chead) }
 
+// job returns the slot of the job the head effect stands for.
+func (st *ftlStage) job() *jobSlot { return &st.jobRing[st.jhead&st.jobMask] }
+
 // popJob is pop for a job effect, whose position is published at once: a
-// producer at the jobsAhead bound waits for it. The slot drops its op
+// producer at the jobsAhead bound waits for it. The job's slot drops its op
 // lists, which the job's charge now holds.
 func (st *ftlStage) popJob() {
-	e := &st.ring[st.chead&st.mask]
-	e.gc, e.ref = ftl.GCJob{}, ftl.RefreshJob{}
+	*st.job() = jobSlot{}
+	st.jhead++
 	st.chead++
 	if st.async {
 		st.publishHead()

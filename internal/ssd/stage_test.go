@@ -217,3 +217,51 @@ func TestPipelinedCancelJoinsStage(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestSpareCPURule: a replay pipelines only while a CPU is spare. One that
+// starts while another run keeps the second CPU busy stays inline, and a
+// pipelined one whose spare CPU another run takes mid-replay hands the
+// rest of its walk to the timing goroutine; both give the inline results.
+func TestSpareCPURule(t *testing.T) {
+	cfg := testConfig(true, 0.2)
+	// run runs both phases with an event a sixth into the first replay,
+	// where another run starts if starts is set; the second replay starts
+	// beside it.
+	run := func(starts bool) [2]Results {
+		s := mustNew(t, cfg)
+		s.Engine().At(sim.Time(10*time.Minute), func() {
+			if starts {
+				busy.Add(1)
+			}
+		})
+		if starts {
+			defer busy.Add(-1)
+		}
+		return runPhases(t, s)
+	}
+	var inline [2]Results
+	underProcs(1, func() { inline = run(false) })
+
+	busy.Add(1) // another run
+	var crowded [2]Results
+	n := underProcs(2, func() { crowded = run(false) })
+	busy.Add(-1)
+	if n != 0 {
+		t.Errorf("%d replays pipelined beside another run on two CPUs", n)
+	}
+
+	handed := handedBack.Load()
+	var taken [2]Results
+	n = underProcs(2, func() { taken = run(true) })
+	if n != 1 || handedBack.Load()-handed != 1 {
+		t.Errorf("%d replays pipelined and %d handed back, want 1 and 1", n, handedBack.Load()-handed)
+	}
+	for i := range inline {
+		if crowded[i] != inline[i] {
+			t.Errorf("phase %d: results beside another run differ from inline:\n%+v\n%+v", i+1, crowded[i], inline[i])
+		}
+		if taken[i] != inline[i] {
+			t.Errorf("phase %d: results of a handed-back replay differ from inline:\n%+v\n%+v", i+1, taken[i], inline[i])
+		}
+	}
+}
