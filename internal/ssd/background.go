@@ -232,8 +232,9 @@ func (s *SSD) putBgOp(o *bgOp) {
 
 // refreshScan is the periodic refresh-scan tick as a reusable engine
 // Action, so re-arming does not allocate a closure per interval. covered
-// tells whether the FTL stage's walk makes this tick's FTL calls: it does
-// for every tick certain to happen, those armed while arrivals remain.
+// tells whether the FTL stage's walk makes this tick's FTL calls: in a
+// replay whose stage runs on its own goroutine it does for every tick
+// certain to happen, those armed while arrivals remain.
 type refreshScan struct {
 	s       *SSD
 	covered bool
@@ -250,14 +251,14 @@ func (s *SSD) scheduleRefreshScan() bool {
 	if s.scan == nil {
 		s.scan = &refreshScan{s: s}
 	}
-	s.scan.covered = true
 	s.engine.AfterAction(s.cfg.RefreshScanInterval, s.scan)
 	return true
 }
 
 // Run executes one scan tick, charging the refreshes and GC the FTL stage
-// ran for it. A tick past the walk's last one happens only because
-// requests are still in flight; its FTL calls run here, after the stage
+// ran for it. A tick the walk does not cover makes its FTL calls here:
+// every tick of an inline replay, and a tick past the walk's last one,
+// which happens only because requests are still in flight, once the stage
 // goroutine, if any, has finished.
 func (t *refreshScan) Run() {
 	s := t.s

@@ -120,8 +120,8 @@ func (s *SSD) submit(r workload.Request) {
 	now := s.engine.Now()
 	st := s.stage
 	if !st.streaming {
-		// A request submitted outside a timed replay, straight on the
-		// engine, makes its FTL calls here.
+		// Inline, and for a request submitted straight on the engine,
+		// the FTL calls are made here.
 		st.arrival(r, now)
 	}
 	sp := s.tel.StartRequest(now, r.Read, r.Size)

@@ -341,12 +341,12 @@ func (a *arrivalFeeder) Run() {
 }
 
 // replayTimed schedules the requests (rebased to the current simulated
-// time), arms the refresh scan, and drains the engine, with the FTL stage
-// (stage.go) walking the same arrivals and ticks: on its own goroutine when
-// a CPU is spare and neither faults nor telemetry read the device state
-// mid-run, inline otherwise. A non-nil error means the drain stopped early
-// — cancellation, or a mid-simulation failure routed through fail — with
-// events still queued.
+// time), arms the refresh scan, and drains the engine. When a CPU is spare
+// and neither faults nor telemetry read the device state mid-run, the FTL
+// stage (stage.go) walks the same arrivals and ticks on its own goroutine;
+// otherwise each arrival and tick makes its FTL calls where it happens. A
+// non-nil error means the drain stopped early — cancellation, or a
+// mid-simulation failure routed through fail — with events still queued.
 func (s *SSD) replayTimed(reqs []workload.Request) error {
 	start := s.engine.Now()
 	s.feeder = arrivalFeeder{s: s, cursor: cursor{reqs: reqs, start: start, base: reqs[0].At}}
@@ -354,11 +354,15 @@ func (s *SSD) replayTimed(reqs []workload.Request) error {
 	scan := s.scheduleRefreshScan()
 	s.armSampler()
 	st := s.stage
-	st.begin(reqs, start, scan)
+	st.clear()
 	if s.inj == nil && s.tel == nil {
 		if procs, ok := claimSpareCPU(); ok {
+			st.begin(reqs, start, scan)
 			st.spawn(procs)
 		}
+	}
+	if scan {
+		s.scan.covered = st.streaming
 	}
 	defer st.finish()
 	return s.engine.Run()

@@ -35,9 +35,12 @@ import (
 //
 // The stage runs on its own goroutine when a CPU is spare and nothing else
 // reads the FTL or the device rng mid-run (no fault injector, no
-// telemetry); otherwise the timing stage steps it inline, one walk event at
-// a time, exactly when it needs the effects — the interleaving of a single
-// goroutine. Either way every output is the same.
+// telemetry). Otherwise the replay is inline: each arrival and scan tick
+// makes its FTL calls where it happens and consumes their effects at once,
+// the interleaving of a single goroutine. A stage goroutine that gives its
+// CPU back leaves the rest of its walk to the timing goroutine, which steps
+// it one event at a time as it needs the effects. Either way every output
+// is the same.
 
 // effectKind tells what an effect carries.
 type effectKind uint8
@@ -221,9 +224,10 @@ type ftlStage struct {
 	relRef, spareRef []ftl.RefreshJob
 }
 
-// newStage builds a device's stage; its ring is allocated on first use.
+// newStage builds a device's stage; its rings and its walk's engine are
+// allocated on first use.
 func newStage(s *SSD) *ftlStage {
-	st := &ftlStage{s: s, walk: sim.NewEngine()}
+	st := &ftlStage{s: s}
 	st.feed.st, st.tick.st = st, st
 	return st
 }
@@ -237,15 +241,22 @@ func (st *ftlStage) bind() {
 	st.pageSize, st.interval = s.pageSize, s.cfg.RefreshScanInterval
 }
 
-// begin sets the walk up for a replay of reqs from start, with a scan tick
-// armed one interval in when scan is set, scheduled in the order the
-// device's engine schedules its own. Effects a cancelled replay left behind
-// are dropped.
-func (st *ftlStage) begin(reqs []workload.Request, start sim.Time, scan bool) {
-	st.walk.Reset()
+// clear drops the effects and jobs a cancelled or failed replay left
+// behind, ahead of the next replay.
+func (st *ftlStage) clear() {
 	st.ptail, st.phead, st.chead, st.ctail = 0, 0, 0, 0
 	st.failed = false
 	st.jobs, st.jhead = 0, 0
+}
+
+// begin sets the walk up for a replay of reqs from start, with a scan tick
+// armed one interval in when scan is set, scheduled in the order the
+// device's engine schedules its own.
+func (st *ftlStage) begin(reqs []workload.Request, start sim.Time, scan bool) {
+	if st.walk == nil {
+		st.walk = sim.NewEngine()
+	}
+	st.walk.Reset()
 	st.feed.cursor = cursor{reqs: reqs, start: start, base: reqs[0].At}
 	st.walk.AtAction(st.feed.due(), &st.feed)
 	if scan {
