@@ -341,10 +341,11 @@ func (a *arrivalFeeder) Run() {
 }
 
 // replayTimed schedules the requests (rebased to the current simulated
-// time), arms the refresh scan, and drains the engine. When a CPU is spare
-// and neither faults nor telemetry read the device state mid-run, the FTL
-// stage (stage.go) walks the same arrivals and ticks on its own goroutine;
-// otherwise each arrival and tick makes its FTL calls where it happens. A
+// time), arms the refresh scan, and drains the engine. When the replay is
+// long, a CPU is spare and neither faults nor telemetry read the device
+// state mid-run, the FTL stage (stage.go) walks the same arrivals and ticks
+// on its own goroutine; otherwise each arrival and tick makes its FTL calls
+// where it happens. A
 // non-nil error means the drain stopped early — cancellation, or a
 // mid-simulation failure routed through fail — with events still queued.
 func (s *SSD) replayTimed(reqs []workload.Request) error {
@@ -355,7 +356,7 @@ func (s *SSD) replayTimed(reqs []workload.Request) error {
 	s.armSampler()
 	st := s.stage
 	st.clear()
-	if s.inj == nil && s.tel == nil {
+	if len(reqs) >= minPipelined && s.inj == nil && s.tel == nil {
 		if procs, ok := claimSpareCPU(); ok {
 			st.begin(reqs, start, scan)
 			st.spawn(procs)

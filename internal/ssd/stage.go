@@ -96,6 +96,16 @@ const (
 	spinChecks = 1 << 12
 )
 
+// minPipelined is the fewest requests a timed replay needs for its FTL
+// stage to get a goroutine. A shorter replay gains too little to pay for
+// what pipelining costs around it: at 2,500-request points (1,750
+// measured) a warm hm_1 run was within the single-goroutine replay's
+// spread, and under idaserver's open-loop traffic, whose simulated points
+// are that short, the second core is not spare but serves requests, and
+// pipelined points were slower (DESIGN.md, "Two-stage timed replay").
+// Tests lower it to pipeline short replays.
+var minPipelined = 4096
+
 // busy counts the goroutines device runs keep busy in the process: one per
 // RunContext or RunMoreContext past its snapshot lookup — its restore or
 // aging and its timing stage — plus each FTL stage on its own goroutine. A

@@ -12,12 +12,15 @@ import (
 	"idaflash/internal/sim"
 )
 
-// underProcs runs f with GOMAXPROCS set to n and returns how many timed
-// replays ran their FTL stage on its own goroutine meanwhile. GOMAXPROCS 1
-// leaves no spare CPU, so every replay under it runs inline.
+// underProcs runs f with GOMAXPROCS set to n, and replays of any length
+// allowed to pipeline, and returns how many timed replays ran their FTL
+// stage on its own goroutine meanwhile. GOMAXPROCS 1 leaves no spare CPU,
+// so every replay under it runs inline.
 func underProcs(n int, f func()) uint64 {
 	prev := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(prev)
+	defer func(min int) { minPipelined = min }(minPipelined)
+	minPipelined = 1
 	before := PipelinedReplays()
 	f()
 	return PipelinedReplays() - before

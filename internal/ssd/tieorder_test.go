@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -43,20 +42,24 @@ func tieTrace(interval time.Duration) *workload.Trace {
 // FTL call with its timing on one goroutine.
 const tieOrderDigest = "6af940b8a3c7aa2b5e1dd196524d0aa674692ddbb01900a6657d7468cf2c88c7"
 
-// TestTieOrderPinned replays the tie-order trace under GOMAXPROCS 1 and 2:
-// arrivals and scan ticks due at one instant must run in scheduling order
-// however the replay is split across goroutines, so both runs give the
-// pinned Results.
+// TestTieOrderPinned replays the tie-order trace under GOMAXPROCS 1, inline,
+// and 2, where the FTL stage runs on its own goroutine: arrivals and scan
+// ticks due at one instant must run in scheduling order however the replay
+// is split across goroutines, so both runs give the pinned Results.
 func TestTieOrderPinned(t *testing.T) {
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
+	for _, c := range []struct {
+		procs     int
+		pipelines uint64
+	}{{1, 0}, {2, 1}} {
+		procs := c.procs
 		s, err := New(testConfig(true, 0.2))
 		if err != nil {
-			runtime.GOMAXPROCS(prev)
 			t.Fatal(err)
 		}
-		res, err := s.Run(tieTrace(s.Config().RefreshScanInterval), RunOptions{})
-		runtime.GOMAXPROCS(prev)
+		var res Results
+		if n := underProcs(procs, func() { res, err = s.Run(tieTrace(s.Config().RefreshScanInterval), RunOptions{}) }); n != c.pipelines {
+			t.Errorf("GOMAXPROCS %d: %d replays pipelined, want %d", procs, n, c.pipelines)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,34 +29,32 @@ func arrayScalars(res idaflash.ArrayResults) []idaflash.Results {
 // (GOMAXPROCS 8 leaves one for every stage of a 4-device array; the ssd
 // package's tests check that a replay with a CPU spare pipelines), on fresh
 // devices, on devices restored from a snapshot, and on devices reused from
-// the arena.
+// the arena. Each layout's profile is long enough for every device's
+// replay to pipeline: each has more than 4,096 requests to measure.
 func TestPipelinedArraysMatchInline(t *testing.T) {
-	p, err := idaflash.ProfileByName("hm_1", 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	layouts := []struct {
-		name    string
-		devices int
-		parity  bool
+		name     string
+		devices  int
+		parity   bool
+		requests int
 	}{
-		{"single", 1, false},
-		{"striped", 4, false},
-		{"parity", 4, true},
+		{"single", 1, false, 6000},
+		{"striped", 4, false, 30000},
+		{"parity", 4, true, 30000},
 	}
 	paths := []struct {
 		name  string
-		setup func(t *testing.T, sys *idaflash.System)
+		setup func(t *testing.T, p idaflash.Profile, sys *idaflash.System)
 	}{
-		{"fresh", func(t *testing.T, sys *idaflash.System) { sys.NoSnapshot, sys.NoPool = true, true }},
-		{"restored", func(t *testing.T, sys *idaflash.System) {
+		{"fresh", func(t *testing.T, p idaflash.Profile, sys *idaflash.System) { sys.NoSnapshot, sys.NoPool = true, true }},
+		{"restored", func(t *testing.T, p idaflash.Profile, sys *idaflash.System) {
 			withFreshSnapshotStore(t)
 			sys.NoPool = true
 			if _, err := idaflash.RunArrayWorkload(p, *sys); err != nil { // captures
 				t.Fatal(err)
 			}
 		}},
-		{"pooled", func(t *testing.T, sys *idaflash.System) {
+		{"pooled", func(t *testing.T, p idaflash.Profile, sys *idaflash.System) {
 			withFreshArena(t)
 			sys.NoSnapshot = true
 			if _, err := idaflash.RunArrayWorkload(p, *sys); err != nil { // parks the devices
@@ -65,11 +63,15 @@ func TestPipelinedArraysMatchInline(t *testing.T) {
 		}},
 	}
 	for _, l := range layouts {
+		p, err := idaflash.ProfileByName("hm_1", l.requests)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, path := range paths {
 			t.Run(l.name+"/"+path.name, func(t *testing.T) {
 				sys := idaflash.IDA(0.2)
 				sys.Devices, sys.Parity = l.devices, l.parity
-				path.setup(t, &sys)
+				path.setup(t, p, &sys)
 				var inline, piped idaflash.ArrayResults
 				var inErr, pipeErr error
 				underProcs(1, func() { inline, inErr = idaflash.RunArrayWorkload(p, sys) })
