@@ -345,9 +345,9 @@ func (a *arrivalFeeder) Run() {
 // long, a CPU is spare and neither faults nor telemetry read the device
 // state mid-run, the FTL stage (stage.go) walks the same arrivals and ticks
 // on its own goroutine; otherwise each arrival and tick makes its FTL calls
-// where it happens. A
-// non-nil error means the drain stopped early — cancellation, or a
-// mid-simulation failure routed through fail — with events still queued.
+// where it happens. A non-nil error means the drain stopped early —
+// cancellation, or a mid-simulation failure routed through fail — with
+// events still queued.
 func (s *SSD) replayTimed(reqs []workload.Request) error {
 	start := s.engine.Now()
 	s.feeder = arrivalFeeder{s: s, cursor: cursor{reqs: reqs, start: start, base: reqs[0].At}}

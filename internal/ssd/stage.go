@@ -33,9 +33,9 @@ import (
 // requests are in flight), so the stage covers only the ticks that are
 // certain; later ones run on the timing goroutine once the stage is done.
 //
-// The stage runs on its own goroutine when a CPU is spare and nothing else
-// reads the FTL or the device rng mid-run (no fault injector, no
-// telemetry). Otherwise the replay is inline: each arrival and scan tick
+// The stage runs on its own goroutine when the replay is long (minPipelined),
+// a CPU is spare and nothing else reads the FTL or the device rng mid-run
+// (no fault injector, no telemetry). Otherwise the replay is inline: each arrival and scan tick
 // makes its FTL calls where it happens and consumes their effects at once,
 // the interleaving of a single goroutine. A stage goroutine that gives its
 // CPU back leaves the rest of its walk to the timing goroutine, which steps
