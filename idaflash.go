@@ -726,11 +726,11 @@ func runArray(ctx context.Context, p Profile, tr *Trace, sys System) (ArrayResul
 		// The trace depends only on the normalized profile, never on the
 		// system, so one cached generation backs every system evaluated on
 		// it; the simulator replays it through a cursor without mutating it.
-		// The aging preamble is generated only by a run that ages.
+		// The aging preamble is streamed only by a run that ages.
 		if tr, err = workload.DefaultTraceCache.Trace(np); err != nil {
 			return ArrayResults{}, nil, err
 		}
-		opts.Aging = np.AgingPreamble
+		opts.Aging = np.AgingStream
 		if !sys.NoSnapshot {
 			// The base key covers the full profile and the member
 			// template config; a multi-device array suffixes each

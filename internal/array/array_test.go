@@ -2,6 +2,7 @@ package array
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -334,5 +335,75 @@ func TestMergeEmptyAndZeroDevices(t *testing.T) {
 	m = Merge("partial", []ssd.Results{{}, {Events: 10, MeanDieUtilization: 0.5, MeanChannelUtilization: 0.25}}, nil, nil)
 	if m.MeanDieUtilization != 0.5 || m.MeanChannelUtilization != 0.25 {
 		t.Errorf("idle device skewed utilization: %+v", m)
+	}
+}
+
+// Each member's streamed share is exactly its trace from Split or
+// SplitParity, member by member: for the aging stream, for a measured
+// trace, and for sequential writes whose pieces SplitParity coalesces.
+func TestShareStreamsSplit(t *testing.T) {
+	p, err := workload.ProfileByName("usr_1", 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := p.AgingPreamble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := &workload.Trace{Name: "seq"}
+	for i := int64(0); i < 64; i++ {
+		seq.Requests = append(seq.Requests, workload.Request{Offset: i * 8192, Size: 8192})
+	}
+	sources := []struct {
+		tr   *workload.Trace
+		open func() (workload.Stream, error)
+	}{
+		{pre, p.AgingStream},
+		{tr, func() (workload.Stream, error) { return workload.Requests(tr.Requests), nil }},
+		{seq, func() (workload.Stream, error) { return workload.Requests(seq.Requests), nil }},
+	}
+	for _, src := range sources {
+		for _, parity := range []bool{false, true} {
+			split := Split
+			if parity {
+				split = SplitParity
+			}
+			for _, devices := range []int{2, 4} {
+				for _, unit := range []int64{8 << 10, 64 << 10} {
+					want := split(src.tr, devices, unit)
+					for d := range want {
+						s, err := src.open()
+						if err != nil {
+							t.Fatal(err)
+						}
+						sh := &share{src: s, dev: d, devices: devices, unit: unit, parity: parity}
+						var got []workload.Request
+						for r, ok := sh.Next(); ok; r, ok = sh.Next() {
+							got = append(got, r)
+						}
+						if !slices.Equal(got, want[d].Requests) {
+							t.Errorf("%s parity=%t devices=%d unit=%d: member %d streamed %d requests, the split holds %d or differs",
+								src.tr.Name, parity, devices, unit, d, len(got), len(want[d].Requests))
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The sequential writes do exercise coalescing.
+	pieces, kept := 0, 0
+	for _, r := range seq.Requests {
+		cutParity(r, 4, 8<<10, func(int, workload.Request) { pieces++ })
+	}
+	for _, sub := range SplitParity(seq, 4, 8<<10) {
+		kept += len(sub.Requests)
+	}
+	if kept >= pieces {
+		t.Errorf("SplitParity kept %d of %d sequential pieces, want some coalesced", kept, pieces)
 	}
 }

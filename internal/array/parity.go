@@ -41,65 +41,74 @@ func dataDev(row, k int64, devices int) int {
 // layout, adding the parity-update writes. Sub-requests inherit the host
 // arrival time; per-device extents are coalesced when contiguous.
 func SplitParity(tr *workload.Trace, devices int, unitBytes int64) []*workload.Trace {
-	out := make([]*workload.Trace, devices)
-	for d := range out {
-		out[d] = &workload.Trace{Name: fmt.Sprintf("%s@dev%d", tr.Name, d)}
-	}
-	data := int64(devices - 1)
+	out := memberTraces(tr.Name, devices)
 	for _, r := range tr.Requests {
-		r := r
-		add := func(dev int, off, end int64) {
-			reqs := out[dev].Requests
-			if n := len(reqs); n > 0 {
-				last := &out[dev].Requests[n-1]
-				if last.At == r.At && last.Read == r.Read && last.End() == off {
-					last.Size += int(end - off)
-					return
-				}
-			}
-			out[dev].Requests = append(out[dev].Requests, workload.Request{
-				At: r.At, Offset: off, Size: int(end - off), Read: r.Read,
-			})
-		}
-		s0 := r.Offset / unitBytes
-		s1 := (r.End() - 1) / unitBytes
-		// pStart/pEnd accumulate the written intra-unit span of the
-		// current row; flushed as one parity write per row.
-		row := s0 / data
-		pStart, pEnd := int64(-1), int64(-1)
-		flushParity := func(row int64) {
-			if r.Read || pStart < 0 {
+		cutParity(r, devices, unitBytes, func(d int, q workload.Request) {
+			reqs := out[d].Requests
+			if n := len(reqs); n > 0 && coalesce(&reqs[n-1], q) {
 				return
 			}
-			add(parityDev(row, devices), row*unitBytes+pStart, row*unitBytes+pEnd)
-			pStart, pEnd = -1, -1
-		}
-		for s := s0; s <= s1; s++ {
-			if rr := s / data; rr != row {
-				flushParity(row)
-				row = rr
-			}
-			in0 := int64(0)
-			if s == s0 {
-				in0 = r.Offset - s*unitBytes
-			}
-			in1 := unitBytes
-			if s == s1 {
-				in1 = r.End() - s*unitBytes
-			}
-			add(dataDev(row, s%data, devices), row*unitBytes+in0, row*unitBytes+in1)
-			if !r.Read {
-				if pStart < 0 || in0 < pStart {
-					pStart = in0
-				}
-				if in1 > pEnd {
-					pEnd = in1
-				}
-			}
-		}
-		flushParity(row)
+			out[d].Requests = append(reqs, q)
+		})
 	}
 	return out
+}
+
+// coalesce extends last by q when q continues it at the same instant in the
+// same direction, as SplitParity merges a device's contiguous extents.
+func coalesce(last *workload.Request, q workload.Request) bool {
+	if last.At != q.At || last.Read != q.Read || last.End() != q.Offset {
+		return false
+	}
+	last.Size += q.Size
+	return true
+}
+
+// cutParity calls emit with r's sub-requests in the rotated-parity layout
+// — data units and one parity-update write per written row — in the order
+// SplitParity lays them down, before coalescing.
+func cutParity(r workload.Request, devices int, unitBytes int64, emit func(d int, q workload.Request)) {
+	data := int64(devices - 1)
+	add := func(dev int, off, end int64) {
+		emit(dev, workload.Request{At: r.At, Offset: off, Size: int(end - off), Read: r.Read})
+	}
+	s0 := r.Offset / unitBytes
+	s1 := (r.End() - 1) / unitBytes
+	// pStart/pEnd accumulate the written intra-unit span of the current
+	// row; flushed as one parity write per row.
+	row := s0 / data
+	pStart, pEnd := int64(-1), int64(-1)
+	flushParity := func(row int64) {
+		if r.Read || pStart < 0 {
+			return
+		}
+		add(parityDev(row, devices), row*unitBytes+pStart, row*unitBytes+pEnd)
+		pStart, pEnd = -1, -1
+	}
+	for s := s0; s <= s1; s++ {
+		if rr := s / data; rr != row {
+			flushParity(row)
+			row = rr
+		}
+		in0 := int64(0)
+		if s == s0 {
+			in0 = r.Offset - s*unitBytes
+		}
+		in1 := unitBytes
+		if s == s1 {
+			in1 = r.End() - s*unitBytes
+		}
+		add(dataDev(row, s%data, devices), row*unitBytes+in0, row*unitBytes+in1)
+		if !r.Read {
+			if pStart < 0 || in0 < pStart {
+				pStart = in0
+			}
+			if in1 > pEnd {
+				pEnd = in1
+			}
+		}
+	}
+	flushParity(row)
 }
 
 // DegradedStats accounts the post-run parity reconstruction of failed

@@ -117,13 +117,13 @@ type Server struct {
 	tokens  chan struct{}
 	workers chan struct{}
 
-	// Drain state. draining flips once; drainCh closes at the same
+	// Drain state. draining flips once; drainCtx ends at the same
 	// moment so queued waiters wake. inflight tracks admitted requests;
 	// runsCtx is the parent of every run's context, cancelled when the
 	// drain deadline expires.
 	draining   atomic.Bool
-	drainOnce  sync.Once
-	drainCh    chan struct{}
+	drainCtx   context.Context
+	beginDrain context.CancelFunc
 	inflight   sync.WaitGroup
 	runsCtx    context.Context
 	cancelRuns context.CancelFunc
@@ -168,9 +168,9 @@ func New(cfg Config) *Server {
 		run:     idaflash.RunWorkloadContext,
 		tokens:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workers: make(chan struct{}, cfg.Workers),
-		drainCh: make(chan struct{}),
 		results: results.NewStore(0),
 	}
+	s.drainCtx, s.beginDrain = context.WithCancel(context.Background())
 	s.runsCtx, s.cancelRuns = context.WithCancel(context.Background())
 	s.farm = farm.New(farm.Config{
 		Slots:    s.workers,
@@ -237,6 +237,70 @@ func (s *Server) runStored(ctx context.Context, pt experiments.Point) (json.RawM
 	})
 }
 
+// errDraining ends a /v1/run request that was still queued when the drain
+// began.
+var errDraining = errors.New("server is draining")
+
+// lookupOrRun answers one /v1/run point through the result store. A hit —
+// stored, or another request's run of the same key finishing — is served
+// without a worker slot, so a cached answer never queues behind running
+// simulations. A miss claims the key and only then waits for a worker
+// (level 2 of admission, the bounded queue); the claim is abandoned on
+// every exit that does not publish, so waiters claim the key afresh. The
+// waits end early when the client gives up or the drain begins: queued
+// requests are rejected with errDraining, and only already-executing runs
+// get the drain deadline.
+func (s *Server) lookupOrRun(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+	key, err := experiments.Key(pt.Profile, pt.System)
+	if err != nil {
+		return nil, false, err
+	}
+	lookupCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	stop := context.AfterFunc(s.drainCtx, func() { cancel(errDraining) })
+	defer stop()
+	payload, claim, err := s.results.Get(lookupCtx, key)
+	if claim == nil {
+		if err != nil && errors.Is(context.Cause(lookupCtx), errDraining) {
+			err = errDraining
+		}
+		return payload, err == nil, err
+	}
+	defer claim.Abandon() // no-op once published
+	select {
+	case s.workers <- struct{}{}:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	case <-s.drainCtx.Done():
+		return nil, false, errDraining
+	}
+	payload, err = func() ([]byte, error) {
+		// The worker slot is released on every exit, including a panic
+		// unwinding out of the run seam (the exported simulation API never
+		// panics, but a leaked slot would wedge the pool forever, so the
+		// release must not depend on that contract). A panic is counted as
+		// a failure here — keeping accepted = completed+cancelled+failed —
+		// and re-raised for the recovery middleware to report.
+		defer func() {
+			<-s.workers
+			if v := recover(); v != nil {
+				s.failed.Add(1)
+				panic(v)
+			}
+		}()
+		res, err := s.run(ctx, pt.Profile, pt.System)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res)
+	}()
+	if err != nil {
+		return nil, false, err
+	}
+	claim.Publish(payload)
+	return payload, false, nil
+}
+
 // Handler returns the service mux wrapped in the panic-recovery middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -254,10 +318,8 @@ func (s *Server) Handler() http.Handler {
 // 503, new and queued runs are rejected, in-flight runs continue. Safe to
 // call more than once.
 func (s *Server) BeginDrain() {
-	s.drainOnce.Do(func() {
-		s.draining.Store(true)
-		close(s.drainCh)
-	})
+	s.draining.Store(true)
+	s.beginDrain()
 }
 
 // Drain waits for the in-flight runs to finish. When ctx expires first, the
@@ -522,39 +584,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.runsCtx, cancel)
 	defer stop()
 
-	// Level 2: the worker gate. Waiting here is the bounded queue; the
-	// wait ends early when the client gives up or the drain begins
-	// (queued runs are rejected — only already-executing runs get the
-	// drain deadline).
-	select {
-	case s.workers <- struct{}{}:
-	case <-ctx.Done():
-		s.cancelled.Add(1)
-		s.writeRunError(w, ctx.Err())
-		return
-	case <-s.drainCh:
+	start := time.Now()
+	payload, cached, err := s.lookupOrRun(ctx, experiments.Point{Profile: profile, System: sys})
+	if errors.Is(err, errDraining) {
 		s.cancelled.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	start := time.Now()
-	payload, cached, err := func() (json.RawMessage, bool, error) {
-		// The worker slot is released on every exit, including a panic
-		// unwinding out of the run seam (the exported simulation API never
-		// panics, but a leaked slot would wedge the pool forever, so the
-		// release must not depend on that contract). A panic is counted as
-		// a failure here — keeping accepted = completed+cancelled+failed —
-		// and re-raised for the recovery middleware to report.
-		defer func() {
-			<-s.workers
-			if v := recover(); v != nil {
-				s.failed.Add(1)
-				panic(v)
-			}
-		}()
-		return s.runStored(ctx, experiments.Point{Profile: profile, System: sys})
-	}()
-
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			s.cancelled.Add(1)

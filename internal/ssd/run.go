@@ -19,17 +19,17 @@ const warmupFraction = 0.3
 
 // RunOptions controls trace execution.
 type RunOptions struct {
-	// Preamble, when non-nil, is an aging write stream (see
-	// workload.Profile.AgingPreamble) replayed in zero simulated time
-	// after the prefill and before the warmup.
+	// Preamble, when non-nil, is an aging write stream held as a trace
+	// (see workload.Profile.AgingPreamble), streamed from its slice in
+	// zero simulated time after the prefill and before the warmup.
 	Preamble *workload.Trace
-	// Aging, when non-nil, generates the aging stream Preamble would
-	// hold. The run calls it only when it ages the device — a snapshot
-	// miss, or a run without snapshots — and drops the stream once the
-	// aged state is reached, so a restored run never generates one and
-	// nothing keeps one after its run. Setting both Aging and Preamble is
+	// Aging, when non-nil, opens the aging stream Preamble would hold (see
+	// workload.Profile.AgingStream). The run opens it only when it ages
+	// the device — a snapshot miss, or a run without snapshots — and
+	// replays it one request at a time, so a restored run never generates
+	// the stream and no run holds it. Setting both Aging and Preamble is
 	// an error.
-	Aging func() (*workload.Trace, error)
+	Aging func() (workload.Stream, error)
 	// Snapshots, when non-nil together with a SnapshotKey, short-circuits
 	// the zero-time aging phases: a cached device state for the key is
 	// restored in O(state) instead of replaying prefill + preamble +
@@ -44,16 +44,17 @@ type RunOptions struct {
 	SnapshotKey string
 }
 
-// AgingSource returns the run's aging stream as one generator: Aging, or
-// Preamble wrapped, or nil when the run has no aging phase. It rejects
-// options that set both.
-func (o RunOptions) AgingSource() (func() (*workload.Trace, error), error) {
+// AgingSource returns the run's aging stream as one opener: Aging, or
+// Preamble's slice streamed, or nil when the run has no aging phase. Each
+// call of the opener walks the stream afresh. It rejects options that set
+// both.
+func (o RunOptions) AgingSource() (func() (workload.Stream, error), error) {
 	switch {
 	case o.Aging != nil && o.Preamble != nil:
 		return nil, fmt.Errorf("ssd: RunOptions sets both Preamble and Aging")
 	case o.Preamble != nil:
 		pre := o.Preamble
-		return func() (*workload.Trace, error) { return pre, nil }, nil
+		return func() (workload.Stream, error) { return workload.Requests(pre.Requests), nil }, nil
 	}
 	return o.Aging, nil
 }
@@ -207,39 +208,41 @@ func (s *SSD) RunContext(ctx context.Context, tr *workload.Trace, opts RunOption
 		// Phase 1: instant aging preamble and warmup replay. The untimed
 		// phases poll ctx per request themselves — the engine is not
 		// running yet, so its polling cannot cover them.
-		replay := func(reqs []workload.Request, label string) error {
-			for _, r := range reqs {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if r.Read {
-					continue // reads have no state effect
-				}
-				first, count := lpnRange(s.pageSize, r.Offset, r.Size)
-				for i := ftl.LPN(0); i < count; i++ {
-					if _, err := s.f.Write(first+i, 0); err != nil {
-						return fmt.Errorf("ssd: %s: %w", label, err)
-					}
-				}
-				if err := s.collectUncharged(); err != nil {
+		replay := func(r workload.Request, label string) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if r.Read {
+				return nil // reads have no state effect
+			}
+			first, count := lpnRange(s.pageSize, r.Offset, r.Size)
+			for i := ftl.LPN(0); i < count; i++ {
+				if _, err := s.f.Write(first+i, 0); err != nil {
 					return fmt.Errorf("ssd: %s: %w", label, err)
 				}
+			}
+			if err := s.collectUncharged(); err != nil {
+				return fmt.Errorf("ssd: %s: %w", label, err)
 			}
 			return nil
 		}
 		if aging != nil {
-			// Generated here, after the snapshot lookup, so only a run
-			// that ages pays for the stream; it is dead once replayed.
+			// Opened here, after the snapshot lookup, so only a run that
+			// ages generates the stream, one request at a time.
 			pre, err := aging()
 			if err != nil {
 				return Results{}, fmt.Errorf("ssd: preamble: %w", err)
 			}
-			if err := replay(pre.Requests, "preamble"); err != nil {
-				return Results{}, err
+			for r, ok := pre.Next(); ok; r, ok = pre.Next() {
+				if err := replay(r, "preamble"); err != nil {
+					return Results{}, err
+				}
 			}
 		}
-		if err := replay(tr.Requests[:warmup], "warmup"); err != nil {
-			return Results{}, err
+		for _, r := range tr.Requests[:warmup] {
+			if err := replay(r, "warmup"); err != nil {
+				return Results{}, err
+			}
 		}
 		s.f.CloseActiveBlocks()
 		if claim != nil {

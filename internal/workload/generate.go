@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -198,12 +199,10 @@ func (p Profile) Generate() (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(len(p.Name))<<32 ^ hashName(p.Name)))
-	footprint := int64(p.FootprintMB*1024*1024) / alignBytes * alignBytes
-	if footprint < alignBytes {
-		footprint = alignBytes
-	}
-	pages := footprint / alignBytes
+	rng := seededRand(p.Seed ^ int64(len(p.Name))<<32 ^ hashName(p.Name))
+	defer rngs.Put(rng)
+	pages := p.footprintPages()
+	footprint := pages * alignBytes
 
 	// Zipf source for mild skew among the reads, as customary for
 	// storage traces.
@@ -293,6 +292,10 @@ func (p Profile) Generate() (*Trace, error) {
 	return t, nil
 }
 
+// agingRounds is how many times the aging preamble rewrites the footprint:
+// two full rewrites plus a partial round.
+const agingRounds = 2.45
+
 // AgingPreamble builds a deterministic write-only request stream that ages
 // the device into the steady state a long-running volume would be in: the
 // footprint is rewritten a couple of times in random single-page order, the
@@ -300,31 +303,79 @@ func (p Profile) Generate() (*Trace, error) {
 // steady-state share of wordlines already has dead siblings at time zero.
 // Simulation drivers replay it in zero simulated time before the measured
 // trace. The preamble is not part of the trace proper and must not be
-// counted in workload statistics.
+// counted in workload statistics. It collects AgingStream's requests; a
+// run that only replays them streams them instead.
 func (p Profile) AgingPreamble() (*Trace, error) {
+	s, err := p.agingStream()
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{Name: p.Name + "-aging", Requests: make([]Request, 0, s.left)}
+	for r, ok := s.Next(); ok; r, ok = s.Next() {
+		t.Requests = append(t.Requests, r)
+	}
+	return t, nil
+}
+
+// AgingStream opens the aging preamble as a stream: the requests
+// AgingPreamble holds, in the same order from the same seeded rng, made one
+// at a time as they are asked for, so a run that ages never holds them all.
+func (p Profile) AgingStream() (Stream, error) {
+	return p.agingStream()
+}
+
+func (p Profile) agingStream() (*agingStream, error) {
 	p, err := p.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed ^ hashName(p.Name) ^ 0x41474547))
-	footprint := int64(p.FootprintMB*1024*1024) / alignBytes * alignBytes
-	if footprint < alignBytes {
-		footprint = alignBytes
-	}
-	pages := footprint / alignBytes
+	pages := p.footprintPages()
+	return &agingStream{
+		rng:   seededRand(p.Seed ^ hashName(p.Name) ^ 0x41474547),
+		pages: pages,
+		left:  int(float64(pages) * agingRounds),
+	}, nil
+}
 
-	const rounds = 2.45 // two full rewrites plus a partial round
-	n := int(float64(pages) * rounds)
-	t := &Trace{Name: p.Name + "-aging", Requests: make([]Request, 0, n)}
-	for i := 0; i < n; i++ {
-		t.Requests = append(t.Requests, Request{
-			At:     0,
-			Offset: rng.Int63n(pages) * alignBytes,
-			Size:   alignBytes,
-			Read:   false,
-		})
+// agingStream draws the preamble's single-page writes, all at time zero,
+// uniformly over the footprint. Its rng goes back to the pool once the
+// stream is exhausted.
+type agingStream struct {
+	rng   *rand.Rand
+	pages int64
+	left  int
+}
+
+// Next returns the next preamble write, or false once the stream is done.
+func (s *agingStream) Next() (Request, bool) {
+	if s.left == 0 {
+		if s.rng != nil {
+			rngs.Put(s.rng)
+			s.rng = nil
+		}
+		return Request{}, false
 	}
-	return t, nil
+	s.left--
+	return Request{Offset: s.rng.Int63n(s.pages) * alignBytes, Size: alignBytes}, true
+}
+
+// footprintPages is the normalized profile's footprint in whole pages, at
+// least one.
+func (p Profile) footprintPages() int64 {
+	return max(int64(p.FootprintMB*1024*1024)/alignBytes, 1)
+}
+
+// rngs recycles the generators' rngs: a rand.NewSource is 4.9 KB, and
+// reseeding one in place yields exactly the stream a new source with that
+// seed would.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand takes an rng from the pool, seeded with seed. The caller puts
+// it back once done with it.
+func seededRand(seed int64) *rand.Rand {
+	r := rngs.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
 }
 
 // singlePageProb is the fraction of requests that are single-page. Block

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -278,5 +279,75 @@ func TestAgingPreamble(t *testing.T) {
 		if pre.Requests[i] != pre2.Requests[i] {
 			t.Fatal("preamble not deterministic")
 		}
+	}
+}
+
+// The aging stream yields exactly AgingPreamble's requests, in order, for
+// every paper and extra profile at two budgets.
+func TestAgingStreamMatchesPreamble(t *testing.T) {
+	for _, requests := range []int{2500, 10000} {
+		for _, p := range append(PaperProfiles(requests), ExtraProfiles(requests)...) {
+			pre, err := p.AgingPreamble()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := p.AgingStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for r, ok := s.Next(); ok; r, ok = s.Next() {
+				if i >= len(pre.Requests) || r != pre.Requests[i] {
+					t.Fatalf("%s@%d: streamed request %d is %+v, the preamble's differs", p.Name, requests, i, r)
+				}
+				i++
+			}
+			if i != len(pre.Requests) {
+				t.Errorf("%s@%d: streamed %d requests, the preamble holds %d", p.Name, requests, i, len(pre.Requests))
+			}
+		}
+	}
+}
+
+// A pooled rng reseeded in place yields the stream a new source with that
+// seed would, however far it was drawn before, so generation takes no new
+// 4.9 KB source: opening and draining an aging stream allocates only the
+// stream, and Generate only its trace, request slice and zipf source.
+func TestGeneratorsReusePooledRngs(t *testing.T) {
+	r := seededRand(7)
+	for i := 0; i < 1000; i++ {
+		r.Int63()
+	}
+	rngs.Put(r)
+	got, want := seededRand(42), rand.New(rand.NewSource(42))
+	for i := 0; i < 1000; i++ {
+		if a, b := got.Int63(), want.Int63(); a != b {
+			t.Fatalf("draw %d: reseeded rng gave %d, a new source %d", i, a, b)
+		}
+	}
+	rngs.Put(got)
+
+	p, err := ProfileByName("usr_1", 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func() {
+		s, err := p.AgingStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
+		}
+	}
+	if n := testing.AllocsPerRun(50, drain); n > 1 {
+		t.Errorf("an aging stream made %v allocations, want 1", n)
+	}
+	generate := func() {
+		if _, err := p.Generate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(50, generate); n > 3 {
+		t.Errorf("Generate made %v allocations, want 3", n)
 	}
 }

@@ -38,6 +38,26 @@ type Trace struct {
 	Requests []Request
 }
 
+// Stream yields requests one at a time, in order.
+type Stream interface {
+	// Next returns the next request, or false once the stream is done.
+	Next() (Request, bool)
+}
+
+// Requests streams reqs in order without copying them.
+func Requests(reqs []Request) Stream { return &sliceStream{reqs: reqs} }
+
+type sliceStream struct{ reqs []Request }
+
+func (s *sliceStream) Next() (Request, bool) {
+	if len(s.reqs) == 0 {
+		return Request{}, false
+	}
+	r := s.reqs[0]
+	s.reqs = s.reqs[1:]
+	return r, true
+}
+
 // Span returns the arrival time of the last request.
 func (t *Trace) Span() time.Duration {
 	if len(t.Requests) == 0 {
