@@ -44,6 +44,11 @@ type Config struct {
 	Slots chan struct{}
 	// Run executes one point. Required.
 	Run Run
+	// Stored, when set, returns a point's stored payload without running
+	// the point, claiming it or waiting. The dispatcher finishes a point
+	// it finds stored as a cached result without taking a worker slot, so
+	// a stored point never queues behind running simulations.
+	Stored func(pt experiments.Point) (json.RawMessage, bool)
 	// Parent bounds every job: when it ends, pending points cancel and new
 	// submissions are refused. Required (the server passes its runs
 	// context, so the drain deadline reaches batch work too).
@@ -300,30 +305,47 @@ func (m *Manager) next() (*Job, int, bool) {
 		m.cursor = 0
 	}
 	j := m.rr[m.cursor]
-	idx := j.pending[0]
-	j.pending = j.pending[1:]
-	if len(j.pending) == 0 {
-		m.rr = append(m.rr[:m.cursor], m.rr[m.cursor+1:]...)
-	} else {
+	idx, last := m.popLocked(j)
+	if !last {
 		m.cursor++
 	}
-	j.running++
-	m.queued.Add(-1)
 	return j, idx, true
 }
 
-// dispatch is the manager's only long-lived goroutine. It acquires a shared
-// worker slot BEFORE choosing a point, so the round-robin pick happens at
-// the moment work can actually start — choosing first and then waiting
-// would run the rotation one point ahead and let a job sneak two
-// consecutive points past a late-arriving peer.
+// popLocked takes j's next pending point off the queue as dispatched,
+// dropping j from the rotation when it was the last, and reports whether it
+// was. Caller holds m.mu.
+func (m *Manager) popLocked(j *Job) (idx int, last bool) {
+	idx = j.pending[0]
+	j.pending = j.pending[1:]
+	last = len(j.pending) == 0
+	if last {
+		m.dropLocked(j)
+	}
+	j.running++
+	m.queued.Add(-1)
+	return idx, last
+}
+
+// dispatch is the manager's only long-lived goroutine. It first finishes
+// every queued job head whose result is already stored, without a slot.
+// Otherwise it acquires a shared worker slot BEFORE choosing a point, so
+// the round-robin pick happens at the moment work can actually start —
+// choosing first and then waiting would run the rotation one point ahead
+// and let a job sneak two consecutive points past a late-arriving peer.
 func (m *Manager) dispatch() {
 	for {
 		if !m.waitPending() {
 			return
 		}
+		if m.finishStored() {
+			continue
+		}
 		select {
 		case m.cfg.Slots <- struct{}{}:
+		case <-m.kick:
+			// A new job's first point may be stored: look again.
+			continue
 		case <-m.cfg.Parent.Done():
 			// Every job context is a child of Parent: flush the whole
 			// queue as cancelled rather than waiting for slots.
@@ -351,6 +373,46 @@ func (m *Manager) dispatch() {
 		}
 		go m.runPoint(j, idx)
 	}
+}
+
+// finishStored finishes the first queued job head whose result is stored,
+// as a cached point that took no worker slot, and reports whether it found
+// one. It leaves the rotation's cursor alone: stored points use no slot, so
+// they do not count toward a job's turns.
+func (m *Manager) finishStored() bool {
+	if m.cfg.Stored == nil {
+		return false
+	}
+	type head struct {
+		j   *Job
+		idx int
+	}
+	m.mu.Lock()
+	heads := make([]head, len(m.rr))
+	for i, j := range m.rr {
+		heads[i] = head{j, j.pending[0]}
+	}
+	m.mu.Unlock()
+	for _, h := range heads {
+		start := time.Now()
+		pt := h.j.points[h.idx]
+		payload, ok := m.cfg.Stored(pt)
+		if !ok {
+			continue
+		}
+		m.mu.Lock()
+		taken := len(h.j.pending) > 0 && h.j.pending[0] == h.idx
+		if taken {
+			m.popLocked(h.j)
+		}
+		m.mu.Unlock()
+		if taken {
+			m.finishPoint(h.j, PointResult{Index: h.idx, Profile: pt.Profile.Name, System: pt.System.Name,
+				Cached: true, Results: payload, ElapsedMs: ElapsedMs(start)})
+		}
+		return true
+	}
+	return false
 }
 
 // waitPending blocks until a point is queued; false means the parent ended
@@ -442,20 +504,26 @@ func (m *Manager) flushLocked(j *Job) {
 	if len(j.pending) == 0 {
 		return
 	}
+	m.dropLocked(j)
+	m.queued.Add(-int64(len(j.pending)))
+	pending := j.pending
+	j.pending = nil
+	for _, idx := range pending {
+		m.recordLocked(j, m.cancelledResult(j, idx))
+	}
+}
+
+// dropLocked removes j from the rotation, keeping the cursor on the job it
+// pointed at (or on the next one, when that was j). Caller holds m.mu.
+func (m *Manager) dropLocked(j *Job) {
 	for i, other := range m.rr {
 		if other == j {
 			m.rr = append(m.rr[:i], m.rr[i+1:]...)
 			if i < m.cursor {
 				m.cursor--
 			}
-			break
+			return
 		}
-	}
-	m.queued.Add(-int64(len(j.pending)))
-	pending := j.pending
-	j.pending = nil
-	for _, idx := range pending {
-		m.recordLocked(j, m.cancelledResult(j, idx))
 	}
 }
 

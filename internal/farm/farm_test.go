@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -379,6 +380,62 @@ func TestCachedPointsCounted(t *testing.T) {
 			t.Errorf("point %d not marked cached", pr.Index)
 		}
 	}
+}
+
+// TestStoredPointsTakeNoSlot: with the only slot held and the dispatcher
+// already waiting for it on behalf of another job's point, a job whose
+// points are stored finishes at once, as cached points that never ran.
+func TestStoredPointsTakeNoSlot(t *testing.T) {
+	var ran sync.Map
+	run := func(_ context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+		ran.Store(pt.Profile.Name, true)
+		return json.RawMessage(`{}`), false, nil
+	}
+	lookedAtA := make(chan struct{})
+	var once sync.Once
+	stored := func(pt experiments.Point) (json.RawMessage, bool) {
+		if strings.HasPrefix(pt.Profile.Name, "b-") {
+			return json.RawMessage(`{"stored":true}`), true
+		}
+		once.Do(func() { close(lookedAtA) })
+		return nil, false
+	}
+	m := manager(t, 1, run, func(c *Config) { c.Stored = stored })
+	m.cfg.Slots <- struct{}{} // a run elsewhere holds the only slot
+	a, err := m.Submit(testPoints("a", 1), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-lookedAtA // the dispatcher found a's point missing and turns to the slot
+	b, err := m.Submit(testPoints("b", 2), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-b.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("stored points waited for a worker slot")
+	}
+	st := b.Status(true)
+	if st.Completed != 2 || st.CacheHits != 2 {
+		t.Errorf("stored job finished %+v, want 2 cached points", st)
+	}
+	for _, pr := range st.Points {
+		if string(pr.Results) != `{"stored":true}` {
+			t.Errorf("point %d carries %s, want the stored payload", pr.Index, pr.Results)
+		}
+	}
+	<-m.cfg.Slots
+	<-a.Done()
+	if _, ok := ran.Load("a-p0"); !ok {
+		t.Error("the missing point never ran")
+	}
+	ran.Range(func(k, _ any) bool {
+		if strings.HasPrefix(k.(string), "b-") {
+			t.Errorf("stored point %s ran", k)
+		}
+		return true
+	})
 }
 
 // TestPointTimeout: a per-point deadline bounds each run without killing

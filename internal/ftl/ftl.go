@@ -109,7 +109,31 @@ func (o Options) withDefaults() (Options, error) {
 	if _, _, err := ppnFields(o.Geometry); err != nil {
 		return o, err
 	}
+	if g := o.Geometry; g.Planes() > refLimit || g.BlocksPerPlane > refLimit || g.PagesPerBlock() > refLimit {
+		return o, fmt.Errorf("ftl: geometry %v has more than %d planes, blocks per plane or pages per block; job records hold 16-bit indexes", g, refLimit)
+	}
 	return o, nil
+}
+
+// refLimit bounds each index a PageRef holds: New rejects a geometry with
+// more planes, blocks per plane or pages per block.
+const refLimit = 1 << 16
+
+// PageRef is a physical page address in 16-bit fields, the compact form the
+// GC and refresh job records carry. Every index of a device New accepts
+// fits (refLimit).
+type PageRef struct {
+	Plane, Block, Page uint16
+}
+
+// Addr widens the reference to a flash address.
+func (r PageRef) Addr() flash.PageAddr {
+	return pageAddr(flash.PlaneID(r.Plane), int(r.Block), int(r.Page))
+}
+
+// pageRef packs the address of page of block blk in plane pl.
+func pageRef(pl flash.PlaneID, blk, page int) PageRef {
+	return PageRef{Plane: uint16(pl), Block: uint16(blk), Page: uint16(page)}
 }
 
 // ppnFields returns the widths of a packed PPN's page and block fields. It

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -188,7 +189,7 @@ func TestRestoreNeverAliasesPendingGC(t *testing.T) {
 	}
 	for i := range g.pendingGC {
 		for j := range g.pendingGC[i].Moves {
-			g.pendingGC[i].Moves[j] = MoveOp{LPN: -1}
+			g.pendingGC[i].Moves[j] = MoveOp{LPN: math.MaxUint32}
 		}
 	}
 	jobs := mustCollectGC(t, g, 0)

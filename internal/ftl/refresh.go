@@ -8,10 +8,11 @@ import (
 	"idaflash/internal/sim"
 )
 
-// ReadOp is one physical page read inside a background job.
+// ReadOp is one physical page read inside a background job, packed to 8
+// bytes like MoveOp.
 type ReadOp struct {
-	Addr   flash.PageAddr
-	Senses int
+	Addr   PageRef
+	Senses uint8
 }
 
 // RefreshJob describes one completed data refresh of a block, in the shape
@@ -144,16 +145,32 @@ func (f *FTL) ReleaseRefreshJob(job *RefreshJob) {
 	job.Reads, job.Moves, job.VerifyReads, job.CorruptedMoves = nil, nil, nil, nil
 }
 
-// takeList pops an empty op list off a free list, or returns nil (append
-// then allocates) when the free list is empty.
-func takeList[T any](free *[][]T) []T {
-	n := len(*free)
-	if n == 0 {
+// takeList returns an empty op list with room for need ops: the smallest
+// free list that has it, or else a new list of exactly need, so a job that
+// appends at most need ops never regrows its list. The caller passes the
+// job's bound on its ops: a block's valid pages for its reads and moves,
+// the kept pages for the verify reads. A job bound to no ops takes no list.
+func takeList[T any](free *[][]T, need int) []T {
+	if need == 0 {
 		return nil
 	}
-	ops := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
+	best := -1
+	for i, ops := range *free {
+		if c := cap(ops); c >= need && (best < 0 || c < cap((*free)[best])) {
+			best = i
+			if c == need {
+				break
+			}
+		}
+	}
+	if best < 0 {
+		return make([]T, 0, need)
+	}
+	last := len(*free) - 1
+	ops := (*free)[best]
+	(*free)[best] = (*free)[last]
+	(*free)[last] = nil
+	*free = (*free)[:last]
 	return ops
 }
 
@@ -175,7 +192,7 @@ func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob,
 	job := RefreshJob{
 		Target:     flash.BlockAddr{Plane: pl, Block: blk},
 		ValidPages: b.ValidCount,
-		Reads:      takeList(&f.freeReads),
+		Reads:      takeList(&f.freeReads, b.ValidCount),
 	}
 	// Protect the target from inline GC while its pages are in flight.
 	f.refreshing = job.Target
@@ -185,8 +202,8 @@ func (f *FTL) refreshBlock(pl flash.PlaneID, blk int, now sim.Time) (RefreshJob,
 	for page := range f.coords {
 		if f.pageValid(gb, page) {
 			job.Reads = append(job.Reads, ReadOp{
-				Addr:   pageAddr(pl, blk, page),
-				Senses: f.sensesAt(f.wordline(gb, page)),
+				Addr:   pageRef(pl, blk, page),
+				Senses: uint8(f.sensesAt(f.wordline(gb, page))),
 			})
 		}
 	}
@@ -300,11 +317,11 @@ func (f *FTL) refreshIDA(pl flash.PlaneID, blk int, now sim.Time, job *RefreshJo
 	// Steps 5-8: verify-read every kept page at its post-adjustment
 	// sensing count (its wordline's keep mask is recorded above);
 	// corrupted ones are written back to the new block.
-	job.VerifyReads = takeList(&f.freeReads)
+	job.VerifyReads = takeList(&f.freeReads, len(f.kept))
 	for _, page := range f.kept {
 		job.VerifyReads = append(job.VerifyReads, ReadOp{
-			Addr:   pageAddr(pl, blk, page),
-			Senses: f.sensesAt(f.wordline(gb, page)),
+			Addr:   pageRef(pl, blk, page),
+			Senses: uint8(f.sensesAt(f.wordline(gb, page))),
 		})
 		if f.opts.ErrorRate > 0 && f.rng.Float64() < f.opts.ErrorRate {
 			if job.CorruptedMoves, err = f.appendMove(job.CorruptedMoves, pl, blk, page, true, now); err != nil {

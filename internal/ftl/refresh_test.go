@@ -164,8 +164,8 @@ func TestIDARefreshCase1MovesLSB(t *testing.T) {
 			t.Errorf("moved page senses = %d, want 1 (LSB)", m.FromSenses)
 		}
 		// Relocated LSBs must still be readable at their new home.
-		info, ok := f.Read(m.LPN)
-		if !ok || info.Addr != m.To {
+		info, ok := f.Read(LPN(m.LPN))
+		if !ok || info.Addr != m.To.Addr() {
 			t.Errorf("moved LPN %d reads from %v, want %v", m.LPN, info.Addr, m.To)
 		}
 	}

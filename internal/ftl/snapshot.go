@@ -169,7 +169,7 @@ func (f *FTL) Restore(st *State) error {
 
 	f.dropPendingGC()
 	for _, job := range st.PendingGC {
-		job.Moves = append(takeList(&f.freeMoves), job.Moves...)
+		job.Moves = append(takeList(&f.freeMoves, len(job.Moves)), job.Moves...)
 		f.pendingGC = append(f.pendingGC, job)
 	}
 

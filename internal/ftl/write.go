@@ -274,11 +274,14 @@ func (f *FTL) relocateGlobal(src flash.PageAddr, now sim.Time) (PageProgram, err
 // move record to ops: within the page's plane for GC (copyback-style), along
 // the global write stripe for refresh (global). The source is sensed under
 // its wordline's current coding. Every MoveOp is built here, so each carries
-// the program attempts that failed before the copy stuck. On error ops
-// comes back unchanged.
+// the program attempts that failed before the copy stuck. A job's first move
+// takes its list with room for every page still valid in the source block,
+// the most the job can move from it. On error ops comes back unchanged.
 func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global bool, now sim.Time) ([]MoveOp, error) {
 	src := pageAddr(pl, blk, page)
-	senses := f.sensesAt(f.wordline(f.blockID(pl, blk), page))
+	gb := f.blockID(pl, blk)
+	senses := f.sensesAt(f.wordline(gb, page))
+	valid := f.blocks[gb].ValidCount
 	var prog PageProgram
 	var err error
 	if global {
@@ -289,11 +292,13 @@ func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global b
 	if err != nil {
 		return ops, err
 	}
-	m := MoveOp{From: src, FromSenses: senses, To: prog.Addr, LPN: prog.LPN, FailedPrograms: prog.FailedPrograms}
 	if ops == nil {
-		ops = takeList(&f.freeMoves) // a job's first move
+		ops = takeList(&f.freeMoves, valid)
 	}
-	return append(ops, m), nil
+	return append(ops, MoveOp{
+		From: pageRef(pl, blk, page), To: pageRef(prog.Addr.Plane, prog.Addr.Block, prog.Addr.Page),
+		LPN: uint32(prog.LPN), FromSenses: uint8(senses), FailedPrograms: uint16(prog.FailedPrograms),
+	}), nil
 }
 
 // relocateTo moves the valid page at src into the target plane. The

@@ -112,6 +112,34 @@ func (c *Cache[V]) Get(ctx context.Context, key string) (V, *Claim[V], error) {
 	return v, &Claim[V]{c: c, key: key, f: f}, nil
 }
 
+// Stored returns key's value when it is already published in memory or
+// held by the blob tier, without waiting on another caller's claim or
+// leaving one behind. A miss does no I/O: only a blob the tier's accounting
+// knows is read, and a hit there is promoted to memory as Get does.
+func (c *Cache[V]) Stored(key string) (V, bool) {
+	if v, ok := c.mem.Peek(key); ok {
+		return v, true
+	}
+	var zero V
+	if b := c.blobs.Load(); b == nil || !b.Has(key) {
+		return zero, false
+	}
+	v, cl, err := c.Get(doneCtx, key)
+	if cl != nil {
+		cl.Abandon() // the blob is gone after all
+		return zero, false
+	}
+	return v, err == nil
+}
+
+// doneCtx is an already cancelled context: a Get under it never waits on
+// another caller's claim.
+var doneCtx = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
 // Publish resolves the claim with v: waiters receive it, the memory tier
 // keeps it, and the blob tier persists it.
 func (cl *Claim[V]) Publish(v V) {

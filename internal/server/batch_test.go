@@ -133,6 +133,69 @@ func TestBatchSSEFraming(t *testing.T) {
 	}
 }
 
+// TestStoredBatchPointNeedsNoWorker: with both workers held by blocked
+// runs, a batch point whose result is already stored streams at once, as a
+// cached point, instead of waiting for a worker slot.
+func TestStoredBatchPointNeedsNoWorker(t *testing.T) {
+	release := make(chan struct{})
+	var started atomic.Int64
+	blocked := blockingRun(release, &started)
+	s := stubServer(Config{Workers: 2, QueueDepth: 2}, func(ctx context.Context, p idaflash.Profile, sys idaflash.System) (idaflash.Results, error) {
+		if p.Name == "proj_3" {
+			return idaflash.Results{Trace: p.Name, ReadRequests: 7}, nil
+		}
+		return blocked(ctx, p, sys)
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const stored = `{"stream":"ndjson","points":[{"profile":"proj_3","system":{}}]}`
+	resp := postBatch(t, ts, stored)
+	readNDJSON(t, resp.Body)
+	resp.Body.Close()
+	codes := make(chan int, 2)
+	for _, name := range []string{"hm_1", "usr_1"} {
+		go func(name string) {
+			resp, _, err := postRun(ts, strings.NewReader(`{"profile":"`+name+`"}`))
+			if err != nil {
+				codes <- -1
+				return
+			}
+			codes <- resp.StatusCode
+		}(name)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for started.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the workers never filled: started=%d", started.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Errors, not fatals, until the blocked runs are released: the
+	// server's Close waits for them.
+	client := *ts.Client()
+	client.Timeout = time.Second
+	if resp, err := client.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(stored)); err != nil {
+		t.Errorf("posting the stored point with the workers busy: %v", err)
+	} else {
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("stored point with the workers busy: %v after %q", err, raw)
+		} else if evs := readNDJSON(t, bytes.NewReader(raw)); len(evs) != 3 || evs[1].Point == nil ||
+			!evs[1].Point.Cached || evs[2].Done == nil || evs[2].Done.CacheHits != 1 {
+			t.Errorf("stored point with the workers busy streamed %s; want the job, one cached point and done", raw)
+		}
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("blocked run %d finished with %d", i, code)
+		}
+	}
+}
+
 // TestBatchRepeatServedFromCache is the tentpole contract: re-posting the
 // same batch re-runs zero simulations and returns byte-identical payloads.
 func TestBatchRepeatServedFromCache(t *testing.T) {

@@ -175,6 +175,7 @@ func New(cfg Config) *Server {
 	s.farm = farm.New(farm.Config{
 		Slots:    s.workers,
 		Run:      s.runStored,
+		Stored:   s.stored,
 		Parent:   s.runsCtx,
 		Classify: classifyRunError,
 		Journal:  cfg.Journal,
@@ -235,6 +236,17 @@ func (s *Server) runStored(ctx context.Context, pt experiments.Point) (json.RawM
 		}
 		return json.Marshal(res)
 	})
+}
+
+// stored returns a point's payload when the result store already holds
+// it, without running the point or waiting on another request's run of it:
+// the farm finishes such a batch point without a worker slot.
+func (s *Server) stored(pt experiments.Point) (json.RawMessage, bool) {
+	key, err := experiments.Key(pt.Profile, pt.System)
+	if err != nil {
+		return nil, false
+	}
+	return s.results.Stored(key)
 }
 
 // errDraining ends a /v1/run request that was still queued when the drain

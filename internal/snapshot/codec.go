@@ -249,9 +249,9 @@ func (e *encoder) ftlState(st *ftl.State) {
 		e.boolean(job.VictimWasIDA)
 		e.u64(uint64(len(job.Moves)))
 		for _, m := range job.Moves {
-			e.pageAddr(m.From)
+			e.pageAddr(m.From.Addr())
 			e.i64(int64(m.FromSenses))
-			e.pageAddr(m.To)
+			e.pageAddr(m.To.Addr())
 			e.i64(int64(m.LPN))
 			e.i64(int64(m.FailedPrograms))
 		}
@@ -323,6 +323,26 @@ func (d *decoder) i64() int64    { return int64(d.u64()) }
 func (d *decoder) f64() float64  { return math.Float64frombits(d.u64()) }
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 func (d *decoder) intField() int { return int(d.i64()) }
+
+// bounded reads a signed field that must lie in [0, max], failing the
+// decode otherwise, so a narrow field of a decoded record never truncates.
+func (d *decoder) bounded(max int64) int64 {
+	v := d.i64()
+	if v < 0 || v > max {
+		d.fail("field %d out of [0, %d]", v, max)
+		return 0
+	}
+	return v
+}
+
+// pageRef reads a page address in its wire fields into an ftl.PageRef.
+func (d *decoder) pageRef() ftl.PageRef {
+	return ftl.PageRef{
+		Plane: uint16(d.bounded(math.MaxUint16)),
+		Block: uint16(d.bounded(math.MaxUint16)),
+		Page:  uint16(d.bounded(math.MaxUint16)),
+	}
+}
 
 // count reads a length prefix for elements of at least elemSize bytes and
 // validates it against the remaining payload, so a corrupt length cannot
@@ -464,11 +484,12 @@ func (d *decoder) ftlState() *ftl.State {
 		if nMoves := d.count(moveBytes); nMoves > 0 {
 			job.Moves = make([]ftl.MoveOp, nMoves)
 			for i := range job.Moves {
-				job.Moves[i].From = d.pageAddr()
-				job.Moves[i].FromSenses = d.intField()
-				job.Moves[i].To = d.pageAddr()
-				job.Moves[i].LPN = ftl.LPN(d.i64())
-				job.Moves[i].FailedPrograms = d.intField()
+				m := &job.Moves[i]
+				m.From = d.pageRef()
+				m.FromSenses = uint8(d.bounded(math.MaxUint8))
+				m.To = d.pageRef()
+				m.LPN = uint32(d.bounded(math.MaxUint32))
+				m.FailedPrograms = uint16(d.bounded(math.MaxUint16))
 			}
 		}
 		st.PendingGC = append(st.PendingGC, job)

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -91,10 +92,10 @@ func randState(rng *rand.Rand) *DeviceState {
 			job.Moves = make([]ftl.MoveOp, n)
 			for m := range job.Moves {
 				job.Moves[m] = ftl.MoveOp{
-					From:       flash.PageAddr{BlockAddr: flash.BlockAddr{Plane: 0, Block: rng.Intn(8)}, Page: rng.Intn(pages)},
-					To:         flash.PageAddr{BlockAddr: flash.BlockAddr{Plane: 0, Block: rng.Intn(8)}, Page: rng.Intn(pages)},
-					FromSenses: 1 + rng.Intn(7),
-					LPN:        ftl.LPN(rng.Int63n(1 << 30)),
+					From:       ftl.PageRef{Block: uint16(rng.Intn(8)), Page: uint16(rng.Intn(pages))},
+					To:         ftl.PageRef{Block: uint16(rng.Intn(8)), Page: uint16(rng.Intn(pages))},
+					FromSenses: uint8(1 + rng.Intn(7)),
+					LPN:        uint32(rng.Int63n(1 << 30)),
 				}
 			}
 		}
@@ -116,6 +117,57 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, st) {
 			t.Fatalf("seed %d: round trip mismatch", seed)
+		}
+	}
+}
+
+// TestCodecRoundTripsMaximalMoves: pending GC moves holding the largest
+// value of every packed field, and the zero values, round-trip through the
+// wire's 64-bit fields unchanged, and a wire value past a packed field's
+// width fails the decode instead of truncating.
+func TestCodecRoundTripsMaximalMoves(t *testing.T) {
+	st := randState(rand.New(rand.NewSource(1)))
+	top := ftl.PageRef{Plane: math.MaxUint16, Block: math.MaxUint16, Page: math.MaxUint16}
+	st.FTL.PendingGC = []ftl.GCJob{{
+		Victim: flash.BlockAddr{Plane: math.MaxUint16, Block: math.MaxUint16},
+		Moves: []ftl.MoveOp{
+			{From: top, To: top, LPN: math.MaxUint32, FromSenses: math.MaxUint8, FailedPrograms: math.MaxUint16},
+			{},
+		},
+	}}
+	b, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("maximal moves decoded as %+v, want %+v", got.FTL.PendingGC, st.FTL.PendingGC)
+	}
+	if again, err := Encode(got); err != nil || !bytes.Equal(again, b) {
+		t.Fatalf("re-encoding the decoded state changed its bytes (err %v)", err)
+	}
+
+	for _, c := range []struct {
+		name  string
+		v     int64
+		field func(*decoder)
+	}{
+		{"page index", math.MaxUint16 + 1, func(d *decoder) { d.pageRef() }},
+		{"negative page index", -1, func(d *decoder) { d.pageRef() }},
+		{"sensing count", math.MaxUint8 + 1, func(d *decoder) { d.bounded(math.MaxUint8) }},
+		{"LPN", math.MaxUint32 + 1, func(d *decoder) { d.bounded(math.MaxUint32) }},
+	} {
+		var e encoder
+		for i := 0; i < 3; i++ {
+			e.i64(c.v)
+		}
+		d := decoder{b: e.buf}
+		c.field(&d)
+		if !errors.Is(d.err, ErrCorrupt) {
+			t.Errorf("%s %d: decode error %v, want ErrCorrupt", c.name, c.v, d.err)
 		}
 	}
 }

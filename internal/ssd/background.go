@@ -3,7 +3,6 @@ package ssd
 import (
 	"time"
 
-	"idaflash/internal/flash"
 	"idaflash/internal/ftl"
 	"idaflash/internal/sim"
 )
@@ -186,18 +185,19 @@ func (o *bgOp) load() bool {
 
 // read appends a page read to the chain: a die grant, then the channel
 // held for the sensing and the transfer out.
-func (o *bgOp) read(a flash.PageAddr, senses int) {
-	s := o.s
-	o.push(s.dieOf(a), 0)
-	o.push(s.channelOf(a), s.readHold(senses))
+func (o *bgOp) read(a ftl.PageRef, senses uint8) {
+	pl := &o.s.planes[a.Plane]
+	o.push(pl.die, 0)
+	o.push(pl.channel, o.s.readHold(int(senses)))
 }
 
 // write appends a move's destination write to the chain: the transfer in,
 // then the program, with the wasted pulses of failed attempts.
 func (o *bgOp) write(m ftl.MoveOp) {
 	s := o.s
-	o.push(s.channelOf(m.To), s.cfg.Timing.Transfer)
-	o.push(s.dieOf(m.To), s.cfg.Timing.Program*time.Duration(1+m.FailedPrograms))
+	pl := &s.planes[m.To.Plane]
+	o.push(pl.channel, s.cfg.Timing.Transfer)
+	o.push(pl.die, s.cfg.Timing.Program*time.Duration(1+int(m.FailedPrograms)))
 }
 
 // push appends one acquisition and charges its hold as busy time.

@@ -23,8 +23,8 @@ type use struct {
 func TestBackgroundCharging(t *testing.T) {
 	tm := flash.PaperTLCTiming()
 	rd := func(senses int) time.Duration { return tm.ReadLatency(senses) + tm.Transfer }
-	page := func(pl flash.PlaneID, blk, pg int) flash.PageAddr {
-		return flash.PageAddr{BlockAddr: flash.BlockAddr{Plane: pl, Block: blk}, Page: pg}
+	page := func(pl, blk, pg uint16) ftl.PageRef {
+		return ftl.PageRef{Plane: pl, Block: blk, Page: pg}
 	}
 
 	cases := []struct {
