@@ -1,6 +1,7 @@
 package idaflash_test
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -71,7 +72,7 @@ func TestArrayAgingStreamsShares(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := arr.Run(tr, opts)
+			res, err := arr.RunContext(context.Background(), tr, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +175,7 @@ func TestRunOptionsRejectBothAgingSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := arr.Run(tr, opts); err == nil {
+	if _, err := arr.RunContext(context.Background(), tr, opts); err == nil {
 		t.Error("an array ran with both Preamble and Aging set")
 	}
 }

@@ -122,12 +122,6 @@ func (a *Array) Release() {
 	}
 }
 
-// Devices returns the number of devices.
-func (a *Array) Devices() int { return a.cfg.Devices }
-
-// StripeBytes returns the stripe unit in bytes.
-func (a *Array) StripeBytes() int64 { return a.unit }
-
 // Device exposes one member SSD (tests and diagnostics).
 func (a *Array) Device(i int) *ssd.SSD { return a.devs[i] }
 
@@ -266,16 +260,13 @@ type Results struct {
 	Degraded DegradedStats
 }
 
-// Run splits the trace across the devices (each member that ages streams
-// its own share of the aging preamble), runs every member concurrently —
-// each on its own goroutine, each deterministic in isolation — and merges
-// the measurements. Like ssd.Run it may be called once per array.
-func (a *Array) Run(tr *workload.Trace, opts ssd.RunOptions) (Results, error) {
-	return a.RunContext(context.Background(), tr, opts)
-}
-
-// RunContext is Run with cooperative cancellation and failure isolation.
-// Cancelling ctx stops every member within the engine polling bounds. When
+// RunContext splits the trace across the devices (each member that ages
+// streams its own share of the aging preamble), runs every member
+// concurrently — each on its own goroutine, each deterministic in
+// isolation — and merges the measurements. Like ssd.Run it may be called
+// once per array.
+//
+// Runs are cancellable and isolate failures. Cancelling ctx stops every member within the engine polling bounds. When
 // one member fails on its own (an invariant violation, an undersized
 // device), its siblings are cancelled rather than left to run to completion
 // for a result that can no longer be used; the member's own error — not the

@@ -2,6 +2,7 @@ package array
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"testing"
 	"time"
@@ -62,10 +63,10 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.StripeBytes() != DefaultStripeKB*1024 {
-		t.Errorf("default stripe = %d bytes", a.StripeBytes())
+	if a.unit != DefaultStripeKB*1024 {
+		t.Errorf("default stripe = %d bytes", a.unit)
 	}
-	if a.Devices() != 2 || a.Device(0) == nil || a.Device(1) == nil {
+	if len(a.devs) != 2 || a.Device(0) == nil || a.Device(1) == nil {
 		t.Error("devices not built")
 	}
 }
@@ -158,7 +159,7 @@ func TestSingleDevicePassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := arr.Run(tr, ssd.RunOptions{})
+	got, err := arr.RunContext(context.Background(), tr, ssd.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestArrayRunMergesAndScalesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ares, err := arr.Run(tr, ssd.RunOptions{})
+	ares, err := arr.RunContext(context.Background(), tr, ssd.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestArrayRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := arr.Run(tr, ssd.RunOptions{})
+		res, err := arr.RunContext(context.Background(), tr, ssd.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +284,7 @@ func TestArrayTelemetryMergesStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := arr.Run(tr, ssd.RunOptions{})
+		res, err := arr.RunContext(context.Background(), tr, ssd.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

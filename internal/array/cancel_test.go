@@ -29,7 +29,7 @@ func TestArrayRunContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const cancelAt = sim.Time(2 * time.Millisecond)
-	a.Device(0).Engine().At(cancelAt, cancel)
+	a.Device(0).Engine().After(cancelAt, cancel)
 
 	res, err := a.RunContext(ctx, parallelTrace("arr-cancel", 2000), ssd.RunOptions{})
 	if !errors.Is(err, context.Canceled) {
@@ -43,7 +43,7 @@ func TestArrayRunContextCancelMidRun(t *testing.T) {
 		t.Errorf("device 0 ran to %v, more than 10ms of simulated time past the cancel at %v", now, cancelAt)
 	}
 	// Every sibling engine stopped: cancelled mid-run or fully drained.
-	for d := 0; d < a.Devices(); d++ {
+	for d := 0; d < len(a.devs); d++ {
 		eng := a.Device(d).Engine()
 		if eng.Err() == nil && eng.Pending() > 0 {
 			t.Errorf("device %d still has %d events queued with no stop error", d, eng.Pending())
@@ -76,7 +76,7 @@ func TestArrayRunContextDeadline(t *testing.T) {
 func TestArrayInvariantDoesNotKillSiblings(t *testing.T) {
 	a := fourDeviceArray(t)
 	const at = sim.Time(2 * time.Millisecond)
-	a.Device(2).Engine().At(at, func() { panic("injected corruption") })
+	a.Device(2).Engine().After(at, func() { panic("injected corruption") })
 
 	res, err := a.RunContext(context.Background(), parallelTrace("arr-invariant", 2000), ssd.RunOptions{})
 	var ie *sim.InvariantError
@@ -98,7 +98,7 @@ func TestArrayInvariantDoesNotKillSiblings(t *testing.T) {
 	if len(res.PerDevice) != 4 {
 		t.Fatalf("partial results carry %d devices, want 4", len(res.PerDevice))
 	}
-	for d := 0; d < a.Devices(); d++ {
+	for d := 0; d < len(a.devs); d++ {
 		eng := a.Device(d).Engine()
 		if d != 2 && eng.Err() == nil && eng.Pending() > 0 {
 			t.Errorf("device %d still has %d events queued with no stop error", d, eng.Pending())
@@ -114,7 +114,7 @@ func TestArrayCancelLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a := fourDeviceArray(t)
 		ctx, cancel := context.WithCancel(context.Background())
-		a.Device(0).Engine().At(sim.Time(time.Millisecond), cancel)
+		a.Device(0).Engine().After(sim.Time(time.Millisecond), cancel)
 		if _, err := a.RunContext(ctx, parallelTrace("arr-leak", 2000), ssd.RunOptions{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("run %d: err = %v, want context.Canceled", i, err)
 		}

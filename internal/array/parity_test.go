@@ -1,6 +1,7 @@
 package array
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -164,7 +165,7 @@ func TestParityDegradedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Run(parallelTrace("degraded", 400), ssd.RunOptions{})
+	res, err := a.RunContext(context.Background(), parallelTrace("degraded", 400), ssd.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestNoParityLosesFailedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Run(parallelTrace("no-parity", 400), ssd.RunOptions{})
+	res, err := a.RunContext(context.Background(), parallelTrace("no-parity", 400), ssd.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestParityRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := a.Run(parallelTrace("det", 300), ssd.RunOptions{})
+		res, err := a.RunContext(context.Background(), parallelTrace("det", 300), ssd.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -222,36 +222,6 @@ func (c *Scheme) Value(s int, j PageType) uint8 {
 	return c.values[s][j]
 }
 
-// Encode returns the voltage state that stores the given bit tuple.
-// The tuple length must equal Bits.
-func (c *Scheme) Encode(bits []uint8) (int, error) {
-	if len(bits) != c.bits {
-		return 0, fmt.Errorf("coding: encode got %d bits, want %d", len(bits), c.bits)
-	}
-outer:
-	for s := 0; s < c.states; s++ {
-		for j := 0; j < c.bits; j++ {
-			if c.values[s][j] != bits[j] {
-				continue outer
-			}
-		}
-		return s, nil
-	}
-	return 0, fmt.Errorf("coding: no state encodes %v", bits)
-}
-
-// Decode returns the full bit tuple stored in voltage state s.
-func (c *Scheme) Decode(s int) []uint8 {
-	return append([]uint8(nil), c.values[s]...)
-}
-
-// ReadLevels returns the read-voltage positions used to read bit j under the
-// conventional coding. Level v is the boundary between states v and v+1.
-// The returned slice must not be modified.
-func (c *Scheme) ReadLevels(j PageType) []int {
-	return c.readLevels[j]
-}
-
 // Senses returns the number of wordline sensings needed to read page j under
 // the conventional coding (the number of read voltages of that bit).
 func (c *Scheme) Senses(j PageType) int {
@@ -268,29 +238,6 @@ func (c *Scheme) MaxSenses() int {
 		}
 	}
 	return max
-}
-
-// SenseRead simulates the sensing procedure for bit j on a cell in state s:
-// it applies each read voltage of the bit and combines the on/off outcomes.
-// A cell is "on" at level v when its state is at or below v. The bit value is
-// recovered as the parity of the number of read levels at or above the
-// cell's position, matched against the erased-state value. This is exactly
-// the hardware procedure the paper describes for LSB/CSB/MSB reads.
-func (c *Scheme) SenseRead(s int, j PageType) uint8 {
-	on := 0
-	for _, v := range c.readLevels[j] {
-		if s <= v {
-			on++
-		}
-	}
-	// Starting from the erased-state value, every read level below the
-	// cell's state toggles the bit once.
-	toggles := len(c.readLevels[j]) - on
-	v := c.values[0][j]
-	if toggles%2 == 1 {
-		v ^= 1
-	}
-	return v
 }
 
 // String renders the scheme as a compact table, states in voltage order.

@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 )
@@ -107,8 +108,8 @@ func TestLabSensesMatchTransitions(t *testing.T) {
 			if got := c.Senses(p); got != transitions {
 				t.Errorf("%s: Senses(%v) = %d, state map has %d transitions", name, p, got, transitions)
 			}
-			if got := len(c.ReadLevels(p)); got != transitions {
-				t.Errorf("%s: len(ReadLevels(%v)) = %d, want %d", name, p, got, transitions)
+			if got := len(c.readLevels[p]); got != transitions {
+				t.Errorf("%s: len(readLevels[%v]) = %d, want %d", name, p, got, transitions)
 			}
 			if transitions > max {
 				max = transitions
@@ -199,8 +200,8 @@ func TestLabPlansConsistent(t *testing.T) {
 				if p.Keep != 0 {
 					t.Fatalf("%s mask %b: non-applied plan keeps pages", name, mask)
 				}
-				if len(p.Move) != mask.Count() {
-					t.Fatalf("%s mask %b: plan moves %d pages, mask has %d valid", name, mask, len(p.Move), mask.Count())
+				if len(p.Move) != bits.OnesCount32(uint32(mask)) {
+					t.Fatalf("%s mask %b: plan moves %d pages, mask has %d valid", name, mask, len(p.Move), bits.OnesCount32(uint32(mask)))
 				}
 				continue
 			}

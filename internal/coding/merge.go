@@ -1,9 +1,6 @@
 package coding
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // ValidMask records which bits (pages) of a wordline still hold valid data.
 // Bit j of the mask corresponds to PageType j.
@@ -21,9 +18,6 @@ func (m ValidMask) Without(j PageType) ValidMask { return m &^ (1 << uint(j)) }
 // With returns the mask with page j set.
 func (m ValidMask) With(j PageType) ValidMask { return m | (1 << uint(j)) }
 
-// Count returns the number of valid pages in the mask.
-func (m ValidMask) Count() int { return bits.OnesCount32(uint32(m)) }
-
 // Merged is the result of applying the IDA voltage adjustment to a wordline
 // whose valid pages are given by a mask: a mapping from every original state
 // to its merged target state, the set of states reachable afterwards, and
@@ -40,9 +34,6 @@ type Merged struct {
 	// senses[j] is the post-merge sensing count of bit j (0 for invalid
 	// bits, which can no longer be read meaningfully).
 	senses []int
-	// readLevels[j] lists the read-voltage positions still needed for bit
-	// j after merging.
-	readLevels [][]int
 }
 
 // Merge returns the IDA voltage adjustment for the scheme under the given
@@ -87,7 +78,6 @@ func (c *Scheme) computeMerge(mask ValidMask) *Merged {
 	// Post-merge sensing counts: one read voltage at every boundary
 	// between consecutive reachable states where the bit value changes.
 	m.senses = make([]int, c.bits)
-	m.readLevels = make([][]int, c.bits)
 	for j := 0; j < c.bits; j++ {
 		if !mask.Has(PageType(j)) {
 			continue
@@ -96,10 +86,6 @@ func (c *Scheme) computeMerge(mask ValidMask) *Merged {
 			a, b := m.reachable[i], m.reachable[i+1]
 			if c.values[a][j] != c.values[b][j] {
 				m.senses[j]++
-				// The physical read voltage can sit at any
-				// boundary between a and b; use the boundary
-				// just below b, as the paper's figures do.
-				m.readLevels[j] = append(m.readLevels[j], b-1)
 			}
 		}
 	}
@@ -117,12 +103,6 @@ func (c *Scheme) projection(s int, mask ValidMask) uint32 {
 	return key
 }
 
-// Scheme returns the underlying conventional scheme.
-func (m *Merged) Scheme() *Scheme { return m.scheme }
-
-// Mask returns the valid mask the merge was computed for.
-func (m *Merged) Mask() ValidMask { return m.mask }
-
 // Target returns the merged state a cell in state s is moved to.
 func (m *Merged) Target(s int) int { return m.target[s] }
 
@@ -133,10 +113,6 @@ func (m *Merged) Reachable() []int { return m.reachable }
 // Senses returns the post-merge sensing count for page j. It returns 0 for
 // pages that are invalid in the mask.
 func (m *Merged) Senses(j PageType) int { return m.senses[j] }
-
-// ReadLevels returns the read-voltage positions for page j after merging.
-// The returned slice must not be modified.
-func (m *Merged) ReadLevels(j PageType) []int { return m.readLevels[j] }
 
 // MoveDistance returns the total and maximum number of states cells must be
 // moved up, over all source states. The maximum bounds the ISPP voltage

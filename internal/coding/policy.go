@@ -1,56 +1,5 @@
 package coding
 
-import "fmt"
-
-// WLCase is one of the eight wordline validity scenarios of Table I in the
-// paper (TLC). Case numbers follow the table: cases 1-4 have a valid MSB and
-// are IDA targets, cases 5-7 are plain relocations, case 8 needs nothing.
-type WLCase int
-
-// The eight Table I cases.
-const (
-	CaseInvalidWL     WLCase = 0 // not a Table I case (sentinel)
-	Case1AllValid     WLCase = 1 // LSB valid, CSB valid, MSB valid
-	Case2LSBInvalid   WLCase = 2 // LSB invalid, CSB valid, MSB valid
-	Case3CSBInvalid   WLCase = 3 // LSB valid, CSB invalid, MSB valid
-	Case4LowerInvalid WLCase = 4 // LSB+CSB invalid, MSB valid
-	Case5MSBInvalid   WLCase = 5 // LSB valid, CSB valid, MSB invalid
-	Case6OnlyCSBValid WLCase = 6 // CSB valid only
-	Case7OnlyLSBValid WLCase = 7 // LSB valid only
-	Case8AllInvalid   WLCase = 8 // nothing valid
-)
-
-// String names the case as in the paper's Table I.
-func (c WLCase) String() string {
-	if c >= 1 && c <= 8 {
-		return fmt.Sprintf("case%d", int(c))
-	}
-	return "case?"
-}
-
-// ClassifyTLC maps a TLC wordline's validity mask to its Table I case.
-func ClassifyTLC(mask ValidMask) WLCase {
-	l, c, m := mask.Has(LSB), mask.Has(CSB), mask.Has(MSB)
-	switch {
-	case l && c && m:
-		return Case1AllValid
-	case !l && c && m:
-		return Case2LSBInvalid
-	case l && !c && m:
-		return Case3CSBInvalid
-	case !l && !c && m:
-		return Case4LowerInvalid
-	case l && c && !m:
-		return Case5MSBInvalid
-	case !l && c && !m:
-		return Case6OnlyCSBValid
-	case l && !c && !m:
-		return Case7OnlyLSBValid
-	default:
-		return Case8AllInvalid
-	}
-}
-
 // Plan is the per-wordline decision the modified data refresh makes
 // (Section III-C): which valid pages to relocate to the new block, whether
 // to apply the voltage adjustment, and which pages the reprogrammed wordline

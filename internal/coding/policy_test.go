@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,36 +21,6 @@ func tlcMask(l, c, m bool) ValidMask {
 	return v
 }
 
-func TestClassifyTLCAllCases(t *testing.T) {
-	cases := []struct {
-		l, c, m bool
-		want    WLCase
-	}{
-		{true, true, true, Case1AllValid},
-		{false, true, true, Case2LSBInvalid},
-		{true, false, true, Case3CSBInvalid},
-		{false, false, true, Case4LowerInvalid},
-		{true, true, false, Case5MSBInvalid},
-		{false, true, false, Case6OnlyCSBValid},
-		{true, false, false, Case7OnlyLSBValid},
-		{false, false, false, Case8AllInvalid},
-	}
-	for _, tc := range cases {
-		if got := ClassifyTLC(tlcMask(tc.l, tc.c, tc.m)); got != tc.want {
-			t.Errorf("Classify(%v,%v,%v) = %v, want %v", tc.l, tc.c, tc.m, got, tc.want)
-		}
-	}
-}
-
-func TestWLCaseString(t *testing.T) {
-	if Case3CSBInvalid.String() != "case3" {
-		t.Errorf("Case3 string = %q", Case3CSBInvalid.String())
-	}
-	if CaseInvalidWL.String() != "case?" {
-		t.Errorf("sentinel string = %q", CaseInvalidWL.String())
-	}
-}
-
 // TestPlanWordlineTableI verifies that the generic planner reproduces the
 // paper's Table I exactly for TLC.
 func TestPlanWordlineTableI(t *testing.T) {
@@ -60,34 +31,29 @@ func TestPlanWordlineTableI(t *testing.T) {
 		keep       ValidMask
 		keptSenses map[PageType]int
 	}
-	cases := map[WLCase]want{
+	// cases[n-1] is Table I's case n.
+	cases := []struct {
+		mask ValidMask
+		want
+	}{
 		// Case 1: move LSB; adjust for CSB/MSB (1 and 2 sensings).
-		Case1AllValid: {true, []PageType{LSB}, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}},
+		{tlcMask(true, true, true), want{true, []PageType{LSB}, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}}},
 		// Case 2: nothing to move; adjust for CSB/MSB.
-		Case2LSBInvalid: {true, nil, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}},
+		{tlcMask(false, true, true), want{true, nil, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}}},
 		// Case 3: move LSB; adjust for MSB only (1 sensing).
-		Case3CSBInvalid: {true, []PageType{LSB}, tlcMask(false, false, true), map[PageType]int{MSB: 1}},
+		{tlcMask(true, false, true), want{true, []PageType{LSB}, tlcMask(false, false, true), map[PageType]int{MSB: 1}}},
 		// Case 4: nothing to move; adjust for MSB only.
-		Case4LowerInvalid: {true, nil, tlcMask(false, false, true), map[PageType]int{MSB: 1}},
+		{tlcMask(false, false, true), want{true, nil, tlcMask(false, false, true), map[PageType]int{MSB: 1}}},
 		// Cases 5-7: plain relocation of the valid pages.
-		Case5MSBInvalid:   {false, []PageType{LSB, CSB}, 0, nil},
-		Case6OnlyCSBValid: {false, []PageType{CSB}, 0, nil},
-		Case7OnlyLSBValid: {false, []PageType{LSB}, 0, nil},
+		{tlcMask(true, true, false), want{false, []PageType{LSB, CSB}, 0, nil}},
+		{tlcMask(false, true, false), want{false, []PageType{CSB}, 0, nil}},
+		{tlcMask(true, false, false), want{false, []PageType{LSB}, 0, nil}},
 		// Case 8: nothing to do.
-		Case8AllInvalid: {false, nil, 0, nil},
+		{0, want{false, nil, 0, nil}},
 	}
-	masks := map[WLCase]ValidMask{
-		Case1AllValid:     tlcMask(true, true, true),
-		Case2LSBInvalid:   tlcMask(false, true, true),
-		Case3CSBInvalid:   tlcMask(true, false, true),
-		Case4LowerInvalid: tlcMask(false, false, true),
-		Case5MSBInvalid:   tlcMask(true, true, false),
-		Case6OnlyCSBValid: tlcMask(false, true, false),
-		Case7OnlyLSBValid: tlcMask(true, false, false),
-		Case8AllInvalid:   0,
-	}
-	for wc, w := range cases {
-		p := c.PlanWordline(masks[wc])
+	for i, tc := range cases {
+		wc, w := fmt.Sprintf("case%d", i+1), tc.want
+		p := c.PlanWordline(tc.mask)
 		if p.Apply != w.apply {
 			t.Errorf("%v: apply = %v, want %v", wc, p.Apply, w.apply)
 		}

@@ -126,24 +126,6 @@ func (p Params) SampleRetries(rng *rand.Rand) int {
 	return p.MaxRetries
 }
 
-// ExpectedRetries returns the mean of SampleRetries analytically; useful for
-// tests and for sizing experiments.
-func (p Params) ExpectedRetries() float64 {
-	if p.FirstFailProb == 0 || p.MaxRetries == 0 {
-		return 0
-	}
-	// E[R] = sum over k>=1 of P(R >= k); P(R >= k) = prod_{i<k} fail_i.
-	e := 0.0
-	reach := 1.0
-	fail := p.FirstFailProb
-	for k := 1; k <= p.MaxRetries; k++ {
-		reach *= fail
-		e += reach
-		fail *= p.RetryDecay
-	}
-	return e
-}
-
 // RBERCurve models the raw bit error rate as a function of program/erase
 // wear and retention time, the standard two-term exponential fit used in
 // flash characterization studies (e.g. Cai et al., "Flash

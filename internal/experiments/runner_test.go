@@ -75,7 +75,7 @@ func TestRunAllReportsAllFailures(t *testing.T) {
 
 func TestRunAllNoErrorOnSuccess(t *testing.T) {
 	r := runner(t)
-	p, err := idaflash.ProfileByName("usr_1", r.Options().Requests)
+	p, err := idaflash.ProfileByName("usr_1", r.opts.Requests)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -376,14 +376,6 @@ func (i *Injector) SkipTo(draws uint64) error {
 	return nil
 }
 
-// Scenario returns the underlying scenario (nil for a nil injector).
-func (i *Injector) Scenario() *Scenario {
-	if i == nil {
-		return nil
-	}
-	return i.sc
-}
-
 // Retry returns the defaulted retry policy (the zero policy when nil).
 func (i *Injector) Retry() Retry {
 	if i == nil {

@@ -196,9 +196,6 @@ func TestInjectorNilSafety(t *testing.T) {
 	if extra, timeout := inj.ReadFault(); extra != 0 || timeout {
 		t.Error("nil injector injected a read fault")
 	}
-	if inj.Scenario() != nil {
-		t.Error("nil injector has a scenario")
-	}
 	if r := inj.Retry(); r.Max != DefaultMaxRetries {
 		t.Error("nil injector retry policy not defaulted")
 	}

@@ -109,18 +109,6 @@ type PlaneCoord struct {
 	Channel, Chip, Die, Plane int
 }
 
-// Coord decomposes a PlaneID into its hierarchy coordinates.
-func (g Geometry) Coord(p PlaneID) PlaneCoord {
-	i := int(p)
-	pl := i % g.PlanesPerDie
-	i /= g.PlanesPerDie
-	d := i % g.DiesPerChip
-	i /= g.DiesPerChip
-	ch := i % g.ChipsPerChannel
-	i /= g.ChipsPerChannel
-	return PlaneCoord{Channel: i, Chip: ch, Die: d, Plane: pl}
-}
-
 // PlaneOf composes a PlaneID from hierarchy coordinates.
 func (g Geometry) PlaneOf(c PlaneCoord) PlaneID {
 	return PlaneID(((c.Channel*g.ChipsPerChannel+c.Chip)*g.DiesPerChip+c.Die)*g.PlanesPerDie + c.Plane)

@@ -52,11 +52,24 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+// coord decomposes a PlaneID into its hierarchy coordinates, the inverse
+// of PlaneOf.
+func coord(g Geometry, p PlaneID) PlaneCoord {
+	i := int(p)
+	pl := i % g.PlanesPerDie
+	i /= g.PlanesPerDie
+	d := i % g.DiesPerChip
+	i /= g.DiesPerChip
+	ch := i % g.ChipsPerChannel
+	i /= g.ChipsPerChannel
+	return PlaneCoord{Channel: i, Chip: ch, Die: d, Plane: pl}
+}
+
 func TestPlaneCoordRoundTrip(t *testing.T) {
 	g := PaperTLC()
 	seen := make(map[PlaneCoord]bool)
 	for p := PlaneID(0); int(p) < g.Planes(); p++ {
-		c := g.Coord(p)
+		c := coord(g, p)
 		if c.Channel < 0 || c.Channel >= g.Channels ||
 			c.Chip < 0 || c.Chip >= g.ChipsPerChannel ||
 			c.Die < 0 || c.Die >= g.DiesPerChip ||
@@ -76,7 +89,7 @@ func TestPlaneCoordRoundTrip(t *testing.T) {
 func TestDieAndChannelOf(t *testing.T) {
 	g := PaperTLC()
 	for p := PlaneID(0); int(p) < g.Planes(); p++ {
-		c := g.Coord(p)
+		c := coord(g, p)
 		wantDie := ((c.Channel*g.ChipsPerChannel)+c.Chip)*g.DiesPerChip + c.Die
 		if got := g.DieOf(p); got != wantDie {
 			t.Errorf("DieOf(%d) = %d, want %d", p, got, wantDie)

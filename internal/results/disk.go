@@ -231,14 +231,9 @@ type blobInfo struct {
 	size int64
 }
 
-// OpenDisk opens (creating if needed) a content-addressed blob root with the
-// given byte budget (<= 0 uses DefaultDiskBudget) and default options.
-func OpenDisk(dir string, budget int64) (*Disk, error) {
-	return OpenDiskOptions(dir, DiskOptions{Budget: budget})
-}
-
-// OpenDiskOptions opens a blob root with explicit options (sync policy,
-// retry/degradation knobs, fault-injectable FS).
+// OpenDiskOptions opens (creating if needed) a content-addressed blob root
+// with the given options: byte budget, sync policy, retry/degradation
+// knobs and fault-injectable FS.
 func OpenDiskOptions(dir string, opts DiskOptions) (*Disk, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("results: empty disk directory")

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDiskRoundTrip(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), 0)
+	d, err := OpenDiskOptions(t.TempDir(), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +39,13 @@ func TestDiskRoundTrip(t *testing.T) {
 // one over the same directory — the restart path the farm relies on.
 func TestDiskSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := OpenDisk(dir, 0)
+	d1, err := OpenDiskOptions(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1.Sub(".json").Put("k", []byte("payload"))
 
-	d2, err := OpenDisk(dir, 0)
+	d2, err := OpenDiskOptions(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDiskSurvivesReopen(t *testing.T) {
 // matter its kind.
 func TestDiskSharedBudgetEvictsOldestAcrossKinds(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, 64)
+	d, err := OpenDiskOptions(dir, DiskOptions{Budget: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDiskSharedBudgetEvictsOldestAcrossKinds(t *testing.T) {
 // pre-existing files first.
 func TestDiskReopenEvictionOrderByModTime(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := OpenDisk(dir, 1<<20)
+	d1, err := OpenDiskOptions(dir, DiskOptions{Budget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDiskReopenEvictionOrderByModTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDisk(dir, 64)
+	d2, err := OpenDiskOptions(dir, DiskOptions{Budget: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDiskIgnoresForeignFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "README.txt"), bytes.Repeat([]byte("z"), 100), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenDisk(dir, 64)
+	d, err := OpenDiskOptions(dir, DiskOptions{Budget: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDiskIgnoresForeignFiles(t *testing.T) {
 }
 
 func TestDiskDelete(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), 0)
+	d, err := OpenDiskOptions(t.TempDir(), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func TestStoreShortReadRecomputes(t *testing.T) {
 // point recomputes instead of serving a wrong result.
 func TestStoreBitFlipInDigitRecomputes(t *testing.T) {
 	dir := t.TempDir()
-	d, err := results.OpenDisk(dir, 0)
+	d, err := results.OpenDiskOptions(dir, results.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestStoreBitFlipInDigitRecomputes(t *testing.T) {
 // framed — bare JSON under the result extension — is read as a miss and
 // deleted, even when the recompute then fails.
 func TestStoreBareJSONBlobIsAMiss(t *testing.T) {
-	d, err := results.OpenDisk(t.TempDir(), 0)
+	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func TestStoreWaiterHonorsContext(t *testing.T) {
 // root serves the payload without computing — the farm's restart contract.
 func TestStoreDiskTierServesAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := OpenDisk(dir, 0)
+	d1, err := OpenDiskOptions(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestStoreDiskTierServesAcrossRestart(t *testing.T) {
 		t.Fatalf("cold: cached=%v err=%v", cached, err)
 	}
 
-	d2, err := OpenDisk(dir, 0)
+	d2, err := OpenDiskOptions(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestStoreDiskTierServesAcrossRestart(t *testing.T) {
 // waiting on none.
 func TestStoreStoredNeverClaimsOrWaits(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := OpenDisk(dir, 0)
+	d1, err := OpenDiskOptions(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestStoreStoredNeverClaimsOrWaits(t *testing.T) {
 		t.Errorf("memory: Stored = %q, %t", v, ok)
 	}
 
-	d2, err := OpenDisk(dir, 0)
+	d2, err := OpenDiskOptions(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type Action interface {
 }
 
 // funcAction adapts a closure to Action. A func value is pointer-shaped, so
-// storing one in an Action interface does not allocate: At, After and
+// storing one in an Action interface does not allocate: After, Pulse and
 // Resource.Acquire share the Action dispatch path at no extra cost.
 type funcAction func()
 
@@ -124,20 +124,14 @@ func (e *Engine) schedule(t Time, op Action) {
 	h[i] = event{at: t, op: op}
 }
 
-// At schedules fn to run at absolute simulated time t. Scheduling in the
-// past is a programming error and panics: allowing it would silently
-// reorder causality.
-func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, funcAction(fn))
-}
-
 // After schedules fn to run d after the current time. Negative d panics.
 func (e *Engine) After(d time.Duration, fn func()) {
 	e.schedule(e.now+d, funcAction(fn))
 }
 
-// AtAction schedules a pre-allocated Action at absolute time t. It is the
-// allocation-free counterpart of At for callbacks that carry state.
+// AtAction schedules a pre-allocated Action at absolute time t. Scheduling
+// in the past is a programming error and panics: allowing it would
+// silently reorder causality.
 func (e *Engine) AtAction(t Time, a Action) {
 	e.schedule(t, a)
 }

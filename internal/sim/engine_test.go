@@ -5,6 +5,9 @@ import (
 	"time"
 )
 
+// At schedules fn to run at absolute simulated time t.
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, funcAction(fn)) }
+
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int

@@ -15,9 +15,6 @@ type waiterQueue struct {
 // Len returns the number of queued elements.
 func (q *waiterQueue) Len() int { return q.size }
 
-// Cap returns the backing array length (tests assert it stays bounded).
-func (q *waiterQueue) Cap() int { return len(q.buf) }
-
 // Push appends an element at the tail, growing the ring when full.
 func (q *waiterQueue) Push(v waiter) {
 	if q.size == len(q.buf) {

@@ -48,13 +48,13 @@ func TestWaiterQueueBoundedGrowth(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		q.Push(waiter{})
 	}
-	capAfterPeak := q.Cap()
+	capAfterPeak := len(q.buf)
 	for i := 0; i < 100000; i++ {
 		q.Push(waiter{})
 		q.Pop()
 	}
-	if q.Cap() != capAfterPeak {
-		t.Fatalf("backing array grew under churn: cap %d -> %d", capAfterPeak, q.Cap())
+	if len(q.buf) != capAfterPeak {
+		t.Fatalf("backing array grew under churn: cap %d -> %d", capAfterPeak, len(q.buf))
 	}
 	if q.Len() != depth {
 		t.Fatalf("queue depth drifted: %d, want %d", q.Len(), depth)

@@ -79,9 +79,6 @@ func NewResource(e *Engine, name string) *Resource {
 	return &Resource{name: name, engine: e, queue: waitQueues{policy: PolicyReadFirst}}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Reset returns the resource to an idle state for reuse under the
 // scheduling policy cfg: empty queues, zeroed statistics, no hook. The
 // queues keep their grown ring capacity. cfg must be valid (see
@@ -95,9 +92,6 @@ func (r *Resource) Reset(cfg SchedulerConfig) {
 	r.cur = nil
 	r.queue.reset(cfg)
 }
-
-// Policy names the scheduling discipline serving this resource.
-func (r *Resource) Policy() Policy { return r.queue.policy }
 
 // Stats returns a snapshot of the accumulated statistics.
 func (r *Resource) Stats() ResourceStats { return r.stats }

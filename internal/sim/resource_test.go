@@ -107,8 +107,8 @@ func TestResourceStats(t *testing.T) {
 	if got := r.Utilization(); got != 1.0 {
 		t.Errorf("utilization = %v, want 1.0", got)
 	}
-	if r.Name() != "die" {
-		t.Errorf("name = %q", r.Name())
+	if r.name != "die" {
+		t.Errorf("name = %q", r.name)
 	}
 }
 

@@ -160,23 +160,23 @@ func TestSchedulerLenAndPolicyNames(t *testing.T) {
 		if want == "" {
 			want = PolicyReadFirst
 		}
-		if r.Policy() != want {
-			t.Errorf("Policy = %s, want %s", r.Policy(), want)
+		if r.queue.policy != want {
+			t.Errorf("Policy = %s, want %s", r.queue.policy, want)
 		}
 		if r.QueueLen() != 0 {
-			t.Errorf("%s: fresh Len = %d", r.Policy(), r.QueueLen())
+			t.Errorf("%s: fresh Len = %d", r.queue.policy, r.QueueLen())
 		}
 		r.Acquire(PrioBackground, time.Microsecond, nil) // occupy
 		r.Acquire(PrioHostRead, time.Microsecond, nil)
 		r.Acquire(PrioHostWrite, time.Microsecond, nil)
 		if r.QueueLen() != 2 {
-			t.Errorf("%s: Len = %d, want 2", r.Policy(), r.QueueLen())
+			t.Errorf("%s: Len = %d, want 2", r.queue.policy, r.QueueLen())
 		}
 		if !e.Step() {
-			t.Fatalf("%s: no completion to step", r.Policy())
+			t.Fatalf("%s: no completion to step", r.queue.policy)
 		}
 		if r.QueueLen() != 1 {
-			t.Errorf("%s: Len after pop = %d, want 1", r.Policy(), r.QueueLen())
+			t.Errorf("%s: Len after pop = %d, want 1", r.queue.policy, r.QueueLen())
 		}
 	}
 	found := map[Policy]bool{}
@@ -219,8 +219,8 @@ func TestResetSwitchesPolicy(t *testing.T) {
 				t.Fatalf("%+v: reset resource served %v, fresh resource %v", cfg, got, want)
 			}
 		}
-		if pooled.Policy() != newScheduled(NewEngine(), cfg).Policy() {
-			t.Errorf("%+v: reset resource reports policy %s", cfg, pooled.Policy())
+		if pooled.queue.policy != newScheduled(NewEngine(), cfg).queue.policy {
+			t.Errorf("%+v: reset resource reports policy %s", cfg, pooled.queue.policy)
 		}
 	}
 }

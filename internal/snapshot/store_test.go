@@ -15,7 +15,7 @@ import (
 // the production wiring of idaflash.SetStoreDir.
 func diskBlobs(t *testing.T, dir string) *results.Blobs {
 	t.Helper()
-	d, err := results.OpenDisk(dir, 0)
+	d, err := results.OpenDiskOptions(dir, results.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if s.Engine().Processed() != 0 {
-		t.Errorf("engine processed %d events under a pre-cancelled context", s.Engine().Processed())
+	if s.engine.Processed() != 0 {
+		t.Errorf("engine processed %d events under a pre-cancelled context", s.engine.Processed())
 	}
 }
 
@@ -41,13 +41,13 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const cancelAt = sim.Time(2 * time.Millisecond)
-	s.Engine().At(cancelAt, cancel)
+	s.engine.After(cancelAt, cancel)
 
 	res, err := s.RunContext(ctx, testTrace(t, "midrun", 2000, 0.8), RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	now := s.Engine().Now()
+	now := s.engine.Now()
 	if now < cancelAt {
 		t.Fatalf("engine stopped at %v, before the cancel event at %v", now, cancelAt)
 	}
@@ -108,7 +108,7 @@ func TestRunContextCancelWithFaults(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s.Engine().At(sim.Time(2*time.Millisecond), cancel)
+	s.engine.After(sim.Time(2*time.Millisecond), cancel)
 	res, err := s.RunContext(ctx, testTrace(t, "faults-cancel", 2000, 0.8), RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -128,7 +128,7 @@ func TestRunContextInvariantContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	const at = sim.Time(2 * time.Millisecond)
-	s.Engine().At(at, func() { panic("injected corruption") })
+	s.engine.After(at, func() { panic("injected corruption") })
 
 	res, err := s.RunContext(context.Background(), testTrace(t, "invariant", 2000, 0.8), RunOptions{})
 	var ie *sim.InvariantError
@@ -161,8 +161,7 @@ func TestRunMoreContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	resume := s.Engine().Now()
-	s.Engine().At(resume+sim.Time(2*time.Millisecond), cancel)
+	s.engine.After(2*time.Millisecond, cancel)
 	if _, err := s.RunMoreContext(ctx, testTrace(t, "phase2", 2000, 0.5)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

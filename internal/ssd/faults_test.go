@@ -87,7 +87,7 @@ func TestTimedOutageRecovers(t *testing.T) {
 	if _, err := s.FTL().Write(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	s.engine.At(sim.Time(time.Millisecond), func() {
+	s.engine.After(sim.Time(time.Millisecond), func() {
 		s.submit(workload.Request{At: time.Millisecond, Offset: 0, Size: 8192, Read: true})
 	})
 	s.engine.Run()

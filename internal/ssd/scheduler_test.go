@@ -36,12 +36,12 @@ func readBehindWriteBurst(t *testing.T, s *SSD) time.Duration {
 		t.Fatal(err)
 	}
 	const writes = 8
-	s.engine.At(0, func() {
+	s.engine.After(0, func() {
 		for i := int64(0); i < writes; i++ {
 			s.submit(workload.Request{At: 0, Offset: (8 + i) * 8192, Size: 8192, Read: false})
 		}
 	})
-	s.engine.At(400*time.Microsecond, func() {
+	s.engine.After(400*time.Microsecond, func() {
 		s.submit(workload.Request{At: 400 * time.Microsecond, Offset: 0, Size: 8192, Read: true})
 	})
 	s.engine.Run()
@@ -146,9 +146,6 @@ func TestDefaultSchedulerIsReadFirst(t *testing.T) {
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if s.dies[0].Policy() != sim.PolicyReadFirst {
-			t.Fatalf("resource policy = %s", s.dies[0].Policy())
 		}
 		res, err := s.Run(tr, RunOptions{})
 		if err != nil {

@@ -318,9 +318,6 @@ func (s *SSD) resetResources(rs []*sim.Resource, name string, watch *resourceWat
 // turn mid-simulation FTL failures into a failed run instead of a panic.
 func (s *SSD) fail(err error) { s.engine.Stop(err) }
 
-// Telemetry exposes the device's recorder (nil when disabled).
-func (s *SSD) Telemetry() *telemetry.Recorder { return s.tel }
-
 // ResponseHists returns the device's live read and write response-time
 // histograms, the populations behind its Results' means and quantiles.
 // They belong to the device, and its next Reset clears them: an array

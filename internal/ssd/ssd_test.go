@@ -80,7 +80,7 @@ func TestSingleReadLatencyNoContention(t *testing.T) {
 	_ = prog
 	info, _ := s.FTL().Read(0)
 	want := s.cfg.Timing.ReadLatency(info.Senses) + s.cfg.Timing.Transfer + s.cfg.ECC.DecodeLatency
-	s.engine.At(0, func() {
+	s.engine.After(0, func() {
 		s.submit(workload.Request{At: 0, Offset: 0, Size: 8192, Read: true})
 	})
 	s.engine.Run()
@@ -100,7 +100,7 @@ func TestSingleWriteLatencyNoContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := s.cfg.Timing.Transfer + s.cfg.Timing.Program
-	s.engine.At(0, func() {
+	s.engine.After(0, func() {
 		s.submit(workload.Request{At: 0, Offset: 0, Size: 8192, Read: false})
 	})
 	s.engine.Run()
@@ -119,7 +119,7 @@ func TestMultiPageRequestCompletesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.engine.At(0, func() {
+	s.engine.After(0, func() {
 		s.submit(workload.Request{At: 0, Offset: 0, Size: 4 * 8192, Read: true})
 	})
 	s.engine.Run()
@@ -138,7 +138,7 @@ func TestUnmappedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.engine.At(0, func() {
+	s.engine.After(0, func() {
 		s.submit(workload.Request{At: 0, Offset: 0, Size: 8192, Read: true})
 	})
 	s.engine.Run()

@@ -131,7 +131,7 @@ func untimedPrograms(t *testing.T) (calls int) {
 	s := mustNew(t, cfg)
 	// The engine's first event, ahead of the first arrival; inline, so
 	// the count is read on the goroutine making the calls.
-	s.Engine().At(0, func() { calls = m.calls })
+	s.engine.After(0, func() { calls = m.calls })
 	underProcs(1, func() {
 		if _, err := s.Run(testTrace(t, "ftl-fault", 2000, 0.5), RunOptions{}); err != nil {
 			t.Fatal(err)
@@ -192,7 +192,7 @@ func TestPipelinedCancelJoinsStage(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			s := mustNew(t, cfg)
 			ctx, cancel := context.WithCancel(context.Background())
-			s.Engine().At(sim.Time(2*time.Millisecond), cancel)
+			s.engine.After(sim.Time(2*time.Millisecond), cancel)
 			_, err := s.RunContext(ctx, testTrace(t, "phase1", 3000, 0.7), RunOptions{})
 			cancel()
 			if !errors.Is(err, context.Canceled) {
@@ -232,7 +232,7 @@ func TestSpareCPURule(t *testing.T) {
 	// beside it.
 	run := func(starts bool) [2]Results {
 		s := mustNew(t, cfg)
-		s.Engine().At(sim.Time(10*time.Minute), func() {
+		s.engine.After(sim.Time(10*time.Minute), func() {
 			if starts {
 				busy.Add(1)
 			}

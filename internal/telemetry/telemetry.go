@@ -156,14 +156,6 @@ func (r *Recorder) Interval() time.Duration {
 	return r.cfg.MetricsInterval
 }
 
-// Device returns the recorder's stream tag.
-func (r *Recorder) Device() int {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.Device
-}
-
 // StartRequest registers a host-request arrival and returns its span, or
 // nil when the request is not sampled (or the recorder is nil). The span's
 // ID is the 1-based arrival index.

@@ -140,22 +140,6 @@ func TestDeriveWriteKBReproducesDataRatio(t *testing.T) {
 	}
 }
 
-func TestScaleForQuickRun(t *testing.T) {
-	p := Profile{Name: "s", ReadRatio: 0.9, MeanReadKB: 32, Requests: 100000, Duration: 2 * time.Hour}
-	q := p.ScaleForQuickRun(10)
-	if q.Requests != 10000 || q.Duration != 12*time.Minute {
-		t.Errorf("scaled = %d reqs %v", q.Requests, q.Duration)
-	}
-	if same := p.ScaleForQuickRun(1); same.Requests != p.Requests {
-		t.Error("factor 1 should be a no-op")
-	}
-	// Defaults and floors apply when fields are zero or tiny.
-	z := Profile{Name: "z", ReadRatio: 0.9, MeanReadKB: 32}.ScaleForQuickRun(1000000)
-	if z.Requests < 100 || z.Duration < time.Minute {
-		t.Errorf("floors not applied: %d %v", z.Requests, z.Duration)
-	}
-}
-
 // TestProfileByNameAllocationFree: a lookup reads the built-once templates
 // in place. Every /v1/run parse and every batch point makes one.
 func TestProfileByNameAllocationFree(t *testing.T) {

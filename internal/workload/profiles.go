@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"slices"
-	"time"
 )
 
 // PaperTableIII holds, for each of the paper's eleven MSR Cambridge
@@ -111,28 +110,4 @@ func ProfileNames() []string {
 		names = append(names, w.Name)
 	}
 	return names
-}
-
-// ScaleForQuickRun shrinks a profile for fast tests and benchmarks:
-// proportionally fewer requests and a shorter span, preserving rates.
-func (p Profile) ScaleForQuickRun(factor int) Profile {
-	if factor <= 1 {
-		return p
-	}
-	q := p
-	if q.Requests == 0 {
-		q.Requests = 100000
-	}
-	q.Requests /= factor
-	if q.Requests < 100 {
-		q.Requests = 100
-	}
-	if q.Duration == 0 {
-		q.Duration = 2 * time.Hour
-	}
-	q.Duration /= time.Duration(factor)
-	if q.Duration < time.Minute {
-		q.Duration = time.Minute
-	}
-	return q
 }

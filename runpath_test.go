@@ -2,6 +2,7 @@ package idaflash_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -142,7 +143,7 @@ func TestRunTraceMatchesHandBuiltDevices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := arr.Run(tr, ssd.RunOptions{})
+			res, err := arr.RunContext(context.Background(), tr, ssd.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
