@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math"
 	"testing"
 
 	"idaflash/internal/coding"
@@ -229,4 +230,47 @@ func TestRelocationsCarryProgramFailures(t *testing.T) {
 			checkInvariants(t, f)
 		})
 	}
+}
+
+// TestStripedRelocationKeepsFailedPrograms refreshes a 16-plane device whose
+// planes each keep two of their six blocks free, under 8 forced program
+// failures in a row. Each failure grows a block bad, so a plane runs out of
+// free blocks partway through a relocation's claim and the stripe moves on
+// to the next plane. The failures drawn on the exhausted planes must still
+// ride on the moves and be charged as program pulses.
+func TestStripedRelocationKeepsFailedPrograms(t *testing.T) {
+	opts := refreshOpts(false, 0)
+	opts.Geometry = multiPlaneGeom()
+	fm := &scriptedFaults{}
+	opts.Faults = fm
+	f := mustFTL(t, opts)
+	g := opts.Geometry
+	for i := 0; i < g.Planes()*4*g.PagesPerBlock(); i++ {
+		if _, err := f.Write(LPN(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fm.failNextPrograms = 8
+	refJobs := mustDueRefreshes(t, f, 11*hour)
+	gcJobs := mustCollectGC(t, f, 11*hour)
+	var carried uint64
+	for _, j := range refJobs {
+		for _, m := range j.Moves {
+			carried += uint64(m.FailedPrograms)
+		}
+	}
+	for _, j := range gcJobs {
+		for _, m := range j.Moves {
+			carried += uint64(m.FailedPrograms)
+		}
+	}
+	st := f.Stats()
+	if st.ProgramFailures != 8 || carried != st.ProgramFailures {
+		t.Errorf("%d program failures drawn, moves carry %d; want 8 and 8", st.ProgramFailures, carried)
+	}
+	pulses := st.HostWrites + st.GCMoves + st.RefreshMoves + st.ProgramFailures
+	if want := float64(pulses) * f.pagePower; math.Abs(st.ProgramPower-want) > 1e-9*want {
+		t.Errorf("ProgramPower = %v, want %d pulses x %v = %v", st.ProgramPower, pulses, f.pagePower, want)
+	}
+	checkInvariants(t, f)
 }

@@ -27,23 +27,7 @@ func (f *FTL) Write(lpn LPN, now sim.Time) (PageProgram, error) {
 	if !f.l2p.inRange(lpn) {
 		return PageProgram{}, fmt.Errorf("ftl: write of LPN %d outside the device's %d pages", lpn, len(f.l2p.dense))
 	}
-	var a flash.PageAddr
-	var failed int
-	var err error
-	// CWDP striping with space-aware fallback: a transiently full plane
-	// is skipped in favour of the next one with room.
-	for try := 0; try < len(f.cwdp); try++ {
-		pl := f.nextAllocPlane()
-		if gcErr := f.ensureFree(pl, now); gcErr != nil {
-			return PageProgram{}, gcErr
-		}
-		var n int
-		a, n, err = f.claimPage(now, pl)
-		failed += n
-		if err == nil {
-			break
-		}
-	}
+	a, failed, err := f.claimStriped(now)
 	if err != nil {
 		return PageProgram{}, err
 	}
@@ -65,14 +49,44 @@ func (f *FTL) mapPage(lpn LPN, a flash.PageAddr) {
 	f.blocks[gb].ValidCount++
 }
 
+// claimStriped claims the next page of the global CWDP write stripe, which
+// host writes and refresh relocations share. A transiently full plane is
+// skipped in favour of the next one with room. The returned count adds up
+// the program attempts that failed on every plane tried, including one that
+// then ran out of free blocks, so the device model charges all of them.
+// GC runs only for a plane below its free-block threshold, so a claim
+// usually makes no call but claimPage.
+func (f *FTL) claimStriped(now sim.Time) (flash.PageAddr, int, error) {
+	var a flash.PageAddr
+	failed := 0
+	var err error
+	for try := 0; try < len(f.cwdp); try++ {
+		pl := f.nextAllocPlane()
+		if len(f.planes[pl].free) < f.gcFreeBlocks {
+			if err := f.ensureFree(pl, now); err != nil {
+				return flash.PageAddr{}, failed, err
+			}
+		}
+		var n int
+		a, n, err = f.claimPage(now, pl)
+		failed += n
+		if err == nil {
+			return a, failed, nil
+		}
+	}
+	return flash.PageAddr{}, failed, err
+}
+
 // claimPage allocates the next page of the plane and runs the program past
 // the fault model. A failed program grows the block bad: the block is closed
 // immediately (no further programs land on it), it is retired at its
 // eventual erase, and the write remaps to a page of a fresh block. Data
 // already on a grown-bad block stays readable — program failures damage the
 // page being programmed, not its neighbours — so its valid pages drain
-// through the normal GC/refresh paths. The failed-attempt count is returned
-// so the device model can charge the wasted program pulses.
+// through the normal GC/refresh paths. Every program pulse is charged when
+// it is applied, the failed ones too (they transferred charge into the
+// now-bad block), and the failed-attempt count is returned, also with an
+// allocation error, so the device model can charge their time.
 func (f *FTL) claimPage(now sim.Time, pl flash.PlaneID) (flash.PageAddr, int, error) {
 	failed := 0
 	for {
@@ -80,13 +94,12 @@ func (f *FTL) claimPage(now sim.Time, pl flash.PlaneID) (flash.PageAddr, int, er
 		if err != nil {
 			return a, failed, err
 		}
+		f.chargeProgram()
 		if f.opts.Faults == nil {
-			f.chargeProgram(1 + failed)
 			return a, failed, nil
 		}
 		b := f.block(pl, a.Block)
 		if !f.opts.Faults.ProgramFails(a, b.EraseCount) {
-			f.chargeProgram(1 + failed)
 			return a, failed, nil
 		}
 		failed++
@@ -240,34 +253,11 @@ func (f *FTL) wipe(gb int) {
 	clear(rmap)
 }
 
-// chargeProgram accumulates the coding scheme's power/wear proxies for the
-// given number of program pulses (the successful one plus any attempts the
-// fault model failed — those transferred charge into the now-bad block too).
-func (f *FTL) chargeProgram(attempts int) {
-	f.stats.ProgramPower += float64(attempts) * f.pagePower
-	f.stats.ProgrammedCells += float64(attempts) * f.pageCells
-}
-
-// relocateGlobal moves the valid page at src to the next page of the global
-// CWDP write stripe, like a host write. The data refresh relocates this way:
-// its pages round-trip through the controller for ECC correction anyway, so
-// they re-enter the normal allocation stream and interleave with ongoing
-// host writes rather than clustering into one plane's block. A transiently
-// full plane is skipped in favour of the next one with space.
-func (f *FTL) relocateGlobal(src flash.PageAddr, now sim.Time) (PageProgram, error) {
-	var err error
-	for try := 0; try < len(f.cwdp); try++ {
-		pl := f.nextAllocPlane()
-		if gcErr := f.ensureFree(pl, now); gcErr != nil {
-			return PageProgram{}, gcErr
-		}
-		var prog PageProgram
-		prog, err = f.relocateTo(src, now, pl)
-		if err == nil {
-			return prog, nil
-		}
-	}
-	return PageProgram{}, err
+// chargeProgram accumulates the coding scheme's power/wear proxies for one
+// page program pulse.
+func (f *FTL) chargeProgram() {
+	f.stats.ProgramPower += f.pagePower
+	f.stats.ProgrammedCells += f.pageCells
 }
 
 // appendMove relocates the valid page at (pl, blk, page) and appends its
@@ -282,13 +272,7 @@ func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global b
 	gb := f.blockID(pl, blk)
 	senses := f.sensesAt(f.wordline(gb, page))
 	valid := f.blocks[gb].ValidCount
-	var prog PageProgram
-	var err error
-	if global {
-		prog, err = f.relocateGlobal(src, now)
-	} else {
-		prog, err = f.relocateTo(src, now, pl)
-	}
+	prog, err := f.relocate(src, global, now)
 	if err != nil {
 		return ops, err
 	}
@@ -301,12 +285,24 @@ func (f *FTL) appendMove(ops []MoveOp, pl flash.PlaneID, blk, page int, global b
 	}), nil
 }
 
-// relocateTo moves the valid page at src into the target plane. The
-// destination is allocated before the source is invalidated, so a failed
-// allocation leaves the source mapping intact.
-func (f *FTL) relocateTo(src flash.PageAddr, now sim.Time, target flash.PlaneID) (PageProgram, error) {
+// relocate moves the valid page at src: within its plane for GC
+// (copyback-style), along the global CWDP write stripe for refresh
+// (global). The data refresh relocates globally: its pages round-trip
+// through the controller for ECC correction anyway, so they re-enter the
+// normal allocation stream and interleave with ongoing host writes rather
+// than clustering into one plane's block. The destination is allocated
+// before the source is invalidated, so a failed allocation leaves the
+// source mapping intact.
+func (f *FTL) relocate(src flash.PageAddr, global bool, now sim.Time) (PageProgram, error) {
 	lpn := LPN(f.rmap[f.blockID(src.Plane, src.Block)*len(f.coords)+src.Page])
-	dst, failed, err := f.claimPage(now, target)
+	var dst flash.PageAddr
+	var failed int
+	var err error
+	if global {
+		dst, failed, err = f.claimStriped(now)
+	} else {
+		dst, failed, err = f.claimPage(now, src.Plane)
+	}
 	if err != nil {
 		return PageProgram{}, err
 	}
