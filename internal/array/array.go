@@ -266,7 +266,7 @@ type Results struct {
 // isolation — and merges the measurements. Like ssd.Run it may be called
 // once per array.
 //
-// Runs are cancellable and isolate failures. Cancelling ctx stops every member within the engine polling bounds. When
+// Cancelling ctx stops every member within the engine polling bounds. When
 // one member fails on its own (an invariant violation, an undersized
 // device), its siblings are cancelled rather than left to run to completion
 // for a result that can no longer be used; the member's own error — not the

@@ -7,6 +7,56 @@ import (
 	"testing/quick"
 )
 
+// WLCase is one of the eight wordline validity scenarios of Table I in the
+// paper (TLC), the fixture the planner tests check against. Case numbers
+// follow the table: cases 1-4 have a valid MSB and are IDA targets, cases
+// 5-7 are plain relocations, case 8 needs nothing.
+type WLCase int
+
+// The eight Table I cases.
+const (
+	CaseInvalidWL     WLCase = 0 // not a Table I case (sentinel)
+	Case1AllValid     WLCase = 1 // LSB valid, CSB valid, MSB valid
+	Case2LSBInvalid   WLCase = 2 // LSB invalid, CSB valid, MSB valid
+	Case3CSBInvalid   WLCase = 3 // LSB valid, CSB invalid, MSB valid
+	Case4LowerInvalid WLCase = 4 // LSB+CSB invalid, MSB valid
+	Case5MSBInvalid   WLCase = 5 // LSB valid, CSB valid, MSB invalid
+	Case6OnlyCSBValid WLCase = 6 // CSB valid only
+	Case7OnlyLSBValid WLCase = 7 // LSB valid only
+	Case8AllInvalid   WLCase = 8 // nothing valid
+)
+
+// String names the case as in the paper's Table I.
+func (c WLCase) String() string {
+	if c >= 1 && c <= 8 {
+		return fmt.Sprintf("case%d", int(c))
+	}
+	return "case?"
+}
+
+// ClassifyTLC maps a TLC wordline's validity mask to its Table I case.
+func ClassifyTLC(mask ValidMask) WLCase {
+	l, c, m := mask.Has(LSB), mask.Has(CSB), mask.Has(MSB)
+	switch {
+	case l && c && m:
+		return Case1AllValid
+	case !l && c && m:
+		return Case2LSBInvalid
+	case l && !c && m:
+		return Case3CSBInvalid
+	case !l && !c && m:
+		return Case4LowerInvalid
+	case l && c && !m:
+		return Case5MSBInvalid
+	case !l && c && !m:
+		return Case6OnlyCSBValid
+	case l && !c && !m:
+		return Case7OnlyLSBValid
+	default:
+		return Case8AllInvalid
+	}
+}
+
 func tlcMask(l, c, m bool) ValidMask {
 	var v ValidMask
 	if l {
@@ -21,6 +71,36 @@ func tlcMask(l, c, m bool) ValidMask {
 	return v
 }
 
+func TestClassifyTLCAllCases(t *testing.T) {
+	cases := []struct {
+		l, c, m bool
+		want    WLCase
+	}{
+		{true, true, true, Case1AllValid},
+		{false, true, true, Case2LSBInvalid},
+		{true, false, true, Case3CSBInvalid},
+		{false, false, true, Case4LowerInvalid},
+		{true, true, false, Case5MSBInvalid},
+		{false, true, false, Case6OnlyCSBValid},
+		{true, false, false, Case7OnlyLSBValid},
+		{false, false, false, Case8AllInvalid},
+	}
+	for _, tc := range cases {
+		if got := ClassifyTLC(tlcMask(tc.l, tc.c, tc.m)); got != tc.want {
+			t.Errorf("Classify(%v,%v,%v) = %v, want %v", tc.l, tc.c, tc.m, got, tc.want)
+		}
+	}
+}
+
+func TestWLCaseString(t *testing.T) {
+	if Case3CSBInvalid.String() != "case3" {
+		t.Errorf("Case3 string = %q", Case3CSBInvalid.String())
+	}
+	if CaseInvalidWL.String() != "case?" {
+		t.Errorf("sentinel string = %q", CaseInvalidWL.String())
+	}
+}
+
 // TestPlanWordlineTableI verifies that the generic planner reproduces the
 // paper's Table I exactly for TLC.
 func TestPlanWordlineTableI(t *testing.T) {
@@ -31,29 +111,34 @@ func TestPlanWordlineTableI(t *testing.T) {
 		keep       ValidMask
 		keptSenses map[PageType]int
 	}
-	// cases[n-1] is Table I's case n.
-	cases := []struct {
-		mask ValidMask
-		want
-	}{
+	cases := map[WLCase]want{
 		// Case 1: move LSB; adjust for CSB/MSB (1 and 2 sensings).
-		{tlcMask(true, true, true), want{true, []PageType{LSB}, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}}},
+		Case1AllValid: {true, []PageType{LSB}, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}},
 		// Case 2: nothing to move; adjust for CSB/MSB.
-		{tlcMask(false, true, true), want{true, nil, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}}},
+		Case2LSBInvalid: {true, nil, tlcMask(false, true, true), map[PageType]int{CSB: 1, MSB: 2}},
 		// Case 3: move LSB; adjust for MSB only (1 sensing).
-		{tlcMask(true, false, true), want{true, []PageType{LSB}, tlcMask(false, false, true), map[PageType]int{MSB: 1}}},
+		Case3CSBInvalid: {true, []PageType{LSB}, tlcMask(false, false, true), map[PageType]int{MSB: 1}},
 		// Case 4: nothing to move; adjust for MSB only.
-		{tlcMask(false, false, true), want{true, nil, tlcMask(false, false, true), map[PageType]int{MSB: 1}}},
+		Case4LowerInvalid: {true, nil, tlcMask(false, false, true), map[PageType]int{MSB: 1}},
 		// Cases 5-7: plain relocation of the valid pages.
-		{tlcMask(true, true, false), want{false, []PageType{LSB, CSB}, 0, nil}},
-		{tlcMask(false, true, false), want{false, []PageType{CSB}, 0, nil}},
-		{tlcMask(true, false, false), want{false, []PageType{LSB}, 0, nil}},
+		Case5MSBInvalid:   {false, []PageType{LSB, CSB}, 0, nil},
+		Case6OnlyCSBValid: {false, []PageType{CSB}, 0, nil},
+		Case7OnlyLSBValid: {false, []PageType{LSB}, 0, nil},
 		// Case 8: nothing to do.
-		{0, want{false, nil, 0, nil}},
+		Case8AllInvalid: {false, nil, 0, nil},
 	}
-	for i, tc := range cases {
-		wc, w := fmt.Sprintf("case%d", i+1), tc.want
-		p := c.PlanWordline(tc.mask)
+	masks := map[WLCase]ValidMask{
+		Case1AllValid:     tlcMask(true, true, true),
+		Case2LSBInvalid:   tlcMask(false, true, true),
+		Case3CSBInvalid:   tlcMask(true, false, true),
+		Case4LowerInvalid: tlcMask(false, false, true),
+		Case5MSBInvalid:   tlcMask(true, true, false),
+		Case6OnlyCSBValid: tlcMask(false, true, false),
+		Case7OnlyLSBValid: tlcMask(true, false, false),
+		Case8AllInvalid:   0,
+	}
+	for wc, w := range cases {
+		p := c.PlanWordline(masks[wc])
 		if p.Apply != w.apply {
 			t.Errorf("%v: apply = %v, want %v", wc, p.Apply, w.apply)
 		}
