@@ -28,7 +28,7 @@ func TestEngineCancelStopsWithinSimBound(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run() = %v, want context.Canceled", err)
 	}
-	if e.stopErr == nil {
+	if e.Err() == nil {
 		t.Fatal("Err() not sticky after cancellation")
 	}
 	// Cancellation happened at t=300us; the poll must land within the
@@ -105,8 +105,8 @@ func TestEngineStopFromCallback(t *testing.T) {
 	}
 	// Stop is first-error-wins and sticky.
 	e.Stop(errors.New("later"))
-	if !errors.Is(e.stopErr, boom) {
-		t.Fatalf("Err() = %v, want the first error", e.stopErr)
+	if !errors.Is(e.Err(), boom) {
+		t.Fatalf("Err() = %v, want the first error", e.Err())
 	}
 	if err := e.Run(); !errors.Is(err, boom) {
 		t.Fatalf("re-Run() = %v, want sticky boom", err)
