@@ -274,7 +274,7 @@ func TestTraceCacheRetainsNoPreamble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, pre, err := workload.NewTraceCache(1).Traces(p)
+	tr, pre, err := workload.NewTraceCache().Traces(p)
 	if err != nil {
 		t.Fatal(err)
 	}

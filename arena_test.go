@@ -17,7 +17,7 @@ import (
 func withFreshArena(t testing.TB) *runpool.Arena {
 	t.Helper()
 	old := idaflash.DefaultArena
-	fresh := runpool.New(0)
+	fresh := runpool.New()
 	idaflash.DefaultArena = fresh
 	t.Cleanup(func() { idaflash.DefaultArena = old })
 	return fresh
@@ -223,7 +223,7 @@ func FuzzArenaReuse(f *testing.F) {
 	// executions: later executions reuse devices parked by earlier ones,
 	// which is exactly the exposure the fuzz is after.
 	old := idaflash.DefaultArena
-	idaflash.DefaultArena = runpool.New(0)
+	idaflash.DefaultArena = runpool.New()
 	f.Cleanup(func() { idaflash.DefaultArena = old })
 	want := make([]outcome, len(cases))
 	for i, tc := range cases {

@@ -87,6 +87,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "idaserver:", err)
 			os.Exit(1)
 		}
+		idaflash.DefaultSnapshots.Logf = logger.Printf
+		idaflash.StoreDisk().Logf = logger.Printf
 		j, err := farm.OpenJournal(filepath.Join(dir, "jobs"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "idaserver:", err)

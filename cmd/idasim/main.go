@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"runtime/pprof"
 	"time"
@@ -118,6 +119,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		// The store's fail-soft diagnostics go to stderr, never into the
+		// report on stdout.
+		logf := log.New(os.Stderr, "idasim: ", 0).Printf
+		idaflash.DefaultSnapshots.Logf = logf
+		idaflash.StoreDisk().Logf = logf
 	}
 	if *faultsIn != "" {
 		sc, err := idaflash.LoadFaultScenario(*faultsIn)

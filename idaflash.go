@@ -511,7 +511,7 @@ var DefaultSnapshots = snapshot.NewStore(0)
 // in every run entry point; System.NoPool opts a run out. Devices
 // are only parked after cleanly completed runs, so a failed or cancelled
 // run can never leak mid-run state into a later one.
-var DefaultArena = runpool.New(0)
+var DefaultArena = runpool.New()
 
 // arena is the device arena the system's runs check devices out of:
 // DefaultArena, or nil — fresh devices, never pooled — under NoPool.

@@ -53,11 +53,6 @@ type Config struct {
 	// submissions are refused. Required (the server passes its runs
 	// context, so the drain deadline reaches batch work too).
 	Parent context.Context
-	// MaxJobs caps concurrently active (unfinished) jobs; defaults to 8.
-	MaxJobs int
-	// Retain bounds finished jobs kept for GET /v1/jobs/{id}; defaults to
-	// 32, evicting oldest-finished first.
-	Retain int
 	// Classify maps a non-context run error onto a wire kind ("invariant",
 	// "internal", ...); nil classifies everything as "internal".
 	Classify func(error) string
@@ -67,15 +62,13 @@ type Config struct {
 	Journal *Journal
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 8
-	}
-	if c.Retain <= 0 {
-		c.Retain = 32
-	}
-	return c
-}
+const (
+	// maxJobs caps concurrently active (unfinished) jobs.
+	maxJobs = 8
+	// retain bounds finished jobs kept for GET /v1/jobs/{id}, evicting
+	// the oldest-finished first.
+	retain = 32
+)
 
 // PointResult is one point's outcome, streamed to subscribers and embedded
 // in job status. Results holds the canonical stored payload verbatim, so a
@@ -205,7 +198,7 @@ type Manager struct {
 // cfg.Parent ends and every queued point has been flushed.
 func New(cfg Config) *Manager {
 	m := &Manager{
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		jobs: make(map[string]*Job),
 		kick: make(chan struct{}, 1),
 	}
@@ -235,7 +228,7 @@ func (m *Manager) Submit(points []experiments.Point, opts SubmitOptions) (*Job, 
 	if m.cfg.Parent.Err() != nil {
 		return nil, ErrDraining
 	}
-	if m.active >= m.cfg.MaxJobs {
+	if m.active >= maxJobs {
 		return nil, ErrBusy
 	}
 	m.nextID++
@@ -589,7 +582,7 @@ func (m *Manager) finishLocked(j *Job) {
 			oldest = other
 		}
 	}
-	if finished > m.cfg.Retain && oldest != nil {
+	if finished > retain && oldest != nil {
 		delete(m.jobs, oldest.ID)
 		m.cfg.Journal.Remove(oldest.ID)
 	}

@@ -281,19 +281,25 @@ func TestSubmitLimitsAndErrors(t *testing.T) {
 		<-release
 		return json.RawMessage(`{}`), false, nil
 	}
-	m := manager(t, 1, run, func(c *Config) { c.MaxJobs = 1 })
+	m := manager(t, 1, run, nil)
 	if _, err := m.Submit(nil, SubmitOptions{}); err == nil {
 		t.Error("empty batch accepted")
 	}
-	j, err := m.Submit(testPoints("a", 1), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
+	var jobs []*Job
+	for i := 0; i < maxJobs; i++ {
+		j, err := m.Submit(testPoints(fmt.Sprintf("a%d", i), 1), SubmitOptions{})
+		if err != nil {
+			t.Fatalf("submit %d of %d: %v", i+1, maxJobs, err)
+		}
+		jobs = append(jobs, j)
 	}
 	if _, err := m.Submit(testPoints("b", 1), SubmitOptions{}); !errors.Is(err, ErrBusy) {
 		t.Errorf("over-cap submit: %v, want ErrBusy", err)
 	}
 	close(release)
-	<-j.Done()
+	for _, j := range jobs {
+		<-j.Done()
+	}
 	if _, err := m.Submit(testPoints("c", 1), SubmitOptions{}); err != nil {
 		t.Errorf("submit after finish: %v", err)
 	}
@@ -341,9 +347,9 @@ func TestFailedPointsAreRecordedAndClassified(t *testing.T) {
 // TestRetentionEvictsOldestFinished: finished jobs stay resolvable up to
 // the retention bound, then the oldest drops to a miss.
 func TestRetentionEvictsOldestFinished(t *testing.T) {
-	m := manager(t, 2, okRun("x"), func(c *Config) { c.Retain = 2 })
+	m := manager(t, 2, okRun("x"), nil)
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < retain+1; i++ {
 		j, err := m.Submit(testPoints(fmt.Sprintf("j%d", i), 1), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -354,8 +360,10 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 	if m.Get(ids[0]) != nil {
 		t.Error("oldest finished job not evicted")
 	}
-	if m.Get(ids[1]) == nil || m.Get(ids[2]) == nil {
-		t.Error("retained jobs evicted")
+	for _, id := range ids[1:] {
+		if m.Get(id) == nil {
+			t.Errorf("retained job %s evicted", id)
+		}
 	}
 }
 

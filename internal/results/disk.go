@@ -27,22 +27,24 @@ import (
 	"time"
 )
 
-// DefaultDiskBudget bounds a Disk that was opened without an explicit
-// budget: 2 GiB holds thousands of result payloads and hundreds of device
-// snapshots — every realistic sweep — while keeping a CI cache or a
-// developer's scratch directory from growing without bound.
+// DefaultDiskBudget bounds every Disk: 2 GiB holds thousands of result
+// payloads and hundreds of device snapshots — every realistic sweep — while
+// keeping a CI cache or a developer's scratch directory from growing
+// without bound.
 const DefaultDiskBudget = 2 << 30
 
-// Retry and degradation defaults. A sick disk gets a small, bounded number
-// of jittered retries per operation; once several operations in a row have
-// exhausted their retries the Disk flips into memory-only degraded mode and
-// stops touching the filesystem (every get is a miss, every put a no-op)
-// until a reprobe interval passes.
+// Retry and degradation. A sick disk gets maxRetries jittered retries per
+// operation, the first after retryBase and each later one after twice the
+// last, each plus up to retryBase of seeded jitter. Once failThreshold
+// operations in a row have exhausted their retries the Disk flips into
+// memory-only degraded mode and stops touching the filesystem (every get is
+// a miss, every put a no-op); after reprobeAfter one operation probes it
+// again.
 const (
-	defaultMaxRetries    = 2
-	defaultRetryBase     = 2 * time.Millisecond
-	defaultFailThreshold = 4
-	defaultReprobeAfter  = 30 * time.Second
+	maxRetries    = 2
+	retryBase     = 2 * time.Millisecond
+	failThreshold = 4
+	reprobeAfter  = 30 * time.Second
 )
 
 // FS abstracts the filesystem operations a Disk performs, so tests (see the
@@ -125,8 +127,9 @@ var blobName = regexp.MustCompile(`^[0-9a-f]{64}\.[a-z]+$`)
 // DiskOptions tune OpenDiskOptions beyond the directory itself. The zero
 // value means defaults everywhere.
 type DiskOptions struct {
-	// Budget bounds the directory in bytes (<= 0 uses DefaultDiskBudget).
-	Budget int64
+	// budget bounds the directory in bytes (<= 0 uses DefaultDiskBudget);
+	// the eviction tests set it small.
+	budget int64
 	// Sync makes every blob write fsync the file and its directory, so a
 	// committed blob survives power loss. Off by default: blobs are an
 	// optimization, and a lost one is a cache miss — turn it on (idaserver
@@ -135,18 +138,6 @@ type DiskOptions struct {
 	// FS overrides the filesystem implementation (fault-injection tests);
 	// nil uses the real one.
 	FS FS
-	// MaxRetries bounds per-operation retries on I/O failure (< 0 disables
-	// retries; 0 uses the default of 2).
-	MaxRetries int
-	// RetryBase is the first retry's backoff; later retries double it, and
-	// each adds up to one base interval of seeded jitter (0 = default 2ms).
-	RetryBase time.Duration
-	// FailThreshold is how many consecutive operations must exhaust their
-	// retries before the Disk degrades to memory-only mode (0 = default 4).
-	FailThreshold int
-	// ReprobeAfter is how long a degraded Disk waits before letting one
-	// operation probe the filesystem again (0 = default 30s).
-	ReprobeAfter time.Duration
 	// Sleep replaces the retry backoff sleep (tests); nil sleeps for real.
 	Sleep func(time.Duration)
 	// Now replaces the clock behind the degraded-mode reprobe (tests).
@@ -154,25 +145,11 @@ type DiskOptions struct {
 }
 
 func (o DiskOptions) withDefaults() DiskOptions {
-	if o.Budget <= 0 {
-		o.Budget = DefaultDiskBudget
+	if o.budget <= 0 {
+		o.budget = DefaultDiskBudget
 	}
 	if o.FS == nil {
 		o.FS = OSFS{}
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = defaultMaxRetries
-	} else if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = defaultRetryBase
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = defaultFailThreshold
-	}
-	if o.ReprobeAfter <= 0 {
-		o.ReprobeAfter = defaultReprobeAfter
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -232,8 +209,7 @@ type blobInfo struct {
 }
 
 // OpenDiskOptions opens (creating if needed) a content-addressed blob root
-// with the given options: byte budget, sync policy, retry/degradation
-// knobs and fault-injectable FS.
+// with the given options: sync policy, fault-injectable FS and clocks.
 func OpenDiskOptions(dir string, opts DiskOptions) (*Disk, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("results: empty disk directory")
@@ -244,7 +220,7 @@ func OpenDiskOptions(dir string, opts DiskOptions) (*Disk, error) {
 	opts = opts.withDefaults()
 	d := &Disk{
 		dir:    dir,
-		budget: opts.Budget,
+		budget: opts.budget,
 		files:  make(map[string]*list.Element),
 		lru:    list.New(),
 		fs:     opts.FS,
@@ -328,7 +304,7 @@ func (d *Disk) ioAllowed() bool {
 	if !d.degraded {
 		return true
 	}
-	if d.opts.Now().Sub(d.degradedAt) >= d.opts.ReprobeAfter {
+	if d.opts.Now().Sub(d.degradedAt) >= reprobeAfter {
 		// Push the window forward so a failing probe does not open the
 		// floodgates for every caller behind it.
 		d.degradedAt = d.opts.Now()
@@ -344,7 +320,7 @@ func (d *Disk) ioFailed(err error) {
 	d.hmu.Lock()
 	d.consec++
 	d.lastErr = err.Error()
-	flip := !d.degraded && d.consec >= d.opts.FailThreshold
+	flip := !d.degraded && d.consec >= failThreshold
 	if flip {
 		d.degraded = true
 		d.degradedAt = d.opts.Now()
@@ -353,7 +329,7 @@ func (d *Disk) ioFailed(err error) {
 	stillDegraded := d.degraded
 	d.hmu.Unlock()
 	if flip {
-		d.logf("results: disk degraded to memory-only mode after %d consecutive I/O failures (last: %v)", d.opts.FailThreshold, err)
+		d.logf("results: disk degraded to memory-only mode after %d consecutive I/O failures (last: %v)", failThreshold, err)
 	} else if stillDegraded {
 		d.logf("results: disk reprobe failed, staying memory-only: %v", err)
 	}
@@ -375,9 +351,9 @@ func (d *Disk) ioOK() {
 // backoff computes the attempt-th retry delay: base doubling per attempt
 // plus up to one base interval of seeded jitter.
 func (d *Disk) backoff(attempt int) time.Duration {
-	base := d.opts.RetryBase << attempt
+	base := retryBase << attempt
 	d.hmu.Lock()
-	j := time.Duration(d.rng.Int63n(int64(d.opts.RetryBase)))
+	j := time.Duration(d.rng.Int63n(int64(retryBase)))
 	d.hmu.Unlock()
 	return base + j
 }
@@ -392,7 +368,7 @@ func (d *Disk) readRetry(path string) ([]byte, error) {
 		if err == nil || errors.Is(err, iofs.ErrNotExist) {
 			return b, err
 		}
-		if attempt >= d.opts.MaxRetries {
+		if attempt >= maxRetries {
 			return nil, err
 		}
 		d.retriesN.Add(1)
@@ -410,7 +386,7 @@ func (d *Disk) writeRetry(name string, b []byte) error {
 		if err == nil {
 			return nil
 		}
-		if attempt >= d.opts.MaxRetries {
+		if attempt >= maxRetries {
 			return err
 		}
 		if errors.Is(err, syscall.ENOSPC) {

@@ -17,23 +17,17 @@ import (
 	"idaflash/internal/results/errfs"
 )
 
-// faultDisk opens a Disk over an errfs-wrapped real filesystem with the
-// retry/degradation knobs pinned for determinism: no real sleeping, a
-// controllable clock, and a low failure threshold.
-func faultDisk(t *testing.T, fs *errfs.FS, tweak func(*results.DiskOptions)) (*results.Disk, *time.Time) {
+// faultDisk opens a Disk over an errfs-wrapped real filesystem with its
+// clocks pinned for determinism: no real sleeping, and a controllable clock
+// behind the reprobe.
+func faultDisk(t *testing.T, fs *errfs.FS) (*results.Disk, *time.Time) {
 	t.Helper()
 	now := time.Unix(1000, 0)
-	opts := results.DiskOptions{
-		FS:            fs,
-		FailThreshold: 3,
-		ReprobeAfter:  time.Minute,
-		Sleep:         func(time.Duration) {},
-		Now:           func() time.Time { return now },
-	}
-	if tweak != nil {
-		tweak(&opts)
-	}
-	d, err := results.OpenDiskOptions(t.TempDir(), opts)
+	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{
+		FS:    fs,
+		Sleep: func(time.Duration) {},
+		Now:   func() time.Time { return now },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +39,20 @@ func faultDisk(t *testing.T, fs *errfs.FS, tweak func(*results.DiskOptions)) (*r
 // operation probes again and a healthy answer lifts the degradation.
 func TestDiskEIODegradesAndReprobes(t *testing.T) {
 	fs := errfs.New(nil)
-	d, now := faultDisk(t, fs, nil)
+	d, now := faultDisk(t, fs)
 	blobs := d.Sub(".json")
 
 	fs.FailNext(errfs.OpRead, 100, errfs.EIO)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < results.FailThreshold; i++ {
+		if h := d.Health(); h.Degraded {
+			t.Fatalf("degraded after %d failures: %+v", i, h)
+		}
 		if b := blobs.Get("k"); b != nil {
 			t.Fatalf("get %d returned %q under EIO", i, b)
 		}
 	}
 	h := d.Health()
-	if !h.Degraded || h.Errors != 3 || h.Degradations != 1 {
+	if !h.Degraded || h.Errors != results.FailThreshold || h.Degradations != 1 {
 		t.Fatalf("health after threshold: %+v", h)
 	}
 	if !strings.Contains(h.LastError, "input/output error") {
@@ -73,9 +70,14 @@ func TestDiskEIODegradesAndReprobes(t *testing.T) {
 	}
 
 	// Reprobe window passes and the disk heals: the next operation goes
-	// through, succeeds, and lifts the degradation.
+	// through, succeeds, and lifts the degradation. Not a moment before.
 	fs.Reset()
-	*now = now.Add(2 * time.Minute)
+	*now = now.Add(results.ReprobeAfter - time.Nanosecond)
+	blobs.Put("k", []byte(`{"v":2}`))
+	if h := d.Health(); !h.Degraded || fs.Ops(errfs.OpWrite) != 0 {
+		t.Fatalf("reprobed before the window: %+v", h)
+	}
+	*now = now.Add(time.Nanosecond)
 	blobs.Put("k", []byte(`{"v":2}`))
 	if h := d.Health(); h.Degraded {
 		t.Fatalf("still degraded after successful reprobe: %+v", h)
@@ -90,7 +92,7 @@ func TestDiskEIODegradesAndReprobes(t *testing.T) {
 func TestDiskRetriesTransientWrite(t *testing.T) {
 	fs := errfs.New(nil)
 	fs.FailAt(errfs.OpWrite, 1, errfs.EIO)
-	d, _ := faultDisk(t, fs, nil)
+	d, _ := faultDisk(t, fs)
 	blobs := d.Sub(".json")
 	blobs.Put("k", []byte(`{"v":1}`))
 	if string(blobs.Get("k")) != `{"v":1}` {
@@ -106,7 +108,7 @@ func TestDiskRetriesTransientWrite(t *testing.T) {
 // to make room before retrying the write.
 func TestDiskENOSPCEvictsAndRetries(t *testing.T) {
 	fs := errfs.New(nil)
-	d, _ := faultDisk(t, fs, nil)
+	d, _ := faultDisk(t, fs)
 	blobs := d.Sub(".json")
 	blobs.Put("old1", []byte(`{"v":"old1"}`))
 	blobs.Put("old2", []byte(`{"v":"old2"}`))
@@ -128,12 +130,12 @@ func TestDiskENOSPCEvictsAndRetries(t *testing.T) {
 // clear the failure streak, not extend it.
 func TestDiskMissIsNotAFault(t *testing.T) {
 	fs := errfs.New(nil)
-	d, _ := faultDisk(t, fs, nil)
+	d, _ := faultDisk(t, fs)
 	blobs := d.Sub(".json")
 	fs.FailAt(errfs.OpRead, 1, errfs.EIO)
 	fs.FailAt(errfs.OpRead, 3, errfs.EIO)
 	fs.FailAt(errfs.OpRead, 5, errfs.EIO)
-	// Alternating fault / clean miss: the streak never reaches 3.
+	// Alternating fault / clean miss: the streak never reaches the threshold.
 	for i := 0; i < 6; i++ {
 		blobs.Get("absent")
 	}
@@ -156,7 +158,7 @@ func TestStoreTornWriteRecomputes(t *testing.T) {
 	compute := func(context.Context) ([]byte, error) { return payload, nil }
 
 	fs.FailAt(errfs.OpWrite, 1, errfs.Torn)
-	s1 := results.NewStore(0)
+	s1 := results.NewStore()
 	s1.SetBlobs(d.Sub(".json"))
 	if _, _, err := s1.GetOrCompute(context.Background(), "k", compute); err != nil {
 		t.Fatal(err)
@@ -168,7 +170,7 @@ func TestStoreTornWriteRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := results.NewStore(0)
+	s2 := results.NewStore()
 	s2.SetBlobs(d2.Sub(".json"))
 	computed := false
 	b, cached, err := s2.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
@@ -185,7 +187,7 @@ func TestStoreTornWriteRecomputes(t *testing.T) {
 		t.Fatalf("payload %q", b)
 	}
 	// And the repaired blob now round-trips as a real hit.
-	s3 := results.NewStore(0)
+	s3 := results.NewStore()
 	s3.SetBlobs(d2.Sub(".json"))
 	if _, cached, _ := s3.GetOrCompute(context.Background(), "k", compute); !cached {
 		t.Error("repaired blob not served from disk")
@@ -203,14 +205,14 @@ func TestStoreShortReadRecomputes(t *testing.T) {
 	blobs := d.Sub(".json")
 	payload := []byte(`{"value":12345678}`)
 	compute := func(context.Context) ([]byte, error) { return payload, nil }
-	s0 := results.NewStore(0)
+	s0 := results.NewStore()
 	s0.SetBlobs(blobs)
 	if _, _, err := s0.GetOrCompute(context.Background(), "k", compute); err != nil {
 		t.Fatal(err)
 	}
 
 	fs.FailNext(errfs.OpRead, 1, errfs.Short)
-	s := results.NewStore(0)
+	s := results.NewStore()
 	s.SetBlobs(blobs)
 	b, cached, err := s.GetOrCompute(context.Background(), "k", compute)
 	if err != nil {
@@ -234,7 +236,7 @@ func TestStoreBitFlipInDigitRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte(`{"value":12345678}`)
-	s1 := results.NewStore(0)
+	s1 := results.NewStore()
 	s1.SetBlobs(d.Sub(".json"))
 	if _, _, err := s1.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
 		return payload, nil
@@ -257,7 +259,7 @@ func TestStoreBitFlipInDigitRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := results.NewStore(0)
+	s2 := results.NewStore()
 	s2.SetBlobs(d.Sub(".json"))
 	computed := false
 	b, cached, err := s2.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
@@ -282,7 +284,7 @@ func TestStoreBareJSONBlobIsAMiss(t *testing.T) {
 	}
 	blobs := d.Sub(".json")
 	blobs.Put("k", []byte(`{"value":12345678}`))
-	s := results.NewStore(0)
+	s := results.NewStore()
 	s.SetBlobs(blobs)
 	boom := errors.New("compute failed")
 	b, cached, err := s.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
@@ -303,8 +305,8 @@ func TestStoreDegradedServesUncached(t *testing.T) {
 	fs := errfs.New(nil)
 	fs.FailNext(errfs.OpRead, 1000, errfs.EIO)
 	fs.FailNext(errfs.OpWrite, 1000, errfs.EIO)
-	d, _ := faultDisk(t, fs, nil)
-	s := results.NewStore(0)
+	d, _ := faultDisk(t, fs)
+	s := results.NewStore()
 	s.SetBlobs(d.Sub(".json"))
 	for i := 0; i < 4; i++ {
 		b, _, err := s.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
@@ -315,7 +317,7 @@ func TestStoreDegradedServesUncached(t *testing.T) {
 		}
 		// A fresh store each round defeats the memory tier, so every round
 		// exercises the sick disk.
-		s = results.NewStore(0)
+		s = results.NewStore()
 		s.SetBlobs(d.Sub(".json"))
 	}
 	st := s.Stats()

@@ -213,10 +213,10 @@ func (c *Cache[V]) save(key string, v V) {
 	blobs.Put(key, b)
 }
 
-// defaultMemEntries bounds the result store's memory tier: result payloads
-// are a few KB each, so 512 keeps the whole Figure 8 sweep and several
+// storeEntries bounds the result store's memory tier: result payloads are a
+// few KB each, so 512 keeps the whole Figure 8 sweep and several
 // sensitivity grids resident for about a megabyte.
-const defaultMemEntries = 512
+const storeEntries = 512
 
 // Store memoizes simulation result payloads — the canonical JSON of a
 // Results value — by their canonical memo key, so a cached point is served
@@ -227,11 +227,7 @@ type Store = Cache[[]byte]
 // fails its magic check and is read as a miss.
 var resultFormat = frame.Format{Magic: [8]byte{'I', 'D', 'A', 'R', 'S', 'L', 'T', 0}, Version: 1}
 
-// NewStore builds a result store holding at most limit payloads in memory
-// (<= 0 uses the default of 512).
-func NewStore(limit int) *Store {
-	if limit <= 0 {
-		limit = defaultMemEntries
-	}
-	return NewCache(limit, func(b []byte) ([]byte, error) { return resultFormat.Seal(b), nil }, resultFormat.Open)
+// NewStore builds a result store holding at most 512 payloads in memory.
+func NewStore() *Store {
+	return NewCache(storeEntries, func(b []byte) ([]byte, error) { return resultFormat.Seal(b), nil }, resultFormat.Open)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestStoreSingleflight(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	var computes atomic.Int64
 	release := make(chan struct{})
 	const waiters = 8
@@ -68,7 +68,7 @@ func TestStoreSingleflight(t *testing.T) {
 // TestStoreErrorNotCached: a failed compute is abandoned; the next call
 // recomputes instead of inheriting the failure.
 func TestStoreErrorNotCached(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	boom := errors.New("boom")
 	_, _, err := s.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
 		return nil, boom
@@ -87,7 +87,7 @@ func TestStoreErrorNotCached(t *testing.T) {
 // TestStoreWaiterRetriesAfterAbandon: a waiter on a cancelled compute
 // re-claims the key and computes for itself.
 func TestStoreWaiterRetriesAfterAbandon(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	started := make(chan struct{})
 	fail := make(chan struct{})
 	go func() {
@@ -118,7 +118,7 @@ func TestStoreWaiterRetriesAfterAbandon(t *testing.T) {
 // TestStoreWaiterHonorsContext: a waiter whose own context ends stops
 // waiting without disturbing the executing compute.
 func TestStoreWaiterHonorsContext(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
@@ -151,7 +151,7 @@ func TestStoreDiskTierServesAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := NewStore(0)
+	s1 := NewStore()
 	s1.SetBlobs(d1.Sub(".json"))
 	cold, cached, err := s1.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
 		return []byte(`{"point":1}`), nil
@@ -164,7 +164,7 @@ func TestStoreDiskTierServesAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewStore(0)
+	s2 := NewStore()
 	s2.SetBlobs(d2.Sub(".json"))
 	warm, cached, err := s2.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
 		t.Error("warm store recomputed")
@@ -191,7 +191,7 @@ func TestStoreStoredNeverClaimsOrWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := NewStore(0)
+	s1 := NewStore()
 	s1.SetBlobs(d1.Sub(".json"))
 	if _, _, err := s1.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
 		return []byte("v"), nil
@@ -206,7 +206,7 @@ func TestStoreStoredNeverClaimsOrWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewStore(0)
+	s2 := NewStore()
 	s2.SetBlobs(d2.Sub(".json"))
 	for i := 0; i < 2; i++ { // the blob tier, then memory
 		if v, ok := s2.Stored("k"); !ok || string(v) != "v" {
@@ -241,8 +241,9 @@ func TestStoreStoredNeverClaimsOrWaits(t *testing.T) {
 // TestStoreMemoryBound: the in-memory tier evicts its oldest published
 // entries past the limit; evicted keys recompute (or re-read disk).
 func TestStoreMemoryBound(t *testing.T) {
-	s := NewStore(2)
-	for i := 0; i < 4; i++ {
+	s := NewStore()
+	last := fmt.Sprintf("k%d", storeEntries+1)
+	for i := 0; i < storeEntries+2; i++ {
 		key := fmt.Sprintf("k%d", i)
 		_, _, err := s.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 			return []byte(key), nil
@@ -251,8 +252,8 @@ func TestStoreMemoryBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.Entries != 2 {
-		t.Errorf("entries = %d, want 2", st.Entries)
+	if st := s.Stats(); st.Entries != storeEntries {
+		t.Errorf("entries = %d, want %d", st.Entries, storeEntries)
 	}
 	// k0 was evicted: a re-request recomputes.
 	var recomputed bool
@@ -263,8 +264,8 @@ func TestStoreMemoryBound(t *testing.T) {
 	if err != nil || cached || !recomputed {
 		t.Errorf("evicted key: cached=%v recomputed=%v err=%v", cached, recomputed, err)
 	}
-	// k3 is still resident.
-	_, cached, err = s.GetOrCompute(context.Background(), "k3", nil)
+	// The last key is still resident.
+	_, cached, err = s.GetOrCompute(context.Background(), last, nil)
 	if err != nil || !cached {
 		t.Errorf("resident key: cached=%v err=%v", cached, err)
 	}
@@ -274,7 +275,7 @@ func TestStoreMemoryBound(t *testing.T) {
 // releases the key's claim (the panic is re-raised), so a later caller
 // computes afresh instead of waiting forever.
 func TestStorePanickingComputeAbandonsClaim(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	func() {
 		defer func() {
 			if recover() == nil {

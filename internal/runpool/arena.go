@@ -59,19 +59,15 @@ type Stats struct {
 // is not usable; call New. All methods are safe for concurrent use — the
 // farm's worker slots share one arena.
 type Arena struct {
-	mu      sync.Mutex
-	idle    map[flash.Geometry][]*ssd.SSD
-	perGeom int
-	stats   Stats
+	mu    sync.Mutex
+	idle  map[flash.Geometry][]*ssd.SSD
+	stats Stats
 }
 
-// New builds an arena keeping at most perGeom idle devices per geometry;
-// zero or negative selects DefaultIdlePerGeometry.
-func New(perGeom int) *Arena {
-	if perGeom <= 0 {
-		perGeom = DefaultIdlePerGeometry
-	}
-	return &Arena{idle: make(map[flash.Geometry][]*ssd.SSD), perGeom: perGeom}
+// New builds an arena keeping at most DefaultIdlePerGeometry idle devices
+// per geometry.
+func New() *Arena {
+	return &Arena{idle: make(map[flash.Geometry][]*ssd.SSD)}
 }
 
 // Get returns a device configured per cfg: an idle device of the same
@@ -143,7 +139,7 @@ func (a *Arena) Drain() {
 // the list is already at the idle bound. The caller holds a.mu.
 func (a *Arena) park(dev *ssd.SSD) bool {
 	g := dev.Config().Geometry
-	if len(a.idle[g]) >= a.perGeom {
+	if len(a.idle[g]) >= DefaultIdlePerGeometry {
 		return false
 	}
 	a.idle[g] = append(a.idle[g], dev)

@@ -45,7 +45,7 @@ func park(t *testing.T, a *runpool.Arena, cfg ssd.Config, n int) []*ssd.SSD {
 // without costing the arena its parked devices or counting a miss, and the
 // next valid Get still reuses one of them.
 func TestGetRejectedConfigKeepsIdle(t *testing.T) {
-	a := runpool.New(0)
+	a := runpool.New()
 	cfg := testConfig(1)
 	devs := park(t, a, cfg, 3)
 	before := a.Stats()
@@ -77,9 +77,10 @@ func TestGetRejectedConfigKeepsIdle(t *testing.T) {
 // TestPutDropsOverIdleBound: Puts beyond the per-geometry idle bound drop
 // the device and count it.
 func TestPutDropsOverIdleBound(t *testing.T) {
-	a := runpool.New(2)
-	park(t, a, testConfig(1), 3)
-	want := runpool.Stats{Misses: 3, Returns: 2, Dropped: 1, Idle: 2}
+	a := runpool.New()
+	const n = runpool.DefaultIdlePerGeometry
+	park(t, a, testConfig(1), n+1)
+	want := runpool.Stats{Misses: n + 1, Returns: n, Dropped: 1, Idle: n}
 	if got := a.Stats(); got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
@@ -88,7 +89,7 @@ func TestPutDropsOverIdleBound(t *testing.T) {
 // TestGetKeepsGeometriesApart: an idle device is only ever handed to a Get
 // of its own geometry.
 func TestGetKeepsGeometriesApart(t *testing.T) {
-	a := runpool.New(0)
+	a := runpool.New()
 	small := testConfig(1)
 	parked := park(t, a, small, 1)[0]
 

@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
-	"time"
 
 	"idaflash"
 	"idaflash/internal/experiments"
@@ -153,10 +151,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Sprintf("decoding body: %v", err))
+	if err := decodeBody(r.Body, 4<<20, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid", err.Error())
 		return
 	}
 	stream := req.Stream
@@ -175,7 +171,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	job, err := s.farm.Submit(points, farm.SubmitOptions{PointTimeout: s.clampTimeout(req.TimeoutMs)})
 	switch {
 	case errors.Is(err, farm.ErrBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "shed", "too many active jobs, retry later")
 		return
 	case errors.Is(err, farm.ErrDraining):

@@ -443,11 +443,15 @@ func TestBatchValidation(t *testing.T) {
 		`{"points":[{"profile":"usr_1","system":{"devices":-4}}]}`,
 		`{"stream":"telepathy","points":[{"profile":"usr_1","system":{}}]}`,
 		`{"requests":-5,"points":[{"profile":"usr_1","system":{}}]}`,
+		`{"stream":"none","points":[{"profile":"usr_1","system":{}}]} {"points":[]}`,
+		`{"stream":"none","points":[{"profile":"usr_1","system":{}}]}garbage`,
 	} {
 		resp := postBatch(t, ts, body)
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || eb.Kind != "invalid" {
+			t.Errorf("body %s: status %d kind %q, want 400 invalid", body, resp.StatusCode, eb.Kind)
 		}
 	}
 
@@ -465,12 +469,12 @@ func TestBatchValidation(t *testing.T) {
 // 429 and a Retry-After hint, like the single-run shed gate.
 func TestBatchJobCapSheds(t *testing.T) {
 	release := make(chan struct{})
-	s := stubServer(Config{Workers: 1, RetryAfter: 2 * time.Second}, blockingRun(release, nil))
+	s := stubServer(Config{Workers: 1}, blockingRun(release, nil))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	one := `{"stream":"none","points":[{"profile":"usr_1","system":{}}]}`
-	for i := 0; i < 8; i++ { // the farm's default MaxJobs
+	for i := 0; i < 8; i++ { // the farm's cap on active jobs
 		resp := postBatch(t, ts, one)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusAccepted {
@@ -482,8 +486,8 @@ func TestBatchJobCapSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap batch: status %d, want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	close(release)
 }

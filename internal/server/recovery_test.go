@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,9 +168,8 @@ func TestReadyzReportsDegradedStore(t *testing.T) {
 	fs := errfs.New(nil)
 	fs.FailNext(errfs.OpRead, 1000, errfs.EIO)
 	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{
-		FS:            fs,
-		FailThreshold: 2,
-		Sleep:         func(time.Duration) {},
+		FS:    fs,
+		Sleep: func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +185,12 @@ func TestReadyzReportsDegradedStore(t *testing.T) {
 		t.Fatalf("healthy readyz %v", body)
 	}
 
+	// The disk degrades after four operations in a row exhaust their
+	// retries.
 	blobs := d.Sub(".json")
-	blobs.Get("a")
-	blobs.Get("b")
+	for _, key := range []string{"a", "b", "c", "d"} {
+		blobs.Get(key)
+	}
 
 	getJSON(t, ts, "/readyz", &body)
 	if body["status"] != "ready" || body["store"] != "degraded" {
@@ -195,6 +201,64 @@ func TestReadyzReportsDegradedStore(t *testing.T) {
 	if z.Results.Disk == nil || !z.Results.Disk.Degraded || z.Results.Disk.Errors == 0 {
 		t.Fatalf("statz results.disk %+v", z.Results.Disk)
 	}
+}
+
+// TestCorruptStoredResultIsLogged: a stored result blob that fails its
+// check is discarded and the point runs again, and the discard reaches
+// Config.Log, so an operator can see why the store missed.
+func TestCorruptStoredResultIsLogged(t *testing.T) {
+	var logs lockedWriter
+	var runs atomic.Int64
+	s := stubServer(Config{Workers: 1, Log: log.New(&logs, "", 0)}, traceRun(&runs))
+	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ResultStore().SetBlobs(d.Sub(idaflash.ExtResult))
+	profile, err := idaflash.ProfileByName("usr_1", s.cfg.Requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := buildSystem(SystemSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := experiments.Key(profile, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Sub(idaflash.ExtResult).Put(key, []byte("not a framed result"))
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, eb, err := postRun(ts, strings.NewReader(`{"profile":"usr_1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || runs.Load() != 1 {
+		t.Fatalf("run over a corrupt blob: status %d (%+v), %d runs; want 200 and 1 run", resp.StatusCode, eb, runs.Load())
+	}
+	if got := logs.String(); !strings.Contains(got, "discarding .json blob") {
+		t.Errorf("the discard did not reach Config.Log; log holds %q", got)
+	}
+}
+
+// lockedWriter is a log destination a test reads while handlers write.
+type lockedWriter struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (w *lockedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+func (w *lockedWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
 }
 
 // TestReadyzOmitsStoreWhenMemoryOnly: without a disk tier there is nothing

@@ -17,7 +17,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,12 +44,11 @@ type Config struct {
 	// MaxTimeout caps the per-request timeout a client may ask for;
 	// defaults to 10 minutes.
 	MaxTimeout time.Duration
-	// RetryAfter is the hint returned with a 429; defaults to 1s.
-	RetryAfter time.Duration
 	// Requests is the default per-trace request budget; zero uses
 	// experiments.DefaultRequests.
 	Requests int
-	// Log receives one line per completed request; nil discards.
+	// Log receives one line per completed request and the result store's
+	// fail-soft diagnostics; nil discards.
 	Log *log.Logger
 	// Journal, when set, makes batch jobs durable: submissions write a
 	// per-job write-ahead log under the store root, and RecoverJobs resumes
@@ -71,14 +69,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.Requests == 0 {
 		c.Requests = experiments.DefaultRequests
 	}
 	return c
 }
+
+// retryAfter is the Retry-After hint, in whole seconds, sent with a 429.
+const retryAfter = "1"
 
 // Stats are the service's lifetime counters, the server section of /statz.
 type Stats struct {
@@ -168,7 +166,10 @@ func New(cfg Config) *Server {
 		run:     idaflash.RunWorkloadContext,
 		tokens:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workers: make(chan struct{}, cfg.Workers),
-		results: results.NewStore(0),
+		results: results.NewStore(),
+	}
+	if cfg.Log != nil {
+		s.results.Logf = cfg.Log.Printf
 	}
 	s.drainCtx, s.beginDrain = context.WithCancel(context.Background())
 	s.runsCtx, s.cancelRuns = context.WithCancel(context.Background())
@@ -484,16 +485,29 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"profiles": names})
 }
 
+// decodeBody decodes a request body of at most limit bytes into v. The
+// body must hold exactly one JSON value with no unknown fields; anything
+// after the value but white space is refused.
+func decodeBody(body io.Reader, limit int64, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding body: data after the JSON value")
+	}
+	return nil
+}
+
 // parse validates the request body into a runnable (profile, system,
 // timeout): a nil error means BuildConfig accepts the pair, so a
 // configuration the simulator would reject is a 400 before the request
 // takes a worker slot, not a failed run.
 func (s *Server) parse(r *http.Request) (idaflash.Profile, idaflash.System, time.Duration, error) {
 	var req RunRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return idaflash.Profile{}, idaflash.System{}, 0, fmt.Errorf("decoding body: %w", err)
+	if err := decodeBody(r.Body, 1<<20, &req); err != nil {
+		return idaflash.Profile{}, idaflash.System{}, 0, err
 	}
 	budget := req.Requests
 	if budget == 0 {
@@ -576,7 +590,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case s.tokens <- struct{}{}:
 	default:
 		s.shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "shed", "queue full, retry later")
 		return
 	}

@@ -150,6 +150,9 @@ func TestRunEndpointRejectsBadRequests(t *testing.T) {
 		`{"profile":"proj_3","system":{"stripe_kb":-1,"devices":2}}`,
 		`{"profile":"proj_3","system":{"devices":-4}}`,
 		`not json`,
+		`{"profile":"usr_1"} {"profile":"x"}`,
+		`{"profile":"usr_1"}garbage`,
+		`{"profile":"usr_1"}}`,
 	} {
 		resp, eb, err := postRun(ts, strings.NewReader(body))
 		if err != nil {
@@ -167,7 +170,7 @@ func TestRunEndpointRejectsBadRequests(t *testing.T) {
 func TestShedWhenSaturated(t *testing.T) {
 	release := make(chan struct{})
 	var started atomic.Int64
-	s := stubServer(Config{Workers: 1, QueueDepth: 1, RetryAfter: 3 * time.Second}, blockingRun(release, &started))
+	s := stubServer(Config{Workers: 1, QueueDepth: 1}, blockingRun(release, &started))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -199,8 +202,8 @@ func TestShedWhenSaturated(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests || eb.Kind != "shed" {
 		t.Fatalf("status %d kind %q, want 429 shed", resp.StatusCode, eb.Kind)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	if s.Stats().Shed != 1 {
 		t.Errorf("shed counter = %d", s.Stats().Shed)
@@ -487,7 +490,7 @@ func TestProfilesAndStatsEndpoints(t *testing.T) {
 // nothing is left in flight. Run with -race in CI.
 func TestServerSoak(t *testing.T) {
 	var slow atomic.Bool
-	s := stubServer(Config{Workers: 2, QueueDepth: 2, RetryAfter: time.Second},
+	s := stubServer(Config{Workers: 2, QueueDepth: 2},
 		func(ctx context.Context, p idaflash.Profile, sys idaflash.System) (idaflash.Results, error) {
 			if slow.Load() {
 				select {

@@ -37,7 +37,7 @@ func TestDisabledHooksAllocateNothing(t *testing.T) {
 // BenchmarkEnabledSpan is the enabled-path counterpart, for sizing the
 // overhead a traced run accepts.
 func BenchmarkEnabledSpan(b *testing.B) {
-	r := New(Config{SpanCapacity: 1024})
+	r := New(Config{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		disabledRequest(r)

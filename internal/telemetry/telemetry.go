@@ -103,10 +103,6 @@ type Config struct {
 	// every request. Sampling is by arrival index, so it is
 	// deterministic.
 	SampleEvery int
-	// SpanCapacity bounds the span ring buffer; when full, the oldest
-	// span is overwritten (DroppedSpans counts the losses). Zero means
-	// DefaultSpanCapacity.
-	SpanCapacity int
 	// MetricsInterval is the simulated-time period of the time-series
 	// sampler; zero disables time-series recording (spans are still
 	// recorded).
@@ -115,7 +111,8 @@ type Config struct {
 	Device int
 }
 
-// DefaultSpanCapacity is the span ring size when Config.SpanCapacity is 0.
+// DefaultSpanCapacity bounds the span ring buffer; when it is full, the
+// oldest span is overwritten (DroppedSpans counts the losses).
 const DefaultSpanCapacity = 1 << 14
 
 // Recorder accumulates spans and samples for one device. It counts no
@@ -141,10 +138,7 @@ func New(cfg Config) *Recorder {
 	if cfg.SampleEvery < 0 {
 		cfg.SampleEvery = 0
 	}
-	if cfg.SpanCapacity <= 0 {
-		cfg.SpanCapacity = DefaultSpanCapacity
-	}
-	return &Recorder{cfg: cfg, spans: make([]Span, 0, cfg.SpanCapacity)}
+	return &Recorder{cfg: cfg, spans: make([]Span, 0, DefaultSpanCapacity)}
 }
 
 // Interval returns the time-series period, or zero when disabled (or when

@@ -72,17 +72,18 @@ func TestSamplingEveryNth(t *testing.T) {
 }
 
 func TestRingBufferOverwritesOldest(t *testing.T) {
-	r := record(t, Config{SpanCapacity: 4}, 10)
+	const extra = 6
+	r := record(t, Config{}, DefaultSpanCapacity+extra)
 	e := r.Export()
-	if len(e.Spans) != 4 {
-		t.Fatalf("spans = %d, want capacity 4", len(e.Spans))
+	if len(e.Spans) != DefaultSpanCapacity {
+		t.Fatalf("spans = %d, want capacity %d", len(e.Spans), DefaultSpanCapacity)
 	}
-	if e.DroppedSpans != 6 {
-		t.Fatalf("dropped = %d, want 6", e.DroppedSpans)
+	if e.DroppedSpans != extra {
+		t.Fatalf("dropped = %d, want %d", e.DroppedSpans, extra)
 	}
-	// Oldest-first order of the surviving newest spans: IDs 7..10.
+	// Oldest-first order of the surviving newest spans: IDs extra+1 on.
 	for i, sp := range e.Spans {
-		if want := uint64(7 + i); sp.ID != want {
+		if want := uint64(extra + 1 + i); sp.ID != want {
 			t.Errorf("spans[%d].ID = %d, want %d", i, sp.ID, want)
 		}
 	}

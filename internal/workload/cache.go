@@ -28,21 +28,17 @@ type TraceCache struct {
 	mem *memo.Cache[*Trace]
 }
 
-// defaultTraceCacheLimit bounds the default cache: the paper's sweeps use
-// ~20 distinct profiles, so 64 keeps every realistic sweep fully cached.
-const defaultTraceCacheLimit = 64
+// traceCacheLimit bounds a cache: the paper's sweeps use ~20 distinct
+// profiles, so 64 keeps every realistic sweep fully cached.
+const traceCacheLimit = 64
 
-// NewTraceCache builds a cache holding at most limit profiles (<= 0 uses
-// the default of 64).
-func NewTraceCache(limit int) *TraceCache {
-	if limit <= 0 {
-		limit = defaultTraceCacheLimit
-	}
-	return &TraceCache{mem: memo.New[*Trace](limit)}
+// NewTraceCache builds a cache holding at most 64 profiles.
+func NewTraceCache() *TraceCache {
+	return &TraceCache{mem: memo.New[*Trace](traceCacheLimit)}
 }
 
 // DefaultTraceCache is the process-wide cache the idaflash run helpers use.
-var DefaultTraceCache = NewTraceCache(0)
+var DefaultTraceCache = NewTraceCache()
 
 // Trace returns the profile's trace, generating it on the first request
 // and recalling it afterwards. The returned trace is shared and must be

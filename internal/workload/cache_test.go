@@ -15,7 +15,7 @@ func cacheProfile(name string) Profile {
 // trace pointer, generated once. Preambles are generated per call, never
 // kept, so every caller gets an equal stream of its own.
 func TestTraceCacheSharesOneGeneration(t *testing.T) {
-	c := NewTraceCache(0)
+	c := NewTraceCache()
 	p := cacheProfile("shared")
 
 	type got struct {
@@ -69,7 +69,7 @@ func TestTraceCacheSharesOneGeneration(t *testing.T) {
 // TestTraceCacheDistinguishesProfiles checks that differing profiles never
 // share a trace.
 func TestTraceCacheDistinguishesProfiles(t *testing.T) {
-	c := NewTraceCache(0)
+	c := NewTraceCache()
 	a, _, err := c.Traces(cacheProfile("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -92,18 +92,18 @@ func TestTraceCacheDistinguishesProfiles(t *testing.T) {
 // than its limit, and evicted profiles regenerate (to a fresh pointer) on
 // the next request.
 func TestTraceCacheEvicts(t *testing.T) {
-	c := NewTraceCache(2)
+	c := NewTraceCache()
 	first, _, err := c.Traces(cacheProfile("p0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < 4; i++ {
+	for i := 1; i < traceCacheLimit+2; i++ {
 		p := cacheProfile("p")
 		p.Requests = 500 + i // distinct keys
 		if _, _, err := c.Traces(p); err != nil {
 			t.Fatal(err)
 		}
-		if c.Stats().Entries > 2 {
+		if c.Stats().Entries > traceCacheLimit {
 			t.Fatalf("cache exceeded its limit: %d entries", c.Stats().Entries)
 		}
 	}
