@@ -1,16 +1,17 @@
 // Package farm turns the experiment service into a simulation farm: a batch
 // job manager that accepts whole sweeps (many (profile, system) points at
-// once), shards their points across the server's bounded worker pool with
-// round-robin fairness between jobs — a huge sweep cannot starve a small
-// one — and streams per-point results to any number of subscribers, each of
-// which may attach late and replay from an arbitrary event offset (the
-// resume contract behind GET /v1/jobs/{id}).
+// once), runs each job's points on its own lanes — at most Workers of them,
+// so a huge sweep holds no more places in the server's slot queue than a
+// small job does — and streams per-point results to any number of
+// subscribers, each of which may attach late and replay from an arbitrary
+// event offset (the resume contract behind GET /v1/jobs/{id}).
 //
-// The manager owns no workers of its own. It competes for the same slot
-// channel the single-run endpoint uses, so the server's admission story
-// stays one pool with one cap, and it runs points through a caller-supplied
-// Run function — in production the content-addressed result store, so a
-// repeated batch is served from disk without re-simulating.
+// The manager owns no worker slots. It runs points through a
+// caller-supplied Run function — in production the server's one
+// store-then-slot helper, which serves a stored point without a slot and
+// takes the shared worker slot only for a miss it has claimed — so a
+// repeated batch is served from disk without re-simulating and the
+// server's admission story stays one pool with one cap.
 package farm
 
 import (
@@ -39,16 +40,13 @@ var (
 
 // Config wires a Manager into its host.
 type Config struct {
-	// Slots is the shared worker-slot channel (acquire by send, release by
-	// receive). Required.
-	Slots chan struct{}
-	// Run executes one point. Required.
+	// Workers is the number of lanes each job runs on: at most this many
+	// of a job's points are in Run at once. Set it to the size of the
+	// worker pool Run takes its slots from. Required (positive).
+	Workers int
+	// Run executes one point. Required. It is called from a job's lanes,
+	// under the point's context (the job's, bounded by its point timeout).
 	Run Run
-	// Stored, when set, returns a point's stored payload without running
-	// the point, claiming it or waiting. The dispatcher finishes a point
-	// it finds stored as a cached result without taking a worker slot, so
-	// a stored point never queues behind running simulations.
-	Stored func(pt experiments.Point) (json.RawMessage, bool)
 	// Parent bounds every job: when it ends, pending points cancel and new
 	// submissions are refused. Required (the server passes its runs
 	// context, so the drain deadline reaches batch work too).
@@ -145,8 +143,8 @@ type Job struct {
 	points  []experiments.Point
 	timeout time.Duration // per-point deadline (0 = none)
 
-	pending   []int // point indices not yet dispatched, in order
-	running   int   // dispatched, result not yet recorded
+	pending   []int // point indices no lane has taken yet, in order
+	running   int   // taken by a lane, result not yet recorded
 	state     string
 	events    []Event        // point events in completion order (replay log)
 	results   []*PointResult // by point index, for Status(points)
@@ -177,33 +175,24 @@ type Gauges struct {
 	Recovered int64 `json:"recovered"`
 }
 
-// Manager owns the jobs and the single dispatcher goroutine.
+// Manager owns the jobs. It has no goroutine of its own: each job's lanes
+// exit when the job has no pending point left.
 type Manager struct {
 	cfg Config
 
 	mu        sync.Mutex
 	jobs      map[string]*Job
-	rr        []*Job // jobs with pending points, round-robin order
-	cursor    int
 	nextID    uint64
 	finishSeq uint64
 	active    int // unfinished jobs
 
 	queued     atomic.Int64
 	recoveredN atomic.Int64
-	kick       chan struct{}
 }
 
-// New starts a manager and its dispatcher. The dispatcher exits after
-// cfg.Parent ends and every queued point has been flushed.
+// New builds a manager.
 func New(cfg Config) *Manager {
-	m := &Manager{
-		cfg:  cfg,
-		jobs: make(map[string]*Job),
-		kick: make(chan struct{}, 1),
-	}
-	go m.dispatch()
-	return m
+	return &Manager{cfg: cfg, jobs: make(map[string]*Job)}
 }
 
 // Gauges snapshots the load numbers.
@@ -216,9 +205,9 @@ func (m *Manager) Gauges() Gauges {
 }
 
 // Submit enqueues one job over the given points. The job starts immediately
-// (its points enter the round-robin rotation) and outlives the submitting
-// request: streaming clients that disconnect may cancel it explicitly, poll
-// clients pick it up again via Get.
+// (its lanes start) and outlives the submitting request: streaming clients
+// that disconnect may cancel it explicitly, poll clients pick it up again
+// via Get.
 func (m *Manager) Submit(points []experiments.Point, opts SubmitOptions) (*Job, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("farm: empty batch")
@@ -262,10 +251,8 @@ func (m *Manager) Submit(points []experiments.Point, opts SubmitOptions) (*Job, 
 		}
 	}
 	m.jobs[j.ID] = j
-	m.rr = append(m.rr, j)
 	m.active++
-	m.queued.Add(int64(len(points)))
-	m.wake()
+	m.startLocked(j)
 	return j, nil
 }
 
@@ -277,169 +264,52 @@ func (m *Manager) Get(id string) *Job {
 	return m.jobs[id]
 }
 
-// wake nudges the dispatcher without blocking.
-func (m *Manager) wake() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
+// startLocked queues j's pending points and starts its lanes: one per
+// point, up to Workers. Caller holds m.mu.
+func (m *Manager) startLocked(j *Job) {
+	m.queued.Add(int64(len(j.pending)))
+	for i := 0; i < min(m.cfg.Workers, len(j.pending)); i++ {
+		go m.lane(j)
 	}
 }
 
-// next pops the next pending point, rotating fairly across jobs: each pick
-// advances to the following job, so a 100-point job and a 2-point job
-// alternate instead of queueing behind each other.
-func (m *Manager) next() (*Job, int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.rr) == 0 {
-		return nil, 0, false
-	}
-	if m.cursor >= len(m.rr) {
-		m.cursor = 0
-	}
-	j := m.rr[m.cursor]
-	idx, last := m.popLocked(j)
-	if !last {
-		m.cursor++
-	}
-	return j, idx, true
-}
-
-// popLocked takes j's next pending point off the queue as dispatched,
-// dropping j from the rotation when it was the last, and reports whether it
-// was. Caller holds m.mu.
-func (m *Manager) popLocked(j *Job) (idx int, last bool) {
-	idx = j.pending[0]
-	j.pending = j.pending[1:]
-	last = len(j.pending) == 0
-	if last {
-		m.dropLocked(j)
-	}
-	j.running++
-	m.queued.Add(-1)
-	return idx, last
-}
-
-// dispatch is the manager's only long-lived goroutine. It first finishes
-// every queued job head whose result is already stored, without a slot.
-// Otherwise it acquires a shared worker slot BEFORE choosing a point, so
-// the round-robin pick happens at the moment work can actually start —
-// choosing first and then waiting would run the rotation one point ahead
-// and let a job sneak two consecutive points past a late-arriving peer.
-func (m *Manager) dispatch() {
+// lane runs j's pending points one at a time until none is left. Lanes take
+// no worker slot themselves: Run does, for a miss only, so a job's stored
+// points finish on its lanes while its misses and other callers wait for
+// slots. A job holds at most Workers places in the slot queue, which the
+// runtime serves first come, first served, so a 110-point sweep and a
+// 2-point job submitted after it alternate rather than queue behind each
+// other.
+func (m *Manager) lane(j *Job) {
 	for {
-		if !m.waitPending() {
+		m.mu.Lock()
+		if j.ctx.Err() != nil {
+			// Cancelled, or the parent ended: record the rest without
+			// running it.
+			m.flushLocked(j)
+		}
+		if len(j.pending) == 0 {
+			m.mu.Unlock()
 			return
 		}
-		if m.finishStored() {
-			continue
-		}
-		select {
-		case m.cfg.Slots <- struct{}{}:
-		case <-m.kick:
-			// A new job's first point may be stored: look again.
-			continue
-		case <-m.cfg.Parent.Done():
-			// Every job context is a child of Parent: flush the whole
-			// queue as cancelled rather than waiting for slots.
-			m.mu.Lock()
-			for len(m.rr) > 0 {
-				m.flushLocked(m.rr[0])
-			}
-			m.mu.Unlock()
-			continue
-		}
-		j, idx, ok := m.next()
-		if !ok {
-			// The queue emptied (a cancel flushed it) while we waited.
-			<-m.cfg.Slots
-			continue
-		}
-		if j.ctx.Err() != nil {
-			// Cancelled between the pick and here: record without running.
-			<-m.cfg.Slots
-			m.finishPoint(j, m.cancelledResult(j, idx))
-			m.mu.Lock()
-			m.flushLocked(j)
-			m.mu.Unlock()
-			continue
-		}
-		go m.runPoint(j, idx)
-	}
-}
-
-// finishStored finishes the first queued job head whose result is stored,
-// as a cached point that took no worker slot, and reports whether it found
-// one. It leaves the rotation's cursor alone: stored points use no slot, so
-// they do not count toward a job's turns.
-func (m *Manager) finishStored() bool {
-	if m.cfg.Stored == nil {
-		return false
-	}
-	type head struct {
-		j   *Job
-		idx int
-	}
-	m.mu.Lock()
-	heads := make([]head, len(m.rr))
-	for i, j := range m.rr {
-		heads[i] = head{j, j.pending[0]}
-	}
-	m.mu.Unlock()
-	for _, h := range heads {
-		start := time.Now()
-		pt := h.j.points[h.idx]
-		payload, ok := m.cfg.Stored(pt)
-		if !ok {
-			continue
-		}
-		m.mu.Lock()
-		taken := len(h.j.pending) > 0 && h.j.pending[0] == h.idx
-		if taken {
-			m.popLocked(h.j)
-		}
+		idx := j.pending[0]
+		j.pending = j.pending[1:]
+		j.running++
+		m.queued.Add(-1)
 		m.mu.Unlock()
-		if taken {
-			m.finishPoint(h.j, PointResult{Index: h.idx, Profile: pt.Profile.Name, System: pt.System.Name,
-				Cached: true, Results: payload, ElapsedMs: ElapsedMs(start)})
-		}
-		return true
-	}
-	return false
-}
-
-// waitPending blocks until a point is queued; false means the parent ended
-// with nothing queued — and since submissions are refused after that, the
-// dispatcher's work is done.
-func (m *Manager) waitPending() bool {
-	for {
-		m.mu.Lock()
-		n := len(m.rr)
-		m.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-		select {
-		case <-m.kick:
-		case <-m.cfg.Parent.Done():
-			m.mu.Lock()
-			n := len(m.rr)
-			m.mu.Unlock()
-			return n > 0
-		}
+		m.runPoint(j, idx)
 	}
 }
 
-// runPoint executes one point on an acquired slot. The slot release must
-// not depend on Run's no-panic contract — a leaked slot would wedge the
-// shared pool for the whole server — so it sits in a defer alongside a
-// recover that records the panic as the point's failure.
+// runPoint executes one point and records its outcome. The record must not
+// depend on Run's no-panic contract — a point never recorded would leave
+// its job running forever — so it sits in a defer alongside a recover that
+// records the panic as the point's failure.
 func (m *Manager) runPoint(j *Job, idx int) {
 	pt := j.points[idx]
 	pr := PointResult{Index: idx, Profile: pt.Profile.Name, System: pt.System.Name}
 	start := time.Now()
 	defer func() {
-		<-m.cfg.Slots
 		if v := recover(); v != nil {
 			pr.Error = fmt.Sprintf("panic: %v", v)
 			pr.Kind = "internal"
@@ -482,7 +352,7 @@ func (m *Manager) cancelledResult(j *Job, idx int) PointResult {
 		Error: "point cancelled", Kind: "cancelled"}
 }
 
-// finishPoint records a dispatched point's outcome.
+// finishPoint records a lane's point outcome.
 func (m *Manager) finishPoint(j *Job, pr PointResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -490,33 +360,15 @@ func (m *Manager) finishPoint(j *Job, pr PointResult) {
 	m.recordLocked(j, pr)
 }
 
-// flushLocked records every still-pending point of a cancelled job and
-// removes it from the rotation, so cancellation never waits on — or
-// consumes — worker slots. Caller holds m.mu; j's context must be done.
+// flushLocked records every still-pending point of a cancelled job, so
+// cancellation never waits on — or consumes — worker slots. Caller holds
+// m.mu; j's context must be done.
 func (m *Manager) flushLocked(j *Job) {
-	if len(j.pending) == 0 {
-		return
-	}
-	m.dropLocked(j)
 	m.queued.Add(-int64(len(j.pending)))
 	pending := j.pending
 	j.pending = nil
 	for _, idx := range pending {
 		m.recordLocked(j, m.cancelledResult(j, idx))
-	}
-}
-
-// dropLocked removes j from the rotation, keeping the cursor on the job it
-// pointed at (or on the next one, when that was j). Caller holds m.mu.
-func (m *Manager) dropLocked(j *Job) {
-	for i, other := range m.rr {
-		if other == j {
-			m.rr = append(m.rr[:i], m.rr[i+1:]...)
-			if i < m.cursor {
-				m.cursor--
-			}
-			return
-		}
 	}
 }
 

@@ -29,16 +29,16 @@ func testPoints(job string, n int) []experiments.Point {
 	return pts
 }
 
-// manager builds a Manager over a fresh slot pool and cancels it at test
-// end, waiting for the dispatcher to exit so goroutine accounting between
+// manager builds a Manager with the given lanes per job and cancels it at
+// test end, waiting for every lane to exit so goroutine accounting between
 // tests stays clean.
-func manager(t *testing.T, slots int, run Run, tweak func(*Config)) *Manager {
+func manager(t *testing.T, workers int, run Run, tweak func(*Config)) *Manager {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := Config{
-		Slots:  make(chan struct{}, slots),
-		Run:    run,
-		Parent: ctx,
+		Workers: workers,
+		Run:     run,
+		Parent:  ctx,
 	}
 	if tweak != nil {
 		tweak(&cfg)
@@ -123,49 +123,6 @@ func TestBatchRunsEveryPointAndFinishes(t *testing.T) {
 	}
 }
 
-// TestRoundRobinFairness: with one slot and two jobs, dispatch alternates
-// between the jobs instead of finishing the first submission first.
-func TestRoundRobinFairness(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	gate := make(chan struct{}) // each receive releases one run
-	run := func(_ context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
-		mu.Lock()
-		order = append(order, pt.Profile.Name)
-		mu.Unlock()
-		<-gate
-		return json.RawMessage(`{}`), false, nil
-	}
-	m := manager(t, 1, run, nil)
-	ja, err := m.Submit(testPoints("a", 3), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until a's first point holds the slot, then submit b: every
-	// remaining pick must alternate a, b, a, b...
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(order) == 1 })
-	jb, err := m.Submit(testPoints("b", 3), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		gate <- struct{}{}
-	}
-	<-ja.Done()
-	<-jb.Done()
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"a-p0", "b-p0", "a-p1", "b-p1", "a-p2", "b-p2"}
-	if len(order) != len(want) {
-		t.Fatalf("ran %d points, want %d (%v)", len(order), len(want), order)
-	}
-	for i, name := range want {
-		if order[i] != name {
-			t.Fatalf("dispatch order %v, want %v", order, want)
-		}
-	}
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -180,7 +137,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestCancelFlushesPendingWithoutSlots: cancelling a job releases its
 // running point via context and records the queued remainder as cancelled
-// without consuming worker slots — the pool stays free for other jobs.
+// without running it — the lane is free for other jobs.
 func TestCancelFlushesPendingWithoutSlots(t *testing.T) {
 	started := make(chan struct{}, 16)
 	run := func(ctx context.Context, _ experiments.Point) (json.RawMessage, bool, error) {
@@ -206,7 +163,7 @@ func TestCancelFlushesPendingWithoutSlots(t *testing.T) {
 	if len(started) != 0 {
 		t.Errorf("%d extra points started after cancel", len(started))
 	}
-	// The slot pool must be fully released: a fresh job still runs.
+	// Nothing stays held: a fresh job still runs.
 	j2, err := m.Submit(testPoints("b", 1), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +264,7 @@ func TestSubmitLimitsAndErrors(t *testing.T) {
 
 func TestSubmitAfterParentEndsIsRefused(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := New(Config{Slots: make(chan struct{}, 1), Run: okRun("x"), Parent: ctx})
+	m := New(Config{Workers: 1, Run: okRun("x"), Parent: ctx})
 	cancel()
 	if _, err := m.Submit(testPoints("a", 1), SubmitOptions{}); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after parent end: %v, want ErrDraining", err)
@@ -390,31 +347,39 @@ func TestCachedPointsCounted(t *testing.T) {
 	}
 }
 
-// TestStoredPointsTakeNoSlot: with the only slot held and the dispatcher
-// already waiting for it on behalf of another job's point, a job whose
-// points are stored finishes at once, as cached points that never ran.
-func TestStoredPointsTakeNoSlot(t *testing.T) {
-	var ran sync.Map
-	run := func(_ context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+// slotRun is a fake Run shaped like the server's: a point whose name
+// starts with "b-" is stored and returns at once without a slot; any other
+// takes the shared slot, runs, and releases it.
+func slotRun(slot chan struct{}, ran *sync.Map) Run {
+	return func(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+		if strings.HasPrefix(pt.Profile.Name, "b-") {
+			return json.RawMessage(`{"stored":true}`), true, nil
+		}
+		select {
+		case slot <- struct{}{}:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+		defer func() { <-slot }()
 		ran.Store(pt.Profile.Name, true)
 		return json.RawMessage(`{}`), false, nil
 	}
-	lookedAtA := make(chan struct{})
-	var once sync.Once
-	stored := func(pt experiments.Point) (json.RawMessage, bool) {
-		if strings.HasPrefix(pt.Profile.Name, "b-") {
-			return json.RawMessage(`{"stored":true}`), true
-		}
-		once.Do(func() { close(lookedAtA) })
-		return nil, false
-	}
-	m := manager(t, 1, run, func(c *Config) { c.Stored = stored })
-	m.cfg.Slots <- struct{}{} // a run elsewhere holds the only slot
+}
+
+// TestStoredPointsTakeNoSlot: with the only slot held and another job's
+// miss waiting for it, a job whose points are stored finishes at once, as
+// cached points that never ran: nothing in the manager queues a point
+// behind the slot.
+func TestStoredPointsTakeNoSlot(t *testing.T) {
+	slot := make(chan struct{}, 1)
+	var ran sync.Map
+	m := manager(t, 1, slotRun(slot, &ran), nil)
+	slot <- struct{}{} // a run elsewhere holds the only slot
 	a, err := m.Submit(testPoints("a", 1), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-lookedAtA // the dispatcher found a's point missing and turns to the slot
+	waitFor(t, func() bool { return m.Gauges().QueuedPoints == 0 }) // a's lane took its point
 	b, err := m.Submit(testPoints("b", 2), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -433,17 +398,14 @@ func TestStoredPointsTakeNoSlot(t *testing.T) {
 			t.Errorf("point %d carries %s, want the stored payload", pr.Index, pr.Results)
 		}
 	}
-	<-m.cfg.Slots
+	if _, ok := ran.Load("a-p0"); ok {
+		t.Error("the missing point ran without the slot")
+	}
+	<-slot
 	<-a.Done()
 	if _, ok := ran.Load("a-p0"); !ok {
 		t.Error("the missing point never ran")
 	}
-	ran.Range(func(k, _ any) bool {
-		if strings.HasPrefix(k.(string), "b-") {
-			t.Errorf("stored point %s ran", k)
-		}
-		return true
-	})
 }
 
 // TestPointTimeout: a per-point deadline bounds each run without killing

@@ -320,7 +320,7 @@ func parseJobID(id string) (uint64, bool) {
 
 // Recover rebuilds every unfinished journaled job: journaled completions
 // replay into the event log (so a subscriber's pre-crash resume offset
-// lands inside it), the remaining points re-enter the dispatch rotation,
+// lands inside it), the remaining points run on the job's new lanes,
 // and the job keeps its original ID in state "recovering" until it
 // finishes. Points whose results are already in the content-addressed store
 // cost a disk read, not a simulation. Call once, after the result store's
@@ -387,11 +387,7 @@ func (m *Manager) Recover() []*Job {
 			m.finishLocked(j)
 			continue
 		}
-		m.rr = append(m.rr, j)
-		m.queued.Add(int64(len(j.pending)))
-	}
-	if len(out) > 0 {
-		m.wake()
+		m.startLocked(j)
 	}
 	return out
 }

@@ -184,9 +184,9 @@ func TestParseJournalGarbage(t *testing.T) {
 
 // recoverManager builds a journaled manager, letting the test drive Submit
 // or Recover against the same directory across "restarts".
-func recoverManager(t *testing.T, jn *Journal, slots int, run Run) *Manager {
+func recoverManager(t *testing.T, jn *Journal, workers int, run Run) *Manager {
 	t.Helper()
-	return manager(t, slots, run, func(c *Config) { c.Journal = jn })
+	return manager(t, workers, run, func(c *Config) { c.Journal = jn })
 }
 
 func TestRecoverRunsOnlyMissingPoints(t *testing.T) {

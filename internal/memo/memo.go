@@ -100,20 +100,6 @@ func (c *Cache[V]) Claim(ctx context.Context, key string) (V, *Flight[V], error)
 	}
 }
 
-// Peek returns key's published value without claiming the key or waiting
-// on another caller's claim. A hit counts and refreshes the key's recency.
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-		c.hits.Add(1)
-		return e.val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Publish resolves the claim with v, shares it with every waiter, and
 // applies the LRU bound.
 func (f *Flight[V]) Publish(v V) {

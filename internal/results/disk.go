@@ -458,15 +458,6 @@ func (d *Disk) touch(name string, size int64) {
 	d.evictLocked(d.budget, 1, "over budget")
 }
 
-// has reports whether the accounting knows a blob, without touching the
-// filesystem.
-func (d *Disk) has(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.files[name]
-	return ok
-}
-
 // delete removes a blob (a corrupt payload a reader rejected).
 func (d *Disk) delete(name string) {
 	if d.ioAllowed() {
@@ -509,10 +500,6 @@ type Blobs struct {
 
 // Get returns the blob stored under key, or nil on any miss.
 func (v *Blobs) Get(key string) []byte { return v.d.get(nameFor(key, v.ext)) }
-
-// Has reports whether the tier's accounting knows key's blob. It does no
-// I/O, so a blob another process wrote since this one scanned reads false.
-func (v *Blobs) Has(key string) bool { return v.d.has(nameFor(key, v.ext)) }
 
 // Put stores a blob under key, atomically, evicting over budget.
 func (v *Blobs) Put(key string, b []byte) { v.d.put(nameFor(key, v.ext), b) }

@@ -112,34 +112,6 @@ func (c *Cache[V]) Get(ctx context.Context, key string) (V, *Claim[V], error) {
 	return v, &Claim[V]{c: c, key: key, f: f}, nil
 }
 
-// Stored returns key's value when it is already published in memory or
-// held by the blob tier, without waiting on another caller's claim or
-// leaving one behind. A miss does no I/O: only a blob the tier's accounting
-// knows is read, and a hit there is promoted to memory as Get does.
-func (c *Cache[V]) Stored(key string) (V, bool) {
-	if v, ok := c.mem.Peek(key); ok {
-		return v, true
-	}
-	var zero V
-	if b := c.blobs.Load(); b == nil || !b.Has(key) {
-		return zero, false
-	}
-	v, cl, err := c.Get(doneCtx, key)
-	if cl != nil {
-		cl.Abandon() // the blob is gone after all
-		return zero, false
-	}
-	return v, err == nil
-}
-
-// doneCtx is an already cancelled context: a Get under it never waits on
-// another caller's claim.
-var doneCtx = func() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx
-}()
-
 // Publish resolves the claim with v: waiters receive it, the memory tier
 // keeps it, and the blob tier persists it.
 func (cl *Claim[V]) Publish(v V) {
@@ -150,24 +122,6 @@ func (cl *Claim[V]) Publish(v V) {
 // Abandon drops the claim (the compute failed or was cancelled) and wakes
 // the waiters to claim the key afresh.
 func (cl *Claim[V]) Abandon() { cl.f.Abandon() }
-
-// GetOrCompute resolves key, running compute exactly once across all
-// concurrent callers of a missing key. cached reports whether this caller
-// was served without running compute. A compute error, cancellation or
-// panic abandons the claim — errors are never cached — and wakes the
-// waiters to retry.
-func (c *Cache[V]) GetOrCompute(ctx context.Context, key string, compute func(context.Context) (V, error)) (v V, cached bool, err error) {
-	v, cl, err := c.Get(ctx, key)
-	if cl == nil {
-		return v, err == nil, err
-	}
-	defer cl.Abandon() // no-op once published; covers errors and panics
-	if v, err = compute(ctx); err != nil {
-		return v, false, err
-	}
-	cl.Publish(v)
-	return v, false, nil
-}
 
 // Drop forgets key in memory and in the blob tier, so not even the next
 // process reloads a value a caller found bad.

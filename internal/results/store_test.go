@@ -181,63 +181,6 @@ func TestStoreDiskTierServesAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestStoreStoredNeverClaimsOrWaits: Stored answers from memory and from
-// the blob tier, promoting a blob to memory, and reads false for a missing
-// key or one another caller is computing, leaving no claim behind and
-// waiting on none.
-func TestStoreStoredNeverClaimsOrWaits(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := OpenDiskOptions(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := NewStore()
-	s1.SetBlobs(d1.Sub(".json"))
-	if _, _, err := s1.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
-		return []byte("v"), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := s1.Stored("k"); !ok || string(v) != "v" {
-		t.Errorf("memory: Stored = %q, %t", v, ok)
-	}
-
-	d2, err := OpenDiskOptions(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore()
-	s2.SetBlobs(d2.Sub(".json"))
-	for i := 0; i < 2; i++ { // the blob tier, then memory
-		if v, ok := s2.Stored("k"); !ok || string(v) != "v" {
-			t.Errorf("after a restart, lookup %d: Stored = %q, %t", i, v, ok)
-		}
-	}
-	if st := s2.Stats(); st.Hits != 2 || st.Misses != 0 || st.Entries != 1 {
-		t.Errorf("after a restart: stats %+v, want 2 hits and the blob in memory", st)
-	}
-
-	if _, ok := s2.Stored("missing"); ok {
-		t.Error("Stored reported a missing key")
-	}
-	started, release := make(chan struct{}), make(chan struct{})
-	go func() {
-		_, _, _ = s2.GetOrCompute(context.Background(), "busy", func(context.Context) ([]byte, error) {
-			close(started)
-			<-release
-			return []byte("late"), nil
-		})
-	}()
-	<-started
-	if _, ok := s2.Stored("busy"); ok {
-		t.Error("Stored reported a key still being computed")
-	}
-	close(release)
-	if st := s2.Stats(); st.Misses != 1 || st.Entries != 2 {
-		t.Errorf("Stored left claims behind: stats %+v, want the one compute", st)
-	}
-}
-
 // TestStoreMemoryBound: the in-memory tier evicts its oldest published
 // entries past the limit; evicted keys recompute (or re-read disk).
 func TestStoreMemoryBound(t *testing.T) {

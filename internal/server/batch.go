@@ -30,7 +30,9 @@ type BatchRequest struct {
 	Points []BatchPoint `json:"points,omitempty"`
 	// Requests overrides the per-trace request budget for every point.
 	Requests int `json:"requests,omitempty"`
-	// TimeoutMs bounds each point (not the job); zero uses the server
+	// TimeoutMs bounds each point (not the job), from the moment a lane
+	// takes it: the wait for a worker and for another caller's run of the
+	// same point count, as they do for /v1/run. Zero uses the server
 	// default, values above the maximum clamp to it.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// Stream selects the progress transport: "sse" (default) streams

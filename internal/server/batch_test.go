@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -330,8 +331,8 @@ func TestBatchDisconnectCancelsRemainingPoints(t *testing.T) {
 		t.Fatalf("post-cancel run status %d", resp2.StatusCode)
 	}
 
-	// And nothing leaked: subscriber, job-watcher, and point goroutines all
-	// unwound (the farm dispatcher predates the baseline). Keep-alive
+	// And nothing leaked: subscriber, job-watcher, and lane goroutines all
+	// unwound. Keep-alive
 	// connections hold read loops on both sides, so they are torn down
 	// before counting.
 	gDeadline := time.Now().Add(2 * time.Second)
@@ -645,5 +646,243 @@ func TestRunCachedFlag(t *testing.T) {
 	wb, _ := json.Marshal(warm.Results)
 	if !bytes.Equal(cb, wb) {
 		t.Errorf("cached run results differ:\n%s\n%s", cb, wb)
+	}
+}
+
+// parkedIn counts the goroutines blocked with fn as their innermost frame
+// (runtime.Stack leaves out the runtime's own frames), fn being a function
+// name as a stack trace prints it.
+func parkedIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if _, frames, ok := strings.Cut(g, "\n"); ok && strings.HasPrefix(frames, fn+"(") {
+			n++
+		}
+	}
+	return n
+}
+
+// waitFor polls cond until it holds, failing the test after two seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitParked waits until n goroutines are parked in fn.
+func waitParked(t *testing.T, fn string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for parkedIn(fn) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines parked in %s, want %d", parkedIn(fn), fn, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+const (
+	// claimWait is where a caller waits on another caller's claim.
+	claimWait = "idaflash/internal/memo.(*Cache[...]).Claim"
+	// slotWait is where a claimed miss waits for a worker slot.
+	slotWait = "idaflash/internal/server.(*Server).lookupOrRun"
+)
+
+// TestBatchPointWaitsOnClaimWithoutWorker: a batch point whose key a
+// /v1/run is computing waits for that run without a worker slot, so a
+// distinct /v1/run takes the second worker and starts at once.
+func TestBatchPointWaitsOnClaimWithoutWorker(t *testing.T) {
+	release := make(chan struct{})
+	var started atomic.Int64
+	s := stubServer(Config{Workers: 2, QueueDepth: 2}, blockingRun(release, &started))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	codes := make(chan int, 2)
+	post := func(name string) {
+		resp, _, err := postRun(ts, strings.NewReader(`{"profile":"`+name+`"}`))
+		if err != nil {
+			codes <- -1
+			return
+		}
+		codes <- resp.StatusCode
+	}
+	go post("proj_3")
+	waitFor(t, func() bool { return started.Load() == 1 })
+	resp := postBatch(t, ts, `{"stream":"none","points":[{"profile":"proj_3","system":{}}]}`)
+	var st farm.Status
+	err := json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, claimWait, 1)
+
+	// Errors, not fatals, until the blocked runs are released: the
+	// server's Close waits for them.
+	go post("hm_1")
+	deadline := time.Now().Add(2 * time.Second)
+	for started.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := started.Load(); n != 2 {
+		t.Errorf("a distinct run did not start beside a batch point waiting on a claim: %d runs started, want 2", n)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("run %d finished with %d", i, code)
+		}
+	}
+	job := s.farm.Get(st.ID)
+	<-job.Done()
+	if done := job.Status(false); done.Completed != 1 || done.CacheHits != 1 {
+		t.Errorf("batch point after the claim resolved: %+v, want one cached point", done)
+	}
+	if n := started.Load(); n != 2 {
+		t.Errorf("%d runs, want 2: the batch point ran again", n)
+	}
+}
+
+// TestBatchesShareWorkersFairly: with one worker, a job submitted while
+// another runs takes its turn at once: the two alternate point by point,
+// because each job's lane queues for the worker first come, first served.
+func TestBatchesShareWorkersFairly(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	gate := make(chan struct{}) // each send releases one run
+	s := stubServer(Config{Workers: 1}, func(_ context.Context, p idaflash.Profile, sys idaflash.System) (idaflash.Results, error) {
+		mu.Lock()
+		order = append(order, p.Name+"/"+sys.Name)
+		mu.Unlock()
+		<-gate
+		return idaflash.Results{Trace: p.Name}, nil
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ran := func() int { mu.Lock(); defer mu.Unlock(); return len(order) }
+
+	const job = `{"stream":"none","points":[
+		{"profile":"usr_1","system":%[1]s},
+		{"profile":"proj_3","system":%[1]s},
+		{"profile":"hm_1","system":%[1]s}]}`
+	var jobs []*farm.Job
+	for _, sys := range []string{`{}`, `{"ida":true}`} {
+		resp := postBatch(t, ts, fmt.Sprintf(job, sys))
+		var st farm.Status
+		err := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, s.farm.Get(st.ID))
+		// The first job's first point holds the worker before the second
+		// job is submitted.
+		waitFor(t, func() bool { return ran() == 1 })
+	}
+	// Release one run at a time, each once the other job's lane queues
+	// for the worker: every pick must then alternate.
+	for i := 1; i <= 6; i++ {
+		waitFor(t, func() bool { return ran() == i })
+		if i < 6 {
+			waitParked(t, slotWait, 1)
+		}
+		gate <- struct{}{}
+	}
+	for _, j := range jobs {
+		<-j.Done()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"usr_1/Baseline", "usr_1/IDA-E0", "proj_3/Baseline", "proj_3/IDA-E0", "hm_1/Baseline", "hm_1/IDA-E0"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("run order %v, want %v", order, want)
+	}
+}
+
+// TestBatchPointPanicKeepsStatsWhole: a batch point whose run panics fails
+// as an internal error, releases its worker, and counts in no /v1/run
+// counter, so accepted = completed + cancelled + failed still holds.
+func TestBatchPointPanicKeepsStatsWhole(t *testing.T) {
+	s := stubServer(Config{Workers: 1}, func(_ context.Context, p idaflash.Profile, _ idaflash.System) (idaflash.Results, error) {
+		if p.Name == "usr_1" {
+			panic("run-side bug")
+		}
+		return idaflash.Results{Trace: p.Name}, nil
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := postBatch(t, ts, `{"stream":"ndjson","points":[{"profile":"usr_1","system":{}}]}`)
+	evs := readNDJSON(t, resp.Body)
+	resp.Body.Close()
+	if len(evs) != 3 || evs[1].Point == nil || evs[1].Point.Kind != "internal" ||
+		!strings.Contains(evs[1].Point.Error, "run-side bug") || evs[2].Done == nil || evs[2].Done.Failed != 1 {
+		t.Fatalf("panicking batch point streamed %+v; want one internal failure", evs)
+	}
+	// The worker was released: a /v1/run still runs on the only one.
+	r, _, err := postRun(ts, runBody(t, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode != http.StatusOK {
+		t.Errorf("run after the panic: status %d", r.StatusCode)
+	}
+	if st := s.Stats(); st.Accepted != 1 || st.Accepted != st.Completed+st.Cancelled+st.Failed {
+		t.Errorf("server stats %+v: want one accepted run, completed", st)
+	}
+}
+
+// TestBatchPointTimeoutCoversWorkerWait: a batch point's timeout runs from
+// the moment its lane takes it, so a point still waiting for the only
+// worker when the timeout passes ends as a deadline, as a /v1/run would.
+func TestBatchPointTimeoutCoversWorkerWait(t *testing.T) {
+	release := make(chan struct{})
+	var started atomic.Int64
+	s := stubServer(Config{Workers: 1, QueueDepth: 1}, blockingRun(release, &started))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code := make(chan int, 1)
+	go func() {
+		resp, _, err := postRun(ts, runBody(t, ""))
+		if err != nil {
+			code <- -1
+			return
+		}
+		code <- resp.StatusCode
+	}()
+	waitFor(t, func() bool { return started.Load() == 1 })
+
+	// Errors, not fatals, until the blocked run is released: the server's
+	// Close waits for it.
+	client := *ts.Client()
+	client.Timeout = 2 * time.Second
+	const body = `{"stream":"ndjson","timeout_ms":50,"points":[{"profile":"usr_1","system":{}}]}`
+	if resp, err := client.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body)); err != nil {
+		t.Errorf("posting the batch with the worker busy: %v", err)
+	} else {
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("batch with the worker busy: %v after %q", err, raw)
+		} else if evs := readNDJSON(t, bytes.NewReader(raw)); len(evs) != 3 || evs[1].Point == nil ||
+			evs[1].Point.Kind != "deadline" || evs[2].Done == nil || evs[2].Done.Cancelled != 1 {
+			t.Errorf("batch with the worker busy streamed %s; want the job, one deadline point and done", raw)
+		}
+	}
+	if n := started.Load(); n != 1 {
+		t.Errorf("%d runs started, want only the blocked one", n)
+	}
+	close(release)
+	if c := <-code; c != http.StatusOK {
+		t.Errorf("blocked run finished with %d", c)
 	}
 }

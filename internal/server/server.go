@@ -174,9 +174,12 @@ func New(cfg Config) *Server {
 	s.drainCtx, s.beginDrain = context.WithCancel(context.Background())
 	s.runsCtx, s.cancelRuns = context.WithCancel(context.Background())
 	s.farm = farm.New(farm.Config{
-		Slots:    s.workers,
-		Run:      s.runStored,
-		Stored:   s.stored,
+		Workers: cfg.Workers,
+		// A batch point waits and runs under one context: the drain
+		// refuses no batch point, and the drain deadline cancels them all.
+		Run: func(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+			return s.lookupOrRun(ctx, ctx, pt)
+		},
 		Parent:   s.runsCtx,
 		Classify: classifyRunError,
 		Journal:  cfg.Journal,
@@ -220,88 +223,45 @@ func classifyRunError(err error) string {
 	return "internal"
 }
 
-// runStored executes one point through the result store: the canonical memo
-// key addresses both the in-memory cache and the disk blob tier, concurrent
-// identical points singleflight, and a hit returns the stored payload
-// byte-identical to its cold computation. It is also the farm's per-point
-// run function.
-func (s *Server) runStored(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
-	key, err := experiments.Key(pt.Profile, pt.System)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.results.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
-		res, err := s.run(ctx, pt.Profile, pt.System)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	})
-}
-
-// stored returns a point's payload when the result store already holds
-// it, without running the point or waiting on another request's run of it:
-// the farm finishes such a batch point without a worker slot.
-func (s *Server) stored(pt experiments.Point) (json.RawMessage, bool) {
-	key, err := experiments.Key(pt.Profile, pt.System)
-	if err != nil {
-		return nil, false
-	}
-	return s.results.Stored(key)
-}
-
 // errDraining ends a /v1/run request that was still queued when the drain
 // began.
 var errDraining = errors.New("server is draining")
 
-// lookupOrRun answers one /v1/run point through the result store. A hit —
-// stored, or another request's run of the same key finishing — is served
-// without a worker slot, so a cached answer never queues behind running
-// simulations. A miss claims the key and only then waits for a worker
-// (level 2 of admission, the bounded queue); the claim is abandoned on
-// every exit that does not publish, so waiters claim the key afresh. The
-// waits end early when the client gives up or the drain begins: queued
-// requests are rejected with errDraining, and only already-executing runs
-// get the drain deadline.
-func (s *Server) lookupOrRun(ctx context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
+// lookupOrRun answers one point, from /v1/run or a batch, through the
+// result store. A hit — stored, or another caller's run of the same key
+// finishing — is served without a worker slot, so a cached answer never
+// queues behind running simulations. A miss claims the key and only then
+// waits for a worker (level 2 of admission, the bounded queue), so no slot
+// holder ever waits on a claim; the claim is abandoned on every exit that
+// does not publish, so waiters claim the key afresh. Both waits end with
+// wait's cause, and the run itself honours run: /v1/run passes a wait
+// context the drain cancels, so queued requests are rejected while
+// already-executing runs get the drain deadline.
+func (s *Server) lookupOrRun(wait, run context.Context, pt experiments.Point) (json.RawMessage, bool, error) {
 	key, err := experiments.Key(pt.Profile, pt.System)
 	if err != nil {
 		return nil, false, err
 	}
-	lookupCtx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	stop := context.AfterFunc(s.drainCtx, func() { cancel(errDraining) })
-	defer stop()
-	payload, claim, err := s.results.Get(lookupCtx, key)
+	payload, claim, err := s.results.Get(wait, key)
 	if claim == nil {
-		if err != nil && errors.Is(context.Cause(lookupCtx), errDraining) {
-			err = errDraining
+		if err != nil {
+			err = context.Cause(wait)
 		}
 		return payload, err == nil, err
 	}
 	defer claim.Abandon() // no-op once published
 	select {
 	case s.workers <- struct{}{}:
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	case <-s.drainCtx.Done():
-		return nil, false, errDraining
+	case <-wait.Done():
+		return nil, false, context.Cause(wait)
 	}
 	payload, err = func() ([]byte, error) {
 		// The worker slot is released on every exit, including a panic
 		// unwinding out of the run seam (the exported simulation API never
 		// panics, but a leaked slot would wedge the pool forever, so the
-		// release must not depend on that contract). A panic is counted as
-		// a failure here — keeping accepted = completed+cancelled+failed —
-		// and re-raised for the recovery middleware to report.
-		defer func() {
-			<-s.workers
-			if v := recover(); v != nil {
-				s.failed.Add(1)
-				panic(v)
-			}
-		}()
-		res, err := s.run(ctx, pt.Profile, pt.System)
+		// release must not depend on that contract).
+		defer func() { <-s.workers }()
+		res, err := s.run(run, pt.Profile, pt.System)
 		if err != nil {
 			return nil, err
 		}
@@ -610,8 +570,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.runsCtx, cancel)
 	defer stop()
 
+	// The waits for a stored answer and for a worker also end when the
+	// drain begins: a request still queued then is rejected.
+	wait, cancelWait := context.WithCancelCause(ctx)
+	defer cancelWait(nil)
+	stopWait := context.AfterFunc(s.drainCtx, func() { cancelWait(errDraining) })
+	defer stopWait()
+
 	start := time.Now()
-	payload, cached, err := s.lookupOrRun(ctx, experiments.Point{Profile: profile, System: sys})
+	payload, cached, err := func() (json.RawMessage, bool, error) {
+		// A panic is counted as a failure here — keeping accepted =
+		// completed+cancelled+failed — and re-raised for the recovery
+		// middleware to report.
+		defer func() {
+			if v := recover(); v != nil {
+				s.failed.Add(1)
+				panic(v)
+			}
+		}()
+		return s.lookupOrRun(wait, ctx, experiments.Point{Profile: profile, System: sys})
+	}()
 	if errors.Is(err, errDraining) {
 		s.cancelled.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")

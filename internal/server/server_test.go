@@ -321,6 +321,11 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("request after panic: status %d", resp2.StatusCode)
 	}
+	// The panicking run counts as a failure: accepted = completed +
+	// cancelled + failed.
+	if st := s.Stats(); st.Accepted != 2 || st.Completed != 1 || st.Failed != 1 {
+		t.Errorf("server stats %+v, want 2 accepted, 1 completed, 1 failed", st)
+	}
 }
 
 // TestReadyzFlipsOnDrain: /readyz answers 200 while serving, 503 the moment
