@@ -80,11 +80,6 @@ func NewRunner(opts Options) *Runner {
 	}
 }
 
-type pair struct {
-	profile workload.Profile
-	sys     idaflash.System
-}
-
 // Run executes (or recalls) one simulation. Concurrent calls with the same
 // key run the simulation once: the first caller executes it, later callers
 // block on its completion and share the result.
@@ -128,19 +123,19 @@ func (r *Runner) execute(ctx context.Context, p workload.Profile, sys idaflash.S
 	return res, err
 }
 
-// RunAll warms the cache for all pairs concurrently. Every failing pair is
-// reported, joined with errors.Join, so one bad configuration cannot mask
+// RunAll warms the cache for all points concurrently. Every failing point
+// is reported, joined with errors.Join, so one bad configuration cannot mask
 // the others.
-func (r *Runner) RunAll(pairs []pair) error {
+func (r *Runner) RunAll(points []Point) error {
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(pairs))
-	for _, pr := range pairs {
-		pr := pr
+	errCh := make(chan error, len(points))
+	for _, pt := range points {
+		pt := pt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Run(pr.profile, pr.sys); err != nil {
-				errCh <- fmt.Errorf("%s/%s: %w", pr.profile.Name, pr.sys.Name, err)
+			if _, err := r.Run(pt.Profile, pt.System); err != nil {
+				errCh <- fmt.Errorf("%s/%s: %w", pt.Profile.Name, pt.System.Name, err)
 			}
 		}()
 	}
@@ -158,12 +153,12 @@ func (r *Runner) profiles() []workload.Profile {
 	return workload.PaperProfiles(r.opts.Requests)
 }
 
-// crossProduct builds the pair list of every profile with every system.
-func crossProduct(ps []workload.Profile, systems []idaflash.System) []pair {
-	out := make([]pair, 0, len(ps)*len(systems))
+// crossProduct builds the point list of every profile with every system.
+func crossProduct(ps []workload.Profile, systems []idaflash.System) []Point {
+	out := make([]Point, 0, len(ps)*len(systems))
 	for _, p := range ps {
 		for _, s := range systems {
-			out = append(out, pair{profile: p, sys: s})
+			out = append(out, Point{Profile: p, System: s})
 		}
 	}
 	return out

@@ -60,9 +60,9 @@ func TestRunAllReportsAllFailures(t *testing.T) {
 	r := NewRunner(Options{Requests: 100})
 	bad1 := workload.Profile{Name: "bad-one", ReadRatio: 2, MeanReadKB: 8, Requests: 100}
 	bad2 := workload.Profile{Name: "bad-two", ReadRatio: -1, MeanReadKB: 8, Requests: 100}
-	err := r.RunAll([]pair{
-		{profile: bad1, sys: idaflash.Baseline()},
-		{profile: bad2, sys: idaflash.Baseline()},
+	err := r.RunAll([]Point{
+		{Profile: bad1, System: idaflash.Baseline()},
+		{Profile: bad2, System: idaflash.Baseline()},
 	})
 	if err == nil {
 		t.Fatal("RunAll swallowed the failures")
@@ -79,7 +79,7 @@ func TestRunAllNoErrorOnSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunAll([]pair{{profile: p, sys: idaflash.Baseline()}}); err != nil {
+	if err := r.RunAll([]Point{{Profile: p, System: idaflash.Baseline()}}); err != nil {
 		t.Fatal(err)
 	}
 }

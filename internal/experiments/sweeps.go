@@ -44,13 +44,5 @@ func Sweep(name string, requests int) ([]Point, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown sweep %q (known: %v)", name, SweepNames())
 	}
-	profiles := workload.PaperProfiles(requests)
-	systems := mk()
-	points := make([]Point, 0, len(profiles)*len(systems))
-	for _, p := range profiles {
-		for _, s := range systems {
-			points = append(points, Point{Profile: p, System: s})
-		}
-	}
-	return points, nil
+	return crossProduct(workload.PaperProfiles(requests), mk()), nil
 }

@@ -18,7 +18,6 @@ import (
 
 	"idaflash/internal/coding"
 	"idaflash/internal/flash"
-	"idaflash/internal/sim"
 )
 
 // LPN is a logical page number (host address divided by the page size).
@@ -126,11 +125,6 @@ type PageRef struct {
 	Plane, Block, Page uint16
 }
 
-// Addr widens the reference to a flash address.
-func (r PageRef) Addr() flash.PageAddr {
-	return pageAddr(flash.PlaneID(r.Plane), int(r.Block), int(r.Page))
-}
-
 // pageRef packs the address of page of block blk in plane pl.
 func pageRef(pl flash.PlaneID, blk, page int) PageRef {
 	return PageRef{Plane: uint16(pl), Block: uint16(blk), Page: uint16(page)}
@@ -202,9 +196,6 @@ type FTL struct {
 	// a test sets another.
 	gcFreeBlocks int
 	rng          *rand.Rand
-	// rngSrc is rng's underlying source; its draw count pins the rng's
-	// position in the seeded stream so Snapshot/Restore can serialize it.
-	rngSrc *sim.CountedSource
 	// pagePower and pageCells are the code's per-wordline program cost
 	// split per page: one page program accounts for 1/bits of the
 	// wordline's expected charge and programmed-cell population.
@@ -290,6 +281,9 @@ func New(opts Options) (*FTL, error) {
 	return f, nil
 }
 
+// rngSeedMask decorrelates the FTL's random stream from the raw device seed.
+const rngSeedMask = 0x49444146
+
 // Reset returns the FTL to the erased-device state for opts, reusing the
 // existing storage: the L2P and the block, wordline and page tables are
 // cleared in place, and the free lists and job buffers keep their backing
@@ -326,10 +320,9 @@ func (f *FTL) Reset(opts Options) error {
 	f.dropPendingGC()
 	// The rng is reseeded in place: Seed reinitializes the source fully,
 	// so the stream is the one a new source with this seed would give.
-	rng, src := f.rng, f.rngSrc
+	rng := f.rng
 	if rng == nil {
-		src = sim.NewCountedSource(opts.Seed ^ rngSeedMask)
-		rng = rand.New(src)
+		rng = rand.New(rand.NewSource(opts.Seed ^ rngSeedMask))
 	} else {
 		rng.Seed(opts.Seed ^ rngSeedMask)
 	}
@@ -344,7 +337,7 @@ func (f *FTL) Reset(opts Options) error {
 		senses: f.senses, l2p: f.l2p, planes: f.planes, blocks: f.blocks,
 		wlValid: f.wlValid, wlKeep: f.wlKeep, rmap: f.rmap,
 		pendingGC: f.pendingGC, gcJobs: f.gcJobs, refreshJobs: f.refreshJobs, kept: f.kept,
-		freeReads: f.freeReads, freeMoves: f.freeMoves, rng: rng, rngSrc: src,
+		freeReads: f.freeReads, freeMoves: f.freeMoves, rng: rng,
 
 		opts: opts, gcFreeBlocks: gcWatermark,
 		pagePower: cost.MeanLevel / perCell, pageCells: cost.ProgrammedFrac / perCell,

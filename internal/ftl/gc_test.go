@@ -74,13 +74,13 @@ func TestGCMovesValidPages(t *testing.T) {
 	for _, j := range jobs {
 		moved += len(j.Moves)
 		for _, m := range j.Moves {
-			if m.From.Addr().BlockAddr != j.Victim {
+			if refAddr(m.From).BlockAddr != j.Victim {
 				t.Errorf("move source %v not in victim %v", m.From, j.Victim)
 			}
 			if m.FromSenses < 1 {
 				t.Errorf("move senses = %d", m.FromSenses)
 			}
-			lastMove[LPN(m.LPN)] = m.To.Addr()
+			lastMove[LPN(m.LPN)] = refAddr(m.To)
 		}
 	}
 	if moved == 0 {

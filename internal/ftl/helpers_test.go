@@ -5,8 +5,14 @@ import (
 	"testing"
 
 	"idaflash/internal/coding"
+	"idaflash/internal/flash"
 	"idaflash/internal/sim"
 )
+
+// refAddr widens a job record's page reference to a flash address.
+func refAddr(r PageRef) flash.PageAddr {
+	return pageAddr(flash.PlaneID(r.Plane), int(r.Block), int(r.Page))
+}
 
 // lpnAt names the LPN that lands on page type t of wordline wl in block blk
 // of a tinyGeom device when a test writes LPNs 0, 1, 2, ... in order: blocks

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"math"
 	"slices"
 	"testing"
 	"time"
@@ -157,48 +156,4 @@ func TestReleasedJobBuffersReused(t *testing.T) {
 		t.Fatalf("cycles did no background work: %+v", st)
 	}
 	checkInvariants(t, f)
-}
-
-// TestRestoreNeverAliasesPendingGC: Restore copies a State's pending-GC moves
-// into the device's own (recycled) move lists, so collecting, charging and
-// releasing them on one device never writes into the shared State.
-func TestRestoreNeverAliasesPendingGC(t *testing.T) {
-	var st *State
-	for seed := int64(1); seed < 50 && st == nil; seed++ {
-		f := mustFTL(t, snapshotOptions(tinyGeom(), seed, nil))
-		ageRandomly(t, f, seed, 400)
-		for _, job := range f.pendingGC {
-			if len(job.Moves) > 0 {
-				st = f.Snapshot()
-			}
-		}
-	}
-	if st == nil {
-		t.Fatal("no aged device left pending GC moves to snapshot")
-	}
-	want := make([][]MoveOp, len(st.PendingGC))
-	for i, job := range st.PendingGC {
-		want[i] = slices.Clone(job.Moves)
-	}
-	g := mustFTL(t, snapshotOptions(tinyGeom(), 1, nil))
-	// The second Restore recycles the first one's pending lists.
-	for i := 0; i < 2; i++ {
-		if err := g.Restore(st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range g.pendingGC {
-		for j := range g.pendingGC[i].Moves {
-			g.pendingGC[i].Moves[j] = MoveOp{LPN: math.MaxUint32}
-		}
-	}
-	jobs := mustCollectGC(t, g, 0)
-	for i := range jobs {
-		g.ReleaseGCJob(&jobs[i])
-	}
-	for i, job := range st.PendingGC {
-		if !slices.Equal(job.Moves, want[i]) {
-			t.Fatalf("pending GC job %d of the shared State changed through a restored device", i)
-		}
-	}
 }

@@ -165,7 +165,7 @@ func TestIDARefreshCase1MovesLSB(t *testing.T) {
 		}
 		// Relocated LSBs must still be readable at their new home.
 		info, ok := f.Read(LPN(m.LPN))
-		if !ok || info.Addr != m.To.Addr() {
+		if !ok || info.Addr != refAddr(m.To) {
 			t.Errorf("moved LPN %d reads from %v, want %v", m.LPN, info.Addr, m.To)
 		}
 	}

@@ -10,39 +10,33 @@ import (
 	"idaflash/internal/sim"
 )
 
-// ageRandomly drives the FTL through a randomized history: a skewed
-// overwrite-heavy write mix (forcing inline GC), trims, refresh sweeps with
-// the IDA corruption draws (advancing the rng stream), and optional
-// stagger. It leaves whatever pendingGC the inline path buffered undrained,
-// so the snapshot covers mid-GC state.
-func ageRandomly(t *testing.T, f *FTL, seed int64, writes int) {
+// ageLikeRun ages the FTL the way ssd.RunContext's zero-time phases do:
+// requests of one to four consecutive LPNs written at time 0 from a skewed,
+// overwrite-heavy mix (forcing GC), each followed by a CollectGC drain, then
+// CloseActiveBlocks. Media faults come from the FTL's own Options. There is
+// no refresh and no stagger, so the device ends at the aging boundary.
+func ageLikeRun(t *testing.T, f *FTL, seed int64, requests int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	capacity := f.geom.TotalPages()
-	now := sim.Time(0)
-	for i := 0; i < writes; i++ {
-		now += sim.Time(rng.Intn(1000)) * sim.Time(time.Microsecond)
+	for i := 0; i < requests; i++ {
 		// The footprint stays around half of capacity so GC can always
 		// find reclaimable victims.
-		var lpn LPN
+		var first LPN
 		switch rng.Intn(10) {
 		case 0, 1, 2: // cold spread
-			lpn = LPN(rng.Int63n(capacity / 2))
+			first = LPN(rng.Int63n(capacity/2 - 4))
 		default: // hot working set, forces overwrites and GC pressure
-			lpn = LPN(rng.Intn(int(capacity) / 8))
+			first = LPN(rng.Intn(int(capacity) / 8))
 		}
-		if _, err := f.Write(lpn, now); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		if rng.Intn(20) == 0 {
-			f.Trim(LPN(rng.Int63n(capacity)))
-		}
-		if rng.Intn(50) == 0 {
-			if _, err := f.DueRefreshes(now); err != nil {
-				t.Fatalf("refresh at write %d: %v", i, err)
+		for n := LPN(1 + rng.Intn(4)); n > 0; n-- {
+			if _, err := f.Write(first+n-1, 0); err != nil {
+				t.Fatalf("request %d: write: %v", i, err)
 			}
 		}
+		mustCollectGC(t, f, 0)
 	}
+	f.CloseActiveBlocks()
 }
 
 func snapshotOptions(g flash.Geometry, seed int64, fm FaultModel) Options {
@@ -56,15 +50,15 @@ func snapshotOptions(g flash.Geometry, seed int64, fm FaultModel) Options {
 	}
 }
 
-// TestSnapshotRestoreDeepEqual round-trips randomized FTL states through
-// Snapshot/Restore and requires the restored device to be structurally
-// identical: re-snapshotting it must reproduce the original State exactly.
+// TestSnapshotRestoreDeepEqual round-trips randomized aged FTL states
+// through Snapshot/Restore and requires the restored device to be
+// structurally identical: re-snapshotting it must reproduce the original
+// State exactly.
 func TestSnapshotRestoreDeepEqual(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		for _, g := range []flash.Geometry{tinyGeom(), multiPlaneGeom()} {
 			f := mustFTL(t, snapshotOptions(g, seed, nil))
-			f.StaggerBlockAges(0) // consume rng draws before the boundary
-			ageRandomly(t, f, seed, 400)
+			ageLikeRun(t, f, seed, 300)
 			st := f.Snapshot()
 
 			fresh := mustFTL(t, snapshotOptions(g, seed, nil))
@@ -81,15 +75,16 @@ func TestSnapshotRestoreDeepEqual(t *testing.T) {
 
 // TestSnapshotRestoreBehavioralEquivalence runs the same post-snapshot
 // operation sequence on the original device and on a restored copy and
-// requires their end states to match, including every rng-dependent decision
-// (refresh corruption draws) — the restored rng must sit at the exact stream
-// position the original recorded.
+// requires their end states and stats to match, including every
+// rng-dependent decision (refresh corruption draws). Aging draws nothing
+// from the FTL rng, so both devices draw from the start of the stream.
 func TestSnapshotRestoreBehavioralEquivalence(t *testing.T) {
 	const seed = 99
 	g := tinyGeom()
 	orig := mustFTL(t, snapshotOptions(g, seed, nil))
-	ageRandomly(t, orig, seed, 300)
+	ageLikeRun(t, orig, seed, 200)
 	st := orig.Snapshot()
+	orig.ResetStats() // as RunContext does after the boundary
 
 	restored := mustFTL(t, snapshotOptions(g, seed, nil))
 	if err := restored.Restore(st); err != nil {
@@ -114,6 +109,14 @@ func TestSnapshotRestoreBehavioralEquivalence(t *testing.T) {
 	}
 	drive(orig)
 	drive(restored)
+	if orig.Stats().IDACorruptedWrites == 0 {
+		t.Fatal("no corruption draws after the boundary; the rng stream went untested")
+	}
+	if orig.Stats() != restored.Stats() {
+		t.Fatalf("stats diverged: original %+v, restored %+v", orig.Stats(), restored.Stats())
+	}
+	mustCollectGC(t, orig, 0)
+	mustCollectGC(t, restored, 0)
 	checkInvariants(t, restored)
 	if !reflect.DeepEqual(orig.Snapshot(), restored.Snapshot()) {
 		t.Fatal("original and restored devices diverged under an identical op sequence")
@@ -126,8 +129,7 @@ func TestSnapshotRestoreBehavioralEquivalence(t *testing.T) {
 func TestSnapshotCoversRetiredBlocks(t *testing.T) {
 	fm := &scriptedFaults{failNextPrograms: 3}
 	f := mustFTL(t, snapshotOptions(tinyGeom(), 5, fm))
-	ageRandomly(t, f, 5, 300)
-	mustCollectGC(t, f, sim.Time(time.Second)) // reclaim empties; retires bad blocks
+	ageLikeRun(t, f, 5, 200)
 	st := f.Snapshot()
 
 	bad, retired := 0, 0
@@ -153,36 +155,48 @@ func TestSnapshotCoversRetiredBlocks(t *testing.T) {
 	}
 }
 
-// TestSnapshotCoversSparseAndPending asserts the randomized aging actually
-// exercised the state corners this suite exists for — a populated L2P,
-// garbage collection and rng draws — so a regression that silently stops
-// producing them does not hollow out the round-trip tests. (The name
-// predates the removal of the sparse L2P side.)
-func TestSnapshotCoversSparseAndPending(t *testing.T) {
+// TestBoundaryAgingExercisesGC asserts the aging helper actually reaches
+// the state this suite exists for — a populated L2P shaped by garbage
+// collection — so a regression that silently stops producing it does not
+// hollow out the round-trip tests.
+func TestBoundaryAgingExercisesGC(t *testing.T) {
 	f := mustFTL(t, snapshotOptions(tinyGeom(), 42, nil))
-	ageRandomly(t, f, 42, 400)
-	st := f.Snapshot()
-	if st.L2PCount == 0 {
+	ageLikeRun(t, f, 42, 300)
+	if f.Stats().GCJobs == 0 || f.Stats().GCMoves == 0 {
+		t.Errorf("aging ran no GC moves: %+v", f.Stats())
+	}
+	if st := f.Snapshot(); st.L2PCount == 0 {
 		t.Error("no mapped LPNs in the aged state")
 	}
-	if st.RNGDraws == 0 {
-		t.Error("rng never drawn; behavioral equivalence would not test stream position")
+}
+
+// TestSnapshotPanicsWithPendingGC: State cannot carry buffered inline GC,
+// so Snapshot refuses a device whose inline GC has not been drained.
+func TestSnapshotPanicsWithPendingGC(t *testing.T) {
+	f := mustFTL(t, snapshotOptions(tinyGeom(), 8, nil))
+	for lpn := LPN(0); len(f.pendingGC) == 0; lpn = (lpn + 1) % 16 {
+		if _, err := f.Write(lpn, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.Stats.GCJobs == 0 {
-		t.Error("no GC activity in the aged state")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Snapshot with pending inline GC did not panic")
+		}
+	}()
+	f.Snapshot()
 }
 
 // TestRestoreRejectsMismatch verifies Restore's all-or-nothing contract: a
 // state that fails validation must leave the device exactly as it was.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	f := mustFTL(t, snapshotOptions(tinyGeom(), 3, nil))
-	ageRandomly(t, f, 3, 100)
+	ageLikeRun(t, f, 3, 60)
 	before := f.Snapshot()
 
 	corrupt := func(name string, mutate func(*State)) {
 		donor := mustFTL(t, snapshotOptions(tinyGeom(), 3, nil))
-		ageRandomly(t, donor, 4, 100)
+		ageLikeRun(t, donor, 4, 60)
 		st := donor.Snapshot()
 		mutate(st)
 		if err := f.Restore(st); err == nil {

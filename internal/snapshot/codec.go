@@ -1,13 +1,13 @@
 // Package snapshot serializes and restores aged device state so experiment
 // sweeps pay for the aging preamble once per profile instead of once per
-// (profile, system) point. A DeviceState captures everything the
-// pre-measurement phases of ssd.Run produce — the FTL's L2P table, block
-// populations, free lists, wear counters, wordline ages, GC/refresh
-// bookkeeping, the accumulated stats, and the positions of the random
-// streams — behind a deterministic binary codec framed by internal/frame
-// (magic, version, length, CRC64), and a Store that is the store
-// directory's two-tier cache (internal/results.Cache): a bounded memory
-// tier plus an optional content-addressed blob tier. Corruption,
+// (profile, system) point. A DeviceState captures what the zero-time aging
+// phases of ssd.Run leave behind at the aging boundary — the FTL's L2P
+// table, block table (populations, wear counters, ages, flags), free lists
+// and active blocks, wordline masks and reverse map, and the fault
+// injector's stream position — behind a deterministic binary codec framed by
+// internal/frame (magic, version, length, CRC64), and a Store that is the
+// store directory's two-tier cache (internal/results.Cache): a bounded
+// memory tier plus an optional content-addressed blob tier. Corruption,
 // truncation, and version skew all fail soft: a bad snapshot is a cache
 // miss, never a failed run.
 package snapshot
@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"idaflash/internal/flash"
 	"idaflash/internal/frame"
@@ -28,7 +27,7 @@ import (
 // the payload layout or the meaning of any captured field changes; the
 // Store treats a version mismatch as a miss, and callers fold the version
 // into their cache keys so stale fixture directories invalidate themselves.
-const CodecVersion = 4
+const CodecVersion = 5
 
 // format frames snapshot files: the "IDASNAP\0" magic rejects arbitrary
 // bytes before any length field is trusted, and the record checksum covers
@@ -79,9 +78,6 @@ const (
 	geometryBytes = 8 * 8
 	planeBytes    = 8 + 8   // active, free-list length
 	blockBytes    = 5*8 + 1 // five counters and the flags
-	pageAddrBytes = 3 * 8   // plane, block, page
-	moveBytes     = 2*pageAddrBytes + 3*8
-	jobBytes      = 8 + 8 + 1 + 8 // victim, IDA flag, moves length
 )
 
 // payloadSize is the exact encoded size of a state whose FTL part is st:
@@ -94,14 +90,7 @@ func payloadSize(st *ftl.State) int {
 	}
 	n += 8 + blockBytes*len(st.Blocks)
 	n += 8 + len(st.WLValid) + 8 + len(st.WLKeep) + 8 + 4*len(st.RMap)
-	n += 8
-	for _, job := range st.PendingGC {
-		n += jobBytes + moveBytes*len(job.Moves)
-	}
-	n += 1 + 8 + 8 // the refresh guard
-	// Stats: 21 counters plus the two length-prefixed histograms.
-	n += 8 * (21 + 1 + len(st.Stats.ReadsByClass) + 1 + len(st.Stats.ReadsBySenses))
-	return n + 8 + 8 // RNGDraws, then the injector's draws
+	return n + 8 // the injector's draws
 }
 
 // Decode parses bytes produced by Encode. It never panics on arbitrary
@@ -132,16 +121,6 @@ func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
 
 func (e *encoder) geometry(g flash.Geometry) {
 	e.i64(int64(g.Channels))
@@ -152,44 +131,6 @@ func (e *encoder) geometry(g flash.Geometry) {
 	e.i64(int64(g.WordlinesPerBlock))
 	e.i64(int64(g.PageSizeBytes))
 	e.i64(int64(g.BitsPerCell))
-}
-
-func (e *encoder) pageAddr(a flash.PageAddr) {
-	e.i64(int64(a.Plane))
-	e.i64(int64(a.Block))
-	e.i64(int64(a.Page))
-}
-
-func (e *encoder) stats(s ftl.Stats) {
-	e.u64(s.HostReads)
-	e.u64(s.HostWrites)
-	e.u64(s.Invalidations)
-	e.u64(s.Erases)
-	e.u64(uint64(len(s.ReadsByClass)))
-	for _, v := range s.ReadsByClass {
-		e.u64(v)
-	}
-	e.u64(uint64(len(s.ReadsBySenses)))
-	for _, v := range s.ReadsBySenses {
-		e.u64(v)
-	}
-	e.u64(s.ReadsFromIDA)
-	e.u64(s.GCJobs)
-	e.u64(s.GCMoves)
-	e.u64(s.GCIDAVictims)
-	e.u64(s.Refreshes)
-	e.u64(s.RefreshValidPages)
-	e.u64(s.RefreshMoves)
-	e.u64(s.IDARefreshes)
-	e.u64(s.IDAAdjustedWLs)
-	e.u64(s.IDAVerifyReads)
-	e.u64(s.IDACorruptedWrites)
-	e.u64(s.IDAKeptPages)
-	e.f64(s.ProgramPower)
-	e.f64(s.ProgrammedCells)
-	e.u64(s.ProgramFailures)
-	e.u64(s.EraseFailures)
-	e.u64(s.RetiredBlocks)
 }
 
 func (e *encoder) ftlState(st *ftl.State) {
@@ -241,27 +182,6 @@ func (e *encoder) ftlState(st *ftl.State) {
 	for _, lpn := range st.RMap {
 		e.u32(lpn)
 	}
-
-	e.u64(uint64(len(st.PendingGC)))
-	for _, job := range st.PendingGC {
-		e.i64(int64(job.Victim.Plane))
-		e.i64(int64(job.Victim.Block))
-		e.boolean(job.VictimWasIDA)
-		e.u64(uint64(len(job.Moves)))
-		for _, m := range job.Moves {
-			e.pageAddr(m.From.Addr())
-			e.i64(int64(m.FromSenses))
-			e.pageAddr(m.To.Addr())
-			e.i64(int64(m.LPN))
-			e.i64(int64(m.FailedPrograms))
-		}
-	}
-
-	e.boolean(st.RefreshingActive)
-	e.i64(int64(st.Refreshing.Plane))
-	e.i64(int64(st.Refreshing.Block))
-	e.stats(st.Stats)
-	e.u64(st.RNGDraws)
 }
 
 // decoder reads the encoder's fields back, tracking the first error and
@@ -320,29 +240,7 @@ func (d *decoder) u64() uint64 {
 }
 
 func (d *decoder) i64() int64    { return int64(d.u64()) }
-func (d *decoder) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *decoder) boolean() bool { return d.u8() != 0 }
 func (d *decoder) intField() int { return int(d.i64()) }
-
-// bounded reads a signed field that must lie in [0, max], failing the
-// decode otherwise, so a narrow field of a decoded record never truncates.
-func (d *decoder) bounded(max int64) int64 {
-	v := d.i64()
-	if v < 0 || v > max {
-		d.fail("field %d out of [0, %d]", v, max)
-		return 0
-	}
-	return v
-}
-
-// pageRef reads a page address in its wire fields into an ftl.PageRef.
-func (d *decoder) pageRef() ftl.PageRef {
-	return ftl.PageRef{
-		Plane: uint16(d.bounded(math.MaxUint16)),
-		Block: uint16(d.bounded(math.MaxUint16)),
-		Page:  uint16(d.bounded(math.MaxUint16)),
-	}
-}
 
 // count reads a length prefix for elements of at least elemSize bytes and
 // validates it against the remaining payload, so a corrupt length cannot
@@ -370,54 +268,6 @@ func (d *decoder) geometry() flash.Geometry {
 		PageSizeBytes:     d.intField(),
 		BitsPerCell:       d.intField(),
 	}
-}
-
-func (d *decoder) pageAddr() flash.PageAddr {
-	var a flash.PageAddr
-	a.Plane = flash.PlaneID(d.i64())
-	a.Block = d.intField()
-	a.Page = d.intField()
-	return a
-}
-
-func (d *decoder) stats() ftl.Stats {
-	var s ftl.Stats
-	s.HostReads = d.u64()
-	s.HostWrites = d.u64()
-	s.Invalidations = d.u64()
-	s.Erases = d.u64()
-	if n := d.count(8); n != len(s.ReadsByClass) {
-		d.fail("ReadsByClass has %d buckets, want %d", n, len(s.ReadsByClass))
-	} else {
-		for i := range s.ReadsByClass {
-			s.ReadsByClass[i] = d.u64()
-		}
-	}
-	if n := d.count(8); n != len(s.ReadsBySenses) {
-		d.fail("ReadsBySenses has %d buckets, want %d", n, len(s.ReadsBySenses))
-	} else {
-		for i := range s.ReadsBySenses {
-			s.ReadsBySenses[i] = d.u64()
-		}
-	}
-	s.ReadsFromIDA = d.u64()
-	s.GCJobs = d.u64()
-	s.GCMoves = d.u64()
-	s.GCIDAVictims = d.u64()
-	s.Refreshes = d.u64()
-	s.RefreshValidPages = d.u64()
-	s.RefreshMoves = d.u64()
-	s.IDARefreshes = d.u64()
-	s.IDAAdjustedWLs = d.u64()
-	s.IDAVerifyReads = d.u64()
-	s.IDACorruptedWrites = d.u64()
-	s.IDAKeptPages = d.u64()
-	s.ProgramPower = d.f64()
-	s.ProgrammedCells = d.f64()
-	s.ProgramFailures = d.u64()
-	s.EraseFailures = d.u64()
-	s.RetiredBlocks = d.u64()
-	return s
 }
 
 func (d *decoder) ftlState() *ftl.State {
@@ -471,35 +321,6 @@ func (d *decoder) ftlState() *ftl.State {
 			st.RMap[i] = d.u32()
 		}
 	}
-
-	nJobs := d.count(jobBytes)
-	if nJobs > 0 {
-		st.PendingGC = make([]ftl.GCJob, 0, nJobs)
-	}
-	for j := 0; j < nJobs && d.err == nil; j++ {
-		var job ftl.GCJob
-		job.Victim.Plane = flash.PlaneID(d.i64())
-		job.Victim.Block = d.intField()
-		job.VictimWasIDA = d.boolean()
-		if nMoves := d.count(moveBytes); nMoves > 0 {
-			job.Moves = make([]ftl.MoveOp, nMoves)
-			for i := range job.Moves {
-				m := &job.Moves[i]
-				m.From = d.pageRef()
-				m.FromSenses = uint8(d.bounded(math.MaxUint8))
-				m.To = d.pageRef()
-				m.LPN = uint32(d.bounded(math.MaxUint32))
-				m.FailedPrograms = uint16(d.bounded(math.MaxUint16))
-			}
-		}
-		st.PendingGC = append(st.PendingGC, job)
-	}
-
-	st.RefreshingActive = d.boolean()
-	st.Refreshing.Plane = flash.PlaneID(d.i64())
-	st.Refreshing.Block = d.intField()
-	st.Stats = d.stats()
-	st.RNGDraws = d.u64()
 	return st
 }
 

@@ -8,11 +8,12 @@ import (
 
 // The snapshot boundary sits inside RunContext after the zero-time aging
 // phases (prefill, aging preamble, warmup replay, CloseActiveBlocks) and
-// before StaggerBlockAges/ResetStats. Everything those phases mutate lives
-// in exactly two places — the FTL state machine and the fault injector's
-// random stream position — because the engine never runs (simulated time
-// stays 0, no events process), the host-path accumulators are untouched
-// (replay writes go straight through ftl.Write), and the telemetry sampler
+// before StaggerBlockAges/ResetStats. Everything those phases leave for the
+// timed phase lives in exactly two places — the FTL's tables and the fault
+// injector's random stream position — because the engine never runs
+// (simulated time stays 0, no events process), the host-path accumulators
+// are untouched (replay writes go straight through ftl.Write), the FTL's
+// stats are reset and its rng is still undrawn, and the telemetry sampler
 // discards all pre-measurement activity when it arms. So a DeviceState of
 // {ftl.State, injector draws} restored onto a freshly-built SSD is
 // indistinguishable from having replayed the phases, and the timed phase
