@@ -61,7 +61,7 @@ func TestOutOfRangeLPNs(t *testing.T) {
 		}
 	}
 	capacity := LPN(tinyGeom().TotalPages())
-	before := f.Snapshot()
+	before, stats := f.Snapshot(), f.Stats()
 	for _, lpn := range []LPN{-1, -capacity, capacity, capacity + 1, 1 << 40} {
 		if prog, err := f.Write(lpn, hour); err == nil {
 			t.Errorf("Write(%d) = %+v, want an out-of-range error", lpn, prog)
@@ -75,6 +75,9 @@ func TestOutOfRangeLPNs(t *testing.T) {
 	// included, is untouched.
 	if !reflect.DeepEqual(f.Snapshot(), before) {
 		t.Fatal("out-of-range operations changed the FTL state")
+	}
+	if got := f.Stats(); got != stats {
+		t.Fatalf("out-of-range operations changed the stats: %+v, want %+v", got, stats)
 	}
 	checkInvariants(t, f)
 }
